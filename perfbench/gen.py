@@ -26,6 +26,8 @@ L3_NAME = "lib"
 
 #: Budgets far below the ~90 steps any generated export takes.
 TRAP_BUDGETS = (1, 2, 3, 5, 8, 13)
+#: The share of requests that carry one of them.
+TRAP_SHARE = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
@@ -218,8 +220,7 @@ class RequestCase:
     expected: object  # the result, or ``None`` when it must trap
 
 
-def request_mix(seed: int, specs: list[FunctionSpec], count: int,
-                trap_share: float = 0.05) -> list[RequestCase]:
+def request_mix(seed: int, specs: list[FunctionSpec], count: int) -> list[RequestCase]:
     rng = random.Random(f"requests:{seed}")
     cases = []
     for _ in range(count):
@@ -229,7 +230,7 @@ def request_mix(seed: int, specs: list[FunctionSpec], count: int,
             export, expected = f"{ML_NAME}.p{spec.index}", expect_p(spec, x)
         else:
             export, expected = f"{L3_NAME}.c{spec.index}", expect_c(spec, x)
-        if rng.random() < trap_share:
+        if rng.random() < TRAP_SHARE:
             cases.append(RequestCase(export, x, rng.choice(TRAP_BUDGETS), None))
         else:
             cases.append(RequestCase(export, x, None, expected))

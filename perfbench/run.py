@@ -27,9 +27,11 @@ import os
 import platform
 import resource
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -191,9 +193,7 @@ def main(argv=None) -> int:
     import_s += [time_import() for _ in range(len(run.setup_s) - 1)]
 
     end_to_end = {
-        # The fastest import plus the fastest setup: see
-        # ``workloads.best_window_latency`` for why not the median.
-        "setup_s": min(import_s) + min(run.setup_s),
+        "setup_s": statistics.median(import_s) + statistics.median(run.setup_s),
         "peak_rss_mb": peak_rss_mb(),
         "latency_ms": run.latency_s * 1e3,
         "throughput_per_s": run.throughput,
@@ -206,7 +206,7 @@ def main(argv=None) -> int:
                    for name, unit in END_TO_END.items()}
     host = host_record(args.seed, run.info.get("workers", 1))
     row = {
-        "workload": args.workload, "trace": args.trace, "seconds": args.seconds,
+        "workload": args.workload, "trace": args.trace, "seconds": args.seconds, "time": time.time(),
         "tiny": args.tiny, "host": host, "samples": len(run.latencies),
         "attempted": run.attempted, "failed": len(run.errors),
         "setup_samples_s": run.setup_s, "import_samples_s": import_s,

@@ -74,6 +74,33 @@ def test_compare_reads_two_result_sets(tmp_path):
     )
     (result,) = [json.loads(line) for line in proc.stdout.splitlines()]
     assert result["verdict"] == "regressed" and proc.returncode == 1
+    assert "no partner" in proc.stderr
+
+
+def _judge(before: list[float], after: list[float], paired: bool = True) -> dict:
+    sys.path.insert(0, HERE)
+    import compare
+
+    def rows(values):
+        return [{"workload": "serve_sessions", "trace": 0, "time": float(i),
+                 "host": {"seed": i if paired else None},
+                 "end_to_end": {"latency_ms": value}} for i, value in enumerate(values)]
+
+    (result,) = compare.compare(rows(before), rows(after), BENCH)
+    return result
+
+
+def test_compare_judges_pairs_by_seed():
+    # The host drifts between the halves of the run: the pairs see the same
+    # drift, so only the unpaired sets' spread hides the answer.
+    before = [1.0] * 5 + [1.5] * 5
+    assert _judge(before, before)["verdict"] == "same"
+    assert _judge(before, before, paired=False)["verdict"] == "unresolved"
+    faster = _judge(before, [value * 0.9 for value in before])
+    assert (faster["wins"], faster["pairs"]) == (10, 10)
+    steady = [1.0 + i / 1000 for i in range(10)]
+    assert _judge(steady, [value * 0.9 for value in steady])["verdict"] == "improved"
+    assert _judge(steady, [value * 1.3 for value in steady])["verdict"] == "regressed"
 
 
 def test_fails_without_the_program(tmp_path):

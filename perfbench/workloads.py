@@ -17,8 +17,9 @@ serve_sessions
 serve_cluster
     ``api.serve(..., workers=2)`` on the default (flat) engine serving
     stateless ``p{i}``/``c{i}`` requests, about 5% of them trapping on a
-    step budget: one request at a time from one thread (the latency), then
-    saturating batches through ``ClusterService.run`` (the throughput).
+    step budget: one request at a time from one thread (the latency),
+    alternating with saturating batches through ``ClusterService.run``
+    (the throughput).
     The traced run adds an open loop at ``OPEN_LOOP_RATE``.
 """
 
@@ -45,6 +46,8 @@ WINDOW_S = 0.5  # the timed phase is judged in windows this long
 EDITS_PER_SECOND = 2  # compile_edit runs a fixed sample count, see _edit_count
 BATCH = 1000
 CLUSTER_WORKERS = 2
+CLUSTER_RANK = 0.25  # serve_cluster reports its quartile-fastest window
+CLUSTER_ROUNDS = 4  # of round trips, then saturating batches
 REPLAY = 400  # requests or sessions in the fixed reference replay
 
 TINY = {
@@ -77,8 +80,8 @@ class Run:
         self.errors: list[str] = []
         self.setup_s: list[float] = []
         self.latencies: list[float] = []  # seconds, the timed phase's samples
-        self.latency_s = 0.0  # median of the fastest window
-        self.throughput = 0.0  # of the fastest window
+        self.latency_s = 0.0  # a fast window's median, see best_window_latency
+        self.throughput = 0.0  # a fast window's rate, see best_window_rate
         self.layer: dict[str, float] = {}
         self.info: dict = {}
 
@@ -137,8 +140,13 @@ def windows(durations) -> list[list[int]]:
     return groups
 
 
-def best_window_latency(latencies, durations=None) -> float:
-    """The lowest per-window median of ``latencies``.
+def _ranked(values, rank: float) -> float:
+    return sorted(values)[int(rank * (len(values) - 1))]
+
+
+def best_window_latency(latencies, rank: float = 0.0) -> float:
+    """The per-window median of ``latencies`` at ``rank`` from the fastest
+    window (0) to the slowest (1).
 
     A shared host changes speed for seconds at a time: on the 2-vCPU
     x86_64 virtual machine this benchmark was tuned on, a fixed Python loop
@@ -147,27 +155,31 @@ def best_window_latency(latencies, durations=None) -> float:
     ten seeds), the median of the run's fastest window much less (9-12%).
     """
 
-    groups = windows(latencies if durations is None else durations)
-    medians = [statistics.median([latencies[i] for i in group]) for group in groups]
-    return min(medians)
+    groups = windows(latencies)
+    return _ranked([statistics.median([latencies[i] for i in group]) for group in groups], rank)
 
 
-def best_window_rate(counts, durations) -> float:
-    """The highest ``sum(counts) / sum(durations)`` over the windows."""
+def best_window_rate(counts, durations, rank: float = 0.0) -> float:
+    """``sum(counts) / sum(durations)`` of the window at ``rank`` from the
+    fastest (0) to the slowest (1)."""
 
-    return max(
-        sum(counts[i] for i in group) / sum(durations[i] for i in group)
-        for group in windows(durations)
-    )
+    rates = [sum(counts[i] for i in group) / sum(durations[i] for i in group)
+             for group in windows(durations)]
+    return -_ranked([-rate for rate in rates], rank)
 
 
-def closed_loop_figures(run: Run) -> None:
-    """Latency and throughput of a closed loop whose samples ran back to
-    back: the fastest window's median latency and its operations per
-    second of sample time."""
+def closed_loop_figures(run: Run, loops: list[float]) -> None:
+    """Latency and throughput of a closed loop: the fastest window's median
+    latency, and the highest operations per second over windows of
+    ``loops``, each operation's whole turn of the loop.
+
+    A turn also builds the operation's inputs and checks its outputs
+    against the oracle, so the throughput counts work the latency does not;
+    with one client it still moves with the latency.
+    """
 
     run.latency_s = best_window_latency(run.latencies)
-    run.throughput = best_window_rate([1] * len(run.latencies), run.latencies)
+    run.throughput = best_window_rate([1] * len(loops), loops)
 
 
 def check_outcome(run: Run, outcome, expected, what: str) -> None:
@@ -233,8 +245,8 @@ def more_setups(run: Run, factory) -> None:
     """The untraced run's other ``run.setups - 1`` setups, timed and closed.
 
     They run after the timed phase, once its setup is closed, so the setup
-    samples are spread over the run and the fastest of them (the reported
-    one) is less likely to fall in one of the host's slow stretches.
+    samples are spread over the run and their median (the reported one)
+    is less likely to fall in one of the host's slow stretches.
     """
 
     if run.trace:
@@ -465,13 +477,13 @@ def _cold_sample(run: Run, setup: _Sources, stats=None) -> float:
 
 def compile_cold(run: Run) -> None:
     setup = first_setup(run, lambda: _Sources(run))
-    run.latencies = _phase(run, lambda: _cold_sample(run, setup))
-    closed_loop_figures(run)
+    run.latencies, loops = _phase(run, lambda: _cold_sample(run, setup))
+    closed_loop_figures(run, loops)
     if run.trace:
         tracer = _new_tracer()
         try:
             stats = _CompileStats(tracer)
-            traced = _phase(run, lambda: _cold_sample(run, setup, stats))
+            traced, _ = _phase(run, lambda: _cold_sample(run, setup, stats))
         finally:
             tracer.uninstall()
         run.layer.update(stats.metrics())
@@ -480,15 +492,20 @@ def compile_cold(run: Run) -> None:
     more_setups(run, lambda: _Sources(run))
 
 
-def _phase(run: Run, sample) -> list[float]:
-    """``sample()``'s results, called until the phase's seconds pass (and
-    at least ``run.min_samples`` times)."""
+def _phase(run: Run, sample, count=None) -> tuple[list[float], list[float]]:
+    """``sample()``'s results and the wall of each call, called ``count``
+    times or, without one, until the phase's seconds pass (and at least
+    ``run.min_samples`` times)."""
 
-    walls: list[float] = []
-    end = time.perf_counter() + run.phase_seconds
-    while len(walls) < run.min_samples or time.perf_counter() < end:
-        walls.append(sample())
-    return walls
+    results: list[float] = []
+    loops: list[float] = []
+    perf = time.perf_counter
+    end = perf() + run.phase_seconds
+    while len(results) < max(run.min_samples, count or 0) or (count is None and perf() < end):
+        start = perf()
+        results.append(sample())
+        loops.append(perf() - start)
+    return results, loops
 
 
 #: Unit stages an edit must recompile exactly once.  Typecheck checks the
@@ -542,19 +559,15 @@ def _edit_count(run: Run) -> int:
     return max(run.min_samples, round(run.phase_seconds * EDITS_PER_SECOND))
 
 
-def _counted(count: int, sample) -> list[float]:
-    return [sample() for _ in range(count)]
-
-
 def compile_edit(run: Run) -> None:
     setup = first_setup(run, lambda: _edit_setup(run))
-    run.latencies = _counted(_edit_count(run), lambda: _edit_sample(run, setup))
-    closed_loop_figures(run)
+    run.latencies, loops = _phase(run, lambda: _edit_sample(run, setup), _edit_count(run))
+    closed_loop_figures(run, loops)
     if run.trace:
         tracer = _new_tracer()
         try:
             stats = _CompileStats(tracer)
-            traced = _counted(_edit_count(run), lambda: _edit_sample(run, setup, stats))
+            traced, _ = _phase(run, lambda: _edit_sample(run, setup, stats), _edit_count(run))
         finally:
             tracer.uninstall()
         run.layer.update(stats.metrics())
@@ -591,11 +604,14 @@ class _SessionService:
         self.service.close()
 
 
-def _sessions_phase(run: Run, setup: _SessionService, seconds: float) -> tuple[list[float], int]:
-    """Closed loop over the session mix; returns (walls, steps)."""
+def _sessions_phase(run: Run, setup: _SessionService,
+                    seconds: float) -> tuple[list[float], list[float], int]:
+    """Closed loop over the session mix; returns (walls, loops, steps):
+    each session's wall, each turn of the loop, and the engine steps."""
 
     service, sessions, cases = setup.service, setup.sessions, setup.cases
     walls: list[float] = []
+    loops: list[float] = []
     steps = 0
     perf = time.perf_counter
     end = perf() + seconds
@@ -611,7 +627,8 @@ def _sessions_phase(run: Run, setup: _SessionService, seconds: float) -> tuple[l
             run.fail(f"session {position}: expected total {cases[position].total}, "
                      f"got ok={outcome.ok} values={outcome.values[-1:] if outcome.ok else None}")
         index += 1
-    return walls, steps
+        loops.append(perf() - start)
+    return walls, loops, steps
 
 
 def _sessions_replay(run: Run, setup: _SessionService) -> int:
@@ -631,8 +648,8 @@ def _sessions_replay(run: Run, setup: _SessionService) -> int:
 def serve_sessions(run: Run) -> None:
     setup = first_setup(run, lambda: _SessionService(run))
     gc.collect()
-    run.latencies, _ = _sessions_phase(run, setup, run.phase_seconds)
-    closed_loop_figures(run)
+    run.latencies, loops, _ = _sessions_phase(run, setup, run.phase_seconds)
+    closed_loop_figures(run, loops)
     setup.close()
     more_setups(run, lambda: _SessionService(run))
     if not run.trace:
@@ -647,7 +664,7 @@ def serve_sessions(run: Run) -> None:
         replay_steps = _sessions_replay(run, setup)
         gc.collect()
         before = tracer.snapshot()
-        traced, steps = _sessions_phase(run, setup, run.phase_seconds)
+        traced, _, steps = _sessions_phase(run, setup, run.phase_seconds)
         delta = tracer.since(before)
         delta["counts"]["pool.created"] = setup.service.pool.stats.created
         run.layer.update(serve_metrics(
@@ -778,10 +795,20 @@ def serve_cluster(run: Run) -> None:
     run.info["workers"] = setup.service.workers
     latency_seconds = run.phase_seconds * LATENCY_SHARE
     gc.collect()
-    run.latencies = _round_trips(run, setup, latency_seconds)
-    batches = _saturate(run, setup, run.phase_seconds - latency_seconds)
-    run.latency_s = best_window_latency(run.latencies)
-    run.throughput = best_window_rate([count for count, _ in batches], [wall for _, wall in batches])
+    # The round trip settles into a fast or a slow state for seconds at a
+    # time (0.56-0.67 ms against 0.74-0.81 ms, one state per run when the
+    # latency phase ran in one piece), so the phase is split into rounds
+    # between the saturating batches, and each run samples it four times.
+    batches: list[tuple[int, float]] = []
+    for _ in range(CLUSTER_ROUNDS):
+        run.latencies += _round_trips(run, setup, latency_seconds / CLUSTER_ROUNDS)
+        batches += _saturate(run, setup, (run.phase_seconds - latency_seconds) / CLUSTER_ROUNDS)
+    # The fastest windows come from short bursts of speed; the quartile
+    # fastest is steadier (quartile spread over six seeds 9% against 13%
+    # for latency, 5% against 15% for throughput).
+    run.latency_s = best_window_latency(run.latencies, CLUSTER_RANK)
+    run.throughput = best_window_rate([count for count, _ in batches],
+                                      [wall for _, wall in batches], CLUSTER_RANK)
     if run.trace:
         open_loop, lateness, backlog = _open_loop(run, setup, latency_seconds, OPEN_LOOP_RATE)
         local = api.serve(setup.service.compiled, workers=1)
@@ -813,6 +840,7 @@ def serve_cluster(run: Run) -> None:
             setup.close()
         finally:
             tracer.uninstall()
+            local.close()
         run.layer.update({
             "dispatcher.submit_us": submit_us,
             "cluster.ipc_overhead_ms":
