@@ -49,11 +49,15 @@ def program_specs(seed: int, functions: int) -> list[FunctionSpec]:
     # Distinct ``b`` constants keep every generated function structurally
     # unique, so a cold compile reuses no unit from another function.
     bs = rng.sample(range(1000), functions)
+    # Each seed uses every template equally often, in its own order, so the
+    # programs of all seeds take about the same work to compile and run.
+    l3_templates = _balanced(rng, 2, functions)
+    ml_templates = _balanced(rng, 3, functions)
     return [
         FunctionSpec(
             index=i,
-            l3_template=rng.randrange(2),
-            ml_template=rng.randrange(3),
+            l3_template=l3_templates[i],
+            ml_template=ml_templates[i],
             a=rng.randint(1, 9),
             b=bs[i],
             k=rng.randint(0, 50),
@@ -62,6 +66,12 @@ def program_specs(seed: int, functions: int) -> list[FunctionSpec]:
         )
         for i in range(functions)
     ]
+
+
+def _balanced(rng: random.Random, kinds: int, count: int) -> list[int]:
+    values = [i % kinds for i in range(count)]
+    rng.shuffle(values)
+    return values
 
 
 # -- plain-Python oracle -------------------------------------------------------

@@ -8,7 +8,9 @@ Workloads (see :mod:`workloads`): ``compile_cold``, ``compile_edit``,
 ``serve_sessions``, ``serve_cluster``.  The seed picks
 the generated inputs; every output is checked against a plain-Python
 oracle.  With ``--trace 0`` the last line of standard output is a JSON
-object with the end-to-end metrics; with ``--trace 1`` the run repeats its
+object with the end-to-end metrics, their times (``setup_s``, ``latency_ms``,
+``throughput_per_s``) scaled to a reference host speed by the probes of
+:mod:`hostspeed`; with ``--trace 1`` the run repeats its
 timed phase with the layer wrappers of :mod:`layers` installed and reports
 the per-layer metrics instead.  Each run also appends one row, with its
 host (``cpu_count``, Python version, git commit or source digest, seed,
@@ -36,6 +38,8 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
+
+import hostspeed  # noqa: E402  (this directory is on sys.path when run as a script)
 
 #: End-to-end metrics: name -> unit.
 END_TO_END = {
@@ -106,14 +110,14 @@ def parse_args(argv):
     parser.add_argument("--tiny", action="store_true", help="tiny inputs, for the self-test")
     parser.add_argument("--out", default=os.path.join(ROOT, ".perfbench", "runs.jsonl"),
                         help="JSONL file each run appends its result row to")
+    # Internal: print one setup sample and exit, see fresh_setup.
+    parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     return parser.parse_args(argv)
 
 
-IMPORTS = "import repro.api, repro.cluster, repro.ffi, repro.runtime"
-
-
-def import_program() -> None:
-    """Import the program from this checkout's ``src``, and only from there."""
+def import_benchmark():
+    """Import the program from this checkout's ``src``, and only from there,
+    then the workloads; returns the ``workloads`` module."""
 
     if not os.path.isdir(os.path.join(SRC, "repro")):
         raise SystemExit(f"perfbench: no program at {os.path.join(SRC, 'repro')}")
@@ -122,16 +126,21 @@ def import_program() -> None:
 
     if not os.path.abspath(repro.__file__).startswith(SRC + os.sep):
         raise SystemExit(f"perfbench: imported repro from {repro.__file__}, not {SRC}")
+    import workloads
+
+    return workloads
 
 
-def time_import() -> float:
-    """One cold import of the program, timed in a fresh interpreter."""
+def fresh_setup(args) -> float:
+    """One setup sample taken in a fresh interpreter: importing the program
+    and the benchmark, then the workload's setup, scaled to the reference
+    host.  A fresh interpreter pays every one-time cost again, so work moved
+    out of the timed phase into first use shows here."""
 
-    timer = (f"import sys, time; sys.path.insert(0, {SRC!r}); "
-             f"start = time.perf_counter(); {IMPORTS}; print(time.perf_counter() - start)")
-    proc = subprocess.run([sys.executable, "-c", timer], capture_output=True, text=True,
-                          check=True, timeout=120)
-    return float(proc.stdout)
+    command = [sys.executable, os.path.abspath(__file__), "--workload", args.workload,
+               "--seed", str(args.seed), "--setup-only"] + (["--tiny"] if args.tiny else [])
+    proc = subprocess.run(command, capture_output=True, text=True, check=True, timeout=120)
+    return float(proc.stdout.strip().splitlines()[-1])
 
 
 def host_record(seed: int, workers: int) -> dict:
@@ -171,11 +180,7 @@ def peak_rss_mb() -> float:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    import_program()
-    import_s = [time_import()]
-    sys.path.insert(0, HERE)
-    import workloads
-
+    workloads, imported, factor = hostspeed.timed(import_benchmark)
     if args.workload not in workloads.WORKLOADS:
         print(f"perfbench: unknown workload {args.workload!r}; "
               f"choose from {', '.join(workloads.WORKLOADS)}", file=sys.stderr)
@@ -186,14 +191,21 @@ def main(argv=None) -> int:
     run = workloads.Run(seed=args.seed, seconds=args.seconds, trace=bool(args.trace),
                         tiny=args.tiny, tmp_root=tmp_root)
     try:
-        workloads.WORKLOADS[args.workload](run)
+        if args.setup_only:
+            workloads.timed_setup(run, lambda: workloads.SETUP_FACTORIES[args.workload](run)).close()
+        else:
+            workloads.WORKLOADS[args.workload](run)
     finally:
         shutil.rmtree(tmp_root, ignore_errors=True)
-    # Like the setups, the import samples are spread over the run.
-    import_s += [time_import() for _ in range(len(run.setup_s) - 1)]
+    setup_s = [imported / factor + run.setup_s[0]]
+    if args.setup_only:
+        print(setup_s[0])
+        return 0
+    if not args.trace:
+        setup_s += [fresh_setup(args) for _ in range(run.setups - 1)]
 
     end_to_end = {
-        "setup_s": statistics.median(import_s) + statistics.median(run.setup_s),
+        "setup_s": statistics.median(setup_s),
         "peak_rss_mb": peak_rss_mb(),
         "latency_ms": run.latency_s * 1e3,
         "throughput_per_s": run.throughput,
@@ -209,7 +221,7 @@ def main(argv=None) -> int:
         "workload": args.workload, "trace": args.trace, "seconds": args.seconds, "time": time.time(),
         "tiny": args.tiny, "host": host, "samples": len(run.latencies),
         "attempted": run.attempted, "failed": len(run.errors),
-        "setup_samples_s": run.setup_s, "import_samples_s": import_s,
+        "setup_samples_s": setup_s,
         "end_to_end": end_to_end, "per_layer": run.layer, "info": run.info,
     }
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)

@@ -103,6 +103,23 @@ def test_compare_judges_pairs_by_seed():
     assert _judge(steady, [value * 1.3 for value in steady])["verdict"] == "regressed"
 
 
+def test_blocks_scale_times_by_the_probes_around_them(monkeypatch):
+    sys.path.insert(0, HERE)
+    import hostspeed
+
+    factors = iter([1.0, 3.0, 2.0])  # before block 0, after it, after block 1
+    monkeypatch.setattr(hostspeed, "probe", lambda units=0: next(factors))
+    blocks = hostspeed.Blocks()
+    for latency in (0.02, 0.06, 0.04):  # block 0 closes at 0.12 s busy
+        blocks.add(latency)
+    blocks.add(0.05, ops=5, busy=0.1)
+    blocks.close()
+    assert blocks.samples() == [0.02, 0.06, 0.04, 0.05]
+    # Block 0: median 0.04 s at factor 2; block 1: 0.05 s at factor 2.5.
+    assert blocks.latency_s() == pytest.approx((0.04 / 2 + 0.05 / 2.5) / 2)
+    assert blocks.rate() == pytest.approx((3 / 0.12 * 2 + 5 / 0.1 * 2.5) / 2)
+
+
 def test_fails_without_the_program(tmp_path):
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
     shutil.copytree(HERE, tmp_path / "perfbench",

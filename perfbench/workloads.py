@@ -3,7 +3,9 @@
 A workload function takes a :class:`Run` and fills it in: the setup times,
 the latency samples of its timed phase, its throughput, the errors found
 against the oracle in :mod:`gen`, and, on a traced run, the per-layer
-metrics.  ``run.py`` turns that into the result line.
+metrics.  ``run.py`` turns that into the result line.  Every timed phase
+probes the host's speed between its samples and reports its times scaled
+to the reference host (see :mod:`hostspeed`).
 
 compile_cold / compile_edit
     A generated ML module and L3 module of ``FUNCTIONS`` functions each,
@@ -33,25 +35,24 @@ import time
 from collections import deque
 
 import gen
+import hostspeed
 import layers
 
 FUNCTIONS = 100
 CHECKS = 24
-SETUPS = 3
+SETUPS = 3  # setup samples of an untraced run: this process's, then fresh interpreters
 SESSION_MIX = 2000
 REQUEST_MIX = 4000
 OPEN_LOOP_RATE = 200.0  # requests per second, traced run only
 LATENCY_SHARE = 0.6  # of serve_cluster's timed phase; the rest saturates
-WINDOW_S = 0.5  # the timed phase is judged in windows this long
-EDITS_PER_SECOND = 2  # compile_edit runs a fixed sample count, see _edit_count
+EDITS_PER_SECOND = 1.5  # compile_edit runs a fixed sample count, see _edit_count
 BATCH = 1000
 CLUSTER_WORKERS = 2
-CLUSTER_RANK = 0.25  # serve_cluster reports its quartile-fastest window
 CLUSTER_ROUNDS = 4  # of round trips, then saturating batches
 REPLAY = 400  # requests or sessions in the fixed reference replay
 
 TINY = {
-    "FUNCTIONS": 6, "CHECKS": 4, "SETUPS": 1, "SESSION_MIX": 20, "REQUEST_MIX": 60,
+    "FUNCTIONS": 6, "CHECKS": 4, "SETUPS": 2, "SESSION_MIX": 20, "REQUEST_MIX": 60,
     "BATCH": 20, "REPLAY": 10,
 }
 
@@ -80,8 +81,8 @@ class Run:
         self.errors: list[str] = []
         self.setup_s: list[float] = []
         self.latencies: list[float] = []  # seconds, the timed phase's samples
-        self.latency_s = 0.0  # a fast window's median, see best_window_latency
-        self.throughput = 0.0  # a fast window's rate, see best_window_rate
+        self.latency_s = 0.0  # scaled to the reference host, see closed_loop_figures
+        self.throughput = 0.0  # likewise
         self.layer: dict[str, float] = {}
         self.info: dict = {}
 
@@ -119,67 +120,28 @@ def tail(values) -> tuple[float, float]:
     return max(values), 100.0
 
 
-def windows(durations) -> list[list[int]]:
-    """Consecutive sample indices grouped into windows of at least
-    ``WINDOW_S`` of summed ``durations`` (a short tail joins the last)."""
-
-    groups: list[list[int]] = []
-    group: list[int] = []
-    total = 0.0
-    for index, duration in enumerate(durations):
-        group.append(index)
-        total += duration
-        if total >= WINDOW_S:
-            groups.append(group)
-            group, total = [], 0.0
-    if group:
-        if groups and total < WINDOW_S / 2:
-            groups[-1].extend(group)
-        else:
-            groups.append(group)
-    return groups
-
-
-def _ranked(values, rank: float) -> float:
-    return sorted(values)[int(rank * (len(values) - 1))]
-
-
-def best_window_latency(latencies, rank: float = 0.0) -> float:
-    """The per-window median of ``latencies`` at ``rank`` from the fastest
-    window (0) to the slowest (1).
-
-    A shared host changes speed for seconds at a time: on the 2-vCPU
-    x86_64 virtual machine this benchmark was tuned on, a fixed Python loop
-    took 3.2 ms in one state and 4.8 ms in the other.  A whole-run median
-    then jumps between the two from run to run (22-24% quartile spread over
-    ten seeds), the median of the run's fastest window much less (9-12%).
-    """
-
-    groups = windows(latencies)
-    return _ranked([statistics.median([latencies[i] for i in group]) for group in groups], rank)
-
-
-def best_window_rate(counts, durations, rank: float = 0.0) -> float:
-    """``sum(counts) / sum(durations)`` of the window at ``rank`` from the
-    fastest (0) to the slowest (1)."""
-
-    rates = [sum(counts[i] for i in group) / sum(durations[i] for i in group)
-             for group in windows(durations)]
-    return -_ranked([-rate for rate in rates], rank)
-
-
-def closed_loop_figures(run: Run, loops: list[float]) -> None:
-    """Latency and throughput of a closed loop: the fastest window's median
-    latency, and the highest operations per second over windows of
-    ``loops``, each operation's whole turn of the loop.
+def closed_loop_figures(run: Run, blocks: hostspeed.Blocks) -> None:
+    """Latency and throughput of a closed loop, scaled to the reference host
+    (see :mod:`hostspeed`): the median over blocks of each block's median
+    latency, and of its operations per second of whole loop turns.
 
     A turn also builds the operation's inputs and checks its outputs
     against the oracle, so the throughput counts work the latency does not;
     with one client it still moves with the latency.
     """
 
-    run.latency_s = best_window_latency(run.latencies)
-    run.throughput = best_window_rate([1] * len(loops), loops)
+    run.latencies = blocks.samples()
+    run.latency_s = blocks.latency_s()
+    run.throughput = blocks.rate()
+    record_speed(run, blocks)
+
+
+def record_speed(run: Run, blocks: hostspeed.Blocks) -> None:
+    """Put the unscaled latency and the median speed factor into the result
+    row, so the scaling can be checked afterwards."""
+
+    run.info["raw_latency_ms"] = blocks.raw_latency_s() * 1e3
+    run.info["host_factor"] = blocks.median_factor()
 
 
 def check_outcome(run: Run, outcome, expected, what: str) -> None:
@@ -219,11 +181,13 @@ def unit_totals(program) -> tuple[int, int]:
     return reused, compiled
 
 
-def _timed_setup(run: Run, factory):
+def timed_setup(run: Run, factory):
+    """Call ``factory()`` and append its time, scaled to the reference
+    host, to ``run.setup_s``."""
+
     gc.collect()
-    start = time.perf_counter()
-    result = factory()
-    run.setup_s.append(time.perf_counter() - start)
+    result, wall, factor = hostspeed.timed(factory)
+    run.setup_s.append(wall / factor)
     return result
 
 
@@ -235,25 +199,10 @@ def first_setup(run: Run, factory):
     itself allocates.
     """
 
-    result = _timed_setup(run, factory)
+    result = timed_setup(run, factory)
     gc.collect()
     gc.freeze()
     return result
-
-
-def more_setups(run: Run, factory) -> None:
-    """The untraced run's other ``run.setups - 1`` setups, timed and closed.
-
-    They run after the timed phase, once its setup is closed, so the setup
-    samples are spread over the run and their median (the reported one)
-    is less likely to fall in one of the host's slow stretches.
-    """
-
-    if run.trace:
-        return
-    gc.unfreeze()
-    for _ in range(run.setups - 1):
-        _timed_setup(run, factory).close()
 
 
 # -- per-layer metric assembly ---------------------------------------------------
@@ -455,7 +404,6 @@ def _cold_sample(run: Run, setup: _Sources, stats=None) -> float:
     sources = gen.build_sources(setup.specs)  # fresh objects: no memo survives
     cache_dir = run.mkdtemp()
     cache = ModuleCache(disk=DiskCache(cache_dir))
-    gc.collect()
     before = stats.tracer.snapshot() if stats else None
     start = time.perf_counter()
     program = api.compile(sources, run.compile_config(), cache=cache)
@@ -477,35 +425,37 @@ def _cold_sample(run: Run, setup: _Sources, stats=None) -> float:
 
 def compile_cold(run: Run) -> None:
     setup = first_setup(run, lambda: _Sources(run))
-    run.latencies, loops = _phase(run, lambda: _cold_sample(run, setup))
-    closed_loop_figures(run, loops)
+    closed_loop_figures(run, _phase(run, lambda: _cold_sample(run, setup)))
     if run.trace:
         tracer = _new_tracer()
         try:
             stats = _CompileStats(tracer)
-            traced, _ = _phase(run, lambda: _cold_sample(run, setup, stats))
+            traced = _phase(run, lambda: _cold_sample(run, setup, stats)).samples()
         finally:
             tracer.uninstall()
         run.layer.update(stats.metrics())
         finish_trace(run, run.latencies, traced)
     setup.close()
-    more_setups(run, lambda: _Sources(run))
 
 
-def _phase(run: Run, sample, count=None) -> tuple[list[float], list[float]]:
-    """``sample()``'s results and the wall of each call, called ``count``
-    times or, without one, until the phase's seconds pass (and at least
-    ``run.min_samples`` times)."""
+def _phase(run: Run, sample, count=None) -> hostspeed.Blocks:
+    """``sample()``'s results, each with the wall of its whole call, called
+    ``count`` times or, without one, until the phase's seconds pass (and at
+    least ``run.min_samples`` times).
 
-    results: list[float] = []
-    loops: list[float] = []
+    A full collection before each call keeps the garbage of one sample out
+    of the next; it is the benchmark's, so it is not timed.
+    """
+
+    blocks = hostspeed.Blocks()
     perf = time.perf_counter
     end = perf() + run.phase_seconds
-    while len(results) < max(run.min_samples, count or 0) or (count is None and perf() < end):
+    while blocks.count < max(run.min_samples, count or 0) or (count is None and perf() < end):
+        gc.collect()
         start = perf()
-        results.append(sample())
-        loops.append(perf() - start)
-    return results, loops
+        result = sample()
+        blocks.add(result, busy=perf() - start)
+    return blocks.close()
 
 
 #: Unit stages an edit must recompile exactly once.  Typecheck checks the
@@ -529,7 +479,6 @@ def _edit_sample(run: Run, setup: _Sources, stats=None) -> float:
 
     spec = next(setup.edits)
     sources = gen.edited_sources(setup.sources, spec)
-    gc.collect()
     before = stats.tracer.snapshot() if stats else None
     start = time.perf_counter()
     program = api.compile(sources, run.compile_config(), cache=setup.cache)
@@ -561,19 +510,17 @@ def _edit_count(run: Run) -> int:
 
 def compile_edit(run: Run) -> None:
     setup = first_setup(run, lambda: _edit_setup(run))
-    run.latencies, loops = _phase(run, lambda: _edit_sample(run, setup), _edit_count(run))
-    closed_loop_figures(run, loops)
+    closed_loop_figures(run, _phase(run, lambda: _edit_sample(run, setup), _edit_count(run)))
     if run.trace:
         tracer = _new_tracer()
         try:
             stats = _CompileStats(tracer)
-            traced, _ = _phase(run, lambda: _edit_sample(run, setup, stats), _edit_count(run))
+            traced = _phase(run, lambda: _edit_sample(run, setup, stats), _edit_count(run)).samples()
         finally:
             tracer.uninstall()
         run.layer.update(stats.metrics())
         finish_trace(run, run.latencies, traced)
     setup.close()
-    more_setups(run, lambda: _edit_setup(run))
 
 
 # -- serving workloads ---------------------------------------------------------------
@@ -605,30 +552,29 @@ class _SessionService:
 
 
 def _sessions_phase(run: Run, setup: _SessionService,
-                    seconds: float) -> tuple[list[float], list[float], int]:
-    """Closed loop over the session mix; returns (walls, loops, steps):
-    each session's wall, each turn of the loop, and the engine steps."""
+                    seconds: float) -> tuple[hostspeed.Blocks, int]:
+    """Closed loop over the session mix; returns (blocks, steps): each
+    session's wall with its turn of the loop, and the engine steps."""
 
     service, sessions, cases = setup.service, setup.sessions, setup.cases
-    walls: list[float] = []
-    loops: list[float] = []
+    blocks = hostspeed.Blocks()
     steps = 0
     perf = time.perf_counter
     end = perf() + seconds
     index = 0
-    while len(walls) < run.min_samples or perf() < end:
+    while blocks.count < run.min_samples or perf() < end:
         position = index % len(sessions)
         start = perf()
         outcome = service.run_one(sessions[position])
-        walls.append(perf() - start)
+        wall = perf() - start
         run.attempted += 1
         steps += outcome.steps
         if not outcome.ok or outcome.values[-1] != [cases[position].total]:
             run.fail(f"session {position}: expected total {cases[position].total}, "
                      f"got ok={outcome.ok} values={outcome.values[-1:] if outcome.ok else None}")
         index += 1
-        loops.append(perf() - start)
-    return walls, loops, steps
+        blocks.add(wall, busy=perf() - start)
+    return blocks.close(), steps
 
 
 def _sessions_replay(run: Run, setup: _SessionService) -> int:
@@ -648,10 +594,8 @@ def _sessions_replay(run: Run, setup: _SessionService) -> int:
 def serve_sessions(run: Run) -> None:
     setup = first_setup(run, lambda: _SessionService(run))
     gc.collect()
-    run.latencies, loops, _ = _sessions_phase(run, setup, run.phase_seconds)
-    closed_loop_figures(run, loops)
+    closed_loop_figures(run, _sessions_phase(run, setup, run.phase_seconds)[0])
     setup.close()
-    more_setups(run, lambda: _SessionService(run))
     if not run.trace:
         return
     tracer = _new_tracer()
@@ -664,7 +608,8 @@ def serve_sessions(run: Run) -> None:
         replay_steps = _sessions_replay(run, setup)
         gc.collect()
         before = tracer.snapshot()
-        traced, _, steps = _sessions_phase(run, setup, run.phase_seconds)
+        blocks, steps = _sessions_phase(run, setup, run.phase_seconds)
+        traced = blocks.samples()
         delta = tracer.since(before)
         delta["counts"]["pool.created"] = setup.service.pool.stats.created
         run.layer.update(serve_metrics(
@@ -730,8 +675,10 @@ def _open_loop(run: Run, setup: _ClusterService, seconds: float,
     return latencies, lateness, backlog_max
 
 
-def _round_trips(run: Run, setup: _ClusterService, seconds: float) -> list[float]:
-    """One request at a time through the dispatcher; returns each wall.
+def _round_trips(run: Run, setup: _ClusterService, seconds: float,
+                 blocks: hostspeed.Blocks) -> hostspeed.Blocks:
+    """One request at a time through the dispatcher, each wall added to
+    ``blocks``.
 
     The latency is a closed loop, not the open loop: on a shared VM an idle
     worker can take milliseconds to wake, so an open loop from one thread
@@ -740,35 +687,34 @@ def _round_trips(run: Run, setup: _ClusterService, seconds: float) -> list[float
     """
 
     dispatcher = setup.service.dispatcher
-    walls: list[float] = []
     perf = time.perf_counter
     end = perf() + seconds
-    while len(walls) < run.min_samples or perf() < end:
-        position = len(walls) % len(setup.requests)
+    first = blocks.count
+    while blocks.count - first < run.min_samples or perf() < end:
+        position = blocks.count % len(setup.requests)
         start = perf()
         outcome = dispatcher.collect(dispatcher.submit(setup.requests[position]))
-        walls.append(perf() - start)
+        blocks.add(perf() - start)
         run.attempted += 1
         check_outcome(run, outcome, setup.cases[position].expected, f"request {position}")
-    return walls
+    return blocks.close()
 
 
-def _saturate(run: Run, setup: _ClusterService, seconds: float) -> list[tuple[int, float]]:
-    """Whole batches through ``ClusterService.run``; returns each batch's
-    ``(requests, wall_s)``."""
+def _saturate(run: Run, setup: _ClusterService, seconds: float,
+              blocks: hostspeed.Blocks) -> hostspeed.Blocks:
+    """Whole batches through ``ClusterService.run``, each batch's wall and
+    request count added to ``blocks``."""
 
-    batches: list[tuple[int, float]] = []
     end = time.perf_counter() + seconds
-    offset = 0
-    while len(batches) < 3 or time.perf_counter() < end:
-        positions = [(offset + i) % len(setup.requests) for i in range(run.batch)]
-        offset += run.batch
+    first = blocks.count
+    while blocks.count - first < 3 or time.perf_counter() < end:
+        positions = [(blocks.count * run.batch + i) % len(setup.requests) for i in range(run.batch)]
         report = setup.service.run([setup.requests[p] for p in positions])
         run.attempted += len(positions)
         for position, outcome in zip(positions, report.outcomes):
             check_outcome(run, outcome, setup.cases[position].expected, f"request {position}")
-        batches.append((len(positions), report.wall_s))
-    return batches
+        blocks.add(report.wall_s, ops=len(positions))
+    return blocks.close()
 
 
 def _in_process_replay(run: Run, service, setup: _ClusterService) -> tuple[list[float], int]:
@@ -799,16 +745,16 @@ def serve_cluster(run: Run) -> None:
     # time (0.56-0.67 ms against 0.74-0.81 ms, one state per run when the
     # latency phase ran in one piece), so the phase is split into rounds
     # between the saturating batches, and each run samples it four times.
-    batches: list[tuple[int, float]] = []
+    trips, batches = hostspeed.Blocks(), hostspeed.Blocks()
     for _ in range(CLUSTER_ROUNDS):
-        run.latencies += _round_trips(run, setup, latency_seconds / CLUSTER_ROUNDS)
-        batches += _saturate(run, setup, (run.phase_seconds - latency_seconds) / CLUSTER_ROUNDS)
-    # The fastest windows come from short bursts of speed; the quartile
-    # fastest is steadier (quartile spread over six seeds 9% against 13%
-    # for latency, 5% against 15% for throughput).
-    run.latency_s = best_window_latency(run.latencies, CLUSTER_RANK)
-    run.throughput = best_window_rate([count for count, _ in batches],
-                                      [wall for _, wall in batches], CLUSTER_RANK)
+        trips.resume()
+        _round_trips(run, setup, latency_seconds / CLUSTER_ROUNDS, trips)
+        batches.resume()
+        _saturate(run, setup, (run.phase_seconds - latency_seconds) / CLUSTER_ROUNDS, batches)
+    run.latencies = trips.samples()
+    run.latency_s = trips.latency_s()
+    run.throughput = batches.rate()
+    record_speed(run, trips)
     if run.trace:
         open_loop, lateness, backlog = _open_loop(run, setup, latency_seconds, OPEN_LOOP_RATE)
         local = api.serve(setup.service.compiled, workers=1)
@@ -826,7 +772,7 @@ def serve_cluster(run: Run) -> None:
                 disk_bytes=DiskCache(setup.cache_dir).total_bytes(),
             ))
             before = tracer.snapshot()
-            traced = _round_trips(run, setup, latency_seconds)
+            traced = _round_trips(run, setup, latency_seconds, hostspeed.Blocks()).samples()
             delta = tracer.since(before)
             submit_us = delta["self_s"].get("dispatcher.submit", 0.0) / max(
                 delta["calls"].get("dispatcher.submit", 0), 1) * 1e6
@@ -855,8 +801,16 @@ def serve_cluster(run: Run) -> None:
         finish_trace(run, run.latencies, traced)
     else:
         setup.close()
-        more_setups(run, lambda: _ClusterService(run))
 
+
+#: Each workload's setup, for the setup samples run.py takes in fresh
+#: interpreters.
+SETUP_FACTORIES = {
+    "compile_cold": _Sources,
+    "compile_edit": _edit_setup,
+    "serve_sessions": _SessionService,
+    "serve_cluster": _ClusterService,
+}
 
 WORKLOADS = {
     "compile_cold": compile_cold,
