@@ -6,7 +6,9 @@ stream of :class:`Request`\\ s (export + args, optionally a per-request
 Each request gets a freshly-reset instance, so requests are isolated from
 each other: a trap (including a blown step budget) is recorded on that
 request's :class:`RequestOutcome` and the instance's state is discarded by
-the pool reset — later requests never observe it.
+the pool reset — later requests never observe it.  An engine exception that
+is not a trap (e.g. Python's ``RecursionError`` on unbounded Wasm recursion)
+is isolated the same way, as an ``internal_error`` outcome.
 
 Per-request budgets are expressed against the engine's *cumulative* counter
 (``max_steps = steps_now + budget``), so a budget always means "this many
@@ -27,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from ..core.typing.errors import WasmError
 from ..obs.metrics import default_registry
 from ..obs.trace import get_tracer
 from ..wasm.interpreter import WasmTrap, WasmValue
@@ -219,22 +222,30 @@ class BatchRunner:
                     )
                     span.set_attr(budget=request.max_steps)
                 trace_id = span.trace_id or request.trace_id
+                failure = None
                 try:
                     if isinstance(request, Session):
                         values = [entry.invoke(export, tuple(args)) for export, args in request.calls]
                     else:
                         values = entry.invoke(request.export, request.args)
-                    outcome = RequestOutcome(
-                        request, True, values, None, interpreter.steps - before, trace_id=trace_id
-                    )
                 except WasmTrap as trap:
-                    message = str(trap)
-                    kind = classify_trap(message)
+                    failure = str(trap), classify_trap(str(trap))
+                except WasmError:
+                    raise  # a caller error (e.g. an unknown export), not a failed execution
+                except Exception as exc:
+                    # An engine failure that is not a trap, such as Python's
+                    # RecursionError on deep Wasm recursion: isolate it like
+                    # a trap so later requests on this pool still run.
+                    failure = f"internal error: {type(exc).__name__}: {exc}", "internal_error"
+                steps = interpreter.steps - before
+                if failure is None:
+                    outcome = RequestOutcome(request, True, values, None, steps, trace_id=trace_id)
+                else:
+                    message, kind = failure
                     span.set_trap(message, kind=kind)
                     _TRAPS.inc(kind=kind)
                     outcome = RequestOutcome(
-                        request, False, None, message, interpreter.steps - before,
-                        trap_kind=kind, trace_id=trace_id,
+                        request, False, None, message, steps, trap_kind=kind, trace_id=trace_id
                     )
                 _REQUESTS.inc(outcome="ok" if outcome.ok else "trap")
                 _REQUEST_STEPS.observe(outcome.steps)

@@ -25,8 +25,14 @@ Translation strategy:
   inside a chunk, a twin "careful" arm re-counts that chunk one step at a
   time, so ``max_steps`` traps and :class:`~repro.obs.profile.StepProfiler`
   samples land on the identical step — and with the identical partial side
-  effects — as the flat and tree engines.  Potentially-trapping operations
-  always terminate their chunk, so a trap observes the exact step count.
+  effects — as the flat and tree engines.  Loads, stores, trapping numerics
+  and ``br_if`` sit inside a chunk: in the fast arm, which pre-counted the
+  whole chunk, their trap and exit paths subtract the instructions left in
+  the chunk, so a trap still observes the exact step count.  Only calls and
+  unconditional transfers end a chunk;
+* linear memory is read and written through precompiled little-endian
+  :class:`struct.Struct` accessors, with a failed access caught as
+  ``struct.error`` and re-raised as the flat VM's out-of-bounds trap.
 
 :class:`CompiledPyEngine` (``"compiled"``) exposes the tier behind the
 :class:`~repro.wasm.engine.ExecutionEngine` ABC.  Translation is memoized
@@ -102,10 +108,34 @@ _INLINE_IBINOP = {
     numerics.int_shr_u: lambda a, b, w, m: f"{a} >> ({b} % {w})",
 }
 
-# Binops that can raise NumericTrap (must terminate their step chunk).
+# Binops that can raise NumericTrap.  They stay inside their step chunk: the
+# trap path records the step count through the ``_HERE`` placeholder.
 _TRAPPING_IBINOPS = frozenset(
     (numerics.int_div_s, numerics.int_div_u, numerics.int_rem_s, numerics.int_rem_u)
 )
+
+# Step placeholders in chunk lines, resolved by ``_FunctionEmitter.flush``.
+# ``_HERE`` is the step count at the instruction that holds it, and an
+# ``_EXIT`` line opens the path of a branch that leaves the chunk early.  The
+# careful arm counts one step at a time, so there ``_HERE`` is ``steps`` and
+# ``_EXIT`` is dropped; the fast arm pre-counted the whole chunk, so both
+# take back the ``rest`` instructions that follow in it.
+_HERE = "$here"
+_EXIT = "$exit"
+
+# Precompiled little-endian accessors for every format a load or store uses,
+# bound into each exec namespace as ``_ld<fmt>``/``_st<fmt>``.  Bound
+# ``Struct`` methods cannot be pickled, so they stay out of the const pool
+# that compile workers ship.
+_ACCESSORS: dict[str, object] = {"_SE": struct.error}
+for _fmt in "BbHhIiQqfd":
+    _struct = struct.Struct("<" + _fmt)
+    _ACCESSORS[f"_ld{_fmt}"] = _struct.unpack_from
+    _ACCESSORS[f"_st{_fmt}"] = _struct.pack_into
+del _fmt, _struct
+
+_UNSIGNED_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_SIGNED_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 class _RegisterModeUnsupported(Exception):
@@ -179,6 +209,22 @@ def _parse_seq(code: list, pos: int, stop: int) -> list:
             nodes.append(ins)
             pos += 1
     return nodes
+
+
+def _resolve_steps(lines: list[str], rest: int) -> list[str]:
+    """Resolve one instruction's step placeholders, ``rest`` instructions
+    from the end of a chunk whose steps have already been counted."""
+
+    resolved = []
+    for line in lines:
+        if "$" in line:
+            if line.lstrip() == _EXIT:
+                if rest:
+                    resolved.append(line.replace(_EXIT, f"steps -= {rest}"))
+                continue
+            line = line.replace(_HERE, f"steps - {rest}" if rest else "steps")
+        resolved.append(line)
+    return resolved
 
 
 class _Label:
@@ -255,12 +301,16 @@ class _FunctionEmitter:
             write("steps += 1")
             write("if steps >= boundary:")
             write(f"    boundary = eng._on_boundary(steps, {self.fname_ref})")
-            for line in chunk[0]:
+            for line in _resolve_steps(chunk[0], 0):
                 write(line)
             return
         write(f"steps += {count}")
         write("if steps < boundary:")
-        body = [line for lines in chunk for line in lines]
+        body = [
+            line
+            for position, lines in enumerate(chunk)
+            for line in _resolve_steps(lines, count - 1 - position)
+        ]
         if body:
             for line in body:
                 write("    " + line)
@@ -272,7 +322,7 @@ class _FunctionEmitter:
             write("    steps += 1")
             write("    if steps >= boundary:")
             write(f"        boundary = eng._on_boundary(steps, {self.fname_ref})")
-            for line in lines:
+            for line in _resolve_steps(lines, 0):
                 write("    " + line)
 
     # -- value normalization ------------------------------------------------
@@ -593,14 +643,7 @@ def _emit_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
         elif fn in _TRAPPING_IBINOPS:
             fn_ref = pool.add(fn, "fn")
             assign = em.set_top(f"{fn_ref}({em.top()}, {rhs}, {width})")
-            em.step(lines + [
-                "try:",
-                "    " + assign,
-                "except _NT as exc:",
-                "    eng.steps = steps",
-                "    raise _WT(str(exc)) from exc",
-            ])
-            em.flush()
+            em.step(lines + _numeric_trap_lines(assign))
         else:
             em.step(lines + [em.set_top(f"{pool.add(fn, 'fn')}({em.top()}, {rhs}, {width})")])
     elif op == OP_F_BINOP:
@@ -631,15 +674,7 @@ def _emit_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
         em.step([em.set_top(f"{pool.add(ins[1], 'fn')}({em.top()})")])
     elif op == OP_CVT:
         cvt_ref = pool.add(ins[1], "fn")
-        assign = em.set_top(f"{cvt_ref}({em.top()})")
-        em.step([
-            "try:",
-            "    " + assign,
-            "except _NT as exc:",
-            "    eng.steps = steps",
-            "    raise _WT(str(exc)) from exc",
-        ])
-        em.flush()
+        em.step(_numeric_trap_lines(em.set_top(f"{cvt_ref}({em.top()})")))
     elif op == OP_DROP:
         em.step(em.discard())
     elif op == OP_SELECT:
@@ -663,11 +698,8 @@ def _emit_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
         return True
     elif op == OP_BR_IF:
         cond, lines = em.pop()
-        taken = _branch_lines(em, ins[1])
+        taken = [_EXIT] + _branch_lines(em, ins[1])
         em.step(lines + [f"if {cond}:"] + ["    " + line for line in taken])
-        # A taken branch leaves mid-chunk; flush so no later instruction is
-        # pre-counted in the fast arm when the exit fires.
-        em.flush()
     elif op == OP_BR_TABLE:
         depths, default = ins[1], ins[2]
         index, lines = em.pop()
@@ -696,13 +728,39 @@ def _emit_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
     return False
 
 
-def _oob_lines(em: _FunctionEmitter, nbytes: int) -> list[str]:
+def _numeric_trap_lines(assign: str) -> list[str]:
+    """``assign`` with a ``NumericTrap`` re-raised as the step-exact trap."""
+
     return [
-        f"if _a < 0 or _a + {nbytes} > len(_md):",
-        "    eng.steps = steps",
-        "    raise _WT(f\"out-of-bounds memory access at {_a} "
-        f"(+{nbytes})" + ', memory is {len(_md)} bytes")',
+        "try:",
+        "    " + assign,
+        "except _NT as exc:",
+        f"    eng.steps = {_HERE}",
+        "    raise _WT(str(exc)) from exc",
     ]
+
+
+def _access_lines(address: str, offset: int, access: str, nbytes: int) -> list[str]:
+    """Run ``access`` (a ``Struct`` accessor call at ``_a``) with the flat
+    VM's out-of-bounds trap.  ``unpack_from``/``pack_into`` read a negative
+    offset from the end of the buffer, so ``_a < 0`` is refused first."""
+
+    return [
+        f"_a = {address} + {offset}" if offset else f"_a = {address}",
+        "try:",
+        "    if _a < 0:",
+        "        raise _SE",
+        "    " + access,
+        "except _SE:",
+        f"    eng.steps = {_HERE}",
+        f"    raise _OOB(_a, {nbytes}, _md) from None",
+    ]
+
+
+def _oob_trap(address: int, nbytes: int, data) -> WasmTrap:
+    """The flat VM's out-of-bounds trap, built for generated code."""
+
+    return WasmTrap(f"out-of-bounds memory access at {address} (+{nbytes}), memory is {len(data)} bytes")
 
 
 def _emit_memory_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
@@ -710,7 +768,6 @@ def _emit_memory_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
     if not em.has_memory:
         em.step(["eng.steps = steps", 'raise _WT("module has no memory")'])
         return True
-    pool = em.pool
     if op == OP_MEMORY_SIZE:
         em.step(em.push(f"len(_md) // {PAGE_SIZE}"))
         return False
@@ -718,35 +775,30 @@ def _emit_memory_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
         grow = em.set_top(f"rt.memory.grow({em.top()}) & 0xffffffff")
         em.step([grow])
         return False
-    offset, fmt_or_nbytes = ins[1], ins[2]
+    offset = ins[1]
     if op == OP_LOAD_I:
         nbytes, signed_width, wrap_width = ins[2], ins[3], ins[4]
-        lines = [f"_a = {em.top()} + {offset}"] + _oob_lines(em, nbytes)
-        lines.append(em.set_top(f'_fb(_md[_a:_a + {nbytes}], "little")'))
         if signed_width:
-            tsg = pool.add(numerics.to_signed, "fn")
-            lines.append(em.set_top(f"{tsg}({em.top()}, {signed_width}) & {(1 << wrap_width) - 1:#x}"))
-        em.step(lines)
+            load = f"_ld{_SIGNED_FORMATS[nbytes]}(_md, _a)[0] & {(1 << wrap_width) - 1:#x}"
+        else:
+            load = f"_ld{_UNSIGNED_FORMATS[nbytes]}(_md, _a)[0]"
+        em.step(_access_lines(em.top(), offset, em.set_top(load), nbytes))
     elif op == OP_LOAD_F:
         fmt, nbytes = ins[2], ins[3]
-        lines = [f"_a = {em.top()} + {offset}"] + _oob_lines(em, nbytes)
-        lines.append(em.set_top(f"_upf({fmt!r}, _md, _a)[0]"))
-        em.step(lines)
+        load = f"_ld{fmt[1]}(_md, _a)[0]"
+        em.step(_access_lines(em.top(), offset, em.set_top(load), nbytes))
     elif op == OP_STORE_I:
         nbytes, mask = ins[2], ins[3]
         value, lines1 = em.pop()
         address, lines2 = em.pop()
-        lines = lines1 + lines2 + [f"_a = {address} + {offset}"] + _oob_lines(em, nbytes)
-        lines.append(f'_md[_a:_a + {nbytes}] = ({value} & {mask:#x}).to_bytes({nbytes}, "little")')
-        em.step(lines)
+        store = f"_st{_UNSIGNED_FORMATS[nbytes]}(_md, _a, {value} & {mask:#x})"
+        em.step(lines1 + lines2 + _access_lines(address, offset, store, nbytes))
     else:  # OP_STORE_F
         fmt, nbytes = ins[2], ins[3]
         value, lines1 = em.pop()
         address, lines2 = em.pop()
-        lines = lines1 + lines2 + [f"_a = {address} + {offset}"] + _oob_lines(em, nbytes)
-        lines.append(f"_pki({fmt!r}, _md, _a, float({value}))")
-        em.step(lines)
-    em.flush()
+        store = f"_st{fmt[1]}(_md, _a, float({value}))"
+        em.step(lines1 + lines2 + _access_lines(address, offset, store, nbytes))
     return False
 
 
@@ -890,14 +942,7 @@ class ModuleTranslation:
 
 
 def _base_pool_values() -> dict[str, object]:
-    return dict(
-        _WT=WasmTrap,
-        _NT=numerics.NumericTrap,
-        _FF=FlatFunction,
-        _fb=int.from_bytes,
-        _upf=struct.unpack_from,
-        _pki=struct.pack_into,
-    )
+    return dict(_WT=WasmTrap, _NT=numerics.NumericTrap, _FF=FlatFunction, _OOB=_oob_trap)
 
 
 def emit_function_chunk(
@@ -932,13 +977,14 @@ def build_translation_unit(
 
     ``code`` short-circuits the ``compile()`` step with a pre-compiled code
     object (e.g. unmarshalled from a compile worker); the exec itself is
-    nearly free.  The returned ``(chunk, mode, callable)`` triple is the
-    exact value ``_translate_units`` caches.
+    nearly free.  The namespace also gets the ``Struct`` memory accessors,
+    which cannot travel in ``pool_values``.  The returned ``(chunk, mode,
+    callable)`` triple is the exact value ``_translate_units`` caches.
     """
 
     if code is None:
         code = compile(chunk, f"<pygen:{module_name or 'module'}:f{index}>", "exec")
-    namespace = dict(pool_values)
+    namespace = dict(pool_values, **_ACCESSORS)
     exec(code, namespace)
     return (chunk, mode, namespace[f"_f{index}"])
 
@@ -958,7 +1004,7 @@ def translate_functions(slots: list, module: WasmModule, *, force_list: bool = F
         else:
             modes.append(None)
     source = "\n\n".join(chunks)
-    namespace = dict(pool.values)
+    namespace = dict(pool.values, **_ACCESSORS)
     exec(compile(source, f"<pygen:{module.name or 'module'}>", "exec"), namespace)
     functions = tuple(
         namespace.get(f"_f{index}") if isinstance(slot, FlatFunction) else None

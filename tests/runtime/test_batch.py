@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro import api
+from repro.core.typing.errors import WasmError
 from repro.ffi import counter_program
+from repro.ml import App, BinOp, IntLit, MLFunction, TInt, Var, ml_module
+from repro.obs import Tracer, default_registry, use_tracer
 from repro.runtime import (
     BatchRunner,
     InstancePool,
@@ -156,3 +160,46 @@ class TestScenarioService:
         )))
         assert outcome.ok and outcome.values[-1] == [1]
         assert runner.pool.engine == "tree"
+
+
+class TestInternalErrors:
+    """Engine exceptions that are not traps stay inside their request."""
+
+    @staticmethod
+    def _recursive_source():
+        return ml_module("rec", functions=[
+            # Unbounded self-recursion: the compiled tier runs out of Python
+            # stack (RecursionError) long before the step budget.
+            MLFunction("down", "x", TInt(), TInt(), App(Var("down"), BinOp("+", Var("x"), IntLit(1)))),
+            MLFunction("double", "x", TInt(), TInt(), BinOp("*", Var("x"), IntLit(2))),
+        ])
+
+    def test_recursion_error_is_an_internal_error_outcome(self):
+        traps = default_registry().counter("runtime.traps")
+        before = traps.labeled(kind="internal_error")
+        with use_tracer(Tracer()) as tracer:
+            service = api.serve(self._recursive_source(), engine="compiled", max_steps=200_000)
+            report = service.run([
+                ("rec.double", (4,)),
+                ("rec.down", (1,)),
+                ("rec.double", (21,)),
+                ("rec.down", (1,)),
+                ("rec.double", (5,)),
+            ])
+        outcomes = report.outcomes
+        for failed in (outcomes[1], outcomes[3]):
+            assert not failed.ok and failed.values is None
+            assert failed.trap_kind == "internal_error"
+            assert "RecursionError" in failed.trap
+        # The pool keeps serving: requests after the failure answer correctly.
+        assert [outcome.values for outcome in outcomes[::2]] == [[8], [42], [10]]
+        assert traps.labeled(kind="internal_error") - before == 2
+        requests = [span for span in tracer.drain() if span.name == "request"]
+        assert [span.attrs.get("trap_kind") for span in requests] == [
+            None, "internal_error", None, "internal_error", None,
+        ]
+
+    def test_unknown_export_still_raises(self):
+        runner = BatchRunner(InstancePool(service_module(), engine="compiled"))
+        with pytest.raises(WasmError, match="no export named"):
+            runner.run_one(Request("nope"))

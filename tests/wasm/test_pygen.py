@@ -9,6 +9,8 @@ memo, the content-keyed ``translate`` cache stage, and the facade's
 function tables.
 """
 
+import pytest
+
 from repro import api
 from repro.api import CompileConfig
 from repro.ml import BinOp, IntLit, MLFunction, TInt, Var, ml_module
@@ -16,14 +18,19 @@ from repro.runtime import ModuleCache
 from repro.wasm import (
     Binop,
     Const,
+    Cvtop,
+    Load,
     LocalGet,
     LocalSet,
+    StoreI,
     Testop as WTestop,
     ValType,
     WasmFuncType,
     WasmFunction,
     WasmInterpreter,
+    WasmMemory,
     WasmModule,
+    WasmTrap,
     WBlock,
     WBr,
     WBrIf,
@@ -32,10 +39,13 @@ from repro.wasm import (
     translate_module,
     validate_module,
 )
+from repro.wasm import pygen
 from repro.wasm.decode import decode_module
 from repro.wasm.pygen import ModuleTranslation, adopt_translation, translate_functions
 
 I32 = ValType.I32
+I64 = ValType.I64
+F32 = ValType.F32
 FT = WasmFuncType
 
 
@@ -94,8 +104,6 @@ class TestTranslation:
         flat_inst = flat.instantiate(module)
         expected = flat.invoke(flat_inst, "sum", [12])
 
-        from repro.wasm import pygen
-
         compiled = WasmInterpreter(engine="compiled")
         inst = compiled.instantiate(module)
         assert compiled.invoke(inst, "sum", [12]) == expected
@@ -129,6 +137,107 @@ class TestTranslation:
         first = interp.instantiate(module)
         second = interp.instantiate(module)
         assert first.compiled_py.targets[1] is second.compiled_py.targets[1]
+
+
+_COUNTDOWN_FROM = 20
+
+# The instruction under test runs once per turn of a countdown loop whose
+# body is one step chunk, and traps (or, for ``br_if``, leaves the loop) only
+# when the counter reaches zero; at least seven straight-line instructions
+# follow it in the chunk.  Each entry: (operands + instruction + code leaving
+# one i32, the unbudgeted outcome).
+_MID_CHUNK_CASES = {
+    "i32.load out of bounds": (
+        [LocalGet(0), WTestop(I32), Load(I32, offset=0xFFFC)],
+        ("trap", "out-of-bounds memory access at 65533 (+4), memory is 65536 bytes"),
+    ),
+    "i64.store16 out of bounds": (
+        [LocalGet(0), WTestop(I32), Const(I64, 0xABCD), StoreI(I64, offset=0xFFFE, width=16), LocalGet(0)],
+        ("trap", "out-of-bounds memory access at 65535 (+2), memory is 65536 bytes"),
+    ),
+    "i32.div_s by zero": (
+        [Const(I32, 100), LocalGet(0), Binop(I32, "div_s")],
+        ("trap", "integer division by zero"),
+    ),
+    "i32.trunc_f32_s overflow": (
+        [
+            LocalGet(0), WTestop(I32), Cvtop(F32, "convert_u", I32),
+            Const(F32, 3e9), Binop(F32, "mul"), Cvtop(I32, "trunc_s", F32),
+        ],
+        ("trap", "integer overflow in float-to-int conversion"),
+    ),
+    "br_if taken": (
+        [LocalGet(0), WTestop(I32), WBrIf(1), LocalGet(0)],
+        ("ok", [sum(range(1, _COUNTDOWN_FROM + 1))]),
+    ),
+}
+
+
+def _countdown_module(hot):
+    """``main(n)``: each turn stores ``n`` at ``4 + 4 * (n % 8)``, runs
+    ``hot``, adds its result to an accumulator and decrements ``n``."""
+
+    body = (
+        WBlock(FT((), ()), (
+            WLoop(FT((), ()), (
+                LocalGet(0), Const(I32, 8), Binop(I32, "rem_u"), Const(I32, 4), Binop(I32, "mul"),
+                LocalGet(0), StoreI(I32, offset=4),
+                *hot,
+                LocalGet(1), Binop(I32, "add"), LocalSet(1),
+                LocalGet(0), Const(I32, 1), Binop(I32, "sub"), LocalSet(0),
+                WBr(0),
+            )),
+        )),
+        LocalGet(1),
+    )
+    main = WasmFunction(FT((I32,), (I32,)), (I32,), body, name="main", exports=("main",))
+    module = WasmModule(functions=(main,), memory=WasmMemory(1, 1))
+    validate_module(module)
+    return module
+
+
+def _observe(engine, module, budget):
+    interp = WasmInterpreter(max_steps=budget, engine=engine)
+    inst = interp.instantiate(module)
+    try:
+        outcome = ("ok", interp.invoke(inst, "main", [_COUNTDOWN_FROM]))
+    except WasmTrap as trap:
+        outcome = ("trap", str(trap))
+    return outcome, interp.steps, bytes(inst.memory.data)
+
+
+class TestMidChunkTraps:
+    """Trap and exit paths inside a step chunk observe the exact step.
+
+    The compiled tier counts a whole chunk before running it, so a trap or a
+    taken ``br_if`` in the middle must take back the instructions after it.
+    Every case runs on the tree walker, the flat VM and both compiled stack
+    layouts, unbudgeted and under budgets landing all over the loop.
+    """
+
+    @pytest.mark.parametrize("budget", [None, 1, 2, 3, 5, 17, 100, 399, 701])
+    @pytest.mark.parametrize("case", sorted(_MID_CHUNK_CASES))
+    def test_engines_agree(self, case, budget):
+        hot, unbudgeted = _MID_CHUNK_CASES[case]
+        module = _countdown_module(hot)
+        listy = _countdown_module(hot)
+        pygen._remember_translation(
+            listy, translate_functions(decode_module(listy).flat, listy, force_list=True)
+        )
+        observed = {
+            "tree": _observe("tree", module, budget),
+            "flat": _observe("flat", module, budget),
+            "compiled": _observe("compiled", module, budget),
+            "compiled/list": _observe("compiled", listy, budget),
+        }
+        reference = observed["flat"]
+        for engine, outcome in observed.items():
+            assert outcome[:2] == reference[:2], f"{case}, budget {budget}: {engine} {outcome[:2]} vs flat {reference[:2]}"
+            assert outcome[2] == reference[2], f"{case}, budget {budget}: {engine} memory differs from flat"
+        if budget is None:
+            assert reference[0] == unbudgeted
+        elif reference[0] == ("trap", "step budget exhausted"):
+            assert reference[1] == budget + 1
 
 
 class TestCacheStage:
