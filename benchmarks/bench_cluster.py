@@ -2,11 +2,12 @@
 
 Three claims, enforced as assertions:
 
-* **Scale-out throughput** (``perf``-marked): 4 workers sustain at least
-  3x the single-process aggregate request rate on the counter-session
-  workload.  The gate arms only when the host actually has that many CPUs
-  (``os.cpu_count() >= workers``) — on a single core, N workers time-slice
-  one CPU and the wire overhead makes the honest measurement < 1x.
+* **Scale-out throughput** (``perf``-marked): ``min(REPRO_CLUSTER_WORKERS,
+  cpu_count)`` workers sustain at least ``0.75 x workers`` the
+  single-process aggregate request rate on 600-session batches of the
+  counter-session workload — 1.5x on 2 CPUs, 3x on 4.  It skips only on a
+  single CPU, where N workers time-slice one core and no speedup is
+  possible.
 * **Disk warm start** (``perf``-marked): a cold *process* against a warm
   cache directory starts at least 10x faster than a cold compile — the
   fingerprint key shortcut + pickled program/flat-code artifacts skip the
@@ -16,7 +17,7 @@ Three claims, enforced as assertions:
   reports a ``program`` cache hit with identical execution behaviour.
 
 Floors are environment-overridable: ``REPRO_CLUSTER_SPEEDUP_FLOOR``
-(default 3.0) and ``REPRO_DISK_WARM_FLOOR`` (default 10.0).
+(default ``0.75 x workers``) and ``REPRO_DISK_WARM_FLOOR`` (default 10.0).
 """
 
 import os
@@ -32,30 +33,33 @@ from workloads import (
     measure_disk_warm_start,
 )
 
-CLUSTER_SPEEDUP_FLOOR = float(os.environ.get("REPRO_CLUSTER_SPEEDUP_FLOOR", "3.0"))
 DISK_WARM_FLOOR = float(os.environ.get("REPRO_DISK_WARM_FLOOR", "10.0"))
 CLUSTER_WORKERS = int(os.environ.get("REPRO_CLUSTER_WORKERS", "4"))
+SCALE_OUT_SESSIONS = 600
+SCALE_OUT_SHARE = 0.75  # of linear scaling the gate asks for
 
 ENGINES = ("tree", "flat", "compiled")
 
 
 @pytest.mark.perf
-def test_cluster_throughput_at_least_3x():
-    if (os.cpu_count() or 1) < CLUSTER_WORKERS:
+def test_cluster_throughput_scales_with_cpus():
+    workers = min(CLUSTER_WORKERS, os.cpu_count() or 1)
+    if workers < 2:
         pytest.skip(
-            f"host has {os.cpu_count()} CPUs; the {CLUSTER_WORKERS}-worker "
-            "scale-out gate needs one core per worker to be meaningful"
+            f"scale-out needs 2+ workers on 2+ CPUs (host has {os.cpu_count()} "
+            f"CPU(s), REPRO_CLUSTER_WORKERS={CLUSTER_WORKERS})"
         )
-    result = measure_cluster_throughput(workers=CLUSTER_WORKERS)
+    floor = float(os.environ.get("REPRO_CLUSTER_SPEEDUP_FLOOR", SCALE_OUT_SHARE * workers))
+    result = measure_cluster_throughput(workers=workers, sessions=SCALE_OUT_SESSIONS)
     print(
         f"\n  cluster rps: {result['single_requests_per_sec']:,} single -> "
         f"{result['cluster_requests_per_sec']:,} x{result['workers']} workers "
-        f"({result['speedup']}x, {result['cpu_count']} CPUs)"
+        f"({result['speedup']}x, floor {floor}x, {result['cpu_count']} CPUs)"
     )
     assert result["single_ok"] == result["cluster_ok"] == result["sessions"]
-    assert result["speedup"] >= CLUSTER_SPEEDUP_FLOOR, (
+    assert result["speedup"] >= floor, (
         f"{result['workers']}-worker cluster only {result['speedup']}x the "
-        f"single process (floor {CLUSTER_SPEEDUP_FLOOR}x)"
+        f"single process (floor {floor}x)"
     )
 
 

@@ -541,10 +541,13 @@ def measure_cluster_throughput(*, workers: int = 4, sessions: int = 60,
     Serves the same batch of sticky counter sessions through an in-process
     :class:`repro.api.Service` and through ``api.serve(..., workers=N)``
     (the :class:`repro.cluster.ClusterService` fan-out), best-of ``rounds``
-    each.  Records ``cpu_count`` alongside the speedup: on a single-CPU host
-    N workers time-slice one core and the wire overhead makes the cluster
-    *slower* — the ≥ 3x gate in ``bench_cluster.py`` therefore only arms
-    when the host has at least ``workers`` CPUs.
+    each.  The two sides alternate round by round, so a host whose speed
+    drifts slows both alike.  Records ``cpu_count`` alongside the speedup:
+    the dispatcher ships a batch to each worker in a few chunks, so the
+    parent's wire cost is small and the speedup tracks the cores the workers
+    actually get — on a single-CPU host N workers time-slice one core and
+    the honest figure is about 1x, which is why the scale-out gate in
+    ``bench_cluster.py`` sizes its worker count and floor to ``cpu_count``.
     """
 
     import os
@@ -552,30 +555,25 @@ def measure_cluster_throughput(*, workers: int = 4, sessions: int = 60,
     from repro import api
 
     scenario = counter_program()
-
-    def batch_rps(service) -> tuple[float, int]:
-        best = 0.0
-        ok = 0
+    best = {"single": 0.0, "cluster": 0.0}
+    ok = {"single": 0, "cluster": 0}
+    with api.serve(scenario, {"cache": "private"}) as single, \
+            api.serve(scenario, {"cache": "private", "workers": workers}) as cluster:
         for _ in range(rounds):
-            report = service.run(counter_sessions(sessions))
-            ok = report.ok_count
-            best = max(best, report.requests_per_sec or 0.0)
-        return best, ok
-
-    with api.serve(scenario, {"cache": "private"}) as single:
-        single_rps, single_ok = batch_rps(single)
-
-    with api.serve(scenario, {"cache": "private", "workers": workers}) as cluster:
-        cluster_rps, cluster_ok = batch_rps(cluster)
+            for side, service in (("single", single), ("cluster", cluster)):
+                report = service.run(counter_sessions(sessions))
+                ok[side] = report.ok_count
+                best[side] = max(best[side], report.requests_per_sec or 0.0)
         cluster_workers = cluster.workers
 
+    single_rps, cluster_rps = best["single"], best["cluster"]
     return {
         "workload": "linked_counter",
         "workers": cluster_workers,
         "sessions": sessions,
         "cpu_count": os.cpu_count(),
-        "single_ok": single_ok,
-        "cluster_ok": cluster_ok,
+        "single_ok": ok["single"],
+        "cluster_ok": ok["cluster"],
         "single_requests_per_sec": round(single_rps, 1),
         "cluster_requests_per_sec": round(cluster_rps, 1),
         "speedup": round(cluster_rps / single_rps, 2) if single_rps else None,

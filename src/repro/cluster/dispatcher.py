@@ -9,25 +9,35 @@ the same request objects :class:`~repro.runtime.BatchRunner` takes:
 * stateful :class:`~repro.runtime.Session`\\ s with a ``session_id`` route
   **sticky** — ``sha256(session_id) mod workers`` — so every script of the
   same session lands on the same worker process (and therefore observes the
-  same pool; the hash is content-based, surviving respawns and restarts);
+  same pool; the hash is content-based, surviving respawns and restarts).
 
-with **backpressure**: each worker's request queue is bounded
-(``queue_depth``), and a submit against a full queue either blocks
+Requests cross the process boundary in **chunks**: one ``"batch"`` message
+carries a list of requests for one worker, and the worker answers with one
+``"results"`` record holding that chunk's outcomes.  :meth:`Dispatcher.submit`
+sends a one-item chunk; :meth:`Dispatcher.run` groups a batch by slot
+(keeping order within each slot), cuts each slot's list into chunks of
+``ceil(len(batch) / (4 * workers))`` and sends them interleaved across the
+slots, so the parent pays one queue put and one result get per chunk rather
+than per request.
+
+**Backpressure**: each worker's queue is bounded (``queue_depth``, counted
+in *chunks*), and a send against a full queue either blocks
 (``backpressure="block"``, the default) or raises the typed
 :class:`ClusterQueueFull` (``backpressure="fail"``).
 
 Worker death is detected while collecting (a dead process with in-flight
-requests): only *that worker's* in-flight requests fail — each with a typed
-:class:`~repro.runtime.RequestOutcome` (``trap_kind="worker_died"``) — the
-slot respawns with a fresh queue, and subsequent traffic proceeds.  Trap
-isolation inside a live worker is exactly ``BatchRunner``'s: traps come back
-as ``ok=False`` outcomes with their classified ``trap_kind``, never as
-dispatcher errors.
+requests): only *that worker's* unacknowledged chunks fail — each request
+in them with a typed :class:`~repro.runtime.RequestOutcome`
+(``trap_kind="worker_died"``) — the slot respawns with a fresh queue, and
+subsequent traffic proceeds.  Trap isolation inside a live worker is exactly
+``BatchRunner``'s: traps come back as ``ok=False`` outcomes with their
+classified ``trap_kind``, never as dispatcher errors.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import multiprocessing as mp
 import queue as queue_mod
 import time
@@ -59,12 +69,13 @@ class ClusterError(RuntimeError):
 
 
 class ClusterQueueFull(ClusterError):
-    """Backpressure: the routed worker's bounded queue is full
-    (``backpressure="fail"`` mode; ``"block"`` mode waits instead)."""
+    """Backpressure: the routed worker's bounded queue already holds
+    ``queue_depth`` chunks (``backpressure="fail"`` mode; ``"block"`` mode
+    waits instead)."""
 
 
 class _WorkerHandle:
-    """One worker slot: process + its bounded request queue + in-flight ids."""
+    """One worker slot: process + its bounded chunk queue + in-flight ids."""
 
     __slots__ = ("slot", "process", "queue", "pending", "ready", "generation")
 
@@ -72,7 +83,9 @@ class _WorkerHandle:
         self.slot = slot
         self.process = None
         self.queue = None
-        self.pending: dict[int, object] = {}  # request id -> request object
+        # request id -> request object, for every request in a sent chunk
+        # the worker has not answered yet
+        self.pending: dict[int, object] = {}
         self.ready = False
         self.generation = 0
 
@@ -81,12 +94,22 @@ class _WorkerHandle:
         return self.process is not None and self.process.is_alive()
 
 
+def _retire(request_queue) -> None:
+    """Close a queue whose worker is gone.  Nobody reads it any more, so its
+    feeder thread may be stuck on a full pipe of stranded chunks: let the
+    thread go rather than join it at exit."""
+
+    request_queue.cancel_join_thread()
+    request_queue.close()
+
+
 class WorkerPool:
     """Spawns and supervises the N worker processes.
 
     ``payload`` is the picklable bundle each worker builds its service from
     (linked RichWasm module + a ``workers=1`` config, optionally a per-worker
     ``obs_jsonl`` path template — ``{worker}`` expands to the slot index).
+    ``queue_depth`` bounds each worker's queue in chunks, not requests.
     """
 
     def __init__(
@@ -123,6 +146,8 @@ class WorkerPool:
         # A fresh queue per (re)spawn: messages stranded in a dead worker's
         # queue belong to its generation and are failed by the reaper, never
         # replayed against the replacement.
+        if handle.queue is not None:
+            _retire(handle.queue)
         handle.queue = self.context.Queue(maxsize=self.queue_depth)
         handle.ready = False
         handle.generation += 1
@@ -182,7 +207,7 @@ class WorkerPool:
         self.results.close()
         for handle in self.handles:
             if handle.queue is not None:
-                handle.queue.close()
+                _retire(handle.queue)
 
 
 class Dispatcher:
@@ -222,28 +247,60 @@ class Dispatcher:
         self._rr += 1
         return slot
 
-    def _wire_message(self, request: Union[Request, Session], request_id: int, trace_id) -> dict:
+    @staticmethod
+    def _wire_item(request: Union[Request, Session], request_id: int, ambient) -> dict:
+        trace_id = ambient if request.trace_id is None else request.trace_id
         if isinstance(request, Session):
             return {
-                "op": "session", "id": request_id,
+                "id": request_id,
                 "calls": [[export, list(args)] for export, args in request.calls],
                 "max_steps": request.max_steps, "trace_id": trace_id,
                 "session_id": request.session_id,
             }
         return {
-            "op": "request", "id": request_id, "export": request.export,
+            "id": request_id, "export": request.export,
             "args": list(request.args), "max_steps": request.max_steps,
             "trace_id": trace_id,
         }
+
+    def _send(self, handle: _WorkerHandle, requests: list, *, timeout: float) -> int:
+        """Put one chunk of ``requests`` on ``handle``'s queue; returns the
+        first one's id (the chunk's ids are consecutive).
+
+        A dead target worker is respawned first (its stranded in-flight
+        requests are failed into the outcome buffer).  Requests without their
+        own ``trace_id`` carry the ambient span's, so the worker-side request
+        spans join the caller's trace across the process boundary.
+        """
+
+        if not handle.alive:
+            self._reap(handle)
+        ambient = getattr(get_tracer().current_span(), "trace_id", None)
+        first = self._next_id
+        items = [
+            self._wire_item(request, request_id, ambient)
+            for request_id, request in enumerate(requests, first)
+        ]
+        try:
+            # "fail" mode never blocks; the timeout only applies to "block".
+            handle.queue.put({"op": "batch", "items": items},
+                             block=self.backpressure == "block", timeout=timeout)
+        except queue_mod.Full:
+            raise ClusterQueueFull(
+                f"worker {handle.slot} queue is full "
+                f"({self.pool.queue_depth} chunk(s) deep)"
+            ) from None
+        self._next_id = first + len(requests)
+        handle.pending.update(enumerate(requests, first))
+        return first
 
     # -- submit / collect --------------------------------------------------
 
     def submit(self, request: Union[Request, Session, tuple], *,
                timeout: Optional[float] = None) -> int:
-        """Enqueue one request; returns its id (claim with :meth:`collect`).
+        """Enqueue one request as a one-item chunk; returns its id (claim
+        with :meth:`collect`).
 
-        Routing happens here; a dead target worker is respawned first (its
-        stranded in-flight requests are failed into the outcome buffer).
         Backpressure applies per the dispatcher's mode: ``"fail"`` never
         blocks (a full queue raises :class:`ClusterQueueFull`); ``"block"``
         waits up to ``timeout`` (default ``submit_timeout``) before raising.
@@ -252,30 +309,8 @@ class Dispatcher:
         if not isinstance(request, (Request, Session)):
             (request,) = _normalize_requests([request])
         handle = self.pool.handles[self.route(request)]
-        if not handle.alive:
-            self._reap(handle)
-        request_id = self._next_id
-        self._next_id += 1
-        # Propagate the ambient trace (or the request's own) across the
-        # process boundary so the worker-side request span joins it.
-        trace_id = request.trace_id
-        if trace_id is None:
-            span = get_tracer().current_span()
-            trace_id = getattr(span, "trace_id", None)
-        message = self._wire_message(request, request_id, trace_id)
-        try:
-            if self.backpressure == "fail":
-                handle.queue.put(message, block=False)
-            else:
-                wait = self.submit_timeout if timeout is None else timeout
-                handle.queue.put(message, timeout=wait)
-        except queue_mod.Full:
-            raise ClusterQueueFull(
-                f"worker {handle.slot} queue is full "
-                f"({self.pool.queue_depth} request(s) deep)"
-            ) from None
-        handle.pending[request_id] = request
-        return request_id
+        wait = self.submit_timeout if timeout is None else timeout
+        return self._send(handle, [request], timeout=wait)
 
     def collect(self, request_id: int) -> RequestOutcome:
         """Block until ``request_id``'s outcome arrives (buffering others)."""
@@ -302,34 +337,32 @@ class Dispatcher:
                     )
             return
         op = record.get("op")
-        if op == "result":
-            self._file_result(record)
-        elif op == "error":
-            self._file_error(record)
+        if op == "results":
+            self._file_results(record)
+        elif op == "error" and record.get("id") is None:
+            # A respawned worker failed to start (or rejected an id-less
+            # op): there is no request to file it under, so it surfaces.
+            raise ClusterError(record.get("message") or "worker error")
         elif op == "stats":
             self._stats_replies[record["id"]] = record["stats"]
         elif op == "ready":
             self.pool.handles[record["worker"]].ready = True
 
-    def _file_result(self, record: dict) -> None:
-        handle = self.pool.handles[record["worker"]]
-        request = handle.pending.pop(record["id"], None)
-        if request is None:
-            return  # duplicate/stale (e.g. raced a reap that already failed it)
-        self._outcomes[record["id"]] = wire_to_outcome(record["outcome"], request)
-
-    def _file_error(self, record: dict) -> None:
-        handle = self.pool.handles[record["worker"]]
-        request = handle.pending.pop(record["id"], None)
-        if request is None:
-            if record.get("id") is None:
-                raise ClusterError(record.get("message") or "worker error")
-            return
-        self._outcomes[record["id"]] = RequestOutcome(
-            request=request, ok=False, values=None,
-            trap=record.get("message") or "worker error", steps=0,
-            trap_kind=TRAP_KIND_WORKER_ERROR, trace_id=request.trace_id,
-        )
+    def _file_results(self, record: dict) -> None:
+        pending = self.pool.handles[record["worker"]].pending
+        for item in record["items"]:
+            request = pending.pop(item["id"], None)
+            if request is None:
+                continue  # stale (e.g. raced a reap that already failed it)
+            if "outcome" in item:
+                outcome = wire_to_outcome(item["outcome"], request)
+            else:
+                outcome = RequestOutcome(
+                    request=request, ok=False, values=None,
+                    trap=item.get("message") or "worker error", steps=0,
+                    trap_kind=TRAP_KIND_WORKER_ERROR, trace_id=request.trace_id,
+                )
+            self._outcomes[item["id"]] = outcome
 
     # -- death handling ----------------------------------------------------
 
@@ -359,27 +392,46 @@ class Dispatcher:
         return self.collect(self.submit(request))
 
     def run(self, requests: Sequence[Union[Request, Session, tuple]]) -> BatchReport:
-        """Submit a whole batch (interleaving collection under backpressure)
-        and gather every outcome into a :class:`BatchReport`."""
+        """Send a whole batch in per-worker chunks (interleaving collection
+        under backpressure) and gather every outcome, in input order, into a
+        :class:`BatchReport`."""
 
         report = BatchReport()
         start = time.perf_counter()
-        ids: list[int] = []
-        for request in _normalize_requests(requests):
-            deadline = time.monotonic() + self.submit_timeout
-            while True:
-                try:
-                    # Short waits interleaved with result draining: under
-                    # backpressure the submitter keeps consuming outcomes, so
-                    # a bounded queue throttles rather than deadlocks.
-                    ids.append(self.submit(request, timeout=0.05))
-                    break
-                except ClusterQueueFull:
-                    if self.backpressure == "fail":
-                        raise
-                    if time.monotonic() > deadline:
-                        raise
-                    self._pump(deadline)
+        requests = _normalize_requests(requests)
+        slots: list[list[int]] = [[] for _ in self.pool.handles]
+        for position, request in enumerate(requests):
+            slots[self.route(request)].append(position)
+        # About four chunks per worker: its next chunk is already queued
+        # while the parent files the last one's outcomes, and the parent
+        # still pays only a few messages per worker.
+        size = max(1, -(-len(requests) // (4 * len(slots))))
+        chunks = [
+            [positions[i:i + size] for i in range(0, len(positions), size)]
+            for positions in slots
+        ]
+        ids: list[int] = [0] * len(requests)
+        for round_ in itertools.zip_longest(*chunks):
+            for slot, positions in enumerate(round_):
+                if positions is None:
+                    continue
+                chunk = [requests[p] for p in positions]
+                deadline = time.monotonic() + self.submit_timeout
+                while True:
+                    try:
+                        # Short waits interleaved with result draining: under
+                        # backpressure the sender keeps consuming outcomes,
+                        # so a bounded queue throttles rather than deadlocks.
+                        first = self._send(self.pool.handles[slot], chunk, timeout=0.05)
+                        break
+                    except ClusterQueueFull:
+                        if self.backpressure == "fail":
+                            raise
+                        if time.monotonic() > deadline:
+                            raise
+                        self._pump(deadline)
+                for request_id, position in enumerate(positions, first):
+                    ids[position] = request_id
         report.outcomes.extend(self.collect(request_id) for request_id in ids)
         report.wall_s = time.perf_counter() - start
         return report

@@ -146,7 +146,8 @@ class ClusterService:
         return self.dispatcher.run_one(self._resolved(request))
 
     def run(self, requests) -> BatchReport:
-        """A batch fanned out across the workers (bounded-queue throttled)."""
+        """A batch fanned out across the workers in per-worker chunks
+        (throttled by the bounded queues, ``queue_depth`` chunks each)."""
 
         resolved = [self._resolved(request) for request in _normalize_requests(requests)]
         with get_tracer().span("cluster.run", requests=len(resolved), workers=self.workers):

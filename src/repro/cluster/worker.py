@@ -9,12 +9,16 @@ when the config carries a ``cache_dir`` (the parent compiled first, so the
 worker's compile is a disk hit, not a recompile).
 
 The wire protocol is deliberately plain: JSON-able dicts over
-``multiprocessing`` queues, one record per message (the pipeable-JSONL idiom
-— every field is a primitive, so the protocol survives ``spawn``, ``fork``
-and any pickle protocol).  Parent → worker ops:
+``multiprocessing`` queues (the pipeable-JSONL idiom — every field is a
+primitive, so the protocol survives ``spawn``, ``fork`` and any pickle
+protocol).  Requests travel in chunks, so the parent pays one queue put and
+one result get per chunk, not per request.  Parent → worker ops:
 
-* ``{"op": "request", "id", "export", "args", "max_steps", "trace_id"}``
-* ``{"op": "session", "id", "calls", "max_steps", "trace_id", "session_id"}``
+* ``{"op": "batch", "items": [...]}`` — a chunk of requests, served in
+  order.  Each item is a request
+  ``{"id", "export", "args", "max_steps", "trace_id"}`` or a session
+  ``{"id", "calls", "max_steps", "trace_id", "session_id"}``; a single
+  submit is a one-item chunk
 * ``{"op": "stats", "id"}`` — reply with pool/cache stats + a metrics
   snapshot (the dispatcher merges these via
   :func:`repro.obs.merge_snapshots`)
@@ -22,17 +26,22 @@ and any pickle protocol).  Parent → worker ops:
   worker-death tests: hard-exit without cleanup (``os._exit``)
 * ``{"op": "shutdown"}`` — drain and exit cleanly
 
-Worker → parent records always carry ``worker`` (the slot index) and, for
-replies, the originating ``id``:
+Worker → parent records always carry ``worker`` (the slot index); a
+``stats`` reply echoes its request's ``id``, and each ``results`` item
+carries its request's:
 
 * ``{"op": "ready", "worker", "pid"}`` — service built, pool warm
-* ``{"op": "result", "worker", "id", "outcome": {...}}`` — one
-  :class:`~repro.runtime.RequestOutcome`, flattened (``ok``, ``values``,
-  ``trap``, ``trap_kind``, ``steps``, ``trace_id``) so trap isolation and
-  span identity cross the process boundary intact
+* ``{"op": "results", "worker", "items": [...]}`` — one reply per
+  ``batch``, one item per request in chunk order: ``{"id", "outcome": {...}}``
+  carries a :class:`~repro.runtime.RequestOutcome`, flattened (``ok``,
+  ``values``, ``trap``, ``trap_kind``, ``steps``, ``trace_id``) so trap
+  isolation and span identity cross the process boundary intact;
+  ``{"id", "message"}`` reports a malformed request (unknown export, bad
+  args), which fails that item alone — never a trap, since traps are
+  outcomes with ``ok=False``
 * ``{"op": "stats", "worker", "id", "stats": {...}}``
-* ``{"op": "error", "worker", "id", "message"}`` — a malformed request
-  (never a trap: traps are ``result`` records with ``ok=False``)
+* ``{"op": "error", "worker", "id", "message"}`` — startup failed, or an
+  unknown op arrived
 """
 
 from __future__ import annotations
@@ -120,24 +129,33 @@ def _build_service(payload: dict):
     return service
 
 
-def _run_request(service, message: dict):
+def _run_item(service, item: dict) -> dict:
+    """Serve one chunk item; its reply item (an outcome or an error)."""
+
     from ..runtime.batch import Request, Session
 
-    if message["op"] == "session":
-        request = Session(
-            calls=tuple((export, tuple(args)) for export, args in message["calls"]),
-            max_steps=message.get("max_steps"),
-            trace_id=message.get("trace_id"),
-            session_id=message.get("session_id"),
-        )
-    else:
-        request = Request(
-            export=message["export"],
-            args=tuple(message["args"]),
-            max_steps=message.get("max_steps"),
-            trace_id=message.get("trace_id"),
-        )
-    return service.run_one(request)
+    try:
+        if "calls" in item:
+            request = Session(
+                calls=tuple((export, tuple(args)) for export, args in item["calls"]),
+                max_steps=item.get("max_steps"),
+                trace_id=item.get("trace_id"),
+                session_id=item.get("session_id"),
+            )
+        else:
+            request = Request(
+                export=item["export"],
+                args=tuple(item["args"]),
+                max_steps=item.get("max_steps"),
+                trace_id=item.get("trace_id"),
+            )
+        outcome = service.run_one(request)
+    except Exception:
+        # Traps never reach here (run_one isolates them into the outcome);
+        # this is a protocol-level error — unknown export, malformed args —
+        # reported for this item while the rest of its chunk is served.
+        return {"id": item.get("id"), "message": traceback.format_exc()}
+    return {"id": item.get("id"), "outcome": outcome_to_wire(outcome)}
 
 
 def _stats_record(service) -> dict:
@@ -201,21 +219,10 @@ def worker_main(worker_id: int, request_queue, result_queue, payload: dict) -> N
                     "stats": _stats_record(service),
                 })
                 continue
-            if op in ("request", "session"):
-                try:
-                    outcome = _run_request(service, message)
-                except Exception:
-                    # Traps never reach here (run_one isolates them into the
-                    # outcome); this is a protocol-level error — unknown
-                    # export, malformed args — reported as such.
-                    result_queue.put({
-                        "op": "error", "worker": worker_id, "id": message.get("id"),
-                        "message": traceback.format_exc(),
-                    })
-                    continue
+            if op == "batch":
                 result_queue.put({
-                    "op": "result", "worker": worker_id, "id": message.get("id"),
-                    "outcome": outcome_to_wire(outcome),
+                    "op": "results", "worker": worker_id,
+                    "items": [_run_item(service, item) for item in message.get("items", ())],
                 })
                 continue
             result_queue.put({

@@ -2,6 +2,7 @@
 in-process service, trap isolation over the wire, backpressure, and
 worker-death recovery."""
 
+import threading
 import time
 
 import pytest
@@ -99,6 +100,47 @@ class TestRoutingAndParity:
         assert [o.values for o in baseline.outcomes] == [o.values for o in report.outcomes]
         assert [o.steps for o in baseline.outcomes] == [o.steps for o in report.outcomes]
 
+        # One batch large enough to span several chunks per worker: sticky
+        # sessions on both slots, stateless requests and step-budget traps
+        # (standalone and mid-session), plus an unknown export forced past
+        # parent-side resolution into the middle of a chunk.
+        mix = []
+        for i in range(320):
+            kind = i % 5
+            if kind == 0:
+                mix.append(_session(i, ticks=i % 7, session_id=f"big{i}"))
+            elif kind == 1:
+                mix.append(Request("client.client_init", (i,)))
+            elif kind == 2:
+                mix.append(Request("client.client_init", (i,), 2))  # blown budget
+            elif kind == 3:
+                mix.append(Request("client.client_total", ()))  # traps
+            else:
+                session = _session(i, ticks=6, session_id=f"big{i}")
+                mix.append(Session(calls=session.calls, max_steps=700, session_id=f"big{i}"))
+        bogus = 161
+        with api.serve(counter_program(), {"cache": "private", "engine": engine}) as single:
+            baseline = single.run(mix).outcomes
+        with api.serve(
+            counter_program(), {"cache": "private", "engine": engine, "workers": 2}
+        ) as clustered:
+            routed = {clustered.dispatcher.route(r) for r in mix if isinstance(r, Session)}
+            assert routed == {0, 1}
+            outcomes = clustered.dispatcher.run(
+                mix[:bogus] + [Request("no.such_export", ())] + mix[bogus:]
+            ).outcomes
+        assert len(outcomes) == len(mix) + 1
+        error = outcomes.pop(bogus)
+        assert not error.ok and error.trap_kind == "worker_error"
+        assert "no.such_export" in error.trap
+        # client_total before client_init traps as unreachable.
+        assert {o.trap_kind for o in baseline} == {None, "step_budget", "unreachable"}
+        assert [o.request for o in outcomes] == mix
+        assert [o.ok for o in outcomes] == [o.ok for o in baseline]
+        assert [o.values for o in outcomes] == [o.values for o in baseline]
+        assert [o.trap_kind for o in outcomes] == [o.trap_kind for o in baseline]
+        assert [o.steps for o in outcomes] == [o.steps for o in baseline]
+
 
 class TestTrapIsolation:
     def test_trap_comes_back_typed_and_isolated(self, cluster):
@@ -172,6 +214,47 @@ class TestWorkerDeath:
             assert retry.ok and retry.values[-1] == [7]
             other = service.run([_session(i, session_id=f"after{i}") for i in range(4)])
             assert other.ok_count == 4
+
+    def test_kill_mid_batch_fails_only_the_dead_workers_chunks(self):
+        with api.serve(counter_program(), {"cache": "private", "workers": 2}) as service:
+            dispatcher = service.dispatcher
+            by_slot = {0: [], 1: []}
+            for i in range(64):
+                session_id = f"mid{i}"
+                by_slot[dispatcher.route(_session(0, session_id=session_id))].append(session_id)
+            victim = 0
+            # Eight sessions a slot, interleaved: the victim's run for seconds
+            # on any engine, the survivor's are short enough to keep the test
+            # quick, and the batch spans several chunks per worker.
+            batch, expected = [], []
+            for i, (victim_id, survivor_id) in enumerate(zip(by_slot[0][:8], by_slot[1][:8])):
+                batch.append(_session(i, ticks=20_000, session_id=victim_id))
+                expected.append([i + 20_000])
+                batch.append(_session(i, ticks=1_000, session_id=survivor_id))
+                expected.append([i + 1_000])
+            killer = threading.Timer(0.3, service.pool.handles[victim].process.kill)
+            killer.start()
+            try:
+                report = dispatcher.run(batch)
+            finally:
+                killer.cancel()
+
+            assert len(report.outcomes) == len(batch)
+            died = 0
+            for request, outcome, values in zip(batch, report.outcomes, expected):
+                assert outcome.request is request
+                if dispatcher.route(request) == victim:
+                    if not outcome.ok:
+                        assert outcome.trap_kind == TRAP_KIND_WORKER_DIED
+                        died += 1
+                        continue
+                assert outcome.ok and outcome.values[-1] == values
+            assert died >= 1
+            assert service.pool.respawns == 1
+
+            after = service.run([_session(i, session_id=f"mid{i}") for i in range(8)])
+            assert after.ok_count == 8
+            assert [o.values[-1] for o in after.outcomes] == [[i + 4] for i in range(8)]
 
     def test_crash_op_kills_worker_without_cleanup(self):
         # The deterministic fault injection the wire protocol ships with.
