@@ -8,6 +8,13 @@ from the per-function unit cache (:mod:`repro.compilepipe`), so the
 recompile must land at least ``REPRO_INCREMENTAL_SPEEDUP_FLOOR`` (default
 20x) under the cold wall.
 
+The source-level series runs the same experiment one layer up: ML and L3
+*sources* of 100 functions each through ``repro.api.compile``, one ML
+function edited.  The frontend and link units make that edit recompile one
+function from source to Wasm, so it must land at least
+``SOURCE_EDIT_SPEEDUP_FLOOR`` (10x) under the cold wall, with output
+bit-identical to a cold compile of the edited sources.
+
 Correctness is gated harder than speed: the incrementally recomposed
 artifacts must be *bit-identical* to a cold monolithic compile — the
 assembled ``WasmModule`` dataclass-equal and content-key-equal to a
@@ -28,12 +35,20 @@ from repro.runtime import ModuleCache
 from repro.runtime.cache import content_key
 from repro.wasm import validate_module
 
-from workloads import edit_one_function, measure_incremental_compile, synthetic_module
+from workloads import (
+    edit_one_function,
+    measure_incremental_compile,
+    measure_source_edit_compile,
+    synthetic_module,
+)
 
 # Measured headroom is ~25x at 1000 functions; overridable so a heavily
 # contended runner can relax the gate without a code change (same contract
 # as REPRO_COMPILED_SPEEDUP_FLOOR in bench_interpreters.py).
 INCREMENTAL_SPEEDUP_FLOOR = float(os.environ.get("REPRO_INCREMENTAL_SPEEDUP_FLOOR", "20.0"))
+
+#: The one-ML-function source edit's floor over its cold compile.
+SOURCE_EDIT_SPEEDUP_FLOOR = 10.0
 
 FUNCTIONS = 40
 EDITED = FUNCTIONS // 2
@@ -126,4 +141,15 @@ def test_one_function_edit_speedup_floor():
     assert result["speedup"] >= INCREMENTAL_SPEEDUP_FLOOR, (
         f"one-function-edit recompile only {result['speedup']}x faster than cold "
         f"(floor {INCREMENTAL_SPEEDUP_FLOOR}x): {result}"
+    )
+
+
+@pytest.mark.perf
+def test_one_source_function_edit_speedup_floor():
+    result = measure_source_edit_compile(functions=100)
+    assert result["units"]["frontend"] == {"reused": 199, "compiled": 1}
+    assert result["identical"], result
+    assert result["speedup"] >= SOURCE_EDIT_SPEEDUP_FLOOR, (
+        f"one-source-function edit only {result['speedup']}x faster than cold "
+        f"(floor {SOURCE_EDIT_SPEEDUP_FLOOR}x): {result}"
     )

@@ -74,6 +74,7 @@ from repro.ml import (
     Lam,
     Let,
     MLFunction,
+    MLImport,
     TInt,
     TSum,
     TUnit,
@@ -350,6 +351,100 @@ def measure_incremental_compile(*, functions: int = 1000, blocks: int = 1) -> di
         "incremental_wall_s": round(incremental_s, 4),
         "speedup": round(cold_s / incremental_s, 1) if incremental_s else None,
         "units": cache.units.delta(units_before),
+    }
+
+
+def _mixed_ml_function(index: int, k: int) -> MLFunction:
+    # p{i} x = let y = c{i} (x + k) in if y < 1000 then y * 2 else y - 1000
+    return MLFunction(f"p{index}", "x", TInt(), TInt(), Let(
+        "y", App(Var(f"c{index}"), BinOp("+", Var("x"), IntLit(k))),
+        If(BinOp("<", Var("y"), IntLit(1000)),
+           BinOp("*", Var("y"), IntLit(2)),
+           BinOp("-", Var("y"), IntLit(1000))),
+    ))
+
+
+def mixed_sources(functions: int = 100) -> dict:
+    """An ML module and an L3 module of ``functions`` functions each.
+
+    ML function ``p{i}`` calls L3 function ``c{i}`` (``x * a + i``, through
+    a linear cell swapped once) via an import, so ``repro.api.compile``
+    runs both frontends and links the two languages into one program.
+    Every function is structurally distinct.
+    """
+
+    lib = l3_module("lib", functions=[
+        L3Function(f"c{i}", "x", LInt(), LInt(), LLet("o", LNew(LVar("x")), LLetPair(
+            "old", "o2", LSwap(LVar("o"), LIntLit(i)),
+            LBinOp("+", LBinOp("*", LVar("old"), LIntLit(i % 7 + 1)), LFree(LVar("o2"))),
+        )))
+        for i in range(functions)
+    ])
+    app = ml_module(
+        "app",
+        imports=[MLImport("lib", f"c{i}", TInt(), TInt()) for i in range(functions)],
+        functions=[_mixed_ml_function(i, i % 50) for i in range(functions)],
+    )
+    return {"app": app, "lib": lib}
+
+
+def edit_one_ml_function(sources: dict, index: int, k: int) -> dict:
+    """``sources`` with ML function ``p{index}`` rebuilt with constant ``k``;
+    every other source object is reused as is, as an editor would."""
+
+    import dataclasses
+
+    app = sources["app"]
+    functions = list(app.functions)
+    functions[index] = _mixed_ml_function(index, k)
+    return {**sources, "app": dataclasses.replace(app, functions=tuple(functions))}
+
+
+def measure_source_edit_compile(*, functions: int = 100, edits: int = 3) -> dict:
+    """Cold vs one-ML-function-edit walls of ``repro.api.compile`` on
+    :func:`mixed_sources` (``O2``, compiled engine).
+
+    The edits reuse the cold compile's :class:`repro.runtime.ModuleCache`,
+    so every unchanged function comes back from its frontend unit onwards.
+    Returns the cold wall, the median edit wall, their ratio, the last
+    edit's per-stage unit reuse, and whether that edit's program equals a
+    cold compile of the edited sources (program key and Wasm).
+    """
+
+    from statistics import median
+
+    from repro import api
+    from repro.api import CompileConfig
+    from repro.runtime import ModuleCache
+    from repro.runtime.cache import content_key
+
+    config = CompileConfig(opt_level="O2", engine="compiled", cache="private")
+    sources = mixed_sources(functions)
+    cache = ModuleCache()
+    start = time.perf_counter()
+    api.compile(sources, config, cache=cache)
+    cold_s = time.perf_counter() - start
+
+    walls = []
+    for edit in range(edits):
+        sources = edit_one_ml_function(sources, (functions // 3 * (edit + 1)) % functions, 100 + edit)
+        start = time.perf_counter()
+        program = api.compile(sources, config, cache=cache)
+        walls.append(time.perf_counter() - start)
+    edit_s = median(walls)
+
+    fresh = api.compile(sources, config, cache=ModuleCache())
+    return {
+        "functions": functions,
+        "cold_wall_s": round(cold_s, 4),
+        "edit_wall_s": round(edit_s, 4),
+        "speedup": round(cold_s / edit_s, 1) if edit_s else None,
+        "units": program.diagnostics.units,
+        "identical": (
+            program.key == fresh.key
+            and program.wasm == fresh.wasm
+            and content_key("wasm", program.wasm) == content_key("wasm", fresh.wasm)
+        ),
     }
 
 

@@ -100,9 +100,8 @@ def compile(sources, config: Union[CompileConfig, str, int, dict, None] = None, 
         "api.compile", opt_level=config.opt_level, cache_policy=config.cache
     ) as span:
         diagnostics = Diagnostics(config=config)
-        with diagnostics.stage("frontend"):
-            modules, diagnostics.frontends = _compile_sources(sources, config)
         cache_obj = _resolve_cache(config, cache)
+        modules = _frontend_stage(sources, config, cache_obj, diagnostics)
         if cache_obj is None:
             program = _compile_direct(modules, config, diagnostics)
         else:
@@ -133,9 +132,8 @@ def lower(sources, config: Union[CompileConfig, str, int, dict, None] = None, *,
         "api.lower", opt_level=config.opt_level, cache_policy=config.cache
     ):
         diagnostics = Diagnostics(config=config)
-        with diagnostics.stage("frontend"):
-            modules, diagnostics.frontends = _compile_sources(sources, config)
         cache_obj = _resolve_cache(config, cache)
+        modules = _frontend_stage(sources, config, cache_obj, diagnostics)
         if cache_obj is None:
             with diagnostics.stage("link"):
                 richwasm = _link_direct(modules, config, diagnostics)
@@ -221,7 +219,22 @@ def _serve(compiled, config, cache, overrides, run_initializers_setup) -> Servic
 # ---------------------------------------------------------------------------
 
 
-def _compile_sources(sources, config: CompileConfig):
+def _frontend_stage(sources, config: CompileConfig, cache: Optional[ModuleCache],
+                    diagnostics: Diagnostics):
+    """The timed frontend stage: :func:`_compile_sources` under ``cache``'s
+    unit cache, its reuse folded into ``diagnostics.units``."""
+
+    with diagnostics.stage("frontend") as span:
+        if cache is None:
+            modules, diagnostics.frontends = _compile_sources(sources, config, None)
+            return modules
+        units_before = cache.units.snapshot()
+        modules, diagnostics.frontends = _compile_sources(sources, config, cache.units)
+        _record_units(diagnostics, cache, units_before, span)
+        return modules
+
+
+def _compile_sources(sources, config: CompileConfig, unit_cache):
     """Normalize ``sources`` to RichWasm: a ``{name: Module}`` dict (to be
     linked) or a single already-linked ``Module``, plus the per-module
     frontend names for diagnostics."""
@@ -238,23 +251,23 @@ def _compile_sources(sources, config: CompileConfig):
     if isinstance(sources, Module):
         return sources, {sources.name or config.link_name: "richwasm"}
     if not isinstance(sources, dict):
-        name, richwasm, frontend = _compile_one(sources, config, default_name=None)
+        name, richwasm, frontend = _compile_one(sources, config, unit_cache, default_name=None)
         return {name: richwasm}, {name: frontend}
     compiled: dict = {}
     frontends: dict = {}
     for name, source in sources.items():
-        _, richwasm, frontend = _compile_one(source, config, default_name=name)
+        _, richwasm, frontend = _compile_one(source, config, unit_cache, default_name=name)
         compiled[name] = richwasm
         frontends[name] = frontend
     return compiled, frontends
 
 
-def _compile_one(source, config: CompileConfig, *, default_name: Optional[str]):
+def _compile_one(source, config: CompileConfig, unit_cache, *, default_name: Optional[str]):
     if isinstance(source, tuple) and len(source) == 2 and isinstance(source[0], str):
         frontend, source = resolve_frontend(source[0]), source[1]
     else:
         frontend = detect_frontend(source)
-    richwasm = frontend.compile_source(source, config)
+    richwasm = frontend.compile_source(source, config, unit_cache=unit_cache)
     name = default_name or getattr(source, "name", None) or getattr(richwasm, "name", None)
     if not name:
         raise ConfigError(

@@ -37,8 +37,14 @@ class Frontend(ABC):
         """The source AST types this frontend accepts."""
 
     @abstractmethod
-    def compile_source(self, source, config: CompileConfig):
-        """Compile ``source`` to a RichWasm :class:`~repro.core.syntax.Module`."""
+    def compile_source(self, source, config: CompileConfig, unit_cache=None):
+        """Compile ``source`` to a RichWasm :class:`~repro.core.syntax.Module`.
+
+        ``unit_cache`` is the compiling cache's
+        :class:`repro.compilepipe.FunctionUnitCache` (``None`` off the cache
+        paths); a frontend may file and reuse per-function ``frontend``
+        units there, and is free to ignore it.
+        """
 
     def handles(self, source) -> bool:
         return isinstance(source, self.source_types())
@@ -52,10 +58,10 @@ class MLFrontend(Frontend):
 
         return (MLModule,)
 
-    def compile_source(self, source, config: CompileConfig):
+    def compile_source(self, source, config: CompileConfig, unit_cache=None):
         from ..ml import compile_ml_module
 
-        return compile_ml_module(source)
+        return compile_ml_module(source, unit_cache=unit_cache)
 
 
 class L3Frontend(Frontend):
@@ -66,10 +72,10 @@ class L3Frontend(Frontend):
 
         return (L3Module,)
 
-    def compile_source(self, source, config: CompileConfig):
+    def compile_source(self, source, config: CompileConfig, unit_cache=None):
         from ..l3 import compile_l3_module
 
-        return compile_l3_module(source)
+        return compile_l3_module(source, unit_cache=unit_cache)
 
 
 class RichWasmFrontend(Frontend):
@@ -82,7 +88,7 @@ class RichWasmFrontend(Frontend):
 
         return (Module,)
 
-    def compile_source(self, source, config: CompileConfig):
+    def compile_source(self, source, config: CompileConfig, unit_cache=None):
         return source
 
 

@@ -47,8 +47,10 @@ __all__ = ["DISK_FORMAT", "DiskCache", "DiskEntry", "shared_disk_module_cache"]
 
 #: Entry format version.  Bumped whenever the pickled payload layout (or
 #: anything about how entries are interpreted) changes; a stamp mismatch is
-#: a miss + eviction, never an attempt to read the old layout.
-DISK_FORMAT = 1
+#: a miss + eviction, never an attempt to read the old layout.  Format 2:
+#: ``unit.optimize`` entries hold one function-pass segment's result
+#: (function, per-pass rewrite counts) instead of one pass's.
+DISK_FORMAT = 2
 
 _SUFFIX = ".pkl"
 

@@ -6,15 +6,27 @@ supplies the layer underneath — a :class:`FunctionUnitCache` holding
 per-*function* artifacts for each compile stage, keyed by content so that a
 new version of a module reuses every unchanged function's work:
 
+* **frontend** — (frontend name, source-function digest, module
+  environment digest) → the function's RichWasm
+  :class:`~repro.core.syntax.Function` (for ML also the lambda-lifted
+  functions and table entries it appended; the environment digest then
+  carries the lifted-function and table base indices).  A hit also skips
+  the function's source type check (:mod:`repro.ml`, :mod:`repro.l3`);
+* **link** — (declaration digest, digest of its module's function/global/
+  table remap tables, export names) → the remapped declaration
+  (:func:`repro.ffi.link.link_modules`);
 * **typecheck** — (function digest, signature-environment digest,
   ``allow_caps`` flag) → the function's checked instruction count
   (:func:`repro.core.typing.check_module`);
 * **lower** — (function digest, signature-environment digest) → the lowered
   :class:`~repro.wasm.ast.WasmFunction` plus the erasure/boxing statistics
   deltas its compilation contributed (:class:`repro.lower.ModuleLowering`);
-* **optimize** — (pass name, Wasm function digest) → the rewritten function
-  and rewrite count (:class:`repro.opt.PassManager`; sound because every
-  :class:`~repro.opt.FunctionPass` is a pure function of the function body);
+* **optimize** — (function-pass segment, Wasm function digest) → the
+  function after the segment's passes plus each pass's rewrite count
+  (:class:`repro.opt.PassManager`; a segment is a maximal run of
+  consecutive :class:`~repro.opt.FunctionPass` runs, sound to run
+  function by function because every function pass is a pure function of
+  the body);
 * **validate** — (Wasm function digest, Wasm signature digest) → a checked
   marker (:func:`repro.wasm.validate_module`);
 * **decode** — Wasm function digest → the :class:`~repro.wasm.decode.FlatFunction`;
@@ -33,9 +45,14 @@ function's compilation can observe about the rest of the module *except*
 other function bodies — which is exactly what makes a one-function edit
 leave the other functions' keys unchanged.
 
-The consumers (``core.typing``, ``lower``, ``opt``, ``wasm``) receive the
-cache as an opaque ``unit_cache`` parameter and call its ``*_key``/``get``/
-``put`` methods, so no lower layer imports this module.  Every lookup is
+Unchanged functions come back from every stage as the *same objects*, so
+the digests cached on them make the next stage's keys cheap: after a
+one-function source edit only the edited function is digested anew.
+
+The consumers (``ml``, ``l3``, ``ffi``, ``core.typing``, ``lower``, ``opt``,
+``wasm``) receive the cache as an opaque ``unit_cache`` parameter and call
+its ``*_key``/``get``/``put`` methods, so no lower layer imports this
+module.  Every lookup is
 counted in per-stage :class:`UnitStats` and mirrored to the process-wide
 ``compile.units.events`` counter through a single locked increment path.
 """
@@ -53,7 +70,9 @@ from .obs.metrics import default_registry
 from .wasm.ast import WasmFunction, WasmModule
 
 #: Stages with per-function unit tables, in pipeline order.
-UNIT_STAGES = ("typecheck", "lower", "optimize", "validate", "decode", "translate")
+UNIT_STAGES = (
+    "frontend", "link", "typecheck", "lower", "optimize", "validate", "decode", "translate",
+)
 
 # Process-wide unit telemetry, labeled by stage and outcome (hit/miss/evict).
 # The per-cache integer view lives on ``FunctionUnitCache.stats``.
@@ -115,6 +134,27 @@ def wasm_signature_digest(module: WasmModule) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def frontend_unit_key(frontend: str, function, env_digest: bytes, *bases: int) -> str:
+    """Per-function frontend unit key.
+
+    ``env_digest`` covers everything of the source module the function's
+    check and compilation can see except other function bodies (see
+    :func:`repro.ml.codegen.MLCompiler.env_digest`); ``bases`` are the
+    index bases the compiled function bakes in (ML: the lifted-function
+    and table base at that point).
+    """
+
+    return unit_key("frontend", frontend, structural_digest(function), env_digest, *bases)
+
+
+def link_unit_key(decl, remap_digest: bytes, exports: tuple) -> str:
+    """Per-declaration link unit key: the declaration, its module's remap
+    tables (:func:`repro.ffi.link.link_modules` digests them once per module
+    per link) and the namespaced export names it is given."""
+
+    return unit_key("link", structural_digest(decl), remap_digest, exports)
+
+
 def typecheck_unit_key(function, module, *, allow_caps: bool = True) -> str:
     """RichWasm per-function typecheck unit key."""
 
@@ -136,16 +176,17 @@ def lower_unit_key(function, module) -> str:
     return unit_key("lower", structural_digest(function), signature_env_digest(module))
 
 
-def optimize_unit_key(function: WasmFunction, pass_name: str) -> str:
-    """Per-(pass, function) optimization unit key.
+def optimize_unit_key(function: WasmFunction, segment) -> str:
+    """Per-(function-pass segment, function) optimization unit key.
 
-    The pass name is the config-relevant ingredient here: ``opt_level``
-    expands to an ordered pass list, and each (pass, function-version) step
-    is memoized individually, so O1 and O2 share the units of the passes
-    they have in common.
+    ``segment`` is the segment's pass-name tuple or its precomputed
+    :func:`~repro.core.syntax.structural_digest` (both give the same key).
+    The pass names are the config-relevant ingredient: ``opt_level``
+    expands to an ordered pass list, split into segments at module passes,
+    and each (segment, function-version) round is memoized as one unit.
     """
 
-    return unit_key("optimize", pass_name, structural_digest(function))
+    return unit_key("optimize", segment, structural_digest(function))
 
 
 def validate_unit_key(function: WasmFunction, module: WasmModule) -> str:
@@ -345,14 +386,20 @@ class FunctionUnitCache:
 
     # -- key builders (the duck-typed surface lower layers call) -----------
 
+    def frontend_key(self, frontend: str, function, env_digest: bytes, *bases: int) -> str:
+        return frontend_unit_key(frontend, function, env_digest, *bases)
+
+    def link_key(self, decl, remap_digest: bytes, exports: tuple) -> str:
+        return link_unit_key(decl, remap_digest, exports)
+
     def typecheck_key(self, function, module, *, allow_caps: bool = True) -> str:
         return typecheck_unit_key(function, module, allow_caps=allow_caps)
 
     def lower_key(self, function, module) -> str:
         return lower_unit_key(function, module)
 
-    def optimize_key(self, function, pass_name: str) -> str:
-        return optimize_unit_key(function, pass_name)
+    def optimize_key(self, function, segment) -> str:
+        return optimize_unit_key(function, segment)
 
     def validate_key(self, function, module) -> str:
         return validate_unit_key(function, module)
@@ -370,6 +417,8 @@ __all__ = [
     "UnitStats",
     "unit_key",
     "wasm_signature_digest",
+    "frontend_unit_key",
+    "link_unit_key",
     "typecheck_unit_key",
     "lower_unit_key",
     "optimize_unit_key",

@@ -19,6 +19,8 @@ the cross-module checks and the linker:
 
 from __future__ import annotations
 
+import hashlib
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -140,8 +142,33 @@ def _remap_body(body: Sequence[Instr], remap: _Remap) -> tuple[Instr, ...]:
     return tuple(_remap_instr(instr, remap) for instr in body)
 
 
+def _remap_digest(remap: _Remap) -> bytes:
+    """Digest of one module's remap tables — everything a remapped
+    declaration depends on besides its own content and export names."""
+
+    hasher = hashlib.sha256(b"remap")
+    for table in (remap.func, remap.global_, remap.table):
+        hasher.update(b"|")
+        hasher.update(array("q", [v for item in sorted(table.items()) for v in item]).tobytes())
+    return hasher.digest()
+
+
+def _remapped(decl, build, units, remap_digest: Optional[bytes], exports: tuple = ()):
+    """``build()`` — the remapped ``decl``, called at once — memoized as a
+    link unit."""
+
+    if units is None:
+        return build()
+    key = units.link_key(decl, remap_digest, exports)
+    linked = units.get("link", key)
+    if linked is None:
+        linked = build()
+        units.put("link", key, linked)
+    return linked
+
+
 def link_modules(modules: dict[str, Module], *, name: str = "linked", check: bool = True,
-                 checker=check_module) -> Module:
+                 checker=check_module, unit_cache=None) -> Module:
     """Statically link modules into one (imports resolved to direct calls).
 
     The resulting module exports every export of every input module, holds
@@ -150,7 +177,10 @@ def link_modules(modules: dict[str, Module], *, name: str = "linked", check: boo
     ``check=False`` skips :func:`check_link` (for callers whose modules were
     already checked, e.g. a :class:`repro.ffi.Program`).  ``checker`` is the
     module type check used for both the inputs and the linked result (see
-    :func:`check_link`).
+    :func:`check_link`).  ``unit_cache`` (a
+    :class:`repro.compilepipe.FunctionUnitCache`) memoizes each remapped
+    declaration, so relinking after a one-function edit returns every
+    other declaration as the same object.
     """
 
     if check:
@@ -216,6 +246,7 @@ def link_modules(modules: dict[str, Module], *, name: str = "linked", check: boo
     for module_name in order:
         module = modules[module_name]
         remap = _Remap(func_base[module_name], global_base[module_name], table_base[module_name])
+        remap_digest = _remap_digest(remap) if unit_cache is not None else None
         for index, decl in enumerate(module.functions):
             if isinstance(decl, ImportedFunction):
                 continue
@@ -225,14 +256,21 @@ def link_modules(modules: dict[str, Module], *, name: str = "linked", check: boo
                 exports.append(f"{module_name}.{export}")
                 if len(export_owners.get(export, [])) == 1:
                     exports.append(export)
-            rewritten[new_index] = replace(
-                decl, body=_remap_body(decl.body, remap), exports=tuple(exports)
+            exports = tuple(exports)
+            rewritten[new_index] = _remapped(
+                decl,
+                lambda: replace(decl, body=_remap_body(decl.body, remap), exports=exports),
+                unit_cache, remap_digest, exports,
             )
         for index, decl in enumerate(module.globals):
             if isinstance(decl, ImportedGlobal):
                 continue
             new_index = global_base[module_name][index]
-            new_globals[new_index] = replace(decl, init=_remap_body(decl.init, remap))
+            new_globals[new_index] = _remapped(
+                decl,
+                lambda: replace(decl, init=_remap_body(decl.init, remap)),
+                unit_cache, remap_digest,
+            )
 
     linked = Module(
         functions=tuple(rewritten),

@@ -22,7 +22,7 @@ choices:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..core.syntax import (
     Call,
@@ -68,6 +68,7 @@ from ..core.syntax import (
     ptr,
     unit,
 )
+from ..core.syntax.intern import structural_digest
 from ..core.syntax.locations import LocVar
 from ..core.syntax.types import CapT, ExLocT, ProdT, PtrT
 from ..core.typing.errors import CompilationError
@@ -100,7 +101,7 @@ from .ast import (
     LUnitV,
     LVar,
 )
-from .typecheck import FunSig, L3Checker, L3TypeError, LinearEnv, check_l3_module
+from .typecheck import FunSig, L3Checker, L3TypeError, LinearEnv
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +182,26 @@ class _Local:
 
 
 class L3Compiler:
-    """Compiles a linearity-checked L3 module to RichWasm."""
+    """Compiles an L3 module to RichWasm, linearity-checking each function.
 
-    def __init__(self, module: L3Module, signatures: dict[str, FunSig]):
+    ``signatures`` default to the module's own
+    (:attr:`~repro.l3.typecheck.L3Checker.signatures`).  Each function is
+    checked and compiled as one unit; with a ``unit_cache`` (a
+    :class:`repro.compilepipe.FunctionUnitCache`) a function whose source
+    and module environment (:meth:`env_digest`) are unchanged comes back as
+    the same ``Function`` object, with no check and no codegen.
+    """
+
+    def __init__(self, module: L3Module, signatures: Optional[dict[str, FunSig]] = None,
+                 unit_cache=None):
         self.module = module
-        self.signatures = signatures
+        # One checker per compile: ``_infer`` re-runs it on subexpressions.
+        self._checker = L3Checker(module)
+        self.signatures = signatures if signatures is not None else self._checker.signatures
+        self.unit_cache = unit_cache
         self.function_index: dict[str, int] = {}
         self.functions: list = []
+        self._env_digest: Optional[bytes] = None
 
     def compile(self) -> Module:
         for imported in self.module.imports:
@@ -203,13 +217,41 @@ class L3Compiler:
             self.function_index[function.name] = len(self.functions)
             self.functions.append(None)
         for function in self.module.functions:
-            self.functions[self.function_index[function.name]] = self._compile_function(function)
+            self.functions[self.function_index[function.name]] = self._compile_function_unit(function)
         return Module(
             functions=tuple(self.functions),
             globals=(),
             table=Table(),
             name=self.module.name,
         )
+
+    def env_digest(self) -> bytes:
+        """Digest of what one function's check and compilation can see of
+        the rest of the module: the imports and every function's name, index
+        and signature — everything except other function bodies."""
+
+        if self._env_digest is None:
+            self._env_digest = structural_digest((
+                self.module.imports,
+                tuple((f.name, f.param_type, f.result_type) for f in self.module.functions),
+            ))
+        return self._env_digest
+
+    def _compile_function_unit(self, function: L3Function) -> Function:
+        """Check and compile one function, through the unit cache (type
+        errors raise before anything is cached)."""
+
+        units = self.unit_cache
+        if units is not None:
+            key = units.frontend_key("l3", function, self.env_digest())
+            cached = units.get("frontend", key)
+            if cached is not None:
+                return cached
+        self._checker.check_function(function)
+        compiled = self._compile_function(function)
+        if units is not None:
+            units.put("frontend", key, compiled)
+        return compiled
 
     def _compile_function(self, function: L3Function) -> Function:
         param_type = compile_type(function.param_type)
@@ -228,11 +270,10 @@ class L3Compiler:
     # -- type inference helper (re-runs the source checker on subexpressions) ----
 
     def _infer(self, env: dict[str, _Local], expr: L3Expr) -> L3Type:
-        checker = L3Checker(self.module)
         linear_env = LinearEnv()
         for name, binding in env.items():
             linear_env.bind(name, binding.l3type)
-        return checker.check_expr(linear_env, expr)
+        return self._checker.check_expr(linear_env, expr)
 
     # -- expressions --------------------------------------------------------------
 
@@ -455,7 +496,7 @@ def _bits(ty: Type) -> int:
 
 def compile_l3_module(
     module: L3Module, *, lower: bool = False, cache=None, config=None,
-    optimize=_UNSET, memory_pages=_UNSET, engine=_UNSET,
+    optimize=_UNSET, memory_pages=_UNSET, engine=_UNSET, unit_cache=None,
 ):
     """Linearity-check and compile an L3 module to RichWasm.
 
@@ -471,10 +512,13 @@ def compile_l3_module(
     pre-:mod:`repro.api` surface (one :class:`DeprecationWarning` per call,
     and passing any of them implies lowering); ``optimize=True`` maps to
     ``O2``.
+
+    ``unit_cache`` (a :class:`repro.compilepipe.FunctionUnitCache`) reuses
+    the per-function frontend units of earlier compiles (see
+    :class:`L3Compiler`).
     """
 
-    signatures = check_l3_module(module)
-    richwasm = L3Compiler(module, signatures).compile()
+    richwasm = L3Compiler(module, unit_cache=unit_cache).compile()
     lowered = _codegen_lowering(
         "compile_l3_module", richwasm, lower=lower, cache=cache, config=config,
         legacy={"optimize": optimize, "memory_pages": memory_pages, "engine": engine},

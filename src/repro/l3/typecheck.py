@@ -100,16 +100,21 @@ class L3Checker:
 
     def check(self) -> dict[str, FunSig]:
         for function in self.module.functions:
-            env = LinearEnv()
-            env.bind(function.param, function.param_type)
-            result = self.check_expr(env, function.body)
-            if not types_equal(result, function.result_type):
-                raise L3TypeError(
-                    f"function {function.name!r} declared to return {function.result_type},"
-                    f" body has type {result}"
-                )
-            env.check_consumed(function.param)
+            self.check_function(function)
         return self.signatures
+
+    def check_function(self, function: L3Function) -> None:
+        """Check one function body against the module's signatures."""
+
+        env = LinearEnv()
+        env.bind(function.param, function.param_type)
+        result = self.check_expr(env, function.body)
+        if not types_equal(result, function.result_type):
+            raise L3TypeError(
+                f"function {function.name!r} declared to return {function.result_type},"
+                f" body has type {result}"
+            )
+        env.check_consumed(function.param)
 
     # -- expressions ------------------------------------------------------------
 

@@ -100,6 +100,7 @@ from ..core.syntax import (
     variant_ht,
 )
 from ..core.syntax.instructions import Nop
+from ..core.syntax.intern import structural_digest
 from ..core.typing.errors import CompilationError
 from .._compat import UNSET as _UNSET, codegen_lowering as _codegen_lowering
 from ..core.typing.sizing import closed_size_of_type
@@ -139,7 +140,14 @@ from .ast import (
     Unit,
     Var,
 )
-from .typecheck import CheckedModule, MLTypeError, TypeEnv, check_expr, check_module
+from .typecheck import (
+    CheckedModule,
+    MLTypeError,
+    TypeEnv,
+    check_declarations,
+    check_expr,
+    check_function,
+)
 
 #: Size bound used for closure environments (a GC'd pointer: 32 bits, with
 #: headroom as in the paper's Fig. 9 layout which uses 64-bit slots).
@@ -307,11 +315,21 @@ class FunctionBuilder:
 
 
 class MLCompiler:
-    """Compiles a type-checked ML module to a RichWasm module."""
+    """Compiles an ML module whose declarations are checked
+    (:func:`~repro.ml.typecheck.check_declarations`) to a RichWasm module.
 
-    def __init__(self, checked: CheckedModule):
+    Each top-level function is type-checked and compiled as one unit; with a
+    ``unit_cache`` (a :class:`repro.compilepipe.FunctionUnitCache`) a unit
+    whose source function, module environment (:meth:`env_digest`) and
+    lifted-function/table bases are unchanged is reused — the same
+    ``Function`` objects, lifted lambdas and table entries, with no check
+    and no codegen.
+    """
+
+    def __init__(self, checked: CheckedModule, unit_cache=None):
         self.checked = checked
         self.module = checked.module
+        self.unit_cache = unit_cache
         self.functions: list = []          # RichWasm FunctionDecl, indices fixed as we go
         self.table_entries: list[int] = []
         self.global_decls: list[Global] = []
@@ -319,6 +337,11 @@ class MLCompiler:
         self.function_index: dict[str, int] = {}
         self.import_index: dict[str, int] = {}
         self.lifted_count = 0
+        # The top-level bindings in scope for the code being compiled: each
+        # global initializer sees the globals before it, every function all
+        # of them.  Built once per phase, not once per function or lambda.
+        self._bindings: dict[str, object] = {}
+        self._env_digest: Optional[bytes] = None
 
     # -- entry point -------------------------------------------------------------
 
@@ -343,17 +366,19 @@ class MLCompiler:
         # Globals.
         for position, global_decl in enumerate(self.module.globals):
             compiled = compile_type(global_decl.type)
+            self._bindings = self._top_level_bindings()
             init_instrs, init_type = self.compile_expr(
-                CompileEnv(self._top_level_bindings()), global_decl.init, FunctionBuilder(0)
+                CompileEnv(self._bindings), global_decl.init, FunctionBuilder(0)
             )
             self.global_index[global_decl.name] = position
             self.global_decls.append(
                 Global(compiled.pretype, True, tuple(init_instrs), (), global_decl.name)
             )
+        self._bindings = self._top_level_bindings()
 
-        # Compile the top-level functions.
+        # Check and compile the top-level functions.
         for function in self.module.functions:
-            compiled = self._compile_top_function(function)
+            compiled = self._compile_function_unit(function)
             self.functions[self.function_index[function.name]] = compiled
 
         # An exported ``_init`` function re-establishes the globals; the Wasm
@@ -369,6 +394,54 @@ class MLCompiler:
             table=table,
             name=self.module.name,
         )
+
+    # -- per-function units ----------------------------------------------------------
+
+    def env_digest(self) -> bytes:
+        """Digest of what one function's check and compilation can see of
+        the rest of the module: the imports, every global's name and type,
+        and every function's name, index and signature (indices follow from
+        the order) — everything except other function bodies and global
+        initializers."""
+
+        if self._env_digest is None:
+            self._env_digest = structural_digest((
+                self.module.imports,
+                tuple((g.name, g.type) for g in self.module.globals),
+                tuple((f.name, f.param_type, f.result_type) for f in self.module.functions),
+            ))
+        return self._env_digest
+
+    def _compile_function_unit(self, function: MLFunction) -> Function:
+        """Check and compile one top-level function, through the unit cache.
+
+        The unit holds the function plus the lambdas it lifted and the
+        table entries it appended; the key carries the lifted-function and
+        table bases, which the cached code bakes in as absolute indices.
+        Type errors raise before anything is cached.
+        """
+
+        units = self.unit_cache
+        lifted_base = len(self.functions)
+        table_base = len(self.table_entries)
+        if units is not None:
+            key = units.frontend_key("ml", function, self.env_digest(), lifted_base, table_base)
+            cached = units.get("frontend", key)
+            if cached is not None:
+                compiled, lifted, table = cached
+                self.functions.extend(lifted)
+                self.table_entries.extend(table)
+                self.lifted_count += len(lifted)
+                return compiled
+        check_function(self.checked, function)
+        compiled = self._compile_top_function(function)
+        if units is not None:
+            units.put("frontend", key, (
+                compiled,
+                tuple(self.functions[lifted_base:]),
+                tuple(self.table_entries[table_base:]),
+            ))
+        return compiled
 
     # -- helpers ---------------------------------------------------------------------
 
@@ -388,27 +461,14 @@ class MLCompiler:
                 )
         return bindings
 
-    def _type_env(self) -> TypeEnv:
-        env: dict[str, MLType] = {}
-        for imported in self.module.imports:
-            env[imported.binding_name] = TFun(imported.param_type, imported.result_type)
-        for global_decl in self.module.globals:
-            env[global_decl.name] = global_decl.type
-        for name, ftype in self.checked.function_types.items():
-            env[name] = ftype
-        return TypeEnv(env)
-
     def _infer(self, env_types: dict[str, MLType], expr: Expr) -> MLType:
-        base = self._type_env()
-        for name, ty in env_types.items():
-            base = base.extend(name, ty)
-        return check_expr(base, expr)
+        return check_expr(TypeEnv({**self.checked.env.bindings, **env_types}), expr)
 
     def _compile_top_function(self, function: MLFunction) -> Function:
         param_type = compile_type(function.param_type)
         result_type = compile_type(function.result_type)
         builder = FunctionBuilder(param_count=1)
-        env = CompileEnv(self._top_level_bindings()).extend_local(
+        env = CompileEnv(self._bindings).extend_local(
             function.param, 0, function.param_type
         )
         body_instrs, body_type = self.compile_expr(env, function.body, builder)
@@ -425,7 +485,7 @@ class MLCompiler:
     def _build_init_function(self) -> Function:
         body: list[Instr] = []
         builder = FunctionBuilder(param_count=0)
-        env = CompileEnv(self._top_level_bindings())
+        env = CompileEnv(self._bindings)
         for global_decl in self.module.globals:
             init_instrs, _ = self.compile_expr(env, global_decl.init, builder)
             body.extend(init_instrs)
@@ -459,7 +519,7 @@ class MLCompiler:
         result_type = compile_type(result_ml)
 
         builder = FunctionBuilder(param_count=2)
-        compile_env = CompileEnv(self._top_level_bindings()).extend_local(lam.param, 0, lam.param_type)
+        compile_env = CompileEnv(self._bindings).extend_local(lam.param, 0, lam.param_type)
 
         # Unpack the environment struct into fresh locals.  The block declares
         # its local effects so the new types of the field locals are visible to
@@ -936,7 +996,7 @@ def _size_bits(ty: Type) -> int:
 
 def compile_ml_module(
     module: MLModule, *, lower: bool = False, cache=None, config=None,
-    optimize=_UNSET, memory_pages=_UNSET, engine=_UNSET,
+    optimize=_UNSET, memory_pages=_UNSET, engine=_UNSET, unit_cache=None,
 ):
     """Type-check and compile an ML module to RichWasm.
 
@@ -952,10 +1012,14 @@ def compile_ml_module(
     pre-:mod:`repro.api` surface (one :class:`DeprecationWarning` per call,
     and passing any of them implies lowering); ``optimize=True`` maps to
     ``O2``.
+
+    ``unit_cache`` (a :class:`repro.compilepipe.FunctionUnitCache`) reuses
+    the per-function frontend units of earlier compiles (see
+    :class:`MLCompiler`).
     """
 
-    checked = check_module(module)
-    richwasm = MLCompiler(checked).compile()
+    checked = check_declarations(module)
+    richwasm = MLCompiler(checked, unit_cache).compile()
     lowered = _codegen_lowering(
         "compile_ml_module", richwasm, lower=lower, cache=cache, config=config,
         legacy={"optimize": optimize, "memory_pages": memory_pages, "engine": engine},

@@ -13,7 +13,7 @@ linking-type extensions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.typing.errors import CompilationError
@@ -194,15 +194,21 @@ def check_expr(env: TypeEnv, expr: Expr) -> MLType:
 
 @dataclass(frozen=True)
 class CheckedModule:
-    """The result of checking a module: per-function and per-global types."""
+    """The result of checking a module: per-function and per-global types.
+
+    ``env`` is the type environment every function body is checked in
+    (imports, globals, then all function signatures).
+    """
 
     module: MLModule
     global_types: dict[str, MLType]
     function_types: dict[str, TFun]
+    env: Optional[TypeEnv] = field(default=None, compare=False, repr=False)
 
 
-def check_module(module: MLModule) -> CheckedModule:
-    """Type-check a whole ML module."""
+def check_declarations(module: MLModule) -> CheckedModule:
+    """Check the global initializers and collect every signature — the
+    whole module except the function bodies (see :func:`check_function`)."""
 
     base: dict[str, MLType] = {}
     for imported in module.imports:
@@ -224,14 +230,25 @@ def check_module(module: MLModule) -> CheckedModule:
         function_types[function.name] = TFun(function.param_type, function.result_type)
 
     # Functions may refer to each other and to the module state.
-    full_env = env
-    for name, ty in function_types.items():
-        full_env = full_env.extend(name, ty)
+    full_env = TypeEnv({**env.bindings, **function_types})
+    return CheckedModule(module, global_types, function_types, full_env)
+
+
+def check_function(checked: CheckedModule, function: MLFunction) -> None:
+    """Check one function body against its module's declarations."""
+
+    body_type = check_expr(checked.env.extend(function.param, function.param_type), function.body)
+    if not types_equal(body_type, function.result_type):
+        raise MLTypeError(
+            f"function {function.name!r} declared to return {function.result_type}"
+            f" but its body has type {body_type}"
+        )
+
+
+def check_module(module: MLModule) -> CheckedModule:
+    """Type-check a whole ML module."""
+
+    checked = check_declarations(module)
     for function in module.functions:
-        body_type = check_expr(full_env.extend(function.param, function.param_type), function.body)
-        if not types_equal(body_type, function.result_type):
-            raise MLTypeError(
-                f"function {function.name!r} declared to return {function.result_type}"
-                f" but its body has type {body_type}"
-            )
-    return CheckedModule(module, global_types, function_types)
+        check_function(checked, function)
+    return checked

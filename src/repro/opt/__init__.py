@@ -31,12 +31,14 @@ from .deadfuncs import DeadFunctionPass, reachable_functions
 from .flatten import BlockFlatteningPass
 from .manager import (
     FunctionPass,
+    FunctionPassSegment,
     ModulePass,
     OptimizationResult,
     PassManager,
     PassStats,
     default_passes,
     optimize_module,
+    split_segments,
 )
 from .peephole import PeepholePass
 from .pipelines import (

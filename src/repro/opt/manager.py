@@ -11,6 +11,13 @@ many rewrites it performed.  The :class:`PassManager` runs a named, ordered,
 re-runnable pipeline of passes over every defined function of a module until
 a fixpoint (or an iteration budget) is reached, collecting per-pass
 statistics along the way.
+
+Each round runs the pipeline as :class:`FunctionPassSegment` objects — the
+maximal runs of consecutive function passes between module passes — and
+runs each segment function by function.  Function passes are pure
+functions of the body, so this yields exactly the module a pass-by-pass
+sweep would, and one segment run is one optimize unit of the per-function
+unit cache.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
+from ..core.syntax.intern import structural_digest
 from ..wasm.ast import WasmFunction, WasmModule, count_instrs
 
 
@@ -57,6 +65,73 @@ class ModulePass:
 
     def run_module(self, module: WasmModule) -> tuple[WasmModule, int]:
         raise NotImplementedError
+
+
+class FunctionPassSegment:
+    """A maximal run of consecutive :class:`FunctionPass` objects.
+
+    :meth:`run` applies the whole run to one function and is the single
+    optimize-unit path: the :class:`PassManager` and the parallel compile
+    workers (:mod:`repro.parcompile`) both call it, so their units agree.
+    """
+
+    def __init__(self, passes: Sequence[FunctionPass]) -> None:
+        self.passes = tuple(passes)
+        #: The segment's part of every optimize unit key, digested once.
+        self.key_part = structural_digest(tuple(p.name for p in self.passes))
+
+    def unit_key(self, unit_cache, function: WasmFunction) -> str:
+        return unit_cache.optimize_key(function, self.key_part)
+
+    def run(self, function: WasmFunction, module: WasmModule, unit_cache=None,
+            seconds: Optional[list] = None) -> tuple[WasmFunction, tuple[int, ...]]:
+        """``function`` after every pass of the segment, plus each pass's
+        rewrite count, memoized in ``unit_cache`` (when given) as one unit.
+
+        ``seconds`` (one slot per pass) accumulates the time of passes that
+        actually ran; a unit hit runs none.
+        """
+
+        key = None
+        if unit_cache is not None:
+            key = self.unit_key(unit_cache, function)
+            cached = unit_cache.get("optimize", key)
+            if cached is not None:
+                return cached
+        counts = []
+        for position, pass_ in enumerate(self.passes):
+            started = time.perf_counter()
+            rewritten, count = pass_.run(function, module)
+            if seconds is not None:
+                seconds[position] += time.perf_counter() - started
+            if count:
+                function = rewritten
+            counts.append(count)
+        result = (function, tuple(counts))
+        if unit_cache is not None:
+            unit_cache.put("optimize", key, result)
+        return result
+
+
+def split_segments(
+    passes: Sequence[Union[FunctionPass, ModulePass]],
+) -> list[Union[FunctionPassSegment, ModulePass]]:
+    """``passes`` with each maximal run of function passes grouped into one
+    :class:`FunctionPassSegment` (module passes stay as they are)."""
+
+    segments: list[Union[FunctionPassSegment, ModulePass]] = []
+    run: list[FunctionPass] = []
+    for pass_ in passes:
+        if isinstance(pass_, ModulePass):
+            if run:
+                segments.append(FunctionPassSegment(run))
+                run = []
+            segments.append(pass_)
+        else:
+            run.append(pass_)
+    if run:
+        segments.append(FunctionPassSegment(run))
+    return segments
 
 
 @dataclass
@@ -108,14 +183,15 @@ class PassManager:
         )
         self.max_iterations = max_iterations
         self.validate = validate
-        # A repro.compilepipe.FunctionUnitCache: memoizes each (pass name,
-        # function version) step.  Sound because FunctionPasses are pure
+        # A repro.compilepipe.FunctionUnitCache: memoizes each (segment,
+        # function version) round.  Sound because FunctionPasses are pure
         # functions of the body — they receive the module but none of the
         # shipped passes reads it.
         self.unit_cache = unit_cache
         names = [p.name for p in self.passes]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate pass names in pipeline: {names}")
+        self.segments = split_segments(self.passes)
 
     def run(self, module: WasmModule) -> OptimizationResult:
         stats = {p.name: PassStats(p.name) for p in self.passes}
@@ -138,39 +214,35 @@ class PassManager:
             instructions_after=module.instruction_count(),
         )
 
-    def _run_function_pass(self, pass_: FunctionPass, function: WasmFunction, module: WasmModule) -> tuple[WasmFunction, int]:
-        units = self.unit_cache
-        if units is None:
-            return pass_.run(function, module)
-        key = units.optimize_key(function, pass_.name)
-        cached = units.get("optimize", key)
-        if cached is None:
-            cached = pass_.run(function, module)
-            units.put("optimize", key, cached)
-        return cached
-
     def _run_pipeline_once(self, module: WasmModule, stats: dict[str, PassStats]) -> tuple[WasmModule, int]:
         total_rewrites = 0
-        for pass_ in self.passes:
-            started = time.perf_counter()
-            if isinstance(pass_, ModulePass):
-                module, rewrites = pass_.run_module(module)
-            else:
-                rewrites = 0
-                functions = list(module.functions)
-                changed = False
-                for index, function in enumerate(functions):
-                    if not isinstance(function, WasmFunction):
-                        continue
-                    rewritten, count = self._run_function_pass(pass_, function, module)
-                    if count:
-                        functions[index] = rewritten
-                        rewrites += count
-                        changed = True
-                if changed:
-                    module = replace(module, functions=tuple(functions))
-            stats[pass_.name].merge_run(rewrites, time.perf_counter() - started)
-            total_rewrites += rewrites
+        for segment in self.segments:
+            if isinstance(segment, ModulePass):
+                started = time.perf_counter()
+                module, rewrites = segment.run_module(module)
+                stats[segment.name].merge_run(rewrites, time.perf_counter() - started)
+                total_rewrites += rewrites
+                continue
+            counts = [0] * len(segment.passes)
+            seconds = [0.0] * len(segment.passes)
+            functions = list(module.functions)
+            changed = False
+            for index, function in enumerate(functions):
+                if not isinstance(function, WasmFunction):
+                    continue
+                rewritten, function_counts = segment.run(
+                    function, module, self.unit_cache, seconds
+                )
+                if any(function_counts):
+                    functions[index] = rewritten
+                    changed = True
+                for position, count in enumerate(function_counts):
+                    counts[position] += count
+            if changed:
+                module = replace(module, functions=tuple(functions))
+            for pass_, rewrites, spent in zip(segment.passes, counts, seconds):
+                stats[pass_.name].merge_run(rewrites, spent)
+                total_rewrites += rewrites
         return module, total_rewrites
 
 

@@ -19,10 +19,10 @@ is no parallel-only code path that could produce a different module.
 Two phases hang off :meth:`repro.runtime.ModuleCache.lower`'s miss path:
 
 * **Phase A** (:func:`precompute_function_units`), before ``lower_module``:
-  workers lower each assigned RichWasm function, run the ``FunctionPass``
-  chain on it to a local fixpoint (caching every (pass, version) step,
-  including the zero-rewrite confirms the parent's global fixpoint will
-  look up), validate it against a *signature skeleton*
+  workers lower each assigned RichWasm function, run the function-pass
+  segments on it to a local fixpoint (caching every (segment, version)
+  round, including the zero-rewrite confirms the parent's global fixpoint
+  will look up), validate it against a *signature skeleton*
   (:meth:`repro.lower.compiler.ModuleLowering.signature_skeleton` — same
   ``wasm_signature_digest`` as the final module, so the unit keys match),
   and flat-decode it.  ``ModulePass``es (dead-function stubbing) stay
@@ -223,10 +223,10 @@ class _TieredUnits:
 
         return lower_unit_key(function, module)
 
-    def optimize_key(self, function, pass_name: str) -> str:
+    def optimize_key(self, function, segment) -> str:
         from .compilepipe import optimize_unit_key
 
-        return optimize_unit_key(function, pass_name)
+        return optimize_unit_key(function, segment)
 
     def validate_key(self, function, module) -> str:
         from .compilepipe import validate_unit_key
@@ -262,7 +262,7 @@ def _function_unit_state(payload: dict) -> dict:
         "tiered": tiered,
         "lowering": lowering,
         "skeleton": lowering.signature_skeleton(),
-        "passes": payload["passes"],
+        "segments": payload["segments"],
         "max_iterations": payload["max_iterations"],
         "validate": payload["validate"],
     }
@@ -279,23 +279,17 @@ def _process_function_unit(state: dict, index: int) -> None:
     skeleton = state["skeleton"]
     function = lowering._lower_function_cached(lowering.module.functions[index])
 
-    # The FunctionPass chain to a local fixpoint, caching every
-    # (pass, version) step — *including* the zero-rewrite confirms at the
-    # final version, which the parent's global fixpoint iterations look up.
-    passes = state["passes"]
-    if passes:
+    # The function-pass segments to a local fixpoint, caching every
+    # (segment, version) round — *including* the zero-rewrite confirms at
+    # the final version, which the parent's global fixpoint iterations look
+    # up.
+    segments = state["segments"]
+    if segments:
         for _ in range(state["max_iterations"]):
             rewrites = 0
-            for pass_ in passes:
-                key = tiered.optimize_key(function, pass_.name)
-                cached = tiered.get("optimize", key)
-                if cached is None:
-                    cached = pass_.run(function, skeleton)
-                    tiered.put("optimize", key, cached)
-                rewritten, count = cached
-                if count:
-                    function = rewritten
-                    rewrites += count
+            for segment in segments:
+                function, counts = segment.run(function, skeleton, tiered)
+                rewrites += sum(counts)
             if rewrites == 0:
                 break
 
@@ -529,10 +523,10 @@ def _run_pool(
 # ---------------------------------------------------------------------------
 
 
-def _function_passes(passes) -> list:
-    from .opt.manager import FunctionPass
+def _function_segments(passes) -> list:
+    from .opt.manager import FunctionPassSegment, split_segments
 
-    return [p for p in (passes or ()) if isinstance(p, FunctionPass)]
+    return [s for s in split_segments(passes or ()) if isinstance(s, FunctionPassSegment)]
 
 
 def precompute_function_units(
@@ -547,7 +541,7 @@ def precompute_function_units(
     """Phase A: pre-seed lower/optimize/validate/decode units in parallel.
 
     Plans the fan-out (which defined functions still miss their lower unit,
-    or — when only the pass pipeline changed — their first optimize step),
+    or — when only the pass pipeline changed — their first optimize round),
     pre-warms the digests the keys hash (so forked children inherit them
     cached), and runs the pool.  Returns the report (``None`` only when
     ``config.compile_workers <= 1``); the caller then runs the unchanged
@@ -561,11 +555,11 @@ def precompute_function_units(
     if report is None:
         report = ParcompileReport(workers=workers)
     try:
-        from .compilepipe import lower_unit_key, optimize_unit_key
+        from .compilepipe import lower_unit_key
         from .core.syntax.modules import Function, signature_env_digest
 
         pipeline = passes if passes is not None else config.passes()
-        function_passes = _function_passes(pipeline)
+        segments = _function_segments(pipeline)
         signature_env_digest(richwasm)  # digest pre-warm, inherited by children
 
         tasks: list[tuple[int, int]] = []
@@ -575,11 +569,8 @@ def precompute_function_units(
             cached = units.peek("lower", lower_unit_key(decl, richwasm))
             if cached is None:
                 tasks.append((index, decl.instruction_count()))
-            elif function_passes and (
-                units.peek(
-                    "optimize", optimize_unit_key(cached[0], function_passes[0].name)
-                )
-                is None
+            elif segments and (
+                units.peek("optimize", segments[0].unit_key(units, cached[0])) is None
             ):
                 # Lowering is warm but the (new) pipeline's chain is not —
                 # the opt-level-change recompile still fans out.
@@ -590,7 +581,7 @@ def precompute_function_units(
         payload = {
             "richwasm": richwasm,
             "memory_pages": config.memory_pages,
-            "passes": function_passes,
+            "segments": segments,
             "max_iterations": 8,
             "validate": bool(getattr(config, "validate_wasm", True)),
             "units": units,

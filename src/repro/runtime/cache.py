@@ -227,8 +227,8 @@ class ModuleCache:
         self._typechecked: dict[str, object] = {}
         #: Function-granular units under the module-level stages: a miss at
         #: module granularity (one edited function) still reuses every
-        #: unchanged function's typecheck/lower/optimize/validate/decode/
-        #: translate work through this cache.
+        #: unchanged function's frontend/link/typecheck/lower/optimize/
+        #: validate/decode/translate work through this cache.
         self.units = FunctionUnitCache()
         #: The durable tier (duck-typed ``get``/``put``/``stats``; see
         #: :class:`repro.cluster.DiskCache`), or ``None`` for memory-only.
@@ -324,7 +324,8 @@ class ModuleCache:
         safe when the modules came from an already-checked ``Program``
         (the :class:`repro.api.CompileConfig.check_links` toggle).  The
         per-module and linked-result type checks run through the memoized
-        :meth:`typecheck` stage.
+        :meth:`typecheck` stage, and each remapped declaration is a link
+        unit of :attr:`units`.
         """
 
         from ..ffi.link import link_modules
@@ -339,7 +340,9 @@ class ModuleCache:
             self._memory_stats["link"].record("hit")
             return linked
         self._memory_stats["link"].record("miss")
-        linked = link_modules(modules, name=name, check=check, checker=self.typecheck)
+        linked = link_modules(
+            modules, name=name, check=check, checker=self.typecheck, unit_cache=self.units
+        )
         self._linked[key] = linked
         if self.disk is not None:
             self.disk.put("link", key, linked)

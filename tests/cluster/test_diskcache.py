@@ -111,6 +111,23 @@ class TestCorruption:
         assert cache.get("lower", "v" * 64) is None
         assert not path.exists()
 
+    def test_format_1_unit_entry_is_a_miss_and_rewritten(self, tmp_path):
+        # Format 1 filed one (function, count) pair per optimize pass; its
+        # ``unit.optimize`` entries must never be read as segment units.
+        assert DISK_FORMAT > 1
+        cache = DiskCache(tmp_path)
+        key = "o" * 64
+        path = self._entry_path(cache, "unit.optimize", key)
+        old = {"format": 1, "stage": "unit.optimize", "key": key, "payload": ("fn", 3)}
+        path.write_bytes(pickle.dumps(old))
+        assert cache.get("unit.optimize", key) is None
+        assert not path.exists()
+        assert cache.put("unit.optimize", key, ("fn", (3, 0)))
+        assert pickle.loads(path.read_bytes())["format"] == DISK_FORMAT
+        assert cache.get("unit.optimize", key) == ("fn", (3, 0))
+        stats = cache.stats["disk.unit.optimize"]
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 1, 1)
+
     def test_stage_or_key_mismatch_is_miss_and_evicted(self, tmp_path):
         # A well-formed entry filed under the wrong name (e.g. a collision
         # or a renamed directory) must not be served.

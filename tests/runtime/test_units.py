@@ -25,9 +25,22 @@ from repro.compilepipe import (
     unit_key,
     wasm_signature_digest,
 )
+from repro.l3 import (
+    L3Function, L3TypeError, LBinOp, LFree, LInt, LIntLit, LLet, LNew, LVar, check_l3_module,
+    l3_module,
+)
 from repro.lower import lower_module
+from repro.ml import (
+    App, Assign, BinOp, Deref, IntLit, Lam, Let, MkRef, MLFunction, MLGlobal, MLImport,
+    MLTypeError, Seq, TBool, TInt, TRef, Var, ml_module,
+)
+from repro.ml.typecheck import check_module as check_ml_module
 from repro.obs.metrics import default_registry
+from repro.opt import FunctionPassSegment, PassManager, pipeline_passes, split_segments
+from repro.opt.manager import ModulePass, PassStats
 from repro.runtime import ModuleCache
+from repro.runtime.cache import content_key
+from repro.wasm.ast import WasmFunction
 
 from workloads import edit_one_function, synthetic_module
 
@@ -261,5 +274,256 @@ class TestDiagnosticsUnits:
 
     def test_unit_stages_cover_the_pipeline(self):
         assert UNIT_STAGES == (
-            "typecheck", "lower", "optimize", "validate", "decode", "translate",
+            "frontend", "link", "typecheck", "lower", "optimize", "validate", "decode",
+            "translate",
         )
+
+
+# ---------------------------------------------------------------------------
+# Source-level units: frontend, link and optimize-segment reuse
+# ---------------------------------------------------------------------------
+
+SOURCE_CONFIG = CompileConfig(opt_level="O2", cache="private")
+
+
+def _lib():
+    return l3_module("lib", functions=[
+        L3Function("c0", "x", LInt(), LInt(),
+                   LBinOp("+", LBinOp("*", LVar("x"), LIntLit(3)), LIntLit(1))),
+        L3Function("c1", "x", LInt(), LInt(),
+                   LLet("o", LNew(LVar("x")), LBinOp("+", LFree(LVar("o")), LIntLit(2)))),
+    ])
+
+
+def _app_functions(main_k=5):
+    return [
+        # Module state through the global.
+        MLFunction("bump", "x", TInt(), TInt(), Seq(
+            Assign(Var("counter"), BinOp("+", Deref(Var("counter")), Var("x"))),
+            Deref(Var("counter")),
+        )),
+        # A closure capturing ``x``: lambda-lifted into a table entry.
+        MLFunction("twice", "x", TInt(), TInt(), Let(
+            "f", Lam("y", TInt(), BinOp("+", Var("y"), Var("x"))),
+            App(Var("f"), App(Var("f"), IntLit(1))),
+        )),
+        # Cross-function and cross-language calls.
+        MLFunction("main", "x", TInt(), TInt(),
+                   App(Var("twice"), BinOp("+", App(Var("c0"), Var("x")), IntLit(main_k)))),
+        MLFunction("tail", "x", TInt(), TInt(), App(Var("bump"), App(Var("c1"), Var("x")))),
+    ]
+
+
+def _app(functions):
+    return ml_module(
+        "app",
+        imports=[MLImport("lib", "c0", TInt(), TInt()), MLImport("lib", "c1", TInt(), TInt())],
+        globals=[MLGlobal("counter", TRef(TInt()), MkRef(IntLit(0)))],
+        functions=functions,
+    )
+
+
+def _sources(functions=None, lib=None):
+    return {
+        "app": _app(functions if functions is not None else _app_functions()),
+        "lib": lib if lib is not None else _lib(),
+    }
+
+
+def _replace_function(functions, name, new):
+    return [new if function.name == name else function for function in functions]
+
+
+def _assert_same_as_fresh(program, sources, config=SOURCE_CONFIG):
+    fresh = api.compile(sources, config, cache=ModuleCache())
+    assert program.key == fresh.key
+    assert program.wasm == fresh.wasm
+    assert content_key("wasm", program.wasm) == content_key("wasm", fresh.wasm)
+    return fresh
+
+
+def _run(program, calls):
+    interpreter, instance = program.instantiate()
+    interpreter.invoke(instance, "app._init", [])
+    return [interpreter.invoke(instance, export, [arg])[0] for export, arg in calls]
+
+
+N_SOURCE_FUNCTIONS = len(_app_functions()) + len(_lib().functions)
+
+
+class TestSourceLevelUnits:
+    def test_cold_compile_looks_up_every_function_once(self):
+        program = api.compile(_sources(), SOURCE_CONFIG, cache=ModuleCache())
+        units = program.diagnostics.units
+        assert units["frontend"] == {"reused": 0, "compiled": N_SOURCE_FUNCTIONS}
+        # Every defined declaration (lifted lambda and ``_init`` included)
+        # is one link unit.
+        assert units["link"]["reused"] == 0
+        assert units["link"]["compiled"] == N_SOURCE_FUNCTIONS + 2 + 1  # + lambda, _init, global
+        assert _run(program, [("main", 2), ("tail", 4)]) == [2 * (7 + 5) + 1, 6]
+
+    def test_body_edit_recompiles_one_function(self):
+        cache = ModuleCache()
+        api.compile(_sources(), SOURCE_CONFIG, cache=cache)
+        edited = _sources(_replace_function(
+            _app_functions(), "tail",
+            MLFunction("tail", "x", TInt(), TInt(), App(Var("bump"), App(Var("c0"), Var("x")))),
+        ))
+        program = api.compile(edited, SOURCE_CONFIG, cache=cache)
+        units = program.diagnostics.units
+        assert units["frontend"] == {"reused": N_SOURCE_FUNCTIONS - 1, "compiled": 1}
+        assert units["link"]["compiled"] == 1
+        assert units["lower"]["compiled"] == 1
+        # One segment unit per round for the edited function only.
+        assert units["optimize"]["compiled"] <= 3
+        _assert_same_as_fresh(program, edited)
+        assert _run(program, [("tail", 4)]) == [13]
+
+    def test_unchanged_functions_come_back_as_the_same_objects(self):
+        cache = ModuleCache()
+        first = api.compile(_sources(), SOURCE_CONFIG, cache=cache)
+        second = api.compile(
+            _sources(_app_functions(main_k=6)), SOURCE_CONFIG, cache=cache
+        )
+        same = [a is b for a, b in zip(first.richwasm.functions, second.richwasm.functions)]
+        assert same.count(False) == 1
+
+    def test_edit_adding_a_lambda_equals_fresh_compile(self):
+        cache = ModuleCache()
+        api.compile(_sources(), SOURCE_CONFIG, cache=cache)
+        # ``bump`` precedes ``twice``: its new lambda shifts the lifted
+        # function and table bases every later unit baked in.
+        edited = _sources(_replace_function(
+            _app_functions(), "bump",
+            MLFunction("bump", "x", TInt(), TInt(), Let(
+                "g", Lam("z", TInt(), BinOp("*", Var("z"), IntLit(2))),
+                App(Var("g"), Var("x")),
+            )),
+        ))
+        program = api.compile(edited, SOURCE_CONFIG, cache=cache)
+        assert program.diagnostics.units["frontend"]["compiled"] >= 2
+        _assert_same_as_fresh(program, edited)
+        assert _run(program, [("bump", 5), ("main", 2), ("tail", 1)]) == [10, 25, 6]
+
+    def test_signature_edit_misses_every_function_of_its_module(self):
+        cache = ModuleCache()
+        api.compile(_sources(), SOURCE_CONFIG, cache=cache)
+        edited = _sources(_replace_function(
+            _app_functions(), "tail",
+            MLFunction("tail", "x", TInt(), TBool(),
+                       BinOp("<", App(Var("bump"), App(Var("c1"), Var("x"))), IntLit(10))),
+        ))
+        program = api.compile(edited, SOURCE_CONFIG, cache=cache)
+        ml_functions = len(_app_functions())
+        assert program.diagnostics.units["frontend"] == {
+            "reused": N_SOURCE_FUNCTIONS - ml_functions, "compiled": ml_functions,
+        }
+        _assert_same_as_fresh(program, edited)
+
+    def test_ill_typed_ml_edit_raises_the_same_error_and_caches_nothing(self):
+        cache = ModuleCache()
+        api.compile(_sources(), SOURCE_CONFIG, cache=cache)
+        bad = _sources(_replace_function(
+            _app_functions(), "twice",
+            MLFunction("twice", "x", TInt(), TInt(), BinOp("<", Var("x"), IntLit(1))),
+        ))
+        with pytest.raises(MLTypeError) as expected:
+            check_ml_module(bad["app"])
+        for _ in range(2):  # the failure is not cached: it raises again
+            with pytest.raises(MLTypeError) as raised:
+                api.compile(bad, SOURCE_CONFIG, cache=cache)
+            assert str(raised.value) == str(expected.value)
+        good = _sources(_app_functions(main_k=9))
+        program = api.compile(good, SOURCE_CONFIG, cache=cache)
+        _assert_same_as_fresh(program, good)
+
+    def test_ill_typed_l3_edit_raises_the_same_error(self):
+        cache = ModuleCache()
+        api.compile(_sources(), SOURCE_CONFIG, cache=cache)
+        lib = _lib()
+        # The owned cell is used twice: a linearity violation.
+        bad_lib = l3_module("lib", functions=[lib.functions[0], L3Function(
+            "c1", "x", LInt(), LInt(),
+            LLet("o", LNew(LVar("x")), LBinOp("+", LFree(LVar("o")), LFree(LVar("o")))),
+        )])
+        with pytest.raises(L3TypeError) as expected:
+            check_l3_module(bad_lib)
+        with pytest.raises(L3TypeError) as raised:
+            api.compile(_sources(lib=bad_lib), SOURCE_CONFIG, cache=cache)
+        assert str(raised.value) == str(expected.value)
+        program = api.compile(_sources(), SOURCE_CONFIG, cache=cache)
+        assert program.diagnostics.cache["program"] == "hit"
+
+    @pytest.mark.parametrize("opt_level", ["O1", "O2"])
+    def test_optimize_output_and_stats_equal_with_and_without_units(self, opt_level):
+        config = CompileConfig(opt_level=opt_level, cache="private")
+        cached = api.compile(_sources(), config, cache=ModuleCache())
+        uncached = api.compile(_sources(), config.replace(cache="none"))
+        assert cached.wasm == uncached.wasm
+
+        def rewrites(program):
+            return [(s.name, s.runs, s.rewrites) for s in program.lowered.optimization.stats]
+
+        assert rewrites(cached) == rewrites(uncached)
+
+
+# ---------------------------------------------------------------------------
+# Function-pass segments
+# ---------------------------------------------------------------------------
+
+
+def _pass_by_pass(module, passes, max_iterations=8):
+    """The reference schedule: every pass sweeps every function in turn."""
+
+    from dataclasses import replace
+
+    stats = {p.name: PassStats(p.name) for p in passes}
+    for _ in range(max_iterations):
+        total = 0
+        for pass_ in passes:
+            if isinstance(pass_, ModulePass):
+                module, rewrites = pass_.run_module(module)
+            else:
+                rewrites = 0
+                functions = list(module.functions)
+                for index, function in enumerate(functions):
+                    if isinstance(function, WasmFunction):
+                        rewritten, count = pass_.run(function, module)
+                        if count:
+                            functions[index] = rewritten
+                            rewrites += count
+                module = replace(module, functions=tuple(functions))
+            stats[pass_.name].merge_run(rewrites, 0.0)
+            total += rewrites
+        if total == 0:
+            break
+    return module, [(s.name, s.runs, s.rewrites) for s in stats.values()]
+
+
+class TestFunctionPassSegments:
+    def test_split_groups_runs_between_module_passes(self):
+        passes = pipeline_passes("O2")
+        segments = split_segments(passes)
+        assert [type(s).__name__ for s in segments] == ["FunctionPassSegment", "DeadFunctionPass"]
+        assert segments[0].passes == tuple(passes[:-1])
+        interleaved = split_segments([passes[0], passes[-1], passes[1], passes[2]])
+        assert [len(s.passes) if isinstance(s, FunctionPassSegment) else "module"
+                for s in interleaved] == [1, "module", 2]
+
+    @pytest.mark.parametrize("opt_level", ["O1", "O2"])
+    def test_segment_schedule_equals_pass_by_pass(self, opt_level):
+        wasm = lower_module(synthetic_module(2, functions=6)).wasm
+        expected_module, expected_stats = _pass_by_pass(wasm, pipeline_passes(opt_level))
+        for unit_cache in (None, FunctionUnitCache()):
+            result = PassManager(
+                pipeline_passes(opt_level), validate=False, unit_cache=unit_cache
+            ).run(wasm)
+            assert result.module == expected_module
+            assert [(s.name, s.runs, s.rewrites) for s in result.stats] == expected_stats
+
+    def test_o2_looks_up_one_unit_per_function_per_round(self):
+        wasm = lower_module(synthetic_module(2, functions=6)).wasm
+        units = FunctionUnitCache()
+        result = PassManager(pipeline_passes("O2"), validate=False, unit_cache=units).run(wasm)
+        defined = sum(isinstance(f, WasmFunction) for f in wasm.functions)
+        assert units.stats["optimize"].lookups == defined * result.iterations
