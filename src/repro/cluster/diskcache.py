@@ -49,8 +49,10 @@ __all__ = ["DISK_FORMAT", "DiskCache", "DiskEntry", "shared_disk_module_cache"]
 #: anything about how entries are interpreted) changes; a stamp mismatch is
 #: a miss + eviction, never an attempt to read the old layout.  Format 2:
 #: ``unit.optimize`` entries hold one function-pass segment's result
-#: (function, per-pass rewrite counts) instead of one pass's.
-DISK_FORMAT = 2
+#: (function, per-pass rewrite counts) instead of one pass's.  Format 3:
+#: ``unit.translate`` chunks emit each step chunk once and deoptimize to the
+#: flat VM (their keys hash the function, not the emitter).
+DISK_FORMAT = 3
 
 _SUFFIX = ".pkl"
 

@@ -625,7 +625,18 @@ class FlatVMEngine(ExecutionEngine):
             decoded = self._decode(instance)
         return self._run(instance, decoded, index, args)
 
-    def _run(self, instance: WasmInstance, decoded: list, index: int, args: list[WasmValue]) -> list[WasmValue]:
+    def _run(
+        self, instance: WasmInstance, decoded: list, index: int, args: list[WasmValue], resume=None
+    ) -> list[WasmValue]:
+        """Run function ``index`` to its return.
+
+        ``resume`` — ``(pc, locals, stack, labels)`` — enters the function
+        mid-body instead of at pc 0 with ``args``: the compiled tier hands
+        an activation over this way when a step budget or profiler sample
+        falls inside one of its step chunks (``stack`` is the activation's
+        own operand stack; ``labels`` its enclosing label stack).
+        """
+
         flat: FlatFunction = decoded[index]
 
         funcs_table = instance.table
@@ -633,20 +644,22 @@ class FlatVMEngine(ExecutionEngine):
         memory = instance.memory
         mdata = memory.data if memory is not None else None
 
-        # Entry frame: normalize arguments (mirrors the tree walker, which
-        # normalizes the provided prefix of the parameter list).
-        locals_: list[WasmValue] = list(args)
-        params = flat.functype.params
-        for position in range(min(len(params), len(locals_))):
-            locals_[position] = _normalize(params[position], locals_[position])
-        locals_.extend(flat.local_inits)
-
-        stack: list[WasmValue] = []
-        labels: list[tuple] = []
+        if resume is None:
+            # Entry frame: normalize arguments (mirrors the tree walker,
+            # which normalizes the provided prefix of the parameter list).
+            locals_: list[WasmValue] = list(args)
+            params = flat.functype.params
+            for position in range(min(len(params), len(locals_))):
+                locals_[position] = _normalize(params[position], locals_[position])
+            locals_.extend(flat.local_inits)
+            stack: list[WasmValue] = []
+            labels: list[tuple] = []
+            pc = 0
+        else:
+            pc, locals_, stack, labels = resume
         frames: list[tuple] = []
         code = flat.code
         code_len = len(code)
-        pc = 0
         cur_base = 0
         cur_nres = flat.n_results
         cur_flat = flat

@@ -128,6 +128,24 @@ class TestCorruption:
         stats = cache.stats["disk.unit.optimize"]
         assert (stats.hits, stats.misses, stats.evictions) == (1, 1, 1)
 
+    def test_format_2_translate_unit_is_a_miss_and_rewritten(self, tmp_path):
+        # Format 2 translate units carry two-arm step chunks; their keys hash
+        # the function rather than the emitter, so only the stamp keeps
+        # them from resurfacing.
+        assert DISK_FORMAT > 2
+        cache = DiskCache(tmp_path)
+        key = "x" * 64
+        path = self._entry_path(cache, "unit.translate", key)
+        old = {"format": 2, "stage": "unit.translate", "key": key, "payload": (0, "two arms", "register")}
+        path.write_bytes(pickle.dumps(old))
+        assert cache.get("unit.translate", key) is None
+        assert not path.exists()
+        assert cache.put("unit.translate", key, (0, "one arm", "register"))
+        assert pickle.loads(path.read_bytes())["format"] == DISK_FORMAT
+        assert cache.get("unit.translate", key) == (0, "one arm", "register")
+        stats = cache.stats["disk.unit.translate"]
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 1, 1)
+
     def test_stage_or_key_mismatch_is_miss_and_evicted(self, tmp_path):
         # A well-formed entry filed under the wrong name (e.g. a collision
         # or a renamed directory) must not be served.

@@ -80,7 +80,7 @@ class TestParity:
         # The compiled tier batches its boundary checks per basic block; the
         # samples must still land on the identical (step, function) pairs at
         # every phase of the block structure, including interval 1 (a
-        # boundary on every single step — the careful arm throughout).
+        # boundary on every single step, so every chunk deoptimizes).
         for interval in (1, 3, 16):
             flat = run_profiled("flat", interval=interval)
             compiled = run_profiled("compiled", interval=interval)

@@ -15,26 +15,37 @@ from repro import api
 from repro.api import CompileConfig
 from repro.ml import BinOp, IntLit, MLFunction, TInt, Var, ml_module
 from repro.runtime import ModuleCache
+from repro.lower import lower_module
+from repro.obs import StepProfiler
 from repro.wasm import (
     Binop,
     Const,
     Cvtop,
+    FlatVMEngine,
+    GlobalGet,
+    GlobalSet,
     Load,
     LocalGet,
     LocalSet,
+    LocalTee,
+    Relop,
     StoreI,
     Testop as WTestop,
     ValType,
     WasmFuncType,
     WasmFunction,
+    WasmGlobal,
+    WasmImportedFunction,
     WasmInterpreter,
     WasmMemory,
     WasmModule,
+    WasmTable,
     WasmTrap,
     WBlock,
     WBr,
     WBrIf,
     WCall,
+    WCallIndirect,
     WLoop,
     translate_module,
     validate_module,
@@ -42,6 +53,7 @@ from repro.wasm import (
 from repro.wasm import pygen
 from repro.wasm.decode import decode_module
 from repro.wasm.pygen import ModuleTranslation, adopt_translation, translate_functions
+from workloads import synthetic_module
 
 I32 = ValType.I32
 I64 = ValType.I64
@@ -238,6 +250,246 @@ class TestMidChunkTraps:
             assert reference[0] == unbudgeted
         elif reference[0] == ("trap", "step budget exhausted"):
             assert reference[1] == budget + 1
+
+
+def _counter_global():
+    return WasmGlobal(I32, True, (Const(I32, 5),))
+
+
+def _loop_exit_module():
+    """``main(n)``: a countdown loop whose body is one step chunk that
+    stores to memory, bumps a global, runs the three inlined conversions and
+    leaves the loop through a ``br_if`` in its middle."""
+
+    body = (
+        WBlock(FT((), ()), (
+            WLoop(FT((), ()), (
+                LocalGet(0), Const(I32, 4), Binop(I32, "mul"), LocalGet(0), StoreI(I32, offset=0),
+                GlobalGet(0), LocalGet(0), Binop(I32, "add"), GlobalSet(0),
+                LocalGet(0), Const(I32, 3), Binop(I32, "sub"), Cvtop(I64, "extend_s", I32),
+                LocalGet(0), Cvtop(I64, "extend_u", I32), Binop(I64, "mul"),
+                Cvtop(I32, "wrap", I64), LocalGet(1), Binop(I32, "add"), LocalSet(1),
+                LocalGet(0), WTestop(I32), WBrIf(1),
+                LocalGet(0), Const(I32, 1), Binop(I32, "sub"), LocalSet(0),
+                LocalGet(1), Const(I32, 3), Binop(I32, "add"), LocalSet(1),
+                WBr(0),
+            )),
+        )),
+        LocalGet(1), GlobalGet(0), Binop(I32, "xor"),
+    )
+    main = WasmFunction(FT((I32,), (I32,)), (I32,), body, name="main", exports=("main",))
+    return WasmModule(functions=(main,), globals=(_counter_global(),), memory=WasmMemory(1, 1))
+
+
+def _leaf(name="leaf"):
+    """A twelve-instruction straight-line chunk that also bumps a global."""
+
+    return WasmFunction(FT((I32, I32), (I32,)), (), (
+        LocalGet(0), LocalGet(1), Binop(I32, "add"), Const(I32, 7), Binop(I32, "mul"),
+        LocalGet(0), Binop(I32, "xor"),
+        GlobalGet(0), Const(I32, 1), Binop(I32, "add"), GlobalSet(0),
+        Const(I32, 0x7FFFFFFF), Binop(I32, "and"),
+    ), name=name, exports=(name,))
+
+
+def _calling_loop(call):
+    """``main(n)``: ``acc = call(acc, n)`` while ``n`` counts down."""
+
+    return WasmFunction(FT((I32,), (I32,)), (I32,), (
+        WBlock(FT((), ()), (
+            WLoop(FT((), ()), (
+                LocalGet(1), LocalGet(0), *call, LocalSet(1),
+                LocalGet(0), Const(I32, 1), Binop(I32, "sub"), LocalSet(0),
+                LocalGet(0), Const(I32, 0), Relop(I32, "ne"), WBrIf(0),
+            )),
+        )),
+        LocalGet(1),
+    ), name="main", exports=("main",))
+
+
+def _callee_module():
+    """The callee holds most of the steps; ``main`` stays a thin loop."""
+
+    return WasmModule(functions=(_leaf(), _calling_loop([WCall(0)])), globals=(_counter_global(),))
+
+
+def _caller_module():
+    """``main`` runs long chunks of its own around a direct and an indirect
+    call, so samples landing in ``main`` hand it to the flat VM mid-loop.
+    A value waits under the loop, so its labels have a non-zero base."""
+
+    main = WasmFunction(FT((I32,), (I32,)), (I32,), (
+        Const(I32, 1000),
+        WBlock(FT((), ()), (
+            WLoop(FT((), ()), (
+                LocalGet(1), LocalGet(0), Binop(I32, "add"), Const(I32, 5), Binop(I32, "mul"),
+                LocalGet(0), WCall(0), LocalSet(1),
+                LocalGet(1), Const(I32, 3), Binop(I32, "xor"), LocalGet(0),
+                Const(I32, 0), WCallIndirect(FT((I32, I32), (I32,))), LocalSet(1),
+                LocalGet(0), Const(I32, 1), Binop(I32, "sub"), LocalTee(0), WBrIf(0),
+            )),
+        )),
+        LocalGet(1), Binop(I32, "add"),
+    ), name="main", exports=("main",))
+    return WasmModule(
+        functions=(_leaf(), _leaf("other"), main),
+        globals=(_counter_global(),),
+        table=WasmTable((1,)),
+    )
+
+
+def _reentry_module():
+    """``main`` calls a host import that re-enters the engine to run the
+    exported ``leaf`` before answering."""
+
+    imported = WasmImportedFunction(FT((I32, I32), (I32,)), "env", "cb")
+    return WasmModule(
+        functions=(imported, _leaf(), _calling_loop([WCall(0)])), globals=(_counter_global(),)
+    )
+
+
+def _reentry_hosts(interp, holder):
+    def cb(acc, n):
+        (value,) = interp.invoke(holder["inst"], "leaf", [acc, n])
+        return [value + 1]
+
+    return {("env", "cb"): cb}
+
+
+# name: (module factory, main's argument, host-import factory or None)
+_DEOPT_FIXTURES = {
+    "loop with a taken mid-chunk br_if": (_loop_exit_module, 6, None),
+    "callee deopts under a compiled caller": (_callee_module, 5, None),
+    "deopted caller calls compiled functions": (_caller_module, 4, None),
+    "host import re-enters the engine": (_reentry_module, 4, _reentry_hosts),
+}
+
+_DEOPT_ENGINES = ("flat", "compiled", "compiled/list")
+
+
+def _deopt_module(name, engine):
+    factory = _DEOPT_FIXTURES[name][0]
+    module = factory()
+    validate_module(module)
+    if engine == "compiled/list":
+        pygen._remember_translation(
+            module, translate_functions(decode_module(module).flat, module, force_list=True)
+        )
+    return module
+
+
+def _observe_deopt(name, module, engine, *, budget=None, interval=None):
+    _factory, arg, hosts = _DEOPT_FIXTURES[name]
+    interp = WasmInterpreter(max_steps=budget, engine=engine.split("/")[0])
+    holder = {}
+    holder["inst"] = inst = interp.instantiate(module, hosts(interp, holder) if hosts else None)
+    profiler = StepProfiler(interval=interval, keep_trace=True).install(interp) if interval else None
+    try:
+        outcome = ("ok", interp.invoke(inst, "main", [arg]))
+    except WasmTrap as trap:
+        outcome = ("trap", str(trap))
+    memory = bytes(inst.memory.data) if inst.memory is not None else None
+    return outcome, interp.steps, memory, list(inst.globals), profiler.trace if profiler else None
+
+
+@pytest.fixture
+def resumes(monkeypatch):
+    """Every activation the compiled engines hand to the flat VM, as
+    ``(function index, pc)``."""
+
+    seen = []
+
+    def spy(self, instance, decoded, index, args, resume=None):
+        if resume is not None:
+            seen.append((index, resume[0]))
+        return FlatVMEngine._run(self, instance, decoded, index, args, resume)
+
+    monkeypatch.setattr(pygen._FlatTwin, "_run", spy)
+    return seen
+
+
+class TestDeopt:
+    """A budget or sample inside a step chunk resumes the activation on the
+    flat VM at the chunk's first pc; everything observable must match the
+    flat engine on every budget and at every sampling phase."""
+
+    @pytest.mark.parametrize("name", sorted(_DEOPT_FIXTURES))
+    def test_every_budget_and_interval_matches_flat(self, name, resumes):
+        modules = {engine: _deopt_module(name, engine) for engine in _DEOPT_ENGINES}
+        assert "register" in translate_module(modules["compiled"]).modes
+        total = _observe_deopt(name, modules["flat"], "flat")[1]
+        runs = [{"budget": budget} for budget in range(1, total + 1)]
+        runs += [{"interval": interval} for interval in range(1, 9)]
+        for run in runs:
+            observed = {
+                engine: _observe_deopt(name, module, engine, **run) for engine, module in modules.items()
+            }
+            for engine in _DEOPT_ENGINES[1:]:
+                assert observed[engine] == observed["flat"], f"{name}, {run}: {engine} differs from flat"
+        assert resumes, "no run deoptimized"
+
+    def test_budget_trap_inside_a_chunk_deoptimizes(self, resumes):
+        module = _deopt_module("loop with a taken mid-chunk br_if", "compiled")
+        flat = _deopt_module("loop with a taken mid-chunk br_if", "flat")
+        # Step 10 is in the middle of the loop body's first turn.
+        budget = 9
+        expected = _observe_deopt("loop with a taken mid-chunk br_if", flat, "flat", budget=budget)
+        assert expected[:2] == (("trap", "step budget exhausted"), budget + 1)
+        assert _observe_deopt("loop with a taken mid-chunk br_if", module, "compiled", budget=budget) == expected
+        assert resumes == [(0, 2)]  # the loop body's first pc
+
+    def test_callee_sample_leaves_the_caller_compiled(self, resumes):
+        # With one sample per run, a sample landing in ``leaf`` deopts only
+        # ``leaf``: ``main`` sees a stale boundary when it returns, and the
+        # guard must re-read it instead of deoptimizing ``main`` too.
+        name = "callee deopts under a compiled caller"
+        flat = _deopt_module(name, "flat")
+        compiled = _deopt_module(name, "compiled")
+        total = _observe_deopt(name, flat, "flat")[1]
+        in_leaf = 0
+        for interval in range(total // 2 + 1, total + 1):
+            expected = _observe_deopt(name, flat, "flat", interval=interval)
+            del resumes[:]
+            assert _observe_deopt(name, compiled, "compiled", interval=interval) == expected
+            ((_step, function),) = expected[4]
+            if function == "leaf":
+                in_leaf += 1
+                assert [index for index, _pc in resumes] in ([], [0]), f"interval {interval}: {resumes}"
+        assert in_leaf > 0
+
+
+def test_inline_conversions_match_flat():
+    functions = []
+    for op, source, target in (("wrap", I64, I32), ("extend_s", I32, I64), ("extend_u", I32, I64)):
+        functions.append(WasmFunction(FT((source,), (target,)), (), (
+            LocalGet(0), Cvtop(target, op, source),
+        ), exports=(op,)))
+    module = WasmModule(functions=tuple(functions))
+    validate_module(module)
+    source = translate_module(module).source
+    assert "_NT" not in source  # none of the three can trap
+    cases = {
+        "wrap": [0, 1, 0xFFFFFFFF, 0x1_0000_0000, 0xFFFF_FFFF_FFFF_FFFF, 0x8000_0000_8000_0000],
+        "extend_s": [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF],
+        "extend_u": [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF],
+    }
+    flat, compiled = WasmInterpreter(engine="flat"), WasmInterpreter(engine="compiled")
+    flat_inst, compiled_inst = flat.instantiate(module), compiled.instantiate(module)
+    for export, values in cases.items():
+        for value in values:
+            assert compiled.invoke(compiled_inst, export, [value]) == flat.invoke(flat_inst, export, [value])
+
+
+def test_generated_source_size_per_instruction():
+    # Each multi-instruction step chunk is emitted once, behind a guard that
+    # deoptimizes to the flat VM; this pins the size of the output.  (Two
+    # arms per chunk measured 251 characters per instruction here.)
+    wasm = lower_module(synthetic_module(1, functions=50)).wasm
+    source = translate_module(wasm).source
+    instructions = sum(
+        1 for flat in decode_module(wasm).flat if flat is not None for ins in flat.code if ins[0] >= 0
+    )
+    assert len(source) / instructions < 105
 
 
 class TestCacheStage:
