@@ -6,7 +6,7 @@ edited and the module recompiled on the same cache.  Every module-level
 stage misses (the content changed) but all unchanged functions come back
 from the per-function unit cache (:mod:`repro.compilepipe`), so the
 recompile must land at least ``REPRO_INCREMENTAL_SPEEDUP_FLOOR`` (default
-20x) under the cold wall.
+30x) under the cold wall.
 
 The source-level series runs the same experiment one layer up: ML and L3
 *sources* of 100 functions each through ``repro.api.compile``, one ML
@@ -42,10 +42,11 @@ from workloads import (
     synthetic_module,
 )
 
-# Measured headroom is ~25x at 1000 functions; overridable so a heavily
-# contended runner can relax the gate without a code change (same contract
-# as REPRO_COMPILED_SPEEDUP_FLOOR in bench_interpreters.py).
-INCREMENTAL_SPEEDUP_FLOOR = float(os.environ.get("REPRO_INCREMENTAL_SPEEDUP_FLOOR", "20.0"))
+# Measured 44-82x at 1000 functions (ten runs, 2-vCPU VM, Python 3.11) once
+# unit keys and callee sets are memoized on each artifact; overridable so a
+# heavily contended runner can relax the gate without a code change (same
+# contract as REPRO_COMPILED_SPEEDUP_FLOOR in bench_interpreters.py).
+INCREMENTAL_SPEEDUP_FLOOR = float(os.environ.get("REPRO_INCREMENTAL_SPEEDUP_FLOOR", "30.0"))
 
 #: The one-ML-function source edit's floor over its cold compile.
 SOURCE_EDIT_SPEEDUP_FLOOR = 10.0

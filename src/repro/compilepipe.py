@@ -45,9 +45,14 @@ function's compilation can observe about the rest of the module *except*
 other function bodies — which is exactly what makes a one-function edit
 leave the other functions' keys unchanged.
 
-Unchanged functions come back from every stage as the *same objects*, so
-the digests cached on them make the next stage's keys cheap: after a
-one-function source edit only the edited function is digested anew.
+Unchanged functions come back from every stage as the *same objects*, and
+each key builder memoizes its key on the (frozen) artifact it names, under
+the stage and the key's other parts; the dead-function pass does the same
+with each function's callee set.  After a one-function source edit only the
+edited function's new artifacts are keyed, digested and scanned anew — every
+other key is one dictionary lookup.  The memos are never pickled
+(:func:`repro.core.syntax.intern.state_without_memos`), so disk entries and
+worker payloads stay as they were.
 
 The consumers (``ml``, ``l3``, ``ffi``, ``core.typing``, ``lower``, ``opt``,
 ``wasm``) receive the cache as an opaque ``unit_cache`` parameter and call
@@ -66,7 +71,7 @@ from typing import Optional
 
 from .core.syntax.intern import structural_digest
 from .core.syntax.modules import signature_env_digest
-from .obs.metrics import default_registry
+from .obs.metrics import default_registry, label_key
 from .wasm.ast import WasmFunction, WasmModule
 
 #: Stages with per-function unit tables, in pipeline order.
@@ -134,6 +139,37 @@ def wasm_signature_digest(module: WasmModule) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+#: type -> whether its instances carry memos, decided once per type.
+_MEMO_TYPES: dict[type, bool] = {}
+
+
+def _memoized_key(stage: str, obj, before: tuple, after: tuple) -> str:
+    """``unit_key(stage, *before, structural_digest(obj), *after)``,
+    memoized in ``obj.__dict__`` under ``(stage, *before, *after)``.
+
+    ``before``/``after`` are every key part except ``obj``'s own digest
+    (environment/signature digests, flags, the segment part, the slot
+    index, ...), so a memo hit names exactly the key a fresh build would
+    compute.  Only frozen dataclass instances carry memos — the rule
+    :func:`~repro.core.syntax.structural_digest` applies to ``_hc_digest``
+    — and the tuple-keyed entries never pickle
+    (:func:`~repro.core.syntax.intern.state_without_memos`).
+    """
+
+    cls = type(obj)
+    memoizes = _MEMO_TYPES.get(cls)
+    if memoizes is None:
+        params = getattr(cls, "__dataclass_params__", None)
+        memoizes = _MEMO_TYPES[cls] = (
+            params is not None and params.frozen and hasattr(obj, "__dict__")
+        )
+    memos, memo = obj.__dict__ if memoizes else {}, (stage, *before, *after)
+    key = memos.get(memo)
+    if key is None:
+        key = memos[memo] = unit_key(stage, *before, structural_digest(obj), *after)
+    return key
+
+
 def frontend_unit_key(frontend: str, function, env_digest: bytes, *bases: int) -> str:
     """Per-function frontend unit key.
 
@@ -144,7 +180,7 @@ def frontend_unit_key(frontend: str, function, env_digest: bytes, *bases: int) -
     and table base at that point).
     """
 
-    return unit_key("frontend", frontend, structural_digest(function), env_digest, *bases)
+    return _memoized_key("frontend", function, (frontend,), (env_digest, *bases))
 
 
 def link_unit_key(decl, remap_digest: bytes, exports: tuple) -> str:
@@ -152,15 +188,13 @@ def link_unit_key(decl, remap_digest: bytes, exports: tuple) -> str:
     tables (:func:`repro.ffi.link.link_modules` digests them once per module
     per link) and the namespaced export names it is given."""
 
-    return unit_key("link", structural_digest(decl), remap_digest, exports)
+    return _memoized_key("link", decl, (), (remap_digest, exports))
 
 
 def typecheck_unit_key(function, module, *, allow_caps: bool = True) -> str:
     """RichWasm per-function typecheck unit key."""
 
-    return unit_key(
-        "typecheck", structural_digest(function), signature_env_digest(module), allow_caps
-    )
+    return _memoized_key("typecheck", function, (), (signature_env_digest(module), allow_caps))
 
 
 def lower_unit_key(function, module) -> str:
@@ -173,7 +207,7 @@ def lower_unit_key(function, module) -> str:
     function body and the signature environment alone.
     """
 
-    return unit_key("lower", structural_digest(function), signature_env_digest(module))
+    return _memoized_key("lower", function, (), (signature_env_digest(module),))
 
 
 def optimize_unit_key(function: WasmFunction, segment) -> str:
@@ -186,19 +220,19 @@ def optimize_unit_key(function: WasmFunction, segment) -> str:
     and each (segment, function-version) round is memoized as one unit.
     """
 
-    return unit_key("optimize", segment, structural_digest(function))
+    return _memoized_key("optimize", function, (segment,), ())
 
 
 def validate_unit_key(function: WasmFunction, module: WasmModule) -> str:
     """Per-function Wasm validation unit key."""
 
-    return unit_key("validate", structural_digest(function), wasm_signature_digest(module))
+    return _memoized_key("validate", function, (), (wasm_signature_digest(module),))
 
 
 def decode_unit_key(function: WasmFunction) -> str:
     """Per-function flat-decode unit key — decode is context-free."""
 
-    return unit_key("decode", structural_digest(function))
+    return _memoized_key("decode", function, (), ())
 
 
 def translate_unit_key(
@@ -211,12 +245,8 @@ def translate_unit_key(
     function name and host-call dispatch, so it is part of the key too.
     """
 
-    return unit_key(
-        "translate",
-        structural_digest(function),
-        wasm_signature_digest(module),
-        index,
-        force_list,
+    return _memoized_key(
+        "translate", function, (), (wasm_signature_digest(module), index, force_list)
     )
 
 
@@ -240,6 +270,14 @@ class UnitStats:
     compiled: int = 0
     evicted: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    #: ``event`` -> this stage's ``compile.units.events`` label key, built once.
+    _event_keys: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._event_keys = {
+            event: label_key({"stage": self.stage, "event": event})
+            for event in ("hit", "miss", "evict")
+        }
 
     @property
     def lookups(self) -> int:
@@ -253,7 +291,7 @@ class UnitStats:
                 self.compiled += 1
             else:
                 self.evicted += 1
-            _UNIT_EVENTS.inc(stage=self.stage, event=event)
+            _UNIT_EVENTS.inc_key(self._event_keys[event])
 
     def reset(self) -> None:
         with self._lock:

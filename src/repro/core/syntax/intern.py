@@ -59,6 +59,7 @@ __all__ = [
     "interning_enabled",
     "is_interned",
     "register",
+    "state_without_memos",
     "structural_digest",
 ]
 
@@ -404,15 +405,16 @@ def structural_digest(obj) -> bytes:
         for item_digest in sorted(structural_digest(item) for item in obj):
             h.update(item_digest)
         return h.digest()
+    d = getattr(obj, "__dict__", None)
+    if d is not None:
+        # Only frozen dataclass instances carry one (see below).
+        cached = d.get("_hc_digest")
+        if cached is not None:
+            return cached
     if isinstance(obj, enum.Enum):
         return _hash_leaf(b"e", f"{t.__name__}.{obj.name}".encode())
     if dataclasses.is_dataclass(obj):
         name, names, frozen = _dataclass_info(t)
-        d = getattr(obj, "__dict__", None)
-        if frozen and d is not None:
-            cached = d.get("_hc_digest")
-            if cached is not None:
-                return cached
         h = hashlib.sha256(b"D")
         h.update(name)
         for field_name in names:
@@ -428,6 +430,18 @@ def structural_digest(obj) -> bytes:
             "embeds a memory address (content keys must not leak object identity)"
         )
     return _hash_leaf(b"r", rendered.encode())
+
+
+def state_without_memos(obj) -> dict:
+    """``obj``'s pickle state minus its memo entries — the ``__getstate__``
+    of frozen dataclasses that carry per-object memos.
+
+    Memos (compile unit keys, callee sets) sit in the instance ``__dict__``
+    under tuple keys, apart from the string-keyed fields and digest caches;
+    they are cheap to rederive, so they never travel in pickles.
+    """
+
+    return {name: value for name, value in obj.__dict__.items() if type(name) is str}
 
 
 def content_digest(obj) -> str:

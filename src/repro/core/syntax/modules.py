@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .instructions import Instr, instruction_count
+from .intern import state_without_memos
 from .sizes import Size
 from .types import FunType, Pretype, Type
 
@@ -41,6 +42,9 @@ class Function:
     body: tuple[Instr, ...]
     exports: tuple[str, ...] = ()
     name: Optional[str] = None
+
+    # Unit-key memos (repro.compilepipe) stay out of pickles.
+    __getstate__ = state_without_memos
 
     @property
     def is_import(self) -> bool:
@@ -87,6 +91,8 @@ class Global:
     init: tuple[Instr, ...]
     exports: tuple[str, ...] = ()
     name: Optional[str] = None
+
+    __getstate__ = state_without_memos
 
     @property
     def is_import(self) -> bool:

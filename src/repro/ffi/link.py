@@ -57,14 +57,21 @@ class LinkResult:
     resolved_imports: list[tuple[str, str, str]] = field(default_factory=list)
 
 
-def _find_export(modules: dict[str, Module], module_name: str, export_name: str):
+def _export_maps(modules: dict[str, Module]) -> dict[str, dict[str, int]]:
+    """Each module's export name -> function index map, built once per
+    :func:`check_link` / :func:`link_modules` call."""
+
+    return {name: module.exported_functions() for name, module in modules.items()}
+
+
+def _find_export(modules: dict[str, Module], export_maps: dict[str, dict[str, int]],
+                 module_name: str, export_name: str):
     if module_name not in modules:
         raise LinkError(f"import from unknown module {module_name!r}")
-    exporter = modules[module_name]
-    exports = exporter.exported_functions()
+    exports = export_maps[module_name]
     if export_name not in exports:
         raise LinkError(f"module {module_name!r} does not export {export_name!r}")
-    return exporter.functions[exports[export_name]]
+    return modules[module_name].functions[exports[export_name]]
 
 
 def check_link(modules: dict[str, Module], *, checker=check_module) -> LinkResult:
@@ -81,10 +88,17 @@ def check_link(modules: dict[str, Module], *, checker=check_module) -> LinkResul
     checked once per cache rather than once per link.
     """
 
+    return _check_link(modules, _export_maps(modules), checker)
+
+
+def _check_link(modules: dict[str, Module], export_maps: dict[str, dict[str, int]],
+                checker) -> LinkResult:
     result = LinkResult(modules=dict(modules))
     for name, module in modules.items():
         for index, decl in module.function_imports():
-            exported = _find_export(modules, decl.import_ref.module, decl.import_ref.name)
+            exported = _find_export(
+                modules, export_maps, decl.import_ref.module, decl.import_ref.name
+            )
             if not funtypes_equal(exported.funtype, decl.funtype):
                 raise LinkError(
                     f"import {decl.import_ref.module}.{decl.import_ref.name} in module {name!r}"
@@ -183,8 +197,9 @@ def link_modules(modules: dict[str, Module], *, name: str = "linked", check: boo
     other declaration as the same object.
     """
 
+    export_maps = _export_maps(modules)
     if check:
-        check_link(modules, checker=checker)
+        _check_link(modules, export_maps, checker)
 
     order = list(modules.keys())
     # First pass: assign new indices to every *defined* function and global.
@@ -220,8 +235,7 @@ def link_modules(modules: dict[str, Module], *, name: str = "linked", check: boo
         for index, decl in enumerate(module.functions):
             if not isinstance(decl, ImportedFunction):
                 continue
-            exporter = modules[decl.import_ref.module]
-            export_index = exporter.exported_functions()[decl.import_ref.name]
+            export_index = export_maps[decl.import_ref.module][decl.import_ref.name]
             func_map[index] = func_base[decl.import_ref.module][export_index]
 
     # Tables: concatenate, remapping entries through the function map.
@@ -236,7 +250,7 @@ def link_modules(modules: dict[str, Module], *, name: str = "linked", check: boo
     # Which export names are unambiguous across the whole program?
     export_owners: dict[str, list[str]] = {}
     for module_name in order:
-        for export in modules[module_name].exported_functions():
+        for export in export_maps[module_name]:
             export_owners.setdefault(export, []).append(module_name)
 
     # Second pass: rewrite the bodies of the defined functions and globals and

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from ..core.syntax.intern import state_without_memos
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
@@ -257,6 +259,9 @@ class L3Function:
     result_type: L3Type
     body: L3Expr
     export: bool = True
+
+    # Frontend unit-key memos (repro.compilepipe) stay out of pickles.
+    __getstate__ = state_without_memos
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ does collect, and EXPERIMENTS.md records this substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..wasm.ast import (
     Binop,
@@ -79,11 +80,14 @@ def build_runtime_globals() -> list[WasmGlobal]:
     ]
 
 
+@lru_cache(maxsize=64)
 def build_malloc(layout: RuntimeLayout) -> WasmFunction:
     """``$rw_malloc``: first-fit free-list allocation, bump fallback.
 
     Locals: 0 = requested size (param), 1 = current block, 2 = previous block,
-    3 = result pointer.
+    3 = result pointer.  Cached per layout (as is :func:`build_free`), so
+    relowering a module returns the same function object and its memoized
+    unit keys.
     """
 
     free_list = layout.free_list_global
@@ -157,6 +161,7 @@ def build_malloc(layout: RuntimeLayout) -> WasmFunction:
     )
 
 
+@lru_cache(maxsize=64)
 def build_free(layout: RuntimeLayout) -> WasmFunction:
     """``$rw_free``: push the block (payload pointer - header) onto the free list."""
 

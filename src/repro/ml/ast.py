@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from ..core.syntax.intern import state_without_memos
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
@@ -288,6 +290,9 @@ class MLFunction:
     result_type: MLType
     body: Expr
     export: bool = True
+
+    # Frontend unit-key memos (repro.compilepipe) stay out of pickles.
+    __getstate__ = state_without_memos
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "default_registry",
+    "label_key",
     "merge_snapshots",
     "DEFAULT_BUCKETS",
 ]
@@ -45,7 +46,10 @@ DEFAULT_BUCKETS = (
 )
 
 
-def _label_key(labels: dict) -> tuple:
+def label_key(labels: dict) -> tuple:
+    """The key :class:`Counter` files a label set under (prebuilt once by
+    :meth:`Counter.inc_key` call sites that increment one label set often)."""
+
     return tuple(sorted(labels.items()))
 
 
@@ -62,15 +66,21 @@ class Counter:
         self._children: dict[tuple, int] = {}
 
     def inc(self, amount: int = 1, **labels) -> None:
-        self.value += amount
         if labels:
-            key = _label_key(labels)
-            self._children[key] = self._children.get(key, 0) + amount
+            self.inc_key(label_key(labels), amount)
+        else:
+            self.value += amount
+
+    def inc_key(self, key: tuple, amount: int = 1) -> None:
+        """:meth:`inc` under a prebuilt :func:`label_key` (no per-call sort)."""
+
+        self.value += amount
+        self._children[key] = self._children.get(key, 0) + amount
 
     def labeled(self, **labels) -> int:
         """The count recorded under exactly this label set (0 if none)."""
 
-        return self._children.get(_label_key(labels), 0)
+        return self._children.get(label_key(labels), 0)
 
     def snapshot(self) -> dict:
         record = {"type": self.kind, "name": self.name, "value": self.value}
@@ -292,16 +302,16 @@ def _merge_record(existing: dict, record: dict) -> None:
     if kind in ("counter", "gauge"):
         existing["value"] += record["value"]
         if kind == "counter" and record.get("labels"):
-            by_key = {_label_key(entry["labels"]): entry for entry in existing.setdefault("labels", [])}
+            by_key = {label_key(entry["labels"]): entry for entry in existing.setdefault("labels", [])}
             for entry in record["labels"]:
-                key = _label_key(entry["labels"])
+                key = label_key(entry["labels"])
                 target = by_key.get(key)
                 if target is None:
                     target = {"labels": dict(entry["labels"]), "value": 0}
                     existing["labels"].append(target)
                     by_key[key] = target
                 target["value"] += entry["value"]
-            existing["labels"].sort(key=lambda entry: _label_key(entry["labels"]))
+            existing["labels"].sort(key=lambda entry: label_key(entry["labels"]))
         return
     if kind == "histogram":
         bounds = [bucket["le"] for bucket in existing["buckets"]]

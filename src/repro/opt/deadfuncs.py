@@ -25,13 +25,39 @@ from .manager import ModulePass
 from .rewrite import iter_sequences
 
 
-def _callees(function: WasmFunction) -> set[int]:
-    indices: set[int] = set()
-    for seq in iter_sequences(function.body):
-        for instr in seq:
-            if isinstance(instr, WCall):
-                indices.add(instr.func_index)
-    return indices
+#: Where :func:`_callees` and :func:`_stub` memoize on a function (tuple
+#: keys, so the memos never pickle; see
+#: :func:`repro.core.syntax.intern.state_without_memos`).
+_CALLEES_MEMO = ("callees",)
+_STUB_MEMO = ("stub",)
+
+
+def _callees(function: WasmFunction) -> frozenset[int]:
+    """The direct-call targets of ``function``, memoized on the (frozen)
+    function: the pass runs every optimization round, and an unchanged
+    function comes back as the same object."""
+
+    memos = function.__dict__
+    callees = memos.get(_CALLEES_MEMO)
+    if callees is None:
+        callees = memos[_CALLEES_MEMO] = frozenset(
+            instr.func_index
+            for seq in iter_sequences(function.body)
+            for instr in seq
+            if isinstance(instr, WCall)
+        )
+    return callees
+
+
+def _stub(function: WasmFunction) -> WasmFunction:
+    """``function`` with its body replaced by ``unreachable`` — the same
+    object every time, so the stub's own unit keys are memoized too."""
+
+    memos = function.__dict__
+    stub = memos.get(_STUB_MEMO)
+    if stub is None:
+        stub = memos[_STUB_MEMO] = replace(function, locals=(), body=(WUnreachable(),))
+    return stub
 
 
 def reachable_functions(module: WasmModule) -> set[int]:
@@ -73,7 +99,7 @@ class DeadFunctionPass(ModulePass):
             # Count at least 1 so a one-instruction dead body still registers
             # as a change (otherwise the stub would be silently discarded).
             rewrites += max(1, count_instrs(function.body) - 1)
-            functions[index] = replace(function, locals=(), body=(WUnreachable(),))
+            functions[index] = _stub(function)
         if rewrites == 0:
             return module, 0
         return replace(module, functions=tuple(functions)), rewrites

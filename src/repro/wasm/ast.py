@@ -14,6 +14,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
+from ..core.syntax.intern import state_without_memos
+
 
 class ValType(enum.Enum):
     """Wasm value types."""
@@ -276,6 +278,10 @@ class WasmFunction:
     body: tuple[WInstr, ...]
     name: Optional[str] = None
     exports: tuple[str, ...] = ()
+
+    # Unit-key and callee-set memos (repro.compilepipe, repro.opt.deadfuncs)
+    # stay out of pickles.
+    __getstate__ = state_without_memos
 
 
 @dataclass(frozen=True)

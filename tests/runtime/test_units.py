@@ -7,14 +7,20 @@ eviction and ``clear()`` interaction with partially-reused modules, and the
 ``Diagnostics.units`` surface the facade reports reuse through.
 """
 
+import dataclasses
+import pickle
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro import api
+from repro import compilepipe
 from repro.api import CompileConfig, Diagnostics
+from repro.cluster import DiskCache
 from repro.compilepipe import (
     UNIT_STAGES,
     FunctionUnitCache,
@@ -36,13 +42,17 @@ from repro.ml import (
 )
 from repro.ml.typecheck import check_module as check_ml_module
 from repro.obs.metrics import default_registry
-from repro.opt import FunctionPassSegment, PassManager, pipeline_passes, split_segments
+from repro.core.syntax import Function, Module
+from repro.opt import (
+    FunctionPassSegment, PassManager, deadfuncs, pipeline_passes, split_segments,
+)
 from repro.opt.manager import ModulePass, PassStats
+from repro.opt.rewrite import iter_sequences
 from repro.runtime import ModuleCache
 from repro.runtime.cache import content_key
-from repro.wasm.ast import WasmFunction
+from repro.wasm.ast import WCall, WasmFunction
 
-from workloads import edit_one_function, synthetic_module
+from workloads import edit_one_function, edit_one_ml_function, mixed_sources, synthetic_module
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -527,3 +537,177 @@ class TestFunctionPassSegments:
         result = PassManager(pipeline_passes("O2"), validate=False, unit_cache=units).run(wasm)
         defined = sum(isinstance(f, WasmFunction) for f in wasm.functions)
         assert units.stats["optimize"].lookups == defined * result.iterations
+
+
+# ---------------------------------------------------------------------------
+# Memoized unit keys, callee sets and export maps
+# ---------------------------------------------------------------------------
+
+_KEY_BUILDERS = (
+    "frontend_unit_key", "link_unit_key", "typecheck_unit_key", "lower_unit_key",
+    "optimize_unit_key", "validate_unit_key", "decode_unit_key", "translate_unit_key",
+)
+EDIT_CONFIG = CompileConfig(opt_level="O2", engine="compiled", cache="private")
+
+
+def _memo_entries(obj) -> dict:
+    return {name: value for name, value in obj.__dict__.items() if type(name) is not str}
+
+
+def _twin(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+def _mixed_edit(sources, index: int, k: int, kind: int):
+    """``sources`` with ML function ``p{index}`` rebuilt: kind 0 changes a
+    constant; kind 1 adds a closure (a lifted function and table entry, so
+    later bases and the other module's remap tables shift); kind 2 changes
+    the result to a reference (so the RichWasm signature environment
+    changes)."""
+
+    if kind == 0:
+        return edit_one_ml_function(sources, index, k)
+    call = App(Var(f"c{index}"), BinOp("+", Var("x"), IntLit(k)))
+    if kind == 1:
+        function = MLFunction(f"p{index}", "x", TInt(), TInt(), Let(
+            "f", Lam("y", TInt(), BinOp("*", Var("y"), Var("x"))), App(Var("f"), call),
+        ))
+    else:
+        function = MLFunction(f"p{index}", "x", TInt(), TRef(TInt()), MkRef(call))
+    app = sources["app"]
+    functions = list(app.functions)
+    functions[index] = function
+    return {**sources, "app": dataclasses.replace(app, functions=tuple(functions))}
+
+
+def _scan_callees(function) -> set:
+    return {
+        instr.func_index
+        for seq in iter_sequences(function.body)
+        for instr in seq
+        if isinstance(instr, WCall)
+    }
+
+
+class TestMemoizedKeys:
+    def test_memos_stay_out_of_pickles_and_disk_warm_loads_hit(self, tmp_path):
+        program = api.compile(_sources(), EDIT_CONFIG, cache=ModuleCache(disk=DiskCache(tmp_path)))
+        memoized = [
+            function
+            for function in (*program.wasm.functions, *program.richwasm.functions)
+            if _memo_entries(function)
+        ]
+        kinds = {type(function) for function in memoized}
+        assert WasmFunction in kinds and Function in kinds
+        for function in memoized:
+            twin = _twin(function)
+            assert twin == function
+            assert _memo_entries(twin) == {}
+        # A fresh cache over the warm directory models a new process.
+        warm_cache = ModuleCache(disk=DiskCache(tmp_path))
+        warm = api.compile(_sources(), EDIT_CONFIG, cache=warm_cache)
+        assert warm.diagnostics.cache["program"] == "hit"
+        assert warm_cache.disk.stats["disk.program"].hits == 1
+        assert warm.wasm == program.wasm
+        assert _run(warm, [("main", 2)]) == _run(program, [("main", 2)])
+
+    def test_memos_agree_with_fresh_keys_over_an_edit_chain(self, monkeypatch):
+        """A seeded chain of one-function edits (body, closure and signature
+        edits mixed): every key a builder returned
+        (memo hit or not) equals the builder's key for an unpickled,
+        memo-free twin, every memoized callee set equals a fresh scan, and
+        each incremental program equals a cold compile."""
+
+        recorded = []
+
+        def recording(builder, subject):
+            # ``subject``: the position of the keyed object among the args.
+            def record(*args, **kwargs):
+                key = builder(*args, **kwargs)
+                recorded.append((builder, subject, args, kwargs, key))
+                return key
+            return record
+
+        for name in _KEY_BUILDERS:
+            subject = 1 if name == "frontend_unit_key" else 0
+            monkeypatch.setattr(compilepipe, name, recording(getattr(compilepipe, name), subject))
+
+        functions = 12
+        rng = random.Random(7)
+        sources = mixed_sources(functions)
+        cache = ModuleCache()
+        api.compile(sources, EDIT_CONFIG, cache=cache)
+        for _step in range(10):
+            recorded.clear()
+            sources = _mixed_edit(
+                sources, rng.randrange(functions), rng.randrange(50, 10_000), rng.randrange(3)
+            )
+            program = api.compile(sources, EDIT_CONFIG, cache=cache)
+            assert recorded
+            for builder, subject, args, kwargs, key in recorded:
+                assert key in _memo_entries(args[subject]).values()
+                twin_args = list(args)
+                twin_args[subject] = _twin(args[subject])
+                assert builder(*twin_args, **kwargs) == key
+            for function in program.wasm.functions:
+                callees = _memo_entries(function).get(deadfuncs._CALLEES_MEMO)
+                if callees is not None:
+                    assert callees == _scan_callees(function) == deadfuncs._callees(_twin(function))
+            _assert_same_as_fresh(program, sources, EDIT_CONFIG)
+
+    def test_one_function_edit_keys_and_scans_only_the_edit(self, monkeypatch):
+        """Deterministic counts for a one-function edit of a 1000-function
+        module: unit keys are built for the edited function's new
+        artifacts only, and only new function objects are scanned for
+        callees."""
+
+        functions = 1000
+        base = synthetic_module(1, functions=functions)
+        cache = ModuleCache()
+        cache.compile_program(base, config=EDIT_CONFIG)
+        edited = edit_one_function(base, functions // 2)
+
+        keyed = []
+        plain_unit_key = compilepipe.unit_key
+        monkeypatch.setattr(
+            compilepipe, "unit_key",
+            lambda stage, *parts: keyed.append(stage) or plain_unit_key(stage, *parts),
+        )
+        scanned = []
+        plain_iter_sequences = deadfuncs.iter_sequences
+
+        def scanning(body):
+            scanned.append(body)
+            return plain_iter_sequences(body)
+
+        monkeypatch.setattr(deadfuncs, "iter_sequences", scanning)
+        before = cache.units.snapshot()
+        program = cache.compile_program(edited, config=EDIT_CONFIG)
+        delta = cache.units.delta(before)
+
+        assert delta["lower"] == {"reused": functions - 1, "compiled": 1}
+        # The edited function's lowering, one optimize round per new version
+        # of it, then validation, decode and translation of the final
+        # version: six keys, where every function used to cost about twelve.
+        assert sorted(Counter(keyed).items()) == [
+            ("decode", 1), ("lower", 1), ("optimize", 2), ("translate", 1), ("validate", 1),
+        ]
+        # The dead-function pass scans only the edited function's optimized
+        # version; every other callee set is a memo hit.
+        assert len(scanned) == 1
+        assert scanned[0] is program.wasm.functions[functions // 2].body
+
+    def test_each_export_map_is_built_once_per_link(self, monkeypatch):
+        built = []
+        plain = Module.exported_functions
+
+        def exported_functions(module):
+            built.append(module.name)
+            return plain(module)
+
+        cache = ModuleCache()
+        sources = mixed_sources(8)
+        api.compile(sources, EDIT_CONFIG, cache=cache)
+        monkeypatch.setattr(Module, "exported_functions", exported_functions)
+        api.compile(edit_one_ml_function(sources, 3, 777), EDIT_CONFIG, cache=cache)
+        assert sorted(built) == ["app", "lib"]
