@@ -45,7 +45,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import struct
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Callable, Optional
 
 __all__ = [
@@ -351,20 +353,6 @@ def canonical(node):
 # Structural content digests
 # ---------------------------------------------------------------------------
 
-#: Per-dataclass digest metadata: (qualified name bytes, field names, frozen).
-_DATACLASS_INFO: dict[type, tuple[bytes, tuple[str, ...], bool]] = {}
-
-
-def _dataclass_info(cls) -> tuple[bytes, tuple[str, ...], bool]:
-    info = _DATACLASS_INFO.get(cls)
-    if info is None:
-        name = f"{cls.__module__}.{cls.__qualname__}".encode()
-        names = tuple(f.name for f in dataclasses.fields(cls))
-        frozen = cls.__dataclass_params__.frozen
-        info = (name, names, frozen)
-        _DATACLASS_INFO[cls] = info
-    return info
-
 
 def structural_digest(obj) -> bytes:
     """A 32-byte SHA-256 digest of ``obj``'s *structure*.
@@ -374,62 +362,142 @@ def structural_digest(obj) -> bytes:
     fields and sequences — never ``id()``, ``hash()`` or memory addresses.
     Digests are cached on interned nodes and on frozen dataclass instances,
     so re-digesting a large module only walks the parts not seen before.
+
+    Dispatch is one table lookup on the exact type (:func:`_digester_for`
+    fills the table the first time a type shows up).  Every composite digest
+    is ``sha256(tag + child digests)`` in one call, and NaNs are digested by
+    their IEEE-754 bits, so NaN constants with different payloads or signs
+    never share a content key.
     """
 
-    if obj is None:
-        return _DIGEST_NONE
-    t = type(obj)
-    if t is bool:
-        return _DIGEST_TRUE if obj else _DIGEST_FALSE
-    if t is int:
-        return _hash_leaf(b"i", repr(obj).encode())
-    if t is str:
-        return _hash_leaf(b"s", obj.encode())
-    if t is float:
-        return _hash_leaf(b"f", repr(obj).encode())
-    if t is bytes:
-        return _hash_leaf(b"y", obj)
-    if t is tuple or t is list:
-        h = hashlib.sha256(b"T")
-        for item in obj:
-            h.update(structural_digest(item))
-        return h.digest()
-    if t is dict:
-        h = hashlib.sha256(b"M")
-        for key in sorted(obj, key=repr):
-            h.update(structural_digest(key))
-            h.update(structural_digest(obj[key]))
-        return h.digest()
-    if t is frozenset or t is set:
-        h = hashlib.sha256(b"S")
-        for item_digest in sorted(structural_digest(item) for item in obj):
-            h.update(item_digest)
-        return h.digest()
-    d = getattr(obj, "__dict__", None)
-    if d is not None:
-        # Only frozen dataclass instances carry one (see below).
-        cached = d.get("_hc_digest")
-        if cached is not None:
-            return cached
-    if isinstance(obj, enum.Enum):
-        return _hash_leaf(b"e", f"{t.__name__}.{obj.name}".encode())
-    if dataclasses.is_dataclass(obj):
-        name, names, frozen = _dataclass_info(t)
-        h = hashlib.sha256(b"D")
-        h.update(name)
-        for field_name in names:
-            h.update(structural_digest(getattr(obj, field_name)))
-        digest = h.digest()
-        if frozen and d is not None:
-            d["_hc_digest"] = digest
-        return digest
+    digester = _DIGESTERS.get(type(obj))
+    if digester is None:
+        digester = _digester_for(type(obj))
+    return digester(obj)
+
+
+#: Entries kept in each leaf memo (:data:`_INT_DIGESTS`, :data:`_STR_DIGESTS`);
+#: past it, leaves are hashed without being filed.
+LEAF_MEMO_CAP = 4096
+
+_INT_DIGESTS: dict[int, bytes] = {}
+_STR_DIGESTS: dict[str, bytes] = {}
+
+
+def _digest_int(obj: int) -> bytes:
+    digest = _INT_DIGESTS.get(obj)
+    if digest is None:
+        digest = _sha256(b"i" + repr(obj).encode()).digest()
+        if len(_INT_DIGESTS) < LEAF_MEMO_CAP:
+            _INT_DIGESTS[obj] = digest
+    return digest
+
+
+def _digest_str(obj: str) -> bytes:
+    digest = _STR_DIGESTS.get(obj)
+    if digest is None:
+        digest = _sha256(b"s" + obj.encode()).digest()
+        if len(_STR_DIGESTS) < LEAF_MEMO_CAP:
+            _STR_DIGESTS[obj] = digest
+    return digest
+
+
+def _digest_float(obj: float) -> bytes:
+    # Not memoized by value: ``-0.0 == 0.0`` would share one entry.
+    if obj != obj:
+        return _sha256(b"N" + _pack_f64(obj)).digest()
+    return _sha256(b"f" + repr(obj).encode()).digest()
+
+
+def _digest_sequence(obj) -> bytes:
+    return _sha256(b"T" + b"".join(map(structural_digest, obj))).digest()
+
+
+def _digest_mapping(obj: dict) -> bytes:
+    return _sha256(
+        b"M"
+        + b"".join(
+            structural_digest(key) + structural_digest(obj[key]) for key in sorted(obj, key=repr)
+        )
+    ).digest()
+
+
+def _digest_set(obj) -> bytes:
+    return _sha256(b"S" + b"".join(sorted(map(structural_digest, obj)))).digest()
+
+
+def _digest_repr(obj) -> bytes:
     rendered = repr(obj)
     if " at 0x" in rendered:
         raise TypeError(
-            f"cannot compute a stable structural digest for {t.__name__}: its repr "
+            f"cannot compute a stable structural digest for {type(obj).__name__}: its repr "
             "embeds a memory address (content keys must not leak object identity)"
         )
-    return _hash_leaf(b"r", rendered.encode())
+    return _sha256(b"r" + rendered.encode()).digest()
+
+
+def _enum_digester(cls) -> Callable:
+    """One digest per member, looked up by member name."""
+
+    prefix = f"{cls.__name__}."
+    table: dict = {}
+
+    def digest(obj) -> bytes:
+        name = obj._name_
+        out = table.get(name)
+        if out is None:
+            out = table[name] = _sha256(f"e{prefix}{name}".encode()).digest()
+        return out
+
+    return digest
+
+
+def _dataclass_digester(cls) -> Callable:
+    """``sha256(b"D" + qualname + field digests)``, cached on frozen instances."""
+
+    prefix = b"D" + f"{cls.__module__}.{cls.__qualname__}".encode()
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    if len(names) > 1:
+        fields = attrgetter(*names)
+    elif names:
+        only = attrgetter(names[0])
+        fields = lambda obj: (only(obj),)
+    else:
+        fields = lambda obj: ()
+
+    def compute(obj) -> bytes:
+        # structural_digest inlined: one call per field instead of two.
+        return _sha256(
+            prefix + b"".join([(_digester_of(type(v)) or _digester_for(type(v)))(v) for v in fields(obj)])
+        ).digest()
+
+    if not cls.__dataclass_params__.frozen:
+        return compute
+
+    def digest(obj) -> bytes:
+        try:
+            memos = obj.__dict__
+        except AttributeError:  # a slotted dataclass has nowhere to cache
+            return compute(obj)
+        out = memos.get("_hc_digest")
+        if out is None:
+            out = memos["_hc_digest"] = compute(obj)
+        return out
+
+    return digest
+
+
+def _digester_for(cls) -> Callable:
+    """Build and file the digester of exact type ``cls``."""
+
+    if issubclass(cls, enum.Enum):
+        digester = _enum_digester(cls)
+    elif dataclasses.is_dataclass(cls):
+        digester = _dataclass_digester(cls)
+    else:
+        digester = _digest_repr
+    _DIGESTERS[cls] = digester
+    return digester
 
 
 def state_without_memos(obj) -> dict:
@@ -450,10 +518,25 @@ def content_digest(obj) -> str:
     return structural_digest(obj).hex()
 
 
-def _hash_leaf(tag: bytes, payload: bytes) -> bytes:
-    return hashlib.sha256(tag + payload).digest()
+_sha256 = hashlib.sha256
+_pack_f64 = struct.Struct("<d").pack
+_DIGEST_NONE = _sha256(b"n").digest()
+_DIGEST_TRUE = _sha256(b"b1").digest()
+_DIGEST_FALSE = _sha256(b"b0").digest()
 
-
-_DIGEST_NONE = _hash_leaf(b"n", b"")
-_DIGEST_TRUE = _hash_leaf(b"b", b"1")
-_DIGEST_FALSE = _hash_leaf(b"b", b"0")
+#: Exact type -> digester; :func:`_digester_for` adds enums, dataclasses and
+#: the ``repr`` fallback as they are first seen.
+_DIGESTERS: dict[type, Callable] = {
+    type(None): lambda obj: _DIGEST_NONE,
+    bool: lambda obj: _DIGEST_TRUE if obj else _DIGEST_FALSE,
+    int: _digest_int,
+    str: _digest_str,
+    float: _digest_float,
+    bytes: lambda obj: _sha256(b"y" + obj).digest(),
+    tuple: _digest_sequence,
+    list: _digest_sequence,
+    dict: _digest_mapping,
+    set: _digest_set,
+    frozenset: _digest_set,
+}
+_digester_of = _DIGESTERS.get

@@ -32,41 +32,13 @@ from ..wasm.ast import (
     Cvtop,
     LocalGet,
     LocalSet,
-    LocalTee,
     ValType,
     WasmFunction,
     WasmModule,
     WInstr,
 )
 from .manager import FunctionPass
-from .rewrite import iter_sequences, map_sequences
-
-#: Conversion sequence emitted immediately *before* ``local.set`` when a value
-#: of the key type is stored into an i64 bank slot (``_to_i64`` in the
-#: lowering compiler).
-_WRITE_CONVS: dict[ValType, tuple[Cvtop, ...]] = {
-    ValType.I32: (Cvtop(ValType.I64, "extend_u", ValType.I32),),
-    ValType.F32: (
-        Cvtop(ValType.I32, "reinterpret", ValType.F32),
-        Cvtop(ValType.I64, "extend_u", ValType.I32),
-    ),
-    ValType.F64: (Cvtop(ValType.I64, "reinterpret", ValType.F64),),
-}
-
-#: Conversion sequence emitted immediately *after* ``local.get`` when the slot
-#: is read back at the key type (``_from_i64`` in the lowering compiler).
-_READ_CONVS: dict[ValType, tuple[Cvtop, ...]] = {
-    ValType.I32: (Cvtop(ValType.I32, "wrap", ValType.I64),),
-    ValType.F32: (
-        Cvtop(ValType.I32, "wrap", ValType.I64),
-        Cvtop(ValType.F32, "reinterpret", ValType.I32),
-    ),
-    ValType.F64: (Cvtop(ValType.F64, "reinterpret", ValType.I64),),
-}
-
-#: Candidate retypings, widest removal first: an F32 site also matches the I32
-#: patterns as a suffix/prefix, so F32 must be tried before I32.
-_CANDIDATES = (ValType.F32, ValType.F64, ValType.I32)
+from .rewrite import READ_CONVS, WRITE_CONVS, local_census, map_sequences
 
 
 class LocalCoalescingPass(FunctionPass):
@@ -76,14 +48,12 @@ class LocalCoalescingPass(FunctionPass):
 
     def run(self, function: WasmFunction, module: WasmModule) -> tuple[WasmFunction, int]:
         param_count = len(function.functype.params)
-        coalesced: dict[int, ValType] = {}
-        for offset, valtype in enumerate(function.locals):
-            if valtype is not ValType.I64:
-                continue
-            index = param_count + offset
-            chosen = self._qualify(function, index)
-            if chosen is not None:
-                coalesced[index] = chosen
+        agreed = local_census(function).coalescible
+        coalesced: dict[int, ValType] = {
+            param_count + offset: agreed[param_count + offset]
+            for offset, valtype in enumerate(function.locals)
+            if valtype is ValType.I64 and param_count + offset in agreed
+        }
         if not coalesced:
             return function, 0
 
@@ -97,14 +67,14 @@ class LocalCoalescingPass(FunctionPass):
                 instr = seq[i]
                 target = self._write_target(seq, i, coalesced)
                 if target is not None:
-                    convs = len(_WRITE_CONVS[coalesced[target]])
+                    convs = len(WRITE_CONVS[coalesced[target]])
                     out.append(seq[i + convs])  # the local.set itself
                     rewrites += convs
                     i += convs + 1
                     continue
                 out.append(instr)
                 if isinstance(instr, LocalGet) and instr.index in coalesced:
-                    convs = len(_READ_CONVS[coalesced[instr.index]])
+                    convs = len(READ_CONVS[coalesced[instr.index]])
                     rewrites += convs
                     i += convs
                 i += 1
@@ -114,42 +84,7 @@ class LocalCoalescingPass(FunctionPass):
         locals_ = tuple(
             coalesced.get(param_count + offset, valtype) for offset, valtype in enumerate(function.locals)
         )
-        if rewrites == 0:
-            # Sites matched vacuously (local unreferenced); leave it for the
-            # dead-local pass rather than reporting a no-op rewrite.
-            return function, 0
         return replace(function, locals=locals_, body=body), rewrites
-
-    # -- analysis ---------------------------------------------------------------
-
-    @staticmethod
-    def _qualify(function: WasmFunction, index: int) -> Optional[ValType]:
-        """The value type all accesses of local ``index`` agree on, if any."""
-
-        for candidate in _CANDIDATES:
-            write = _WRITE_CONVS[candidate]
-            read = _READ_CONVS[candidate]
-            sites = 0
-            ok = True
-            for seq in iter_sequences(function.body):
-                for position, instr in enumerate(seq):
-                    if isinstance(instr, LocalTee) and instr.index == index:
-                        ok = False
-                    elif isinstance(instr, LocalSet) and instr.index == index:
-                        sites += 1
-                        if tuple(seq[position - len(write) : position]) != write or position < len(write):
-                            ok = False
-                    elif isinstance(instr, LocalGet) and instr.index == index:
-                        sites += 1
-                        if tuple(seq[position + 1 : position + 1 + len(read)]) != read:
-                            ok = False
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok and sites:
-                return candidate
-        return None
 
     @staticmethod
     def _write_target(seq: tuple[WInstr, ...], i: int, coalesced: dict[int, ValType]) -> Optional[int]:
@@ -162,6 +97,6 @@ class LocalCoalescingPass(FunctionPass):
             if not isinstance(follower, LocalSet) or follower.index not in coalesced:
                 continue
             target_type = coalesced[follower.index]
-            if tuple(seq[i : i + length]) == _WRITE_CONVS[target_type] and len(_WRITE_CONVS[target_type]) == length:
+            if seq[i : i + length] == WRITE_CONVS[target_type]:
                 return follower.index
         return None

@@ -14,6 +14,7 @@ or nothing, ``const`` + ``if`` selects a branch statically, and ``const`` +
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Union
 
 from ..core.semantics import numerics
@@ -156,9 +157,7 @@ class ConstantFoldingPass(FunctionPass):
             while changed:
                 changed = False
                 out: list[WInstr] = []
-                i = 0
-                while i < len(seq):
-                    instr = seq[i]
+                for instr in seq:
                     replacement = self._match(out, instr)
                     if replacement is not None:
                         rewrites += 1
@@ -166,15 +165,12 @@ class ConstantFoldingPass(FunctionPass):
                         out.extend(replacement)
                     else:
                         out.append(instr)
-                    i += 1
                 seq = tuple(out)
             return seq
 
         body = map_sequences(function.body, fold)
         if rewrites == 0:
             return function, 0
-        from dataclasses import replace
-
         return replace(function, body=body), rewrites
 
     # -- pattern matching against the already-rebuilt prefix --------------------

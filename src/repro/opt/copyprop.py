@@ -20,21 +20,12 @@ from dataclasses import replace
 from ..wasm.ast import (
     LocalGet,
     LocalSet,
-    LocalTee,
-    ValType,
     WasmFunction,
     WasmModule,
     WInstr,
 )
 from .manager import FunctionPass
-from .rewrite import iter_sequences, map_sequences
-
-
-def _local_type(function: WasmFunction, index: int) -> ValType:
-    params = function.functype.params
-    if index < len(params):
-        return params[index]
-    return function.locals[index - len(params)]
+from .rewrite import local_census, map_sequences
 
 
 class CopyPropagationPass(FunctionPass):
@@ -43,56 +34,41 @@ class CopyPropagationPass(FunctionPass):
     name = "copyprop"
 
     def run(self, function: WasmFunction, module: WasmModule) -> tuple[WasmFunction, int]:
-        writes: dict[int, int] = {}
-        reads: dict[int, int] = {}
-        for seq in iter_sequences(function.body):
-            for instr in seq:
-                if isinstance(instr, (LocalSet, LocalTee)):
-                    writes[instr.index] = writes.get(instr.index, 0) + 1
-                elif isinstance(instr, LocalGet):
-                    reads[instr.index] = reads.get(instr.index, 0) + 1
-
-        body = function.body
+        census = local_census(function)
+        types = function.functype.params + function.locals
         # Copy targets found at top level: target -> source.
         forwarded: dict[int, int] = {}
-        reads_seen: set[int] = set()
         kept: list[WInstr] = []
-        for position, instr in enumerate(body):
+        for position, instr in enumerate(function.body):
             if (
                 isinstance(instr, LocalSet)
                 and kept
                 and isinstance(kept[-1], LocalGet)
                 and instr.index != kept[-1].index
-                and writes.get(instr.index, 0) == 1
-                and writes.get(kept[-1].index, 0) == 0
-                and instr.index not in reads_seen
+                and census.writes(instr.index) == 1
+                and census.writes(kept[-1].index) == 0
+                # No read of the target in the top-level prefix.
+                and census.first_read.get(instr.index, position) >= position
                 and instr.index not in forwarded
                 and kept[-1].index not in forwarded
-                and _local_type(function, instr.index) is _local_type(function, kept[-1].index)
+                and types[instr.index] is types[kept[-1].index]
             ):
                 source = kept.pop().index
                 forwarded[instr.index] = source
                 continue
             kept.append(instr)
-            for seq in iter_sequences((instr,)):
-                for nested in seq:
-                    if isinstance(nested, LocalGet):
-                        reads_seen.add(nested.index)
 
         if not forwarded:
             return function, 0
 
-        rewrites = len(forwarded)
-
         def redirect(seq: tuple[WInstr, ...]) -> tuple[WInstr, ...]:
-            nonlocal rewrites
-            out: list[WInstr] = []
-            for instr in seq:
-                if isinstance(instr, LocalGet) and instr.index in forwarded:
-                    rewrites += 1
-                    out.append(LocalGet(forwarded[instr.index]))
-                else:
-                    out.append(instr)
-            return tuple(out)
+            return tuple(
+                LocalGet(forwarded[instr.index])
+                if type(instr) is LocalGet and instr.index in forwarded
+                else instr
+                for instr in seq
+            )
 
+        # One rewrite per copy dropped, one per read redirected.
+        rewrites = len(forwarded) + sum(census.gets.get(target, 0) for target in forwarded)
         return replace(function, body=map_sequences(tuple(kept), redirect)), rewrites

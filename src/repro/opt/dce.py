@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..wasm.ast import (
-    LocalGet,
     LocalSet,
     LocalTee,
     WasmFunction,
@@ -36,7 +35,7 @@ from ..wasm.ast import (
     count_instrs,
 )
 from .manager import FunctionPass
-from .rewrite import iter_sequences, map_sequences, remap_locals
+from .rewrite import local_census, map_sequences, remap_locals
 
 _TERMINATORS = (WUnreachable, WBr, WBrTable, WReturn)
 
@@ -85,41 +84,30 @@ class UnusedLocalPass(FunctionPass):
     name = "deadlocals"
 
     def run(self, function: WasmFunction, module: WasmModule) -> tuple[WasmFunction, int]:
-        rewrites = 0
         param_count = len(function.functype.params)
-
-        read = set()
-        for seq in iter_sequences(function.body):
-            for instr in seq:
-                if isinstance(instr, LocalGet):
-                    read.add(instr.index)
+        census = local_census(function)
+        # Every store to an unread local dies, so the locals left referenced
+        # afterwards are exactly the read ones.
+        read = census.gets
+        written = census.sets.keys() | census.tees.keys()
+        rewrites = sum(census.writes(index) for index in written if index not in read)
 
         def kill_dead_stores(seq: tuple[WInstr, ...]) -> tuple[WInstr, ...]:
-            nonlocal rewrites
             out: list[WInstr] = []
             for instr in seq:
                 if isinstance(instr, LocalSet) and instr.index not in read:
-                    rewrites += 1
                     out.append(WDrop())
-                elif isinstance(instr, LocalTee) and instr.index not in read:
-                    rewrites += 1
-                else:
+                elif not (isinstance(instr, LocalTee) and instr.index not in read):
                     out.append(instr)
             return tuple(out)
 
-        body = map_sequences(function.body, kill_dead_stores)
-
-        referenced = set()
-        for seq in iter_sequences(body):
-            for instr in seq:
-                if isinstance(instr, (LocalGet, LocalSet, LocalTee)):
-                    referenced.add(instr.index)
+        body = map_sequences(function.body, kill_dead_stores) if rewrites else function.body
 
         mapping: dict[int, int] = {index: index for index in range(param_count)}
         kept_locals = []
         for offset, valtype in enumerate(function.locals):
             index = param_count + offset
-            if index in referenced:
+            if index in read:
                 mapping[index] = param_count + len(kept_locals)
                 kept_locals.append(valtype)
             else:

@@ -23,11 +23,11 @@ unit cache.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Union
 
 from ..core.syntax.intern import structural_digest
-from ..wasm.ast import WasmFunction, WasmModule, count_instrs
+from ..wasm.ast import WasmFunction, WasmModule
 
 
 @dataclass

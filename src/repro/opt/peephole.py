@@ -44,7 +44,7 @@ from ..wasm.ast import (
     WNop,
 )
 from .manager import FunctionPass
-from .rewrite import map_sequences
+from .rewrite import local_census, map_sequences
 
 _PURE_PRODUCERS = (Const, LocalGet, GlobalGet)
 
@@ -68,13 +68,7 @@ class PeepholePass(FunctionPass):
         # Read counts over the whole body, for the shuffle windows.  Rewrites
         # during this run only ever *remove* reads, so the counts stay a safe
         # over-approximation.
-        reads: dict[int, int] = {}
-        from .rewrite import iter_sequences
-
-        for seq in iter_sequences(function.body):
-            for instr in seq:
-                if isinstance(instr, LocalGet):
-                    reads[instr.index] = reads.get(instr.index, 0) + 1
+        reads = local_census(function).gets
 
         def simplify(seq: tuple[WInstr, ...]) -> tuple[WInstr, ...]:
             nonlocal rewrites

@@ -103,41 +103,41 @@ def _resolve_hosts(host_imports: Union[HostImports, HostImportFactory, None]) ->
 
 
 def _compare_runs(
-    baseline_interp: WasmInterpreter,
-    baseline_instance,
-    candidate_interp: WasmInterpreter,
-    candidate_instance,
+    runs: Sequence[tuple[WasmInterpreter, object]],
     calls: Sequence[Invocation],
     *,
     compare_state: bool,
     compare_steps: bool = False,
 ) -> DifferentialReport:
+    """Replay ``calls`` in lockstep on ``runs`` (``(interpreter, instance)``
+    pairs) and compare every run after the first against the first."""
+
     report = DifferentialReport()
     for call in calls:
         outcomes: list[Union[list[WasmValue], str]] = []
-        for interp, instance in ((baseline_interp, baseline_instance), (candidate_interp, candidate_instance)):
+        for interp, instance in runs:
             try:
                 outcomes.append(interp.invoke(instance, call.export, list(call.args)))
             except WasmTrap as trap:
                 outcomes.append(f"trap: {trap}")
-        first, second = outcomes
-        if isinstance(first, str) or isinstance(second, str):
-            # Both must trap, for the same reason.
-            matches = first == second
-        else:
-            matches = _values_equal(first, second)
-        report.outcomes.append(CallOutcome(call.export, call.args, first, second, matches))
+        baseline = outcomes[0]
+        for candidate in outcomes[1:]:
+            if isinstance(baseline, str) or isinstance(candidate, str):
+                matches = baseline == candidate  # both must trap, same reason
+            else:
+                matches = _values_equal(baseline, candidate)
+            report.outcomes.append(CallOutcome(call.export, call.args, baseline, candidate, matches))
 
     if compare_state:
-        baseline_memory = bytes(baseline_instance.memory.data) if baseline_instance.memory else b""
-        candidate_memory = bytes(candidate_instance.memory.data) if candidate_instance.memory else b""
-        report.state_matches = baseline_memory == candidate_memory and _values_equal(
-            baseline_instance.globals, candidate_instance.globals
+        instances = [instance for _, instance in runs]
+        memories = [bytes(inst.memory.data) if inst.memory else b"" for inst in instances]
+        report.state_matches = all(memory == memories[0] for memory in memories) and all(
+            _values_equal(inst.globals, instances[0].globals) for inst in instances
         )
-    report.baseline_steps = baseline_interp.steps
-    report.candidate_steps = candidate_interp.steps
+    report.baseline_steps = runs[0][0].steps
+    report.candidate_steps = runs[-1][0].steps
     if compare_steps:
-        report.steps_match = baseline_interp.steps == candidate_interp.steps
+        report.steps_match = len({interp.steps for interp, _ in runs}) == 1
     return report
 
 
@@ -182,22 +182,12 @@ def run_differential(
     :func:`repro.wasm.create_engine`); ``None`` uses the default (flat VM).
     """
 
-    normalized_calls = _normalize_calls(calls)
     engine, max_steps = _fresh_engine_spec(engine, max_steps)
-
-    baseline_interp = WasmInterpreter(max_steps=max_steps, engine=engine)
-    candidate_interp = WasmInterpreter(max_steps=max_steps, engine=engine)
-    baseline_instance = baseline_interp.instantiate(baseline, _resolve_hosts(host_imports))
-    candidate_instance = candidate_interp.instantiate(candidate, _resolve_hosts(host_imports))
-
-    return _compare_runs(
-        baseline_interp,
-        baseline_instance,
-        candidate_interp,
-        candidate_instance,
-        normalized_calls,
-        compare_state=compare_state,
-    )
+    runs = []
+    for module in (baseline, candidate):
+        interp = WasmInterpreter(max_steps=max_steps, engine=engine)
+        runs.append((interp, interp.instantiate(module, _resolve_hosts(host_imports))))
+    return _compare_runs(runs, _normalize_calls(calls), compare_state=compare_state)
 
 
 def run_engine_cross_check(
@@ -221,37 +211,14 @@ def run_engine_cross_check(
     carries one :class:`CallOutcome` per (call, candidate engine) pair.
     """
 
-    normalized_calls = _normalize_calls(calls)
-    specs = [_fresh_engine_spec(engine, max_steps) for engine in engines]
-    interps = [WasmInterpreter(max_steps=steps, engine=name) for name, steps in specs]
-    instances = [interp.instantiate(module, _resolve_hosts(host_imports)) for interp in interps]
-
-    report = DifferentialReport()
-    for call in normalized_calls:
-        outcomes: list[Union[list[WasmValue], str]] = []
-        for interp, instance in zip(interps, instances):
-            try:
-                outcomes.append(interp.invoke(instance, call.export, list(call.args)))
-            except WasmTrap as trap:
-                outcomes.append(f"trap: {trap}")
-        baseline = outcomes[0]
-        for candidate in outcomes[1:]:
-            if isinstance(baseline, str) or isinstance(candidate, str):
-                matches = baseline == candidate  # both must trap, same reason
-            else:
-                matches = _values_equal(baseline, candidate)
-            report.outcomes.append(CallOutcome(call.export, call.args, baseline, candidate, matches))
-
-    if compare_state:
-        memories = [bytes(inst.memory.data) if inst.memory else b"" for inst in instances]
-        report.state_matches = all(memory == memories[0] for memory in memories) and all(
-            _values_equal(inst.globals, instances[0].globals) for inst in instances
-        )
-    report.baseline_steps = interps[0].steps
-    report.candidate_steps = interps[-1].steps
-    if compare_steps:
-        report.steps_match = len({interp.steps for interp in interps}) == 1
-    return report
+    runs = []
+    for engine in engines:
+        name, steps = _fresh_engine_spec(engine, max_steps)
+        interp = WasmInterpreter(max_steps=steps, engine=name)
+        runs.append((interp, interp.instantiate(module, _resolve_hosts(host_imports))))
+    return _compare_runs(
+        runs, _normalize_calls(calls), compare_state=compare_state, compare_steps=compare_steps
+    )
 
 
 def run_pool_reset_cross_check(
@@ -314,10 +281,7 @@ def run_pool_reset_cross_check(
         recycled = pool.acquire()
 
         report = _compare_runs(
-            baseline_interp,
-            baseline_instance,
-            recycled.interpreter,
-            recycled.instance,
+            [(baseline_interp, baseline_instance), (recycled.interpreter, recycled.instance)],
             normalized_calls,
             compare_state=compare_state,
             compare_steps=True,

@@ -37,6 +37,7 @@ from repro.core.syntax import (
     VariantHT,
     canonical,
     free_levels,
+    i32,
     interning_disabled,
     is_interned,
     lin_loc,
@@ -428,3 +429,158 @@ class TestDigestStability:
             check=True,
         ).stdout.strip()
         assert namespace["key"] == sub
+
+
+# ---------------------------------------------------------------------------
+# Golden digest table
+# ---------------------------------------------------------------------------
+
+
+def _golden_corpus() -> dict:
+    from repro.opt.manager import PassStats
+    from repro.wasm.ast import (
+        Const,
+        Cvtop,
+        LocalGet,
+        LocalSet,
+        ValType,
+        WasmFuncType,
+        WasmFunction,
+        WBlock,
+        WBr,
+        WIf,
+        WLoop,
+        WNop,
+    )
+
+    void = WasmFuncType((), ())
+    return {
+        "none": None,
+        "true": True,
+        "false": False,
+        "int_zero": 0,
+        "int_small": 7,
+        "int_negative": -5,
+        "int_huge": 2**100,
+        "str_empty": "",
+        "str": "abc",
+        "str_unicode": "λx",
+        "bytes": b"\x00\x01rw",
+        "float_zero": 0.0,
+        "float_negzero": -0.0,
+        "float_inf": float("inf"),
+        "float_neginf": float("-inf"),
+        "float": 1.5,
+        "tuple": (1, "a", None),
+        "list": [1, "a", None],
+        "dict": {"b": 2, 1: "a"},
+        "set": {3, 1, 2},
+        "frozenset": frozenset({"x", "y"}),
+        "enum": ValType.F32,
+        "frozen_dataclass": Const(ValType.I64, -1),
+        "zero_field_dataclass": WNop(),
+        "mutable_dataclass": PassStats("coalesce", runs=2, rewrites=3, seconds=0.25),
+        "interned_type": Type(
+            RefT(Privilege.RW, lin_loc(3), StructHT(((i32(), SizePlus(SizeConst(32), SizeVar(0))),))),
+            LIN,
+        ),
+        "wasm_function": WasmFunction(
+            WasmFuncType((ValType.I32,), (ValType.I64,)),
+            (ValType.I64, ValType.F64),
+            (
+                LocalGet(0),
+                Cvtop(ValType.I64, "extend_u", ValType.I32),
+                LocalSet(1),
+                WBlock(void, (WLoop(void, (WBr(1),)),)),
+                WIf(WasmFuncType((), (ValType.I64,)), (LocalGet(1),), (Const(ValType.I64, 0),)),
+            ),
+            "f",
+            ("f",),
+        ),
+        "repr_fallback": range(0, 3),
+        "nan": _f64_bits(0x7FF8000000000000),
+        "nan_negative": _f64_bits(0xFFF8000000000000),
+        "nan_payload": _f64_bits(0x7FF8000000000001),
+    }
+
+
+def _f64_bits(bits: int) -> float:
+    import struct
+
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: Hex digests of :func:`_golden_corpus`.  Every row but the NaN ones
+#: equals what the original incremental-``sha256`` digester produced (which
+#: hashed every NaN as ``repr`` ``'nan'``, one digest for all payloads).
+GOLDEN_DIGESTS = {
+    "none": "1b16b1df538ba12dc3f97edbb85caa7050d46c148134290feba80f8236c83db9",
+    "true": "7dc96f776c8423e57a2785489a3f9c43fb6e756876d6ad9a9cac4aa4e72ec193",
+    "false": "c02c0b965e023abee808f2b548d8d5193a8b5229be6f3121a6f16e2d41a449b3",
+    "int_zero": "a4e167a76a05add8a8654c169b07b0447a916035aef602df103e8ae0fe2ff390",
+    "int_small": "5a39f9a9c7598d32872c704ba30a672f2c3ebbfd6acc9c7e1d00c58b719bbad2",
+    "int_negative": "108542b6e063c1cbe1acf8ded2932545857e144f0fa835829796c5f82cdbee00",
+    "int_huge": "ed6f55746c5bd372cd4a48bac1e8d54407e0cad086bf0085e3405eea6596300e",
+    "str_empty": "043a718774c572bd8a25adbeb1bfcd5c0256ae11cecf9f9c3f925d0e52beaf89",
+    "str": "cf0bbce2b0833f47b48155c56a549459af12f1724088f0246d837ec199eb787a",
+    "str_unicode": "e493af0544d5d6dadb873d6b64bc616df1e003b9cf89d6eddacae463a5dc13cd",
+    "bytes": "77895d05d966d0eed6de816eca3df0372514bceb6bb5fa405e3333758b7dbce1",
+    "float_zero": "96f3536282c892cac88e699dfb30925a699f629488b97edba62ed0517cd59553",
+    "float_negzero": "055e19d77121037fb4ec1c417e26fd666471ed639d4cf1accb45b16c0048ffd1",
+    "float_inf": "bd3b7f73c5d9e7209722864367242e563e0c220bf8b58ed1852c1e8e03f88688",
+    "float_neginf": "cbe88a4a5d120dfcfd863483e900c414bd6e2ca4be7e7e4d58b76c049ea937c4",
+    "float": "d6bae662acdfab6752f1572f4944f0307b1977b955642f14989eb577e1b9949a",
+    "tuple": "f5baff191a544bd87b31911bc956f6cf0e4ddd2f574d8e35e2a335216f183651",
+    "list": "f5baff191a544bd87b31911bc956f6cf0e4ddd2f574d8e35e2a335216f183651",
+    "dict": "7e1cf6a700d0bf76bd27e9f8b9cc1232fb49d851444817a343a5bef130bd4b96",
+    "set": "4e2171255d14c638789d0cadb49b7e62754be6090945d95823a619a5edf027dc",
+    "frozenset": "5621c703e8c88a55d79c0a0ee8d6e9d1222bc0ed85ad84ff261fc0a4bf770a7f",
+    "enum": "a1b80268d61fb2f2fdd40c23f9f1f8dfa15ed668267fe1a1b2dea3574edf5bb0",
+    "frozen_dataclass": "b92b8ea073ace1baa53372169d79728554bbf0d268711e85c7b8ec544bd523eb",
+    "zero_field_dataclass": "ab7b0e89c4bc20765c8d71c2ecb8876108d17cd357c9be9e51c455065abbc5d2",
+    "mutable_dataclass": "d84ecb9cf26dd0384cdc3afe69db282c34945cf36ff836461d58ebdb6d874d22",
+    "interned_type": "f3863b4b7500d3a2f719e4d2edf7cb798630950c209563e9ea8f3899194fc0ad",
+    "wasm_function": "ba01ea24823eb6fee8fabc5aa4214b0b4e7dad3c3f9019eee1b9be584cfc0361",
+    "repr_fallback": "e37a8019056eaf5aaaac48bef275a6ba3f49dbfa54d377c681f5f17bc4b67c7f",
+    "nan": "bbd9815298445df715d921cb45b92d48bab6db169a75d8ef07569734e193a2d9",
+    "nan_negative": "bb6533977fbfc53b60c60adde557dc4e5d55153849e28649f7f2da7538fcb01d",
+    "nan_payload": "938fa7c333b54e006fe5616f2badc97144cf9e93e5c3aa2a53f5f7a97bfd4bab",
+}
+
+
+class TestGoldenDigests:
+    def test_corpus_digests_are_pinned(self):
+        corpus = _golden_corpus()
+        assert sorted(corpus) == sorted(GOLDEN_DIGESTS)
+        actual = {name: structural_digest(value).hex() for name, value in corpus.items()}
+        assert actual == GOLDEN_DIGESTS
+
+    def test_cached_digests_match_fresh_ones(self):
+        """A second digest of the same objects (now hitting the per-node
+        caches and leaf memos) returns the pinned values again."""
+
+        corpus = _golden_corpus()
+        for value in corpus.values():
+            structural_digest(value)
+        assert {name: structural_digest(value).hex() for name, value in corpus.items()} == GOLDEN_DIGESTS
+
+    def test_nans_digest_by_bits(self):
+        patterns = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                    0x7FF8000000000002, 0x7FF0000000000001)
+        digests = {structural_digest(_f64_bits(bits)) for bits in patterns}
+        assert len(digests) == len(patterns)
+        assert structural_digest(_f64_bits(patterns[2])) == structural_digest(_f64_bits(patterns[2]))
+
+    def test_leaf_memos_stay_at_their_cap(self):
+        import hashlib
+
+        count = intern.LEAF_MEMO_CAP + 100
+        ints = [10**30 + n for n in range(count)]
+        strs = [f"leaf-memo-probe-{n}" for n in range(count)]
+        for _ in range(2):
+            for value in ints:
+                assert structural_digest(value) == hashlib.sha256(b"i" + repr(value).encode()).digest()
+            for value in strs:
+                assert structural_digest(value) == hashlib.sha256(b"s" + value.encode()).digest()
+        assert len(intern._INT_DIGESTS) == intern.LEAF_MEMO_CAP
+        assert len(intern._STR_DIGESTS) == intern.LEAF_MEMO_CAP

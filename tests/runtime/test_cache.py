@@ -1,7 +1,12 @@
 """Tests for :class:`repro.runtime.ModuleCache` — per-stage memoization."""
 
+import struct
+
 import pytest
 
+from repro.core.syntax import Function, f64, funtype, i64, make_module
+from repro.core.syntax.instructions import Call, CvtOp, NumConst, NumCvtop
+from repro.core.syntax.types import NumType
 from repro.ffi import Program, counter_program, fig3_programs
 from repro.runtime import CompiledProgram, ModuleCache, content_key
 from repro.wasm import WasmInterpreter, validate_module
@@ -32,6 +37,47 @@ class TestContentKey:
     def test_parameters_change_the_key(self):
         module = scenario_modules()["client"]
         assert content_key("lower", module, 4, False) != content_key("lower", module, 8, False)
+
+
+def _f64_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _nan_module(bits: int, *, via_i64: bool):
+    """``main`` returns ``i64.reinterpret_f64`` of the NaN with ``bits``.
+
+    The NaN is an ``f64.const`` in ``main``, or (``via_i64``) the result of
+    a callee computing ``f64.reinterpret_i64(i64.const bits)``, which
+    constant folding turns into an ``f64.const`` in the callee's optimized
+    body.
+    """
+
+    reinterpret = NumCvtop(NumType.I64, CvtOp.REINTERPRET, NumType.F64)
+    if not via_i64:
+        body = (NumConst(NumType.F64, _f64_bits(bits)), reinterpret)
+        return make_module(functions=[Function(funtype([], [i64()]), (), body, ("main",))])
+    callee = Function(
+        funtype([], [f64()]),
+        (),
+        (NumConst(NumType.I64, bits), NumCvtop(NumType.F64, CvtOp.REINTERPRET, NumType.I64)),
+        ("nan",),
+    )
+    main = Function(funtype([], [i64()]), (), (Call(0), reinterpret), ("main",))
+    return make_module(functions=[callee, main])
+
+
+class TestNaNKeys:
+    @pytest.mark.parametrize("engine", ["flat", "compiled"])
+    @pytest.mark.parametrize("via_i64", [False, True])
+    def test_nan_payloads_do_not_share_a_program(self, engine, via_i64):
+        """Content keys digest NaNs by their bits: two modules differing only
+        in a NaN payload compile to two programs on one cache."""
+
+        cache = ModuleCache()
+        for bits in (0x7FF8000000000001, 0x7FF8000000000002):
+            program = cache.compile_program(_nan_module(bits, via_i64=via_i64), optimize=True, engine=engine)
+            interpreter, instance = program.instantiate()
+            assert interpreter.invoke(instance, "main", []) == [bits]
 
 
 class TestStageMemoization:
