@@ -20,6 +20,7 @@ can be shared, compared and hashed.  Two groups of fields:
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -35,6 +36,19 @@ class ConfigError(ValueError):
 #:   facade call (stages still dedupe within the call);
 #: * ``"none"`` — no memoization: compile directly from source.
 CACHE_POLICIES = ("shared", "private", "none")
+
+
+#: The pass names of the levels :mod:`repro.opt.pipelines` ships.  No other
+#: level can be registered before that module is imported, so until then
+#: :meth:`CompileConfig.validate` and :meth:`CompileConfig.pass_names` answer
+#: from this table without importing the optimizer (a disk-warm program hit
+#: runs no pass).  ``tests/api/test_config.py`` pins it to the registry.
+_BUILTIN_PASS_NAMES = {
+    "O0": (),
+    "O1": ("dce", "flatten", "peephole", "deadlocals"),
+    "O2": ("dce", "flatten", "coalesce", "copyprop", "constfold", "peephole", "deadlocals", "deadfuncs"),
+}
+_PIPELINES_MODULE = __name__.rsplit(".", 2)[0] + ".opt.pipelines"
 
 
 @dataclass(frozen=True)
@@ -123,13 +137,15 @@ class CompileConfig:
         policies).
         """
 
-        from ..opt.pipelines import pipeline_names
         from ..wasm.engine import available_engines
 
-        if self.opt_level not in pipeline_names():
+        pipelines = sys.modules.get(_PIPELINES_MODULE)
+        if pipelines is None and self.opt_level not in _BUILTIN_PASS_NAMES:
+            from ..opt import pipelines
+        if pipelines is not None and self.opt_level not in pipelines.pipeline_names():
             raise ConfigError(
                 f"unknown opt level {self.opt_level!r}; registered levels: "
-                f"{', '.join(pipeline_names())}"
+                f"{', '.join(pipelines.pipeline_names())}"
             )
         if self.engine is not None and self.engine not in available_engines():
             raise ConfigError(
@@ -193,6 +209,8 @@ class CompileConfig:
     def pass_names(self) -> tuple[str, ...]:
         """The pipeline's pass names, in order (empty for ``O0``)."""
 
+        if _PIPELINES_MODULE not in sys.modules and self.opt_level in _BUILTIN_PASS_NAMES:
+            return _BUILTIN_PASS_NAMES[self.opt_level]
         return tuple(p.name for p in (self.passes() or ()))
 
     def content_key(self) -> str:

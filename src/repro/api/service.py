@@ -50,6 +50,46 @@ def resolve_export(exports: Sequence[str], name: str) -> str:
     )
 
 
+class ExportResolver:
+    """:func:`resolve_export` over one export table, memoized by name.
+
+    :class:`Service` and :class:`repro.cluster.ClusterService` each hold
+    one.  Successful resolutions are cached; failures are not, so an
+    unknown or ambiguous name raises :class:`LinkError` on every call.
+    """
+
+    __slots__ = ("exports", "_canonical", "_resolved")
+
+    def __init__(self, exports: Sequence[str]) -> None:
+        self.exports = tuple(sorted(exports))
+        self._canonical = frozenset(self.exports)  # exact names resolve to themselves
+        self._resolved: dict[str, str] = {}
+
+    def resolve(self, name: str) -> str:
+        try:
+            return self._resolved[name]
+        except KeyError:
+            resolved = self._resolved[name] = resolve_export(self.exports, name)
+            return resolved
+
+    def request(self, request):
+        """``request`` with every export name canonical (and a session's
+        call arguments as tuples); the object itself when it already is."""
+
+        canonical, resolve = self._canonical, self.resolve
+        if isinstance(request, Session):
+            calls = request.calls
+            for export, args in calls:
+                if export not in canonical or type(args) is not tuple:
+                    return dataclasses.replace(
+                        request, calls=tuple((resolve(export), tuple(args)) for export, args in calls)
+                    )
+            return request
+        if request.export in canonical:
+            return request
+        return dataclasses.replace(request, export=resolve(request.export))
+
+
 @dataclass(frozen=True)
 class ServiceStats:
     """One structured snapshot of a service's runtime counters."""
@@ -74,13 +114,13 @@ class Service:
         self.pool = pool
         self.runner = BatchRunner(pool)
         self._cache = cache
-        self._exports = tuple(sorted(compiled.wasm.exported_functions()))
+        self._resolver = ExportResolver(compiled.wasm.exported_functions())
 
     # -- introspection -----------------------------------------------------
 
     @property
     def exports(self) -> tuple[str, ...]:
-        return self._exports
+        return self._resolver.exports
 
     @property
     def diagnostics(self):
@@ -95,7 +135,7 @@ class Service:
         )
 
     def resolve(self, name: str) -> str:
-        return resolve_export(self._exports, name)
+        return self._resolver.resolve(name)
 
     # -- execution ---------------------------------------------------------
 
@@ -116,13 +156,14 @@ class Service:
     def run_one(self, request) -> RequestOutcome:
         """One :class:`Request`/:class:`Session` (or tuple), trap-isolated."""
 
-        (request,) = _normalize_requests([request])
-        return self.runner.run_one(self._resolved(request))
+        if not isinstance(request, (Request, Session)):
+            (request,) = _normalize_requests([request])
+        return self.runner.run_one(self._resolver.request(request))
 
     def run(self, requests) -> BatchReport:
         """A batch of requests, each on its own pooled-reset instance."""
 
-        resolved = [self._resolved(request) for request in _normalize_requests(requests)]
+        resolved = [self._resolver.request(request) for request in _normalize_requests(requests)]
         with get_tracer().span("service.run", requests=len(resolved)):
             return self.runner.run(resolved)
 
@@ -160,11 +201,3 @@ class Service:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _resolved(self, request):
-        if isinstance(request, Session):
-            return dataclasses.replace(
-                request,
-                calls=tuple((self.resolve(export), tuple(args)) for export, args in request.calls),
-            )
-        return dataclasses.replace(request, export=self.resolve(request.export))

@@ -21,11 +21,10 @@ The service is a context manager; :meth:`close` shuts the workers down
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..api.service import resolve_export
+from ..api.service import ExportResolver
 from ..obs.metrics import merge_snapshots
 from ..obs.trace import get_tracer
 from ..runtime.batch import BatchReport, Request, RequestOutcome, Session, _normalize_requests
@@ -69,7 +68,7 @@ class ClusterService:
         self.compiled = compiled
         self.config = config
         self._cache = cache
-        self._exports = tuple(sorted(compiled.wasm.exported_functions()))
+        self._resolver = ExportResolver(compiled.wasm.exported_functions())
         payload = {
             # Workers rebuild from the linked RichWasm (picklable across
             # spawn/fork); each runs a plain single-process serve.
@@ -97,7 +96,7 @@ class ClusterService:
 
     @property
     def exports(self) -> tuple[str, ...]:
-        return self._exports
+        return self._resolver.exports
 
     @property
     def diagnostics(self):
@@ -106,7 +105,7 @@ class ClusterService:
         return getattr(self.compiled, "diagnostics", None)
 
     def resolve(self, name: str) -> str:
-        return resolve_export(self._exports, name)
+        return self._resolver.resolve(name)
 
     def stats(self) -> ClusterStats:
         """Cluster-wide counters: per-worker records + merged metrics."""
@@ -142,14 +141,15 @@ class ClusterService:
     def run_one(self, request) -> RequestOutcome:
         """One :class:`Request`/:class:`Session` (or tuple), trap-isolated."""
 
-        (request,) = _normalize_requests([request])
-        return self.dispatcher.run_one(self._resolved(request))
+        if not isinstance(request, (Request, Session)):
+            (request,) = _normalize_requests([request])
+        return self.dispatcher.run_one(self._resolver.request(request))
 
     def run(self, requests) -> BatchReport:
         """A batch fanned out across the workers in per-worker chunks
         (throttled by the bounded queues, ``queue_depth`` chunks each)."""
 
-        resolved = [self._resolved(request) for request in _normalize_requests(requests)]
+        resolved = [self._resolver.request(request) for request in _normalize_requests(requests)]
         with get_tracer().span("cluster.run", requests=len(resolved), workers=self.workers):
             return self.dispatcher.run(resolved)
 
@@ -189,11 +189,3 @@ class ClusterService:
             self.close()
         except Exception:
             pass
-
-    def _resolved(self, request):
-        if isinstance(request, Session):
-            return dataclasses.replace(
-                request,
-                calls=tuple((self.resolve(export), tuple(args)) for export, args in request.calls),
-            )
-        return dataclasses.replace(request, export=self.resolve(request.export))

@@ -23,39 +23,63 @@ Entry points: :func:`optimize_module` for a lowered
 :func:`repro.l3.compile_l3_module`, or the FFI ``Program`` execution path.
 """
 
-from .coalesce import LocalCoalescingPass
-from .constfold import ConstantFoldingPass
-from .copyprop import CopyPropagationPass
-from .dce import DeadCodeEliminationPass, UnusedLocalPass
-from .deadfuncs import DeadFunctionPass, reachable_functions
-from .flatten import BlockFlatteningPass
-from .manager import (
-    FunctionPass,
-    FunctionPassSegment,
-    ModulePass,
-    OptimizationResult,
-    PassManager,
-    PassStats,
-    default_passes,
-    optimize_module,
-    split_segments,
-)
-from .peephole import PeepholePass
-from .pipelines import (
-    PIPELINES,
-    o1_passes,
-    pipeline_names,
-    pipeline_passes,
-    register_pipeline,
-)
-from .verify import (
-    CallOutcome,
-    DifferentialReport,
-    Invocation,
-    run_differential,
-    run_engine_cross_check,
-    run_pool_reset_cross_check,
-    verify_optimization,
+import importlib
+
+# Public names and the submodule that defines each.  They load on first
+# access (PEP 562), so a process that only unpickles an
+# ``OptimizationResult`` — a disk-warm program hit — imports ``manager``
+# and none of the pass modules.
+_EXPORTS = {
+    "LocalCoalescingPass": "coalesce",
+    "ConstantFoldingPass": "constfold",
+    "CopyPropagationPass": "copyprop",
+    "DeadCodeEliminationPass": "dce",
+    "UnusedLocalPass": "dce",
+    "DeadFunctionPass": "deadfuncs",
+    "reachable_functions": "deadfuncs",
+    "BlockFlatteningPass": "flatten",
+    "FunctionPass": "manager",
+    "FunctionPassSegment": "manager",
+    "ModulePass": "manager",
+    "OptimizationResult": "manager",
+    "PassManager": "manager",
+    "PassStats": "manager",
+    "default_passes": "manager",
+    "optimize_module": "manager",
+    "split_segments": "manager",
+    "PeepholePass": "peephole",
+    "PIPELINES": "pipelines",
+    "o1_passes": "pipelines",
+    "pipeline_names": "pipelines",
+    "pipeline_passes": "pipelines",
+    "register_pipeline": "pipelines",
+    "CallOutcome": "verify",
+    "DifferentialReport": "verify",
+    "Invocation": "verify",
+    "run_differential": "verify",
+    "run_engine_cross_check": "verify",
+    "run_pool_reset_cross_check": "verify",
+    "verify_optimization": "verify",
+}
+
+_SUBMODULES = (
+    "coalesce", "constfold", "copyprop", "dce", "deadfuncs", "flatten",
+    "manager", "peephole", "pipelines", "rewrite", "verify",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_SUBMODULES])
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from ..core.typing.errors import WasmError
-from ..obs.metrics import default_registry
+from ..obs.metrics import default_registry, label_key
 from ..obs.trace import get_tracer
 from ..wasm.interpreter import WasmTrap, WasmValue
 from .pool import InstancePool
@@ -62,6 +62,15 @@ _TRAP_KIND_PATTERNS = (
     ("module has no memory", "no_memory"),
     ("branch escaped function body", "branch_escaped"),
 )
+
+
+# Label keys prebuilt once (``Counter.inc_key``): one per outcome and one
+# per trap kind, including the two kinds no pattern yields.
+_OUTCOME_KEYS = {True: label_key({"outcome": "ok"}), False: label_key({"outcome": "trap"})}
+_TRAP_KEYS = {
+    kind: label_key({"kind": kind})
+    for kind in {pattern_kind for _, pattern_kind in _TRAP_KIND_PATTERNS} | {"other", "internal_error"}
+}
 
 
 def classify_trap(message: str) -> str:
@@ -213,19 +222,18 @@ class BatchRunner:
         with get_tracer().span("request", trace_id=request.trace_id, export=request.export) as span:
             entry = self.pool.acquire()
             try:
-                interpreter = entry.interpreter
-                before = interpreter.steps
+                engine = entry.engine
+                before = engine.steps
                 if request.max_steps is not None:
                     budget = before + request.max_steps
-                    interpreter.max_steps = (
-                        budget if interpreter.max_steps is None else min(interpreter.max_steps, budget)
-                    )
+                    engine.max_steps = budget if engine.max_steps is None else min(engine.max_steps, budget)
                     span.set_attr(budget=request.max_steps)
                 trace_id = span.trace_id or request.trace_id
                 failure = None
                 try:
                     if isinstance(request, Session):
-                        values = [entry.invoke(export, tuple(args)) for export, args in request.calls]
+                        invoke = entry.invoke
+                        values = [invoke(export, args) for export, args in request.calls]
                     else:
                         values = entry.invoke(request.export, request.args)
                 except WasmTrap as trap:
@@ -237,17 +245,17 @@ class BatchRunner:
                     # RecursionError on deep Wasm recursion: isolate it like
                     # a trap so later requests on this pool still run.
                     failure = f"internal error: {type(exc).__name__}: {exc}", "internal_error"
-                steps = interpreter.steps - before
+                steps = engine.steps - before
                 if failure is None:
                     outcome = RequestOutcome(request, True, values, None, steps, trace_id=trace_id)
                 else:
                     message, kind = failure
                     span.set_trap(message, kind=kind)
-                    _TRAPS.inc(kind=kind)
+                    _TRAPS.inc_key(_TRAP_KEYS[kind])
                     outcome = RequestOutcome(
                         request, False, None, message, steps, trap_kind=kind, trace_id=trace_id
                     )
-                _REQUESTS.inc(outcome="ok" if outcome.ok else "trap")
+                _REQUESTS.inc_key(_OUTCOME_KEYS[outcome.ok])
                 _REQUEST_STEPS.observe(outcome.steps)
                 span.set_attr(steps=outcome.steps, ok=outcome.ok)
                 return outcome

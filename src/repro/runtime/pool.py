@@ -64,31 +64,38 @@ class InstanceImage:
 
 
 class PooledInstance:
-    """One pooled ``(interpreter, instance)`` pair plus its reset image."""
+    """One pooled ``(interpreter, instance)`` pair plus its reset image.
 
-    __slots__ = ("interpreter", "instance", "image", "generation")
+    The entry binds its interpreter's engine once, so :meth:`invoke` goes
+    straight to :meth:`~repro.wasm.engine.ExecutionEngine.invoke`.
+    """
+
+    __slots__ = ("interpreter", "engine", "instance", "image", "funcs_version", "generation")
 
     def __init__(self, interpreter: WasmInterpreter, instance: WasmInstance, image: InstanceImage):
         self.interpreter = interpreter
+        self.engine = interpreter.engine
         self.instance = instance
         self.image = image
+        self.funcs_version = instance.funcs.version
         self.generation = 0
 
     @property
     def steps(self) -> int:
-        return self.interpreter.steps
+        return self.engine.steps
 
     def invoke(self, export: str, args: Sequence[WasmValue] = ()) -> list[WasmValue]:
-        return self.interpreter.invoke(self.instance, export, list(args))
+        return self.engine.invoke(self.instance, export, args)
 
     def reset(self) -> None:
         """Restore the post-initialization image in place.
 
         Memory resets through :meth:`~repro.wasm.LinearMemory.reset` (an
-        identity-preserving, resizing restore), globals/table/funcs through
-        slice assignment, and the engine's ``steps``/``max_steps`` go back to
-        their captured values — so the next invocation observes exactly what
-        it would on a fresh instance.
+        identity-preserving, resizing restore), globals and table through
+        slice assignment, function slots the same way but only when the
+        request changed them (their ``version`` moved), and the engine's
+        ``steps``/``max_steps`` go back to their captured values — so the
+        next invocation observes exactly what it would on a fresh instance.
         """
 
         instance, image = self.instance, self.image
@@ -96,9 +103,13 @@ class PooledInstance:
             instance.memory.reset(image.memory)
         instance.globals[:] = image.globals
         instance.table[:] = image.table
-        instance.funcs[:] = image.funcs
-        self.interpreter.steps = image.steps
-        self.interpreter.max_steps = image.max_steps
+        funcs = instance.funcs
+        if funcs.version != self.funcs_version:
+            funcs[:] = image.funcs
+            self.funcs_version = funcs.version
+        engine = self.engine
+        engine.steps = image.steps
+        engine.max_steps = image.max_steps
         self.generation += 1
 
 

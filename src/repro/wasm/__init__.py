@@ -65,6 +65,8 @@ from .engine import (
     create_engine,
 )
 from .interpreter import (
+    CodeSnapshot,
+    FuncList,
     HostFunction,
     LinearMemory,
     MAX_MEMORY_PAGES,

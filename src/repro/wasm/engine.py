@@ -117,6 +117,7 @@ from .decode import (
     decode_instance,
 )
 from .interpreter import (
+    CodeSnapshot,
     HostFunction,
     LinearMemory,
     WasmInstance,
@@ -225,9 +226,11 @@ class ExecutionEngine(ABC):
     # -- invocation --------------------------------------------------------
 
     def invoke(self, instance: WasmInstance, name: str, args: Sequence[WasmValue] = ()) -> list[WasmValue]:
-        if name not in instance.exports:
-            raise WasmError(f"no export named {name!r}")
-        return self.invoke_index(instance, instance.exports[name], list(args))
+        try:
+            index = instance.exports[name]
+        except KeyError:
+            raise WasmError(f"no export named {name!r}") from None
+        return self.invoke_index(instance, index, list(args))
 
     @abstractmethod
     def invoke_index(self, instance: WasmInstance, index: int, args: list[WasmValue]) -> list[WasmValue]:
@@ -587,42 +590,21 @@ class FlatVMEngine(ExecutionEngine):
     def _decode(instance: WasmInstance) -> list:
         decoded = decode_instance(instance)
         instance.decoded = decoded
-        instance.decoded_funcs = list(instance.funcs)
+        instance.decoded_snapshot = CodeSnapshot(instance.funcs)
         return decoded
 
-    @staticmethod
-    def _decode_is_current(instance: WasmInstance) -> bool:
-        """Is the cached flat code still what ``instance.funcs`` would run?
-
-        The tree walker reads ``instance.funcs`` live, so a patched function
-        slot (say, an optimized body swapped in after instantiation) takes
-        effect immediately there; the flat VM must not keep executing stale
-        pre-decoded code.  Identity-compare the snapshot taken at decode time
-        — defined bodies are immutable tuples, so slot identity is exactly
-        code identity.  (Checked at invoke boundaries; calls already on the
-        pc loop keep the code they started with, as does a reentrant tree
-        walk mid-call.)
-        """
-
-        snapshot = instance.decoded_funcs
-        funcs = instance.funcs
-        if snapshot is None or len(snapshot) != len(funcs):
-            return False
-        for cached, current in zip(snapshot, funcs):
-            if cached is not current:
-                return False
-        return True
-
     def invoke_index(self, instance: WasmInstance, index: int, args: list[WasmValue]) -> list[WasmValue]:
-        target = instance.funcs[index]
-        if callable(target) and not isinstance(target, WasmFunction):
-            results = target(*args)
-            return list(results) if results is not None else []
-        decoded = instance.decoded
-        if decoded is None or not self._decode_is_current(instance):
+        snapshot = instance.decoded_snapshot
+        if snapshot is not None and snapshot.is_current(instance.funcs):
+            decoded = instance.decoded
+        else:
             # Instance was created by another engine (decode on first use) or
             # its function table was patched since the last decode.
             decoded = self._decode(instance)
+        entry = decoded[index]
+        if type(entry) is HostEntry:
+            results = entry.fn(*args)
+            return list(results) if results is not None else []
         return self._run(instance, decoded, index, args)
 
     def _run(

@@ -21,6 +21,7 @@ unchanged while the engine stays swappable (also via the
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -161,24 +162,110 @@ class LinearMemory:
         self.data[address : address + len(payload)] = payload
 
 
+# One process-wide source of ``FuncList`` versions, so a version recorded
+# for one list can never match another.
+_FUNCS_VERSIONS = itertools.count()
+
+
+class FuncList(list):
+    """``WasmInstance.funcs``: a list that stamps a fresh ``version`` on
+    every mutation (item/slice assignment, ``del``, ``append``, ``extend``,
+    ``insert``, ``pop``, ``remove``, ``clear``, ``sort``, ``reverse``,
+    ``+=``, ``*=``).
+
+    Engines cache code derived from the function slots; an unchanged
+    version tells them in O(1) that the cache is still current (see
+    :class:`CodeSnapshot`).
+    """
+
+    __slots__ = ("version",)
+
+    def __init__(self, iterable=()) -> None:
+        super().__init__(iterable)
+        self.version = next(_FUNCS_VERSIONS)
+
+
+def _versioned(name: str):
+    method = getattr(list, name)
+
+    def mutate(self, *args, **kwargs):
+        self.version = next(_FUNCS_VERSIONS)
+        return method(self, *args, **kwargs)
+
+    mutate.__name__, mutate.__qualname__, mutate.__doc__ = name, f"FuncList.{name}", method.__doc__
+    return mutate
+
+
+for _name in (
+    "__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+    "insert", "pop", "remove", "clear", "sort", "reverse",
+):
+    setattr(FuncList, _name, _versioned(_name))
+del _name
+
+
+class CodeSnapshot:
+    """The function slots an engine's cached code was built from.
+
+    The tree walker reads ``instance.funcs`` live, so a patched slot (say,
+    an optimized body swapped in after instantiation) takes effect at once
+    there; the flat VM's decode and the compiled tier's translation must not
+    keep running stale code.  :meth:`is_current` answers in O(1) while
+    ``funcs.version`` is the one recorded here.  After a mutation it falls
+    back to identity-comparing the slots — defined bodies are immutable, so
+    slot identity is exactly code identity — and, when every slot still
+    matches (a pool reset that put the same functions back), adopts the new
+    version.  Engines check at external invoke boundaries: calls already
+    running keep the code they started with.
+    """
+
+    __slots__ = ("funcs", "version")
+
+    def __init__(self, funcs: FuncList) -> None:
+        self.funcs = tuple(funcs)
+        self.version = funcs.version
+
+    def is_current(self, funcs: FuncList) -> bool:
+        return funcs.version == self.version or self._rescan(funcs)
+
+    def _rescan(self, funcs: FuncList) -> bool:
+        cached = self.funcs
+        if len(cached) != len(funcs):
+            return False
+        for old, new in zip(cached, funcs):
+            if old is not new:
+                return False
+        self.version = funcs.version
+        return True
+
+
 @dataclass
 class WasmInstance:
-    """A runtime instance of a Wasm module."""
+    """A runtime instance of a Wasm module.
+
+    ``funcs`` is a :class:`FuncList` (a plain list passed in is converted);
+    patch it in place rather than rebinding the attribute.
+    """
 
     module: WasmModule
-    funcs: list[object] = field(default_factory=list)  # WasmFunction | HostFunction
+    funcs: FuncList = field(default_factory=FuncList)  # WasmFunction | HostFunction
     globals: list[WasmValue] = field(default_factory=list)
     memory: Optional[LinearMemory] = None
     table: list[int] = field(default_factory=list)
     exports: dict[str, int] = field(default_factory=dict)
     # Flat-code cache filled by the flat VM at instantiation (or lazily on
     # first invoke when the instance was built by another engine), plus the
-    # snapshot of ``funcs`` it was decoded from: the flat VM revalidates the
-    # snapshot on every external invoke and re-decodes when a function slot
-    # has been swapped (e.g. for an optimized body), so patched instances
-    # never execute stale flat code.
+    # snapshot of ``funcs`` it was decoded from: the flat VM re-decodes when
+    # the snapshot is no longer current, so patched instances never execute
+    # stale flat code.
     decoded: Optional[list] = field(default=None, repr=False, compare=False)
-    decoded_funcs: Optional[list] = field(default=None, repr=False, compare=False)
+    decoded_snapshot: Optional[CodeSnapshot] = field(default=None, repr=False, compare=False)
+    # The compiled tier's per-instance translation (``repro.wasm.pygen``).
+    compiled_py: Optional[object] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if type(self.funcs) is not FuncList:
+            self.funcs = FuncList(self.funcs)
 
 
 class WasmInterpreter:

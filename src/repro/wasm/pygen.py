@@ -53,7 +53,7 @@ import weakref
 from typing import ClassVar, Optional
 
 from ..core.semantics import numerics
-from .ast import PAGE_SIZE, WasmFunction, WasmImportedFunction, WasmModule
+from .ast import PAGE_SIZE, WasmImportedFunction, WasmModule
 from .decode import (
     OP_BLOCK,
     OP_BR,
@@ -98,7 +98,7 @@ from .decode import (
     decode_module,
 )
 from .engine import ENGINES, ExecutionEngine, FlatVMEngine
-from .interpreter import WasmInstance, WasmTrap, WasmValue, _normalize
+from .interpreter import CodeSnapshot, WasmInstance, WasmTrap, WasmValue, _normalize
 
 _INF = float("inf")
 
@@ -1114,12 +1114,12 @@ class _Runtime:
 
 
 class _CompiledInstance:
-    __slots__ = ("rt", "targets", "funcs_snapshot")
+    __slots__ = ("rt", "targets", "snapshot")
 
-    def __init__(self, rt: _Runtime, targets: list, funcs_snapshot: list):
+    def __init__(self, rt: _Runtime, targets: list, snapshot: CodeSnapshot):
         self.rt = rt
         self.targets = targets
-        self.funcs_snapshot = funcs_snapshot
+        self.snapshot = snapshot
 
 
 def _matches_module_decode(decoded: list, shared: DecodedModule) -> bool:
@@ -1192,35 +1192,25 @@ class CompiledPyEngine(ExecutionEngine):
         rt.decoded = decoded
         targets = list(translation.functions)
         rt.targets = targets
-        compiled = _CompiledInstance(rt, targets, list(instance.funcs))
+        snapshot = CodeSnapshot(instance.funcs)
+        compiled = _CompiledInstance(rt, targets, snapshot)
         instance.compiled_py = compiled
         # Keep the flat VM's decode cache coherent too: we just decoded.
         instance.decoded = decoded
-        instance.decoded_funcs = list(instance.funcs)
+        instance.decoded_snapshot = snapshot
         return compiled
-
-    @staticmethod
-    def _compiled_is_current(instance: WasmInstance, compiled: _CompiledInstance) -> bool:
-        snapshot = compiled.funcs_snapshot
-        funcs = instance.funcs
-        if len(snapshot) != len(funcs):
-            return False
-        for cached, current in zip(snapshot, funcs):
-            if cached is not current:
-                return False
-        return True
 
     # -- invocation ---------------------------------------------------------
 
     def invoke_index(self, instance: WasmInstance, index: int, args: list[WasmValue]) -> list[WasmValue]:
-        target = instance.funcs[index]
-        if callable(target) and not isinstance(target, WasmFunction):
-            results = target(*args)
-            return list(results) if results is not None else []
-        compiled: Optional[_CompiledInstance] = getattr(instance, "compiled_py", None)
-        if compiled is None or not self._compiled_is_current(instance, compiled):
+        compiled: Optional[_CompiledInstance] = instance.compiled_py
+        if compiled is None or not compiled.snapshot.is_current(instance.funcs):
             compiled = self._compile_instance(instance)
-        flat = compiled.rt.decoded[index]
+        rt = compiled.rt
+        flat = rt.decoded[index]
+        if type(flat) is HostEntry:
+            results = flat.fn(*args)
+            return list(results) if results is not None else []
         if len(args) != flat.n_params:
             adapted = self._adapt_entry_args(flat, args)
             if adapted is None:
@@ -1229,13 +1219,16 @@ class CompiledPyEngine(ExecutionEngine):
                 # builds its historical ``list(args) + local_inits`` frame.
                 return self._flat.invoke_index(instance, index, args)
             args = adapted
-        rt = compiled.rt
         rt.engine = self
         rt.instance = instance
         rt.globals = instance.globals
         rt.memory = instance.memory
         rt.table = instance.table
-        result = compiled.targets[index](rt, self.steps, self._current_boundary(), *args)
+        limit = self.max_steps
+        boundary = limit + 1 if limit is not None else _INF
+        if self.profiler is not None:
+            boundary = self._current_boundary()
+        result = compiled.targets[index](rt, self.steps, boundary, *args)
         self.steps = result[0]
         return list(result[1:])
 

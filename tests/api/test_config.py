@@ -1,12 +1,26 @@
 """CompileConfig: validation, normalization, hash stability, opt pipelines."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.api import CACHE_POLICIES, CompileConfig, ConfigError
+from repro.api.config import _BUILTIN_PASS_NAMES
 from repro.l3 import compile_l3_module
 from repro.lower import lower_module
 from repro.ml import compile_ml_module
-from repro.opt import pipeline_names, pipeline_passes, run_differential, run_engine_cross_check
+from repro.opt import (
+    PIPELINES,
+    o1_passes,
+    pipeline_names,
+    pipeline_passes,
+    run_differential,
+    run_engine_cross_check,
+)
 from repro.wasm import TreeWalkingEngine, available_engines, create_engine
 
 from bench_pipelines import l3_workload, ml_workload
@@ -155,3 +169,53 @@ class TestPipelines:
             assert report.ok, f"{level}/{engine}:\n{report.format_report()}"
         cross = run_engine_cross_check(candidate.wasm, calls)
         assert cross.ok, cross.format_report()
+
+
+_WARM_CHILD = """
+import json, sys
+sys.path.insert(0, {src!r})
+from repro import api
+from repro.ml import BinOp, IntLit, MLFunction, TInt, Var, ml_module
+source = ml_module("m", functions=[
+    MLFunction("double", "x", TInt(), TInt(), BinOp("*", Var("x"), IntLit(2))),
+])
+compiled = api.compile(source, {{"opt_level": "O2", "cache_dir": {cache_dir!r}}})
+print(json.dumps({{
+    "program": compiled.diagnostics.cache["program"],
+    "opt": sorted(name for name in sys.modules if name.startswith("repro.opt")),
+}}))
+"""
+
+
+class TestOptimizerFreeKeys:
+    """Built-in levels validate and key without importing the passes."""
+
+    def test_builtin_pass_names_match_the_registry(self):
+        assert set(_BUILTIN_PASS_NAMES) <= set(pipeline_names())
+        for level, names in _BUILTIN_PASS_NAMES.items():
+            assert names == tuple(p.name for p in pipeline_passes(level))
+
+    def test_registered_levels_validate_and_key(self, monkeypatch):
+        monkeypatch.setitem(PIPELINES, "O3", o1_passes)
+        config = CompileConfig(opt_level="O3").validate()
+        assert config.pass_names() == CompileConfig(opt_level="O1").pass_names()
+        monkeypatch.setitem(PIPELINES, "O1", lambda: o1_passes()[:2])
+        assert CompileConfig(opt_level="O1").pass_names() == ("dce", "flatten")
+        with pytest.raises(ConfigError, match=r"registered levels: O0, O1, O2, O3$"):
+            CompileConfig(opt_level="O9").validate()
+
+    def test_disk_warm_program_hit_imports_no_pass_module(self, tmp_path):
+        script = _WARM_CHILD.format(
+            src=os.path.dirname(os.path.dirname(repro.__file__)), cache_dir=str(tmp_path)
+        )
+        records = [
+            json.loads(subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True
+            ).stdout.splitlines()[-1])
+            for _ in range(2)
+        ]
+        assert [record["program"] for record in records] == ["miss", "hit"]
+        assert "repro.opt.pipelines" in records[0]["opt"]
+        # The program payload pickles an ``OptimizationResult``, so the hit
+        # loads ``repro.opt.manager`` — and nothing else of the optimizer.
+        assert set(records[1]["opt"]) <= {"repro.opt", "repro.opt.manager"}

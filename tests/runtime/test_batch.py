@@ -203,3 +203,33 @@ class TestInternalErrors:
         runner = BatchRunner(InstancePool(service_module(), engine="compiled"))
         with pytest.raises(WasmError, match="no export named"):
             runner.run_one(Request("nope"))
+
+
+class TestRequestMetrics:
+    def test_prebound_label_keys_snapshot_like_keyword_labels(self, runner, monkeypatch):
+        # Fresh counters stand in for the process-wide ones; the reference
+        # pair is filled through the keyword-label path.
+        from repro.obs.metrics import Counter
+        from repro.runtime import batch
+
+        requests, traps = Counter("runtime.requests"), Counter("runtime.traps")
+        monkeypatch.setattr(batch, "_REQUESTS", requests)
+        monkeypatch.setattr(batch, "_TRAPS", traps)
+        report = runner.run([
+            ("bump", (1,)),
+            ("dirty_then_trap",),
+            ("bump", (2,), 1),  # step budget
+            ("peek",),
+            ("dirty_then_trap",),
+        ])
+        expected_requests, expected_traps = Counter("runtime.requests"), Counter("runtime.traps")
+        for outcome in report.outcomes:
+            expected_requests.inc(outcome="ok" if outcome.ok else "trap")
+            if not outcome.ok:
+                expected_traps.inc(kind=outcome.trap_kind)
+        assert [outcome.trap_kind for outcome in report.outcomes] == [
+            None, "unreachable", "step_budget", None, "unreachable",
+        ]
+        assert requests.snapshot() == expected_requests.snapshot()
+        assert traps.snapshot() == expected_traps.snapshot()
+        assert requests.labeled(outcome="ok") == 2 and traps.labeled(kind="unreachable") == 2
