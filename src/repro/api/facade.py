@@ -357,6 +357,32 @@ def _typecheck_cached(richwasm, cache: ModuleCache, diagnostics: Diagnostics) ->
             _bypass(diagnostics, "typecheck")
 
 
+def _translate_stage(diagnostics: Diagnostics, cache: ModuleCache, wasm, *, parcompile: bool = False) -> None:
+    """The ``translate`` stage through the cache.  Its span carries the
+    characters of source generated and the split of the stage between
+    emitting that source (``emit_s``) and Python's ``compile()``
+    (``pycompile_s``)."""
+
+    from ..wasm.pygen import translate_work
+
+    with diagnostics.stage("translate") as span:
+        before = cache.stats["translate"].hits
+        units_before = cache.units.snapshot()
+        work_before = translate_work()
+        cache.translate(wasm)
+        diagnostics.cache["translate"] = (
+            "hit" if cache.stats["translate"].hits > before else "miss"
+        )
+        _record_units(diagnostics, cache, units_before, span)
+        emit_s, pycompile_s, source_chars = (
+            now - then for now, then in zip(translate_work(), work_before)
+        )
+        if source_chars:
+            span.set_attr(source_chars=source_chars, emit_s=emit_s, pycompile_s=pycompile_s)
+        if parcompile:
+            _record_parcompile(diagnostics, cache, span)
+
+
 def _lower_direct(richwasm, config: CompileConfig):
     from ..lower import lower_module
     from ..wasm import validate_module
@@ -395,16 +421,8 @@ def _compile_cached(modules, config: CompileConfig, cache: ModuleCache,
             # Re-seed the per-object translation memo from the content store:
             # a program hit may hand out a structurally equal module object
             # the pygen memo has never seen.
-            with diagnostics.stage("translate") as span:
-                before = cache.stats["translate"].hits
-                units_before = cache.units.snapshot()
-                cache.translate(program.wasm)
-                diagnostics.cache["translate"] = (
-                    "hit" if cache.stats["translate"].hits > before else "miss"
-                )
-                _record_units(diagnostics, cache, units_before, span)
-                # A disk-warm program retranslates; that may have run the pool.
-                _record_parcompile(diagnostics, cache, span)
+            # A disk-warm program retranslates; that may have run the pool.
+            _translate_stage(diagnostics, cache, program.wasm, parcompile=True)
         return program
     diagnostics.cache["program"] = "miss"
     _typecheck_cached(richwasm, cache, diagnostics)
@@ -422,12 +440,5 @@ def _compile_cached(modules, config: CompileConfig, cache: ModuleCache,
         diagnostics.cache["decode"] = "hit" if cache.stats["decode"].hits > before else "miss"
         _record_units(diagnostics, cache, units_before, span)
     if config.engine == "compiled":
-        with diagnostics.stage("translate") as span:
-            before = cache.stats["translate"].hits
-            units_before = cache.units.snapshot()
-            cache.translate(lowered.wasm)
-            diagnostics.cache["translate"] = (
-                "hit" if cache.stats["translate"].hits > before else "miss"
-            )
-            _record_units(diagnostics, cache, units_before, span)
+        _translate_stage(diagnostics, cache, lowered.wasm)
     return cache.put_program(key, richwasm, lowered, engine=config.engine, config=config)

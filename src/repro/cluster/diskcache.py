@@ -51,8 +51,10 @@ __all__ = ["DISK_FORMAT", "DiskCache", "DiskEntry", "shared_disk_module_cache"]
 #: ``unit.optimize`` entries hold one function-pass segment's result
 #: (function, per-pass rewrite counts) instead of one pass's.  Format 3:
 #: ``unit.translate`` chunks emit each step chunk once and deoptimize to the
-#: flat VM (their keys hash the function, not the emitter).
-DISK_FORMAT = 3
+#: flat VM (their keys hash the function, not the emitter).  Format 4:
+#: ``unit.translate`` chunks fold pure operands into expressions and drop
+#: the address guard, and decoded integer stores carry a full-width flag.
+DISK_FORMAT = 4
 
 _SUFFIX = ".pkl"
 

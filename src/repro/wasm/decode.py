@@ -374,11 +374,12 @@ class _FunctionDecoder:
             self.emit((OP_LOAD_F, instr.offset, fmt, instr.valtype.byte_width))
 
     def decode_store(self, instr: StoreI) -> None:
-        if instr.width is not None:
-            self.emit((OP_STORE_I, instr.offset, instr.width // 8, (1 << instr.width) - 1))
-        elif instr.valtype.is_integer:
-            width = instr.valtype.bit_width
-            self.emit((OP_STORE_I, instr.offset, width // 8, (1 << width) - 1))
+        # The last field says whether the store writes its operand's full
+        # width (the compiled tier then needs no mask: operands are normalized).
+        if instr.width is not None or instr.valtype.is_integer:
+            width = instr.valtype.bit_width if instr.width is None else instr.width
+            whole = instr.valtype.is_integer and width == instr.valtype.bit_width
+            self.emit((OP_STORE_I, instr.offset, width // 8, (1 << width) - 1, whole))
         else:
             fmt = "<f" if instr.valtype is ValType.F32 else "<d"
             self.emit((OP_STORE_F, instr.offset, fmt, instr.valtype.byte_width))

@@ -18,25 +18,30 @@ Translation strategy:
 * Wasm locals become Python locals ``l0..lN``;
 * the operand stack becomes Python locals ``s0..sN`` wherever the static
   stack depth is provable (it always is for validated code); translation
-  falls back to an explicit list per function otherwise;
-* step accounting is batched per basic block: one ``steps += k`` plus one
-  boundary comparison per chunk of straight-line code, placed exactly where
-  the flat VM folds its budget/profiler trigger.  Each chunk is emitted
-  once.  When a ``max_steps`` trap or a
-  :class:`~repro.obs.profile.StepProfiler` sample is due inside it, the
-  guard *deoptimizes* (Hölzle, Chambers & Ungar, PLDI 1992): the
-  activation's locals, operand stack and static label stack go to the flat
-  VM at the chunk's first pc, and the flat VM — the unoptimized tier, which
-  counts one step at a time — runs it to its return, so traps and samples
-  land on the identical step, with the identical partial side effects, as
-  the flat and tree engines.  Loads, stores, trapping numerics and
-  ``br_if`` sit inside a chunk: since the whole chunk was counted up front,
-  their trap and exit paths subtract the instructions left in it, so a trap
-  still observes the exact step count.  Only calls and unconditional
-  transfers end a chunk;
+  falls back to an explicit list per function otherwise.  In register mode
+  the emitter keeps a *symbolic* operand stack, Binaryen's expression-tree
+  idea applied at emit time: pure operands (local and global reads,
+  constants, the inline integer binops, integer relops and tests, the other
+  non-trapping integer numerics, ``wrap``/``extend`` and ``select``) stay
+  Python expressions and are folded into the instruction that consumes
+  them, so ``local.get; i32.const; i32.add; local.set`` is one line and a
+  compare feeding ``if``/``br_if``/``select`` becomes the condition itself.
+  Loads, trapping numerics, calls, ``memory.size``/``memory.grow`` and the
+  float operators still run at their own instruction, so a trap keeps its
+  step.  A pending operand is *materialized* into its ``s*`` slot only
+  where its value could change or be observed: before a write to a local,
+  global or slot it reads, before a call (the arguments themselves pass as
+  expressions; a callee or host may write globals), on a branch's stack
+  adjustment, and at every chunk end — a chunk's deopt guard hands
+  ``s0..s{depth-1}`` to the flat VM through ``locals()``;
 * linear memory is read and written through precompiled little-endian
   :class:`struct.Struct` accessors, with a failed access caught as
   ``struct.error`` and re-raised as the flat VM's out-of-bounds trap.
+  Every integer producer yields a non-negative value (arguments and host
+  results are masked on entry; ``tests/wasm/test_pygen_fold.py`` checks
+  each producer over edge inputs), so an address is never negative and
+  needs no guard against ``unpack_from``'s end-relative offsets; for the
+  same reason a full-width store writes its operand unmasked.
 
 :class:`CompiledPyEngine` (``"compiled"``) exposes the tier behind the
 :class:`~repro.wasm.engine.ExecutionEngine` ABC.  Translation is memoized
@@ -48,11 +53,14 @@ skip decode.
 
 from __future__ import annotations
 
+import re
 import struct
+import time
 import weakref
 from typing import ClassVar, Optional
 
 from ..core.semantics import numerics
+from ..obs.metrics import default_registry
 from .ast import PAGE_SIZE, WasmImportedFunction, WasmModule
 from .decode import (
     OP_BLOCK,
@@ -94,6 +102,7 @@ from .decode import (
     _cvt_extend,
     _cvt_trunc,
     _cvt_wrap,
+    _unop_int,
     decode_instance,
     decode_module,
 )
@@ -142,6 +151,13 @@ del _fmt, _struct
 
 _UNSIGNED_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _SIGNED_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+_RELOP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "gt": ">", "le": "<=", "ge": ">="}
+
+# A folded operand nested deeper than this goes to its slot at once, which
+# keeps generated expressions far below CPython's limit of 200 nested
+# parentheses.
+_MAX_NEST = 16
 
 
 class _RegisterModeUnsupported(Exception):
@@ -247,12 +263,97 @@ class _Label:
 
 
 # ---------------------------------------------------------------------------
+# Symbolic operands (register mode)
+# ---------------------------------------------------------------------------
+
+_NAME = re.compile(r"[\w.]+(\[\d+\])?")
+_CALL_HEAD = re.compile(r"\w+\(")
+
+
+def _is_atom(expr: str) -> bool:
+    """Whether ``expr`` can be an operand without parentheses: a name, a
+    literal, ``gl[i]`` or one call."""
+
+    if _NAME.fullmatch(expr):
+        return True
+    head = _CALL_HEAD.match(expr)
+    if head is None:
+        return False
+    depth = 0
+    for position in range(head.end() - 1, len(expr)):
+        char = expr[position]
+        if char == "(":
+            depth += 1
+        elif char == ")":
+            depth -= 1
+            if depth == 0:
+                return position == len(expr) - 1
+    return False
+
+
+class _Operand:
+    """One entry of the register emitter's symbolic stack.
+
+    ``expr`` is a side-effect-free Python expression for the value, ``term``
+    the same parenthesized for use inside a larger expression, and ``cond``
+    (when not ``None``) a comparison equivalent to ``expr != 0`` that an
+    ``if``/``br_if``/``select`` tests directly.  ``reads`` names what the
+    expression reads — ``l<i>``, ``g<i>`` (``gl[i]``) and ``s<j>`` — so the
+    entry is materialized before any of them is written.  ``slot`` is the
+    stack position when the value already lives in ``s<slot>``.  A pending
+    entry at position ``p`` only reads slots at ``p`` or above: it was built
+    from operands that sat there.
+    """
+
+    __slots__ = ("expr", "term", "cond", "reads", "slot", "nest")
+
+    def __init__(self, expr: str, reads: frozenset, cond: Optional[str] = None, nest: int = 0, slot=None,
+                 atom: Optional[bool] = None):
+        self.expr = expr
+        self.term = expr if (_is_atom(expr) if atom is None else atom) else f"({expr})"
+        self.cond = cond
+        self.reads = reads
+        self.nest = nest
+        self.slot = slot
+
+
+_SLOT_OPERANDS: dict[int, _Operand] = {}  # immutable, so shared
+
+
+def _slot(position: int) -> _Operand:
+    operand = _SLOT_OPERANDS.get(position)
+    if operand is None:
+        name = f"s{position}"
+        operand = _SLOT_OPERANDS.setdefault(position, _Operand(name, frozenset((name,)), slot=position, atom=True))
+    return operand
+
+
+def _lines(pre: list[str], assign: Optional[str]) -> list[str]:
+    return pre + [assign] if assign is not None else pre
+
+
+# ---------------------------------------------------------------------------
 # The emitters
 # ---------------------------------------------------------------------------
 
 
 class _FunctionEmitter:
-    """Shared emission machinery; stack access is specialized by subclass."""
+    """Shared emission machinery; stack access is specialized by subclass.
+
+    The stack primitives every leaf translation is written against:
+
+    * ``push(expr, reads)`` — push a pure value;
+    * ``apply(n, build, pure=, cond=)`` — replace the top ``n`` operands by
+      ``build(*terms)``, returning ``(lines, assign)``; ``assign`` is the
+      statement that computes an impure result now (``None`` once folded);
+    * ``top()`` — the top operand as a term, without consuming it;
+    * ``pop()``/``pop_cond()`` — consume the top operand as a term or as a
+      branch condition;
+    * ``assign(target, key)``/``tee(name)`` — ``local.set``/``global.set``
+      and ``local.tee``;
+    * ``settle()`` — the lines that leave every operand in its storage at a
+      chunk end, and ``drop_pending()`` after an unconditional transfer.
+    """
 
     mode: ClassVar[str] = "abstract"
 
@@ -328,6 +429,25 @@ class _FunctionEmitter:
         for position, lines in enumerate(chunk):
             for line in _resolve_steps(lines, count - 1 - position):
                 write(line)
+        for line in self.settle():
+            write(line)
+
+    # -- pending operands (none unless the subclass folds them) -------------
+
+    def settle(self) -> list[str]:
+        return []
+
+    def drop_pending(self) -> None:
+        pass
+
+    def spill_below(self, keep: int) -> list[str]:
+        return []
+
+    def save(self):
+        return None
+
+    def restore(self, state) -> None:
+        pass
 
     # -- value normalization ------------------------------------------------
 
@@ -351,40 +471,162 @@ class _FunctionEmitter:
 
 
 class _RegisterEmitter(_FunctionEmitter):
-    """Operand stack as Python locals ``s0..sN`` (static depth proven)."""
+    """Operand stack as Python locals ``s0..sN`` (static depth proven),
+    with pure operands folded into their consumers (see :class:`_Operand`)."""
 
     mode: ClassVar[str] = "register"
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self.depth = 0
+        self.stack: list[_Operand] = []
+        self._leaves: dict[str, _Operand] = {}  # pushed names and literals
+
+    @property
+    def depth(self) -> int:
+        return len(self.stack)
+
+    @depth.setter
+    def depth(self, value: int) -> None:
+        # Control-flow joins: every value is in its slot there.
+        self.stack = [_slot(position) for position in range(value)]
+
+    # -- materialization ---------------------------------------------------
+
+    def _take(self, count: int) -> list[_Operand]:
+        stack = self.stack
+        if len(stack) < count:
+            raise _RegisterModeUnsupported("stack underflow")
+        if count == 1:
+            return [stack.pop()]
+        taken = stack[len(stack) - count:]
+        del stack[len(stack) - count:]
+        return taken
+
+    def _spill(self, position: int) -> list[str]:
+        """Write the entry at ``position`` to its slot."""
+
+        entry = self.stack[position]
+        if entry.slot is not None:
+            return []
+        name = f"s{position}"
+        lines = self._spill_readers(name, position)
+        lines.append(f"{name} = {entry.expr}")
+        self.stack[position] = _slot(position)
+        return lines
+
+    def _spill_readers(self, name: str, below: int) -> list[str]:
+        """Materialize the pending entries under ``below`` that read
+        ``name``, which is about to be written."""
+
+        lines: list[str] = []
+        for position in range(below):
+            entry = self.stack[position]
+            if entry.slot is None and name in entry.reads:
+                lines += self._spill(position)
+        return lines
+
+    def spill_below(self, keep: int) -> list[str]:
+        """Materialize every pending entry under the top ``keep``."""
+
+        lines: list[str] = []
+        stack = self.stack
+        for position in range(len(stack) - keep):
+            if stack[position].slot is None:
+                lines += self._spill(position)
+        return lines
+
+    def settle(self) -> list[str]:
+        # Ascending order is hazard-free: an entry reads no slot below it.
+        return self.spill_below(0)
+
+    def drop_pending(self) -> None:
+        self.depth = len(self.stack)
+
+    def save(self) -> list:
+        return list(self.stack)
+
+    def restore(self, state: list) -> None:
+        self.stack = list(state)
 
     # -- stack primitives --------------------------------------------------
 
-    def pop(self) -> tuple[str, list[str]]:
-        if self.depth <= 0:
-            raise _RegisterModeUnsupported("stack underflow")
-        self.depth -= 1
-        return f"s{self.depth}", []
+    def push(self, expr: str, reads=()) -> list[str]:
+        operand = self._leaves.get(expr)
+        if operand is None:
+            operand = self._leaves[expr] = _Operand(expr, frozenset(reads), atom=True)
+        self.stack.append(operand)
+        return []
 
-    def push(self, expr: str) -> list[str]:
-        line = f"s{self.depth} = {expr}"
-        self.depth += 1
-        return [line]
+    def apply(self, count: int, build, *, pure: bool = True, cond=None) -> tuple[list[str], Optional[str]]:
+        stack = self.stack
+        if len(stack) < count:
+            raise _RegisterModeUnsupported("stack underflow")
+        if count == 2:
+            rhs, lhs = stack.pop(), stack.pop()
+            terms = (lhs.term, rhs.term)
+            reads, nest = lhs.reads | rhs.reads, 1 + max(lhs.nest, rhs.nest)
+        elif count == 1:
+            operand = stack.pop()
+            terms, reads, nest = (operand.term,), operand.reads, 1 + operand.nest
+        else:
+            terms, reads, nest = (), frozenset(), 1
+        expr = build(*terms)
+        if pure:
+            stack.append(_Operand(expr, reads, cond(*terms) if cond else None, nest))
+            if nest <= _MAX_NEST:
+                return [], None
+            return self._spill(len(stack) - 1), None
+        position = len(stack)
+        lines = self._spill_readers(f"s{position}", position)
+        self.stack.append(_slot(position))
+        return lines, f"s{position} = {expr}"
 
     def top(self) -> str:
-        if self.depth <= 0:
+        if not self.stack:
             raise _RegisterModeUnsupported("stack underflow")
-        return f"s{self.depth - 1}"
+        return self.stack[-1].term
 
-    def set_top(self, expr: str) -> str:
-        return f"s{self.depth - 1} = {expr}"
+    def pop(self, reuse: bool = False) -> tuple[str, list[str]]:
+        (operand,) = self._take(1)
+        if reuse and not _NAME.fullmatch(operand.expr):
+            return "_i", [f"_i = {operand.expr}"]
+        return operand.term, []
+
+    def pop_cond(self) -> tuple[str, list[str]]:
+        (operand,) = self._take(1)
+        return operand.cond or operand.term, []
 
     def discard(self) -> list[str]:
-        if self.depth <= 0:
-            raise _RegisterModeUnsupported("stack underflow")
-        self.depth -= 1
+        self._take(1)
         return []
+
+    def assign(self, target: str, key: str) -> list[str]:
+        (value,) = self._take(1)
+        return self._spill_readers(key, len(self.stack)) + [f"{target} = {value.expr}"]
+
+    def tee(self, name: str) -> list[str]:
+        if not self.stack:
+            raise _RegisterModeUnsupported("stack underflow")
+        top = self.stack[-1]
+        lines = self._spill_readers(name, len(self.stack) - 1)
+        lines.append(f"{name} = {top.expr}")
+        if top.slot is None:
+            # The local now holds the value: read it back rather than
+            # evaluating the expression a second time.
+            self.stack[-1] = _Operand(name, frozenset((name,)), atom=True)
+        return lines
+
+    def select(self) -> list[str]:
+        first, second, cond = self._take(3)
+        test = cond.cond or cond.term
+        self.stack.append(_Operand(
+            f"{first.term} if {test} else {second.term}",
+            first.reads | second.reads | cond.reads,
+            nest=1 + max(first.nest, second.nest, cond.nest),
+        ))
+        if self.stack[-1].nest <= _MAX_NEST:
+            return []
+        return self._spill(len(self.stack) - 1)
 
     # -- label plumbing ----------------------------------------------------
 
@@ -395,14 +637,19 @@ class _RegisterEmitter(_FunctionEmitter):
         return _Label(kind, br_arity, end_arity, base, target)
 
     def branch_adjust(self, label: _Label) -> list[str]:
+        # Entries under the label's base went to their slots at its header.
+        # Writing targets in ascending order is hazard-free: each source
+        # sits at or above its target and reads no slot below itself.
         arity, base = label.br_arity, label.base
-        if self.depth < base + arity:
+        depth = len(self.stack)
+        if depth < base + arity:
             raise _RegisterModeUnsupported("branch underflow")
-        return [
-            f"s{base + j} = s{self.depth - arity + j}"
-            for j in range(arity)
-            if base + j != self.depth - arity + j
-        ]
+        lines = []
+        for j in range(arity):
+            source = self.stack[depth - arity + j]
+            if source.slot != base + j:
+                lines.append(f"s{base + j} = {source.expr}")
+        return lines
 
     def end_adjust(self, label: _Label) -> list[str]:
         if self.depth != label.base + label.end_arity:
@@ -413,31 +660,30 @@ class _RegisterEmitter(_FunctionEmitter):
         nres = self.flat.n_results
         if self.depth < nres:
             raise _RegisterModeUnsupported("return underflow")
-        values = ", ".join(f"s{self.depth - nres + j}" for j in range(nres))
+        values = ", ".join(operand.expr for operand in self.stack[len(self.stack) - nres:])
         return [f"return (steps, {values})" if nres else "return (steps,)"]
 
     def call_args(self, n_params: int) -> tuple[str, list[str]]:
+        # A callee or host may write globals: nothing pending may survive
+        # the call (the chunk ends there anyway).
         if self.depth < n_params:
             raise _RegisterModeUnsupported("call underflow")
-        args = ", ".join(f"s{self.depth - n_params + j}" for j in range(n_params))
-        self.depth -= n_params
-        return args, []
+        lines = self.spill_below(n_params)
+        return ", ".join(operand.expr for operand in self._take(n_params)), lines
 
-    def defined_call_results(self, n_results: int) -> list[str]:
+    def defined_call_results(self, call: str, n_results: int) -> list[str]:
         base = self.depth
+        self.stack.extend(_slot(base + j) for j in range(n_results))
         if n_results == 0:
-            lines = ["steps = _r[0]"]
-        else:
-            targets = ", ".join(f"s{base + j}" for j in range(n_results))
-            lines = [f"steps, {targets} = _r"]
-        self.depth += n_results
-        return lines
+            return [f"steps = {call}[0]"]
+        targets = ", ".join(f"s{base + j}" for j in range(n_results))
+        return [f"steps, {targets} = {call}"]
 
     def host_call_results(self, functype) -> list[str]:
         lines = ["_r = list(_r) if _r is not None else []"]
         for j, valtype in enumerate(functype.results):
             lines.append(f"s{self.depth} = {self.norm_expr(valtype, f'_r[{j}]')}")
-            self.depth += 1
+            self.stack.append(_slot(self.depth))
         return lines
 
     def prologue(self) -> list[str]:
@@ -458,21 +704,40 @@ class _ListEmitter(_FunctionEmitter):
         self._tmp += 1
         return name
 
-    def pop(self) -> tuple[str, list[str]]:
-        name = self._fresh()
-        return name, [f"{name} = st.pop()"]
-
-    def push(self, expr: str) -> list[str]:
+    def push(self, expr: str, reads=()) -> list[str]:
         return [f"st.append({expr})"]
+
+    def apply(self, count: int, build, *, pure: bool = True, cond=None) -> tuple[list[str], Optional[str]]:
+        if count == 0:
+            return [], f"st.append({build()})"
+        if count == 1:
+            return [], f"st[-1] = {build('st[-1]')}"
+        rhs, lines = self.pop()
+        return lines, f"st[-1] = {build('st[-1]', rhs)}"
 
     def top(self) -> str:
         return "st[-1]"
 
-    def set_top(self, expr: str) -> str:
-        return f"st[-1] = {expr}"
+    def pop(self, reuse: bool = False) -> tuple[str, list[str]]:
+        name = self._fresh()
+        return name, [f"{name} = st.pop()"]
+
+    pop_cond = pop
 
     def discard(self) -> list[str]:
         return ["del st[-1]"]
+
+    def assign(self, target: str, key: str) -> list[str]:
+        value, lines = self.pop()
+        return lines + [f"{target} = {value}"]
+
+    def tee(self, name: str) -> list[str]:
+        return [f"{name} = st[-1]"]
+
+    def select(self) -> list[str]:
+        cond, lines1 = self.pop()
+        second, lines2 = self.pop()
+        return lines1 + lines2 + [f"if not {cond}:", f"    st[-1] = {second}"]
 
     def make_label(self, kind: str, n_params: int, br_arity: int, end_arity: int, target: int) -> _Label:
         base = f"_b{len(self.labels)}"
@@ -504,8 +769,8 @@ class _ListEmitter(_FunctionEmitter):
             return "", []
         return "*_a", [f"_a = st[len(st) - {n_params}:]", f"del st[len(st) - {n_params}:]"]
 
-    def defined_call_results(self, n_results: int) -> list[str]:
-        return ["steps = _r[0]", "st.extend(_r[1:])"]
+    def defined_call_results(self, call: str, n_results: int) -> list[str]:
+        return [f"_r = {call}", "steps = _r[0]", "st.extend(_r[1:])"]
 
     def host_call_results(self, functype) -> list[str]:
         nz = self.pool.add(_normalize, "fn")
@@ -524,33 +789,42 @@ class _ListEmitter(_FunctionEmitter):
 # ---------------------------------------------------------------------------
 
 
-def _emit_body(em: _FunctionEmitter, nodes: list) -> bool:
-    """Emit a node sequence; returns True when control provably left it."""
+def _emit_body(em: _FunctionEmitter, nodes: list, tail: bool = False) -> bool:
+    """Emit a node sequence; returns True when control provably left it.
+
+    ``tail`` marks a function's outermost body: its implicit return joins
+    the last chunk, so the values it returns need no slots."""
 
     for pc, node in nodes:
         if not em.chunk:
             em.chunk_start = (pc, getattr(em, "depth", None))
         if isinstance(node[0], str):
-            em.step([])  # the construct header costs one step
+            # The construct header costs one step; an ``if`` consumes its
+            # condition there, before the chunk's operands settle.
+            cond, lines = em.pop_cond() if node[0] == "if" else (None, [])
+            em.step(lines)
             em.flush()
-            _emit_construct(em, node)
+            _emit_construct(em, node, cond)
             continue
         if _emit_leaf(em, node):
             # Unconditional transfer: the rest of this body is dead code the
             # flat VM also never reaches (its pc has left the region).
+            em.drop_pending()
             em.flush()
             return True
+    if tail and em.chunk:
+        em.chunk[-1] = em.chunk[-1] + em.return_lines()
+        em.drop_pending()
+        em.flush()
+        return True
     em.flush()
     return False
 
 
-def _emit_construct(em: _FunctionEmitter, node) -> None:
+def _emit_construct(em: _FunctionEmitter, node, cond: Optional[str]) -> None:
     kind = node[0]
     if kind == "if":
         _, arity, n_params, then_nodes, else_nodes, target = node
-        cond, lines = em.pop()
-        for line in lines:
-            em.write(line)
         label = em.make_label("if", n_params, arity, arity, target)
         entry_depth = getattr(em, "depth", None)
         em.write("while True:")
@@ -620,6 +894,16 @@ def _branch_lines(em: _FunctionEmitter, depth: int) -> list[str]:
     return lines
 
 
+def _compare(symbol: str, signed: bool, width: int):
+    """A relop as a Python comparison of two terms.  Operands are
+    normalized, so flipping the sign bit maps signed order onto unsigned."""
+
+    if not signed or symbol in ("==", "!="):
+        return lambda a, b: f"{a} {symbol} {b}"
+    bias = f"{1 << (width - 1):#x}"
+    return lambda a, b: f"{a} ^ {bias} {symbol} {b} ^ {bias}"
+
+
 def _emit_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
     """Emit one flat instruction; returns True for unconditional transfers."""
 
@@ -627,102 +911,46 @@ def _emit_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
     pool = em.pool
 
     if op == OP_LOCAL_GET:
-        em.step(em.push(f"l{ins[1]}"))
+        name = f"l{ins[1]}"
+        em.step(em.push(name, (name,)))
     elif op == OP_LOCAL_SET:
-        value, lines = em.pop()
-        em.step(lines + [f"l{ins[1]} = {value}"])
+        em.step(em.assign(f"l{ins[1]}", f"l{ins[1]}"))
     elif op == OP_LOCAL_TEE:
-        em.step([f"l{ins[1]} = {em.top()}"])
+        em.step(em.tee(f"l{ins[1]}"))
     elif op == OP_CONST:
         value = ins[1]
         em.step(em.push(repr(value) if isinstance(value, int) else pool.add(value, "c")))
-    elif op == OP_I_BINOP:
-        fn, width = ins[1], ins[2]
-        rhs, lines = em.pop()
-        inline = _INLINE_IBINOP.get(fn)
-        if inline is not None:
-            em.step(lines + [em.set_top(inline(em.top(), rhs, width, (1 << width) - 1))])
-        elif fn in _TRAPPING_IBINOPS:
-            fn_ref = pool.add(fn, "fn")
-            assign = em.set_top(f"{fn_ref}({em.top()}, {rhs}, {width})")
-            em.step(lines + _numeric_trap_lines(assign))
-        else:
-            em.step(lines + [em.set_top(f"{pool.add(fn, 'fn')}({em.top()}, {rhs}, {width})")])
-    elif op == OP_F_BINOP:
-        rhs, lines = em.pop()
-        fbin = pool.add(numerics.float_binop, "fn")
-        em.step(lines + [em.set_top(f"{fbin}({ins[1]!r}, {em.top()}, {rhs}, {ins[2]})")])
-    elif op == OP_I_RELOP:
-        base, signed, width = ins[1], ins[2], ins[3]
-        rhs, lines = em.pop()
-        lhs = em.top()
-        if base == "eq":
-            expr = f"1 if {lhs} == {rhs} else 0"
-        elif base == "ne":
-            expr = f"1 if {lhs} != {rhs} else 0"
-        elif not signed:
-            symbol = {"lt": "<", "gt": ">", "le": "<=", "ge": ">="}[base]
-            expr = f"1 if {lhs} {symbol} {rhs} else 0"
-        else:
-            expr = f"{pool.add(numerics.int_relop, 'fn')}({base!r}, {lhs}, {rhs}, {width}, True)"
-        em.step(lines + [em.set_top(expr)])
-    elif op == OP_F_RELOP:
-        rhs, lines = em.pop()
-        frel = pool.add(numerics.float_relop, "fn")
-        em.step(lines + [em.set_top(f"{frel}({ins[1]!r}, {em.top()}, {rhs})")])
-    elif op == OP_TESTOP:
-        em.step([em.set_top(f"1 if {em.top()} == 0 else 0")])
-    elif op == OP_UNOP:
-        em.step([em.set_top(f"{pool.add(ins[1], 'fn')}({em.top()})")])
-    elif op == OP_CVT:
-        cvt = ins[1]
-        kind = getattr(cvt, "func", cvt)
-        # Operands are normalized, so wrap and extend are plain integer
-        # arithmetic (extend_u is the identity); only truncations can trap.
-        if kind is _cvt_wrap:
-            em.step([em.set_top(f"{em.top()} & 0xffffffff")])
-        elif kind is _cvt_extend:
-            top = em.top()
-            signed = f"(({top} ^ 0x80000000) - 0x80000000) & 0xffffffffffffffff"
-            em.step([em.set_top(signed)] if cvt.args[0] else [])
-        else:
-            call = em.set_top(f"{pool.add(cvt, 'fn')}({em.top()})")
-            em.step(_numeric_trap_lines(call) if kind is _cvt_trunc else [call])
+    elif op in _NUMERIC_OPS:
+        _emit_numeric(em, ins)
     elif op == OP_DROP:
         em.step(em.discard())
     elif op == OP_SELECT:
-        cond, lines1 = em.pop()
-        second, lines2 = em.pop()
-        em.step(lines1 + lines2 + [f"if not {cond}:", f"    {em.set_top(second)}"])
+        em.step(em.select())
     elif op == OP_NOP:
         em.step([])
     elif op == OP_UNREACHABLE:
         em.step(["eng.steps = steps", 'raise _WT("unreachable executed")'])
         return True
     elif op == OP_GLOBAL_GET:
-        em.step(em.push(f"gl[{ins[1]}]"))
+        em.step(em.push(f"gl[{ins[1]}]", (f"g{ins[1]}",)))
     elif op == OP_GLOBAL_SET:
-        value, lines = em.pop()
-        em.step(lines + [f"gl[{ins[1]}] = {value}"])
+        em.step(em.assign(f"gl[{ins[1]}]", f"g{ins[1]}"))
     elif op in (OP_LOAD_I, OP_LOAD_F, OP_STORE_I, OP_STORE_F, OP_MEMORY_SIZE, OP_MEMORY_GROW):
         return _emit_memory_leaf(em, ins)
     elif op == OP_BR:
         em.step(_branch_lines(em, ins[1]))
         return True
     elif op == OP_BR_IF:
-        cond, lines = em.pop()
+        cond, lines = em.pop_cond()
         taken = [_EXIT] + _branch_lines(em, ins[1])
         em.step(lines + [f"if {cond}:"] + ["    " + line for line in taken])
     elif op == OP_BR_TABLE:
         depths, default = ins[1], ins[2]
-        index, lines = em.pop()
+        index, lines = em.pop(reuse=True)
         if depths:
-            depth_snapshot = getattr(em, "depth", None)
             for case, depth in enumerate(depths):
                 lines.append(f"{'if' if case == 0 else 'elif'} {index} == {case}:")
                 lines.extend("    " + line for line in _branch_lines(em, depth))
-                if depth_snapshot is not None:
-                    em.depth = depth_snapshot
             lines.append("else:")
             lines.extend("    " + line for line in _branch_lines(em, default))
         else:
@@ -741,6 +969,62 @@ def _emit_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
     return False
 
 
+_NUMERIC_OPS = frozenset((OP_I_BINOP, OP_F_BINOP, OP_I_RELOP, OP_F_RELOP, OP_TESTOP, OP_UNOP, OP_CVT))
+
+
+def _emit_numeric(em: _FunctionEmitter, ins: tuple) -> None:
+    """Emit one numeric instruction.  (Kept out of :func:`_emit_leaf`: the
+    closures here would make every one of its calls set up their cells.)"""
+
+    op = ins[0]
+    pool = em.pool
+    if op == OP_I_BINOP:
+        fn, width = ins[1], ins[2]
+        inline = _INLINE_IBINOP.get(fn)
+        if inline is not None:
+            mask = (1 << width) - 1
+            em.step(_lines(*em.apply(2, lambda a, b: inline(a, b, width, mask))))
+        else:
+            fn_ref = pool.add(fn, "fn")
+            call = lambda a, b: f"{fn_ref}({a}, {b}, {width})"  # noqa: E731
+            if fn in _TRAPPING_IBINOPS:
+                lines, assign = em.apply(2, call, pure=False)
+                em.step(lines + _numeric_trap_lines(assign))
+            else:
+                em.step(_lines(*em.apply(2, call)))
+    elif op == OP_F_BINOP:
+        fbin = pool.add(numerics.float_binop, "fn")
+        fop, width = ins[1], ins[2]
+        em.step(_lines(*em.apply(2, lambda a, b: f"{fbin}({fop!r}, {a}, {b}, {width})", pure=False)))
+    elif op == OP_I_RELOP:
+        compare = _compare(_RELOP_SYMBOLS[ins[1]], ins[2], ins[3])
+        em.step(_lines(*em.apply(2, lambda a, b: f"1 if {compare(a, b)} else 0", cond=compare)))
+    elif op == OP_F_RELOP:
+        frel = pool.add(numerics.float_relop, "fn")
+        fop = ins[1]
+        em.step(_lines(*em.apply(2, lambda a, b: f"{frel}({fop!r}, {a}, {b})", pure=False)))
+    elif op == OP_TESTOP:
+        em.step(_lines(*em.apply(1, lambda a: f"1 if {a} == 0 else 0", cond=lambda a: f"{a} == 0")))
+    elif op == OP_UNOP:
+        fn_ref = pool.add(ins[1], "fn")
+        pure = getattr(ins[1], "func", None) is _unop_int
+        em.step(_lines(*em.apply(1, lambda a: f"{fn_ref}({a})", pure=pure)))
+    elif op == OP_CVT:
+        cvt = ins[1]
+        kind = getattr(cvt, "func", cvt)
+        # Operands are normalized, so wrap and extend are plain integer
+        # arithmetic (extend_u is the identity); only truncations can trap.
+        if kind is _cvt_wrap:
+            em.step(_lines(*em.apply(1, lambda a: f"{a} & 0xffffffff")))
+        elif kind is _cvt_extend:
+            signed = lambda a: f"(({a} ^ 0x80000000) - 0x80000000) & 0xffffffffffffffff"  # noqa: E731
+            em.step(_lines(*em.apply(1, signed)) if cvt.args[0] else [])
+        else:
+            fn_ref = pool.add(cvt, "fn")
+            lines, assign = em.apply(1, lambda a: f"{fn_ref}({a})", pure=False)
+            em.step(lines + (_numeric_trap_lines(assign) if kind is _cvt_trunc else [assign]))
+
+
 def _numeric_trap_lines(assign: str) -> list[str]:
     """``assign`` with a ``NumericTrap`` re-raised as the step-exact trap."""
 
@@ -753,20 +1037,23 @@ def _numeric_trap_lines(assign: str) -> list[str]:
     ]
 
 
-def _access_lines(address: str, offset: int, access: str, nbytes: int) -> list[str]:
-    """Run ``access`` (a ``Struct`` accessor call at ``_a``) with the flat
-    VM's out-of-bounds trap.  ``unpack_from``/``pack_into`` read a negative
-    offset from the end of the buffer, so ``_a < 0`` is refused first."""
+def _address(base: str, offset: int) -> str:
+    return f"{base} + {offset}" if offset else base
+
+
+def _access_lines(address: str, access: str, nbytes: int) -> list[str]:
+    """Run ``access`` (a ``Struct`` accessor call at ``address``) with the
+    flat VM's out-of-bounds trap.  Addresses are never negative (every
+    integer producer is), so ``unpack_from``/``pack_into`` raising
+    ``struct.error`` is exactly the out-of-bounds case; the failed access
+    changed nothing, so the trap recomputes the pure ``address``."""
 
     return [
-        f"_a = {address} + {offset}" if offset else f"_a = {address}",
         "try:",
-        "    if _a < 0:",
-        "        raise _SE",
         "    " + access,
         "except _SE:",
         f"    eng.steps = {_HERE}",
-        f"    raise _OOB(_a, {nbytes}, _md) from None",
+        f"    raise _OOB({address}, {nbytes}, _md) from None",
     ]
 
 
@@ -782,36 +1069,35 @@ def _emit_memory_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
         em.step(["eng.steps = steps", 'raise _WT("module has no memory")'])
         return True
     if op == OP_MEMORY_SIZE:
-        em.step(em.push(f"len(_md) // {PAGE_SIZE}"))
+        em.step(_lines(*em.apply(0, lambda: f"len(_md) // {PAGE_SIZE}", pure=False)))
         return False
     if op == OP_MEMORY_GROW:
-        grow = em.set_top(f"rt.memory.grow({em.top()}) & 0xffffffff")
-        em.step([grow])
+        em.step(_lines(*em.apply(1, lambda delta: f"rt.memory.grow({delta}) & 0xffffffff", pure=False)))
         return False
     offset = ins[1]
-    if op == OP_LOAD_I:
-        nbytes, signed_width, wrap_width = ins[2], ins[3], ins[4]
-        if signed_width:
-            load = f"_ld{_SIGNED_FORMATS[nbytes]}(_md, _a)[0] & {(1 << wrap_width) - 1:#x}"
+    if op == OP_LOAD_I or op == OP_LOAD_F:
+        if op == OP_LOAD_I:
+            nbytes, signed_width, wrap_width = ins[2], ins[3], ins[4]
+            fmt = _SIGNED_FORMATS[nbytes] if signed_width else _UNSIGNED_FORMATS[nbytes]
+            wrap = f" & {(1 << wrap_width) - 1:#x}" if signed_width else ""
         else:
-            load = f"_ld{_UNSIGNED_FORMATS[nbytes]}(_md, _a)[0]"
-        em.step(_access_lines(em.top(), offset, em.set_top(load), nbytes))
-    elif op == OP_LOAD_F:
-        fmt, nbytes = ins[2], ins[3]
-        load = f"_ld{fmt[1]}(_md, _a)[0]"
-        em.step(_access_lines(em.top(), offset, em.set_top(load), nbytes))
-    elif op == OP_STORE_I:
-        nbytes, mask = ins[2], ins[3]
-        value, lines1 = em.pop()
-        address, lines2 = em.pop()
-        store = f"_st{_UNSIGNED_FORMATS[nbytes]}(_md, _a, {value} & {mask:#x})"
-        em.step(lines1 + lines2 + _access_lines(address, offset, store, nbytes))
+            fmt, nbytes, wrap = ins[2][1], ins[3], ""
+        address = _address(em.top(), offset)
+        lines, assign = em.apply(1, lambda _base: f"_ld{fmt}(_md, {address})[0]{wrap}", pure=False)
+        em.step(lines + _access_lines(address, assign, nbytes))
+        return False
+    value, lines1 = em.pop()
+    base, lines2 = em.pop()
+    address = _address(base, offset)
+    if op == OP_STORE_I:
+        nbytes, mask, whole = ins[2], ins[3], ins[4]
+        # A store of the operand's full width takes it as normalized; a
+        # narrower one keeps its low bytes.
+        store = f"_st{_UNSIGNED_FORMATS[nbytes]}(_md, {address}, {value if whole else f'{value} & {mask:#x}'})"
     else:  # OP_STORE_F
         fmt, nbytes = ins[2], ins[3]
-        value, lines1 = em.pop()
-        address, lines2 = em.pop()
-        store = f"_st{fmt[1]}(_md, _a, float({value}))"
-        em.step(lines1 + lines2 + _access_lines(address, offset, store, nbytes))
+        store = f"_st{fmt[1]}(_md, {address}, float({value}))"
+    em.step(lines1 + lines2 + _access_lines(address, store, nbytes))
     return False
 
 
@@ -842,10 +1128,9 @@ def _emit_call(em: _FunctionEmitter, findex: int, expected) -> None:
         # than naming the sibling function: the generated chunk then has no
         # free reference to the rest of the module, so per-function chunks
         # can be cached and recombined across module versions.
-        args, arg_lines = em.call_args(callee.n_params)
-        lines = arg_lines + [f"_r = _tg[{findex}](rt, steps, boundary{', ' + args if args else ''})"]
-        lines.extend(em.defined_call_results(callee.n_results))
-        em.step(lines)
+        args, lines = em.call_args(callee.n_params)
+        call = f"_tg[{findex}](rt, steps, boundary{', ' + args if args else ''})"
+        em.step(lines + em.defined_call_results(call, callee.n_results))
     else:
         em.step(_host_call_lines(em, f"rt.decoded[{findex}]", em.host_functype(findex)))
     em.flush()
@@ -854,8 +1139,11 @@ def _emit_call(em: _FunctionEmitter, findex: int, expected) -> None:
 def _emit_call_indirect(em: _FunctionEmitter, expected) -> None:
     pool = em.pool
     expected_ref = pool.add(expected, "t")
-    index, lines = em.pop()
-    lines += [
+    n_params = len(expected.params)
+    # Settle everything under the arguments once, ahead of both call paths.
+    lines = em.spill_below(n_params + 1)
+    index, index_lines = em.pop(reuse=True)
+    lines += index_lines + [
         f"if {index} < 0 or {index} >= len(rt.table):",
         "    eng.steps = steps",
         '    raise _WT(f"call_indirect index {' + index + '} out of table bounds")',
@@ -866,18 +1154,14 @@ def _emit_call_indirect(em: _FunctionEmitter, expected) -> None:
         "        eng.steps = steps",
         '        raise _WT("indirect call type mismatch")',
     ]
-    depth_snapshot = getattr(em, "depth", None)
-    args, arg_lines = em.call_args(len(expected.params))
+    state = em.save()
+    args, arg_lines = em.call_args(n_params)
     lines.extend("    " + line for line in arg_lines)
-    lines.append(f"    _r = _tg[_fx](rt, steps, boundary{', ' + args if args else ''})")
-    lines.extend("    " + line for line in em.defined_call_results(len(expected.results)))
-    result_depth = getattr(em, "depth", None)
-    if depth_snapshot is not None:
-        em.depth = depth_snapshot
+    call = f"_tg[_fx](rt, steps, boundary{', ' + args if args else ''})"
+    lines.extend("    " + line for line in em.defined_call_results(call, len(expected.results)))
+    em.restore(state)
     lines.append("else:")
     lines.extend("    " + line for line in _host_call_lines(em, "_ce", expected))
-    if result_depth is not None:
-        em.depth = result_depth
     em.step(lines)
     em.flush()
 
@@ -908,6 +1192,26 @@ class ModuleTranslation:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ModuleTranslation({self.function_count} functions, {len(self.source)} chars)"
+
+
+# Translation work, process-wide: seconds emitting source, seconds in
+# ``compile()`` and characters compiled.  The facade's ``compile.translate``
+# span carries the deltas of one stage.
+_EMIT_SECONDS = default_registry().counter(
+    "compile.translate.emit_seconds", "seconds spent emitting compiled-tier source"
+)
+_PYCOMPILE_SECONDS = default_registry().counter(
+    "compile.translate.pycompile_seconds", "seconds spent in compile() on compiled-tier source"
+)
+_SOURCE_CHARS = default_registry().counter(
+    "compile.translate.source_chars", "characters of compiled-tier source passed to compile()"
+)
+
+
+def translate_work() -> tuple[float, float, int]:
+    """``(emit seconds, compile() seconds, source characters)`` so far."""
+
+    return (_EMIT_SECONDS.value, _PYCOMPILE_SECONDS.value, _SOURCE_CHARS.value)
 
 
 def emit_function_chunk(
@@ -953,7 +1257,7 @@ def emit_function_chunk(
                 em.write("_br = 0")
             for line in em.prologue():
                 em.write(line)
-            if not _emit_body(em, nodes):
+            if not _emit_body(em, nodes, tail=True):
                 for line in em.return_lines():
                     em.write(line)
             return "\n".join(em.lines), em.mode, dict(pool.values)
@@ -981,7 +1285,11 @@ def build_translation_unit(
     """
 
     if code is None:
+        started = time.perf_counter()
+        # ``compile`` stays a module-global lookup, so it can be wrapped.
         code = compile(chunk, f"<pygen:{module_name or 'module'}:f{index}>", "exec")
+        _PYCOMPILE_SECONDS.inc(time.perf_counter() - started)
+        _SOURCE_CHARS.inc(len(chunk))
     namespace = dict(pool_values, **_ACCESSORS)
     exec(code, namespace)
     return (chunk, mode, namespace[f"_f{index}"])
@@ -1016,7 +1324,9 @@ def translate_functions(
             key = unit_cache.translate_key(module.functions[index], module, index, force_list=force_list)
             unit = unit_cache.get("translate", key)
         if unit is None:
+            started = time.perf_counter()
             chunk, mode, pool_values = emit_function_chunk(index, slots, module, force_list=force_list)
+            _EMIT_SECONDS.inc(time.perf_counter() - started)
             unit = build_translation_unit(index, chunk, mode, pool_values, module_name=module.name)
             if unit_cache is not None:
                 unit_cache.put("translate", key, unit)
@@ -1243,14 +1553,21 @@ class CompiledPyEngine(ExecutionEngine):
         frame exactly — provided every slot still covered by a default would
         receive the same init value the flat VM's shifted frame gives it.
         Returns the argument list to pass, or ``None`` when only the flat
-        twin can reproduce the historical semantics (missing arguments, or
-        an init shift that changes a slot's value/type)."""
+        twin can reproduce the historical semantics (missing arguments, an
+        init shift that changes a slot's value/type, or a surplus argument
+        that is not a normalized value of its slot's kind: generated code
+        relies on every integer being non-negative, and nothing normalizes
+        a surplus argument)."""
 
         supplied, n_params = len(args), flat.n_params
         if supplied < n_params:
             return None
         inits = flat.local_inits
         total = n_params + len(inits)
+        for position in range(n_params, min(supplied, total)):
+            value, init = args[position], inits[position - n_params]
+            if type(value) is not type(init) or (type(value) is int and not 0 <= value <= 0xFFFFFFFF):
+                return None
         if supplied >= total:
             # Every readable slot is an argument; extras are unreachable.
             return args[:total]

@@ -146,6 +146,21 @@ class TestCorruption:
         stats = cache.stats["disk.unit.translate"]
         assert (stats.hits, stats.misses, stats.evictions) == (1, 1, 1)
 
+    def test_format_3_translate_unit_is_a_miss_and_evicted(self, tmp_path):
+        # Format 3 translate units move every operand through its slot and
+        # guard each address; the unit key is unchanged, so only the stamp
+        # keeps an old disk tier from serving them.
+        assert DISK_FORMAT > 3
+        cache = DiskCache(tmp_path)
+        key = "y" * 64
+        path = self._entry_path(cache, "unit.translate", key)
+        old = {"format": 3, "stage": "unit.translate", "key": key, "payload": (0, "slot moves", "register")}
+        path.write_bytes(pickle.dumps(old))
+        assert cache.get("unit.translate", key) is None
+        assert not path.exists()
+        stats = cache.stats["disk.unit.translate"]
+        assert (stats.hits, stats.misses, stats.evictions) == (0, 1, 1)
+
     def test_stage_or_key_mismatch_is_miss_and_evicted(self, tmp_path):
         # A well-formed entry filed under the wrong name (e.g. a collision
         # or a renamed directory) must not be served.

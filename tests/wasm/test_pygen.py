@@ -9,6 +9,8 @@ memo, the content-keyed ``translate`` cache stage, and the facade's
 function tables.
 """
 
+import re
+
 import pytest
 
 from repro import api
@@ -482,14 +484,29 @@ def test_inline_conversions_match_flat():
 
 def test_generated_source_size_per_instruction():
     # Each multi-instruction step chunk is emitted once, behind a guard that
-    # deoptimizes to the flat VM; this pins the size of the output.  (Two
-    # arms per chunk measured 251 characters per instruction here.)
+    # deoptimizes to the flat VM, and pure operands fold into expressions;
+    # this pins the size of the output at its measured 65.9 characters per
+    # instruction plus 5%.  (Two arms per chunk measured 251; one arm with
+    # every operand moved through its slot, 96.5.)
     wasm = lower_module(synthetic_module(1, functions=50)).wasm
     source = translate_module(wasm).source
     instructions = sum(
         1 for flat in decode_module(wasm).flat if flat is not None for ins in flat.code if ins[0] >= 0
     )
-    assert len(source) / instructions < 105
+    assert len(source) / instructions < 69
+
+
+def test_fig9_counter_source_folds_operands():
+    # The Fig. 9 counter at O2 had 42 ``if _a < 0:`` address guards, 142
+    # bare slot or local moves (``s1 = l5``) and 34 constants put in a slot.
+    from repro.ffi import counter_program
+
+    config = CompileConfig(opt_level="O2", engine="compiled", cache="none")
+    lines = translate_module(api.compile(counter_program(), config).wasm).source.splitlines()
+    assert not [line for line in lines if line.strip() == "if _a < 0:"]
+    moves = [line for line in lines if re.fullmatch(r"\s*[sl]\d+ = [sl]\d+", line)]
+    constants = [line for line in lines if re.fullmatch(r"\s*s\d+ = \d+", line)]
+    assert len(moves) + len(constants) <= (142 + 34) // 2
 
 
 class TestCacheStage:
@@ -540,6 +557,17 @@ class TestFacadeWiring:
         again = api.compile(_ml_source(), config, cache=cache)
         assert again.diagnostics.cache["program"] == "hit"
         assert again.diagnostics.cache["translate"] == "hit"
+
+    def test_translate_span_splits_emit_and_compile(self):
+        from repro.obs import Tracer, use_tracer
+
+        config = CompileConfig(opt_level="O1", engine="compiled")
+        with use_tracer(Tracer()) as tracer:
+            program = api.compile(_ml_source(), config, cache=ModuleCache())
+        (span,) = [span for span in tracer.drain() if span.name == "compile.translate"]
+        source = translate_module(program.wasm).source
+        assert 0 < span.attrs["source_chars"] <= len(source)
+        assert span.attrs["emit_s"] > 0 and span.attrs["pycompile_s"] > 0
 
     def test_compile_skips_translate_stage_for_other_engines(self):
         program = api.compile(_ml_source(), CompileConfig(opt_level="O1"), cache=ModuleCache())
