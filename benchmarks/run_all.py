@@ -54,7 +54,6 @@ from workloads import (  # noqa: E402
     measure_disk_warm_start,
     measure_engine,
     measure_incremental_compile,
-    measure_parallel_compile,
     measure_runtime_throughput,
 )
 
@@ -272,21 +271,6 @@ def _run(args, sink) -> int:
     print(f"  {incremental['functions']} functions: cold {incremental['cold_wall_s']}s -> "
           f"edit {incremental['incremental_wall_s']}s ({incremental['speedup']}x)")
 
-    print("parallel compile (per-function units over a worker pool) ...")
-    with get_tracer().span("bench.parcompile"):
-        results["parcompile"] = measure_parallel_compile(
-            functions=120 if args.smoke else 600,
-            workers=2 if args.smoke else 4,
-        )
-    parcompile = results["parcompile"]
-    print(f"  {parcompile['functions']} functions / {parcompile['workers']} workers: "
-          f"cold serial {parcompile['serial_wall_s']}s -> "
-          f"cold parallel {parcompile['parallel_wall_s']}s ({parcompile['speedup']}x), "
-          f"warm-disk parallel {parcompile['warm_disk_parallel_wall_s']}s")
-    parcompile_ok = bool(parcompile["identical"]) and not parcompile["fallbacks"]
-    if not parcompile_ok:
-        print(f"  PARALLEL COMPILE FAILED IDENTITY/FALLBACK CHECK: {parcompile}")
-
     print("runtime throughput (compile-once/run-many vs naive path) ...")
     with get_tracer().span("bench.runtime_throughput"):
         results["runtime"] = measure_runtime_throughput()
@@ -336,7 +320,7 @@ def _run(args, sink) -> int:
         print("benchmark files ...")
         results["benchmarks"], bench_ok = run_bench_files()
 
-    results["ok"] = cross_ok and bench_ok and regression_ok and warm_ok and parcompile_ok
+    results["ok"] = cross_ok and bench_ok and regression_ok and warm_ok
     if sink is not None:
         sink.emit_event("bench.done", mode=results["mode"], ok=results["ok"])
         sink.emit_metrics(default_registry())

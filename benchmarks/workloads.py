@@ -448,66 +448,6 @@ def measure_source_edit_compile(*, functions: int = 100, edits: int = 3) -> dict
     }
 
 
-def measure_parallel_compile(*, functions: int = 300, blocks: int = 1,
-                             workers: int = 4) -> dict:
-    """Cold serial vs cold parallel vs warm-disk parallel compile walls.
-
-    Three cold compiles of the same synthetic module (compiled engine,
-    ``O1``): serial (``compile_workers=1``), parallel (``compile_workers=
-    workers`` fanning the per-function units over a fork pool), and
-    parallel against a :class:`repro.cluster.DiskCache` a prior parallel
-    compile already populated (the ``unit.*``/``program`` entries make the
-    warm run skip the pool entirely).  Also asserts the bit-identity
-    contract: the parallel-compiled module must equal the serial one.
-    """
-
-    import tempfile
-
-    from repro.api import CompileConfig
-    from repro.cluster import DiskCache
-    from repro.runtime import ModuleCache
-
-    module = synthetic_module(blocks, functions=functions)
-    serial_config = CompileConfig(opt_level="O1", engine="compiled", cache="private")
-    parallel_config = serial_config.replace(compile_workers=workers)
-
-    start = time.perf_counter()
-    serial = ModuleCache().compile_program(module, config=serial_config)
-    serial_s = time.perf_counter() - start
-
-    parallel_cache = ModuleCache()
-    start = time.perf_counter()
-    parallel = parallel_cache.compile_program(module, config=parallel_config)
-    parallel_s = time.perf_counter() - start
-    report = parallel_cache.last_parcompile
-
-    with tempfile.TemporaryDirectory(prefix="repro-parcompile-") as root:
-        disk = DiskCache(root)
-        ModuleCache(disk=disk).compile_program(module, config=parallel_config)
-        warm_cache = ModuleCache(disk=disk)
-        start = time.perf_counter()
-        warm = warm_cache.compile_program(module, config=parallel_config)
-        warm_s = time.perf_counter() - start
-        warm_identical = warm.wasm == serial.wasm
-
-    return {
-        "functions": functions,
-        "blocks": blocks,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "serial_wall_s": round(serial_s, 4),
-        "parallel_wall_s": round(parallel_s, 4),
-        "warm_disk_parallel_wall_s": round(warm_s, 4),
-        "speedup": round(serial_s / parallel_s, 2) if parallel_s else None,
-        "identical": parallel.wasm == serial.wasm
-        and parallel.key == serial.key
-        and warm_identical,
-        "worker_deaths": report.worker_deaths if report else None,
-        "fallbacks": list(report.fallbacks) if report else None,
-        "units_seeded": dict(report.units_seeded) if report else None,
-    }
-
-
 def best_of(fn: Callable[[], object], repeat: int) -> float:
     """Best wall time of ``repeat`` calls to ``fn`` (one warm-up first)."""
 

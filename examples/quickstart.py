@@ -129,13 +129,6 @@ def main() -> None:
     print("compiled fact(6)  =", compiled_service.call("fact", [6]))
     assert compiled_service.call("cell", [7]) == service.call("cell", [7])
 
-    # Parallel compilation: compile_workers=2 fans the per-function units
-    # over a worker pool (repro.parcompile); the artifact is bit-identical
-    # to a serial compile, and cache="private" forces the cold compile here.
-    parallel = serve(module, CompileConfig(opt_level="O2", engine="compiled",
-                                           cache="private", compile_workers=2))
-    assert parallel.call("fact", [6]) == compiled_service.call("fact", [6])
-    print("parallel fact(6)  =", parallel.call("fact", [6]))
     print("\n--- compile diagnostics ---")
     print(service.diagnostics.format_report())
 

@@ -18,9 +18,9 @@ keyword sprawl of the lower layers:
   :class:`Service`: instance pool + batch runner + lenient-but-checked
   export resolution.
 
-The pre-facade keyword surface (``Program.lower(optimize=...)`` and friends)
-still works for one release behind :class:`DeprecationWarning` shims; see
-the README migration notes.
+Every lower-layer entry point (``Program.lower``/``compile``,
+``lower_module``, the ml/l3 codegen functions, ``ModuleCache``) takes its
+settings as one ``config=`` :class:`CompileConfig`.
 """
 
 from .config import CACHE_POLICIES, CompileConfig, ConfigError

@@ -88,14 +88,6 @@ class CompileConfig:
     #: :class:`repro.cluster.ClusterService` dispatching over that many
     #: worker processes.
     workers: int = 1
-    #: Compile-side worker-process count for parallel per-function
-    #: compilation (:mod:`repro.parcompile`).  ``1`` (default) compiles
-    #: serially in-process; ``>1`` fans a cold compile's function units
-    #: (lower/optimize/validate/decode/translate) across that many forked
-    #: workers, falling back to serial when fork is unavailable or a worker
-    #: dies.  Bookkeeping like ``engine``: excluded from :meth:`content_key`
-    #: — the compiled artifact is bit-identical at any worker count.
-    compile_workers: int = 1
     #: Cache-root directory for the durable artifact tier
     #: (:class:`repro.cluster.DiskCache`).  ``None`` = memory-only caching;
     #: a path makes every compile warm-startable by other processes sharing
@@ -164,10 +156,6 @@ class CompileConfig:
             raise ConfigError(f"pool_size must be a positive int, got {self.pool_size!r}")
         if not self._is_int(self.workers) or self.workers < 1:
             raise ConfigError(f"workers must be a positive int, got {self.workers!r}")
-        if not self._is_int(self.compile_workers) or self.compile_workers < 1:
-            raise ConfigError(
-                f"compile_workers must be a positive int, got {self.compile_workers!r}"
-            )
         if self.cache_dir is not None and (not isinstance(self.cache_dir, str) or not self.cache_dir):
             raise ConfigError(
                 f"cache_dir must be a non-empty path string or None, got {self.cache_dir!r}"
@@ -219,12 +207,11 @@ class CompileConfig:
         Covers ``opt_level`` (expanded to its pass names, so a re-registered
         pipeline changes the key), ``memory_pages`` and ``link_name`` —
         nothing else.  ``engine``, ``cache``, ``max_steps``, ``pool_size``,
-        ``workers``, ``compile_workers``, ``cache_dir``/``disk_cache_bytes``
-        and the validation toggles do not change the compiled artifact and
-        therefore do not change the key (so disk entries are shared across
-        worker counts, compile parallelism and cache locations).  :class:`repro.runtime.ModuleCache`
-        combines this digest with the source module's own content hash to
-        key its stages.
+        ``workers``, ``cache_dir``/``disk_cache_bytes`` and the validation
+        toggles do not change the compiled artifact and therefore do not
+        change the key (so disk entries are shared across worker counts and
+        cache locations).  :class:`repro.runtime.ModuleCache` combines this
+        digest with the source module's own content hash to key its stages.
         """
 
         from ..runtime.cache import content_key
@@ -262,35 +249,3 @@ class CompileConfig:
                 "pass a CompileConfig, an opt level name, a field dict, or None"
             )
         return built.validate()
-
-    @classmethod
-    def from_legacy(
-        cls,
-        *,
-        optimize: Optional[bool] = None,
-        memory_pages: Optional[int] = None,
-        engine=None,
-        max_steps: Optional[int] = None,
-        pool_size: Optional[int] = None,
-        cache: str = "none",
-    ) -> "CompileConfig":
-        """Map the deprecated keyword surface onto a config.
-
-        ``optimize=True`` historically ran the full default pipeline, so it
-        maps to ``O2``; ``cache`` here is the *policy* matching the entry
-        point's historical caching behaviour (live ``ModuleCache`` objects
-        are facade arguments, not config fields).
-        """
-
-        updates: dict = {"cache": cache}
-        if optimize is not None:
-            updates["opt_level"] = "O2" if optimize else "O0"
-        if memory_pages is not None:
-            updates["memory_pages"] = memory_pages
-        if engine is not None:
-            updates["engine"] = engine
-        if max_steps is not None:
-            updates["max_steps"] = max_steps
-        if pool_size is not None:
-            updates["pool_size"] = pool_size
-        return cls(**updates).validate()

@@ -60,13 +60,6 @@ class Diagnostics:
     #: functions were served from the per-function unit cache versus actually
     #: compiled when a module-level stage missed.
     units: dict = field(default_factory=dict)
-    #: The parallel-compile report (``repro.parcompile.ParcompileReport
-    #: .as_dict()``) when the compile ran with ``compile_workers > 1`` and
-    #: missed its module-level caches; ``None`` for serial compiles and
-    #: full cache hits.  Keys: ``workers``, ``phases``, ``worker_deaths``,
-    #: ``units_seeded``/``units_warm`` (per stage), ``per_worker``,
-    #: ``fallbacks``.
-    parcompile: Optional[dict] = None
     #: The :class:`repro.opt.OptimizationResult` (``None`` when ``O0`` or the
     #: artifact was a cache hit carrying its original stats).
     optimization: Optional[object] = None
@@ -140,14 +133,6 @@ class Diagnostics:
                 f"  {stage} units: {counts.get('reused', 0)} reused"
                 f" / {counts.get('compiled', 0)} compiled"
             )
-        if self.parcompile is not None:
-            seeded = sum(self.parcompile.get("units_seeded", {}).values())
-            warm = sum(self.parcompile.get("units_warm", {}).values())
-            lines.append(
-                f"  parallel compile: {self.parcompile.get('workers')} workers,"
-                f" {seeded} units compiled / {warm} warm-read"
-                f" ({self.parcompile.get('worker_deaths', 0)} worker death(s))"
-            )
         if self.optimization is not None:
             lines.append(self.optimization.format_report())
         return "\n".join(lines)
@@ -181,7 +166,6 @@ class Diagnostics:
             "stages": [{"stage": t.stage, "seconds": t.seconds} for t in self.stages],
             "cache": dict(self.cache),
             "units": {stage: dict(counts) for stage, counts in self.units.items()},
-            "parcompile": dict(self.parcompile) if self.parcompile is not None else None,
             "optimization": optimization,
         }
 
@@ -215,7 +199,6 @@ class Diagnostics:
             units={
                 stage: dict(counts) for stage, counts in (data.get("units") or {}).items()
             },
-            parcompile=dict(data["parcompile"]) if data.get("parcompile") else None,
             optimization=optimization,
         )
 

@@ -4,10 +4,9 @@ The single configuration-driven entry surface over the whole stack: sources
 (any mix of registered frontends, or pre-built scenario/program objects) plus
 one :class:`CompileConfig` in; a shareable
 :class:`~repro.runtime.CompiledProgram` (or a :class:`Service` ready to take
-traffic) with :class:`Diagnostics` attached out.  The legacy entry points
-(``Program.lower``/``compile``/``instantiate_wasm``, the ml/l3 codegen
-functions, ``lower_module``, ``scenario_service``) are thin deprecation
-shims over these three functions.
+traffic) with :class:`Diagnostics` attached out.  ``Program.lower``/
+``compile``/``instantiate_wasm`` and ``scenario_service`` are thin wrappers
+over these three functions.
 """
 
 from __future__ import annotations
@@ -49,24 +48,6 @@ def _record_units(diagnostics: Diagnostics, cache: ModuleCache, before: dict, sp
         compiled += counts["compiled"]
     if span is not None and (reused or compiled):
         span.set_attr(units_reused=reused, units_compiled=compiled)
-
-
-def _record_parcompile(diagnostics: Diagnostics, cache: ModuleCache, span=None) -> None:
-    """Surface the parallel-compile report the cache just produced (if any)
-    on ``diagnostics.parcompile`` and the stage's tracing span."""
-
-    report = getattr(cache, "last_parcompile", None)
-    if report is None:
-        return
-    diagnostics.parcompile = report.as_dict()
-    if span is not None:
-        span.set_attr(
-            compile_workers=report.workers,
-            parcompile_worker_deaths=report.worker_deaths,
-            parcompile_units_seeded=sum(report.units_seeded.values()),
-            parcompile_units_warm=sum(report.units_warm.values()),
-            parcompile_per_worker=diagnostics.parcompile["per_worker"],
-        )
 
 
 def compile(sources, config: Union[CompileConfig, str, int, dict, None] = None, *,
@@ -123,8 +104,7 @@ def lower(sources, config: Union[CompileConfig, str, int, dict, None] = None, *,
     """Like :func:`compile`, but stop after lowering: a ``LoweredModule``.
 
     The cheaper entry point when only the Wasm module is wanted (no flat-code
-    decode, no program-level cache entry); ``Program.lower`` and the ml/l3
-    codegen shims route here.
+    decode, no program-level cache entry); ``Program.lower`` routes here.
     """
 
     config = CompileConfig.of(config, **overrides)
@@ -152,7 +132,6 @@ def lower(sources, config: Union[CompileConfig, str, int, dict, None] = None, *,
                 lowered = cache_obj.lower(richwasm, config=config)
                 diagnostics.cache["lower"] = "hit" if cache_obj.stats["lower"].hits > before else "miss"
                 _record_units(diagnostics, cache_obj, units_before, span)
-                _record_parcompile(diagnostics, cache_obj, span)
         diagnostics.engine = lowered.engine
         diagnostics.optimization = lowered.optimization
         lowered.diagnostics = diagnostics
@@ -357,7 +336,7 @@ def _typecheck_cached(richwasm, cache: ModuleCache, diagnostics: Diagnostics) ->
             _bypass(diagnostics, "typecheck")
 
 
-def _translate_stage(diagnostics: Diagnostics, cache: ModuleCache, wasm, *, parcompile: bool = False) -> None:
+def _translate_stage(diagnostics: Diagnostics, cache: ModuleCache, wasm) -> None:
     """The ``translate`` stage through the cache.  Its span carries the
     characters of source generated and the split of the stage between
     emitting that source (``emit_s``) and Python's ``compile()``
@@ -379,8 +358,6 @@ def _translate_stage(diagnostics: Diagnostics, cache: ModuleCache, wasm, *, parc
         )
         if source_chars:
             span.set_attr(source_chars=source_chars, emit_s=emit_s, pycompile_s=pycompile_s)
-        if parcompile:
-            _record_parcompile(diagnostics, cache, span)
 
 
 def _lower_direct(richwasm, config: CompileConfig):
@@ -421,8 +398,7 @@ def _compile_cached(modules, config: CompileConfig, cache: ModuleCache,
             # Re-seed the per-object translation memo from the content store:
             # a program hit may hand out a structurally equal module object
             # the pygen memo has never seen.
-            # A disk-warm program retranslates; that may have run the pool.
-            _translate_stage(diagnostics, cache, program.wasm, parcompile=True)
+            _translate_stage(diagnostics, cache, program.wasm)
         return program
     diagnostics.cache["program"] = "miss"
     _typecheck_cached(richwasm, cache, diagnostics)
@@ -432,7 +408,6 @@ def _compile_cached(modules, config: CompileConfig, cache: ModuleCache,
         lowered = cache.lower(richwasm, config=config)
         diagnostics.cache["lower"] = "hit" if cache.stats["lower"].hits > before else "miss"
         _record_units(diagnostics, cache, units_before, span)
-        _record_parcompile(diagnostics, cache, span)
     with diagnostics.stage("decode") as span:
         before = cache.stats["decode"].hits
         units_before = cache.units.snapshot()

@@ -47,13 +47,9 @@ __all__ = ["DISK_FORMAT", "DiskCache", "DiskEntry", "shared_disk_module_cache"]
 
 #: Entry format version.  Bumped whenever the pickled payload layout (or
 #: anything about how entries are interpreted) changes; a stamp mismatch is
-#: a miss + eviction, never an attempt to read the old layout.  Format 2:
-#: ``unit.optimize`` entries hold one function-pass segment's result
-#: (function, per-pass rewrite counts) instead of one pass's.  Format 3:
-#: ``unit.translate`` chunks emit each step chunk once and deoptimize to the
-#: flat VM (their keys hash the function, not the emitter).  Format 4:
-#: ``unit.translate`` chunks fold pure operands into expressions and drop
-#: the address guard, and decoded integer stores carry a full-width flag.
+#: a miss + eviction, never an attempt to read the old layout.  Formats 2
+#: and 3 changed per-function unit entries, which nothing writes any more.
+#: Format 4: decoded integer stores carry a full-width flag.
 DISK_FORMAT = 4
 
 _SUFFIX = ".pkl"
@@ -84,12 +80,9 @@ class DiskCache:
     ``max_bytes`` bounds the total entry bytes with mtime-LRU eviction
     (``None`` = unbounded).
 
-    Stage names are free-form directory names.  The module-level stages
+    Stage names are free-form directory names; the stages
     (``link``/``lower``/``program``/``decode``/``key``) are written by
-    :class:`repro.runtime.ModuleCache`; parallel compiles
-    (:mod:`repro.parcompile`) additionally publish per-function units under
-    ``unit.<stage>`` names (e.g. ``unit.translate``) so workers of later
-    compiles warm-read each other's function-granular work.
+    :class:`repro.runtime.ModuleCache`.
     """
 
     def __init__(self, root: Union[str, Path], *, max_bytes: Optional[int] = None) -> None:
@@ -241,13 +234,6 @@ class DiskCache:
                     DiskEntry(stage_dir.name, path.stem, path, stat.st_size, stat.st_mtime)
                 )
         return found
-
-    def keys(self, stage: str) -> set[str]:
-        """The keys currently stored under one stage (race-tolerant like
-        :meth:`entries`) — the determinism tests compare these sets across
-        serial and parallel compiles."""
-
-        return {entry.key for entry in self.entries() if entry.stage == stage}
 
     def total_bytes(self) -> int:
         return sum(entry.size for entry in self.entries())

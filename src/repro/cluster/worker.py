@@ -50,7 +50,7 @@ import os
 import traceback
 from typing import Optional
 
-__all__ = ["worker_main", "outcome_to_wire", "wire_to_outcome", "reset_inherited_telemetry"]
+__all__ = ["worker_main", "outcome_to_wire", "wire_to_outcome"]
 
 
 def outcome_to_wire(outcome) -> dict:
@@ -84,7 +84,7 @@ def wire_to_outcome(record: dict, request):
     )
 
 
-def _reset_inherited_telemetry() -> None:
+def _reset_forked_telemetry() -> None:
     """Zero fork-inherited counters so this worker reports only its own.
 
     Under the ``fork`` start method the child inherits the parent's metric
@@ -110,12 +110,6 @@ def _reset_inherited_telemetry() -> None:
     for cache in caches:
         for stats in cache.stats.values():
             stats.reset()
-
-
-#: Public name for the worker bootstrap other process-fan-out layers reuse
-#: (the parallel-compile pool in :mod:`repro.parcompile` forks with the same
-#: inherited-telemetry problem this solves).
-reset_inherited_telemetry = _reset_inherited_telemetry
 
 
 def _build_service(payload: dict):
@@ -189,7 +183,7 @@ def worker_main(worker_id: int, request_queue, result_queue, payload: dict) -> N
 
     sink = None
     try:
-        _reset_inherited_telemetry()
+        _reset_forked_telemetry()
         if payload.get("obs_jsonl"):
             from ..obs import JsonlSink, Tracer, set_tracer
 

@@ -316,10 +316,6 @@ class FunctionUnitCache:
         self.max_entries = max_entries
         self._tables: dict[str, dict[str, object]] = {stage: {} for stage in UNIT_STAGES}
         self.stats: dict[str, UnitStats] = {stage: UnitStats(stage) for stage in UNIT_STAGES}
-        # Keys seeded from a parallel compile whose *first* lookup should
-        # replay the worker's outcome (miss = a worker compiled it fresh)
-        # instead of counting a bogus in-process hit; see :meth:`seed`.
-        self._seeded_fresh: dict[str, set[str]] = {stage: set() for stage in UNIT_STAGES}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = ", ".join(f"{stage}={len(table)}" for stage, table in self._tables.items())
@@ -338,44 +334,8 @@ class FunctionUnitCache:
             return None
         if self.max_entries is not None:
             table[key] = table.pop(key)  # LRU touch: move to the young end
-        seeded = self._seeded_fresh[stage]
-        if key in seeded:
-            # First lookup of a unit a compile worker built this compile:
-            # count it as *compiled* (the work happened, in another process)
-            # exactly once; later lookups are ordinary reuse.
-            seeded.discard(key)
-            self.stats[stage].record("miss")
-            return value
         self.stats[stage].record("hit")
         return value
-
-    def peek(self, stage: str, key: str):
-        """The stored unit without counting a lookup (``None`` on absence).
-
-        The parallel-compile planner uses this to decide which units still
-        need computing without perturbing the hit/miss statistics the
-        recompose pass will produce.
-        """
-
-        return self._tables[stage].get(key)
-
-    def seed(self, stage: str, key: str, value: object, *, fresh: bool = True) -> None:
-        """File a unit produced by a compile worker (no lookup counted now).
-
-        ``fresh=True`` marks a unit the worker *compiled* during this
-        parallel compile: the parent's first subsequent :meth:`get` of the
-        key records a miss (the unit was compiled, not reused) and every
-        later one a hit — reproducing exactly the counts a serial compile
-        would have recorded, with no double counting.  ``fresh=False`` files
-        a unit the worker itself warm-read from a shared tier (the disk
-        cache), so the first parent lookup counts as reuse.
-        """
-
-        self._tables[stage][key] = value
-        if fresh:
-            self._seeded_fresh[stage].add(key)
-        else:
-            self._seeded_fresh[stage].discard(key)
 
     def put(self, stage: str, key: str, value: object) -> None:
         table = self._tables[stage]
@@ -395,8 +355,6 @@ class FunctionUnitCache:
 
         for table in self._tables.values():
             table.clear()
-        for seeded in self._seeded_fresh.values():
-            seeded.clear()
         for stats in self.stats.values():
             stats.reset()
 

@@ -9,6 +9,7 @@ shifts, rotates, comparisons and conversions for 32- and 64-bit widths.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from typing import Callable, Union
 
@@ -156,20 +157,22 @@ def bool_to_i32(value: bool) -> int:
     return 1 if value else 0
 
 
+_INT_RELOPS: dict[str, Callable[[int, int], bool]] = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "gt": operator.gt,
+    "le": operator.le,
+    "ge": operator.ge,
+}
+
+
 def int_relop(op: str, a: int, b: int, width: int, signed: bool) -> int:
     if signed:
         a, b = to_signed(a, width), to_signed(b, width)
     else:
         a, b = to_unsigned(a, width), to_unsigned(b, width)
-    comparisons: dict[str, Callable[[int, int], bool]] = {
-        "eq": lambda x, y: x == y,
-        "ne": lambda x, y: x != y,
-        "lt": lambda x, y: x < y,
-        "gt": lambda x, y: x > y,
-        "le": lambda x, y: x <= y,
-        "ge": lambda x, y: x >= y,
-    }
-    return bool_to_i32(comparisons[op](a, b))
+    return bool_to_i32(_INT_RELOPS[op](a, b))
 
 
 # ---------------------------------------------------------------------------

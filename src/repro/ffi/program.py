@@ -21,7 +21,6 @@ from ..core.semantics import Interpreter
 from ..core.syntax import Module, Value
 from ..core.typing.errors import LinkError
 from ..wasm import WasmInterpreter
-from .._compat import UNSET as _UNSET, legacy_config as _legacy_config
 from .link import check_link, link_modules
 
 
@@ -83,7 +82,7 @@ class Program:
 
         return link_modules(self.modules, name=name)
 
-    def lower(self, *, config=None, cache=None, memory_pages=_UNSET, optimize=_UNSET, engine=_UNSET):
+    def lower(self, *, config=None, cache=None):
         """Link and lower the whole program to a single Wasm module.
 
         ``config`` (a :class:`repro.api.CompileConfig`) is the entry surface:
@@ -91,22 +90,16 @@ class Program:
         *linked* module, so cross-language programs get whole-program
         optimization (the linker already resolved imports to direct calls).
         ``cache`` pins an explicit :class:`repro.runtime.ModuleCache`
-        (otherwise the config's cache policy decides), memoizing the link and
-        lower/optimize stages by content so repeated lowerings of the same
-        program compile once.  The ``memory_pages``/``optimize``/``engine``
-        keywords are the deprecated pre-:mod:`repro.api` surface (one
-        :class:`DeprecationWarning` per call).
+        (otherwise the config's cache policy decides; without a config,
+        nothing is memoized), memoizing the link and lower/optimize stages by
+        content so repeated lowerings of the same program compile once.
         """
 
-        config = _legacy_config(
-            "Program.lower", config,
-            {"memory_pages": memory_pages, "optimize": optimize, "engine": engine},
-        )
         from ..api import lower as api_lower
 
-        return api_lower(self, config, cache=cache)
+        return api_lower(self, _config_or(config, "none"), cache=cache)
 
-    def compile(self, *, config=None, cache=None, memory_pages=_UNSET, optimize=_UNSET, engine=_UNSET):
+    def compile(self, *, config=None, cache=None):
         """Compile to the shareable :class:`repro.runtime.CompiledProgram`
         (the input to instance pools and batch runners) via
         :func:`repro.api.compile`.
@@ -115,51 +108,44 @@ class Program:
         (historical default: a private per-call cache).  ``config.engine``
         accepts a name or an :class:`~repro.wasm.engine.ExecutionEngine`
         instance (reduced to its registry name — compiled artifacts record
-        preferences, not live engines).  The ``memory_pages``/``optimize``/
-        ``engine`` keywords are the deprecated pre-:mod:`repro.api` surface.
+        preferences, not live engines).
         """
 
-        config = _legacy_config(
-            "Program.compile", config,
-            {"memory_pages": memory_pages, "optimize": optimize, "engine": engine},
-            cache_policy="private",
-        )
         from ..api import compile as api_compile
 
-        return api_compile(self, config, cache=cache)
+        return api_compile(self, _config_or(config, "private"), cache=cache)
 
-    def instantiate_wasm(
-        self, *, config=None, cache=None, memory_pages=_UNSET, optimize=_UNSET, engine=_UNSET
-    ) -> "WasmProgramInstance":
+    def instantiate_wasm(self, *, config=None, cache=None) -> "WasmProgramInstance":
         """Lower and run the whole program on a Wasm execution engine.
 
         ``config.engine`` selects the engine (``"flat"``/``"tree"``); the
         default is the flat VM.  With a cache (explicit ``cache=`` or the
-        config's policy) the pipeline stages are memoized — already
-        validated on first compile — so only instantiation is paid per call.
-        The deprecated ``engine=`` keyword additionally accepts a live
-        :class:`~repro.wasm.engine.ExecutionEngine` instance, which then
-        executes this instance.
+        config's policy; without a config, nothing is memoized) the pipeline
+        stages are memoized — already validated on first compile — so only
+        instantiation is paid per call.
         """
 
-        from ..wasm.engine import ExecutionEngine
-
-        engine_instance = engine if isinstance(engine, ExecutionEngine) else None
-        config = _legacy_config(
-            "Program.instantiate_wasm", config,
-            {"memory_pages": memory_pages, "optimize": optimize, "engine": engine},
-        )
         from ..api import compile as api_compile
 
-        compiled = api_compile(self, config, cache=cache)
+        compiled = api_compile(self, _config_or(config, "none"), cache=cache)
         interpreter = WasmInterpreter(
-            max_steps=config.max_steps,
-            engine=engine_instance if engine_instance is not None else compiled.engine,
+            max_steps=compiled.config.max_steps, engine=compiled.engine
         )
         instance = interpreter.instantiate(compiled.wasm)
         program = WasmProgramInstance(self, interpreter, instance, compiled.lowered)
         program.run_initializers()
         return program
+
+
+def _config_or(config, cache_policy: str):
+    """``config``, or a default config under this entry point's historical
+    cache policy when none is given."""
+
+    if config is not None:
+        return config
+    from ..api.config import CompileConfig
+
+    return CompileConfig(cache=cache_policy)
 
 
 @dataclass

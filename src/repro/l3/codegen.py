@@ -73,7 +73,6 @@ from ..core.syntax.locations import LocVar
 from ..core.syntax.types import CapT, ExLocT, ProdT, PtrT
 from ..core.typing.errors import CompilationError
 from ..core.typing.sizing import closed_size_of_type
-from .._compat import UNSET as _UNSET, codegen_lowering as _codegen_lowering
 from .ast import (
     L3Expr,
     L3Function,
@@ -495,8 +494,7 @@ def _bits(ty: Type) -> int:
 
 
 def compile_l3_module(
-    module: L3Module, *, lower: bool = False, cache=None, config=None,
-    optimize=_UNSET, memory_pages=_UNSET, engine=_UNSET, unit_cache=None,
+    module: L3Module, *, lower: bool = False, cache=None, config=None, unit_cache=None,
 ):
     """Linearity-check and compile an L3 module to RichWasm.
 
@@ -506,12 +504,9 @@ def compile_l3_module(
     (:class:`repro.runtime.ModuleCache`, which memoizes the lower/optimize
     stage by content) it continues down the pipeline and returns the
     :class:`repro.lower.LoweredModule` instead, optionally post-processed by
-    the config's named :mod:`repro.opt` pipeline.
-
-    The ``optimize``/``memory_pages``/``engine`` keywords are the deprecated
-    pre-:mod:`repro.api` surface (one :class:`DeprecationWarning` per call,
-    and passing any of them implies lowering); ``optimize=True`` maps to
-    ``O2``.
+    the config's named :mod:`repro.opt` pipeline.  An explicit ``cache``
+    wins over the config's cache policy; without a config, lowering runs
+    under the defaults and is memoized only in an explicit ``cache``.
 
     ``unit_cache`` (a :class:`repro.compilepipe.FunctionUnitCache`) reuses
     the per-function frontend units of earlier compiles (see
@@ -519,8 +514,17 @@ def compile_l3_module(
     """
 
     richwasm = L3Compiler(module, unit_cache=unit_cache).compile()
-    lowered = _codegen_lowering(
-        "compile_l3_module", richwasm, lower=lower, cache=cache, config=config,
-        legacy={"optimize": optimize, "memory_pages": memory_pages, "engine": engine},
-    )
-    return richwasm if lowered is None else lowered
+    if not (lower or cache is not None or config is not None):
+        return richwasm
+    from ..api.config import CompileConfig
+
+    config = CompileConfig.of(config if config is not None else {"cache": "none"})
+    if cache is None:
+        from ..api.facade import _resolve_cache
+
+        cache = _resolve_cache(config, None)
+    if cache is not None:
+        return cache.lower(richwasm, config=config)
+    from ..lower import lower_module
+
+    return lower_module(richwasm, config=config)

@@ -27,11 +27,8 @@ from .layout import (
 )
 from .runtime import BLOCK_HEADER_BYTES, HEAP_BASE, RuntimeLayout, build_free, build_malloc
 
-from .._compat import UNSET as _UNSET, legacy_config as _legacy_config
 
-
-def lower_module(module, *, config=None, memory_pages=_UNSET, optimize=_UNSET,
-                 passes=None, engine=_UNSET, unit_cache=None) -> LoweredModule:
+def lower_module(module, *, config=None, passes=None, unit_cache=None) -> LoweredModule:
     """Type-check-directed lowering of a RichWasm module to Wasm.
 
     ``config`` (a :class:`repro.api.CompileConfig`) selects the memory size,
@@ -45,16 +42,11 @@ def lower_module(module, *, config=None, memory_pages=_UNSET, optimize=_UNSET,
     ``unit_cache`` (a :class:`repro.compilepipe.FunctionUnitCache`) threads
     the per-function unit tables through lowering and optimization so
     unchanged functions are reused across module versions.
-
-    The ``memory_pages``/``optimize``/``engine`` keywords are the deprecated
-    pre-:mod:`repro.api` surface (one :class:`DeprecationWarning` per call);
-    ``optimize=True`` maps to ``O2``.
     """
 
-    config = _legacy_config(
-        "lower_module", config,
-        {"memory_pages": memory_pages, "optimize": optimize, "engine": engine},
-    )
+    from ..api.config import CompileConfig
+
+    config = CompileConfig.of(config)
     lowered = ModuleLowering(
         module, memory_pages=config.memory_pages, unit_cache=unit_cache
     ).lower()

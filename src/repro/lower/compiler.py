@@ -129,7 +129,7 @@ class LoweringStats:
 class LoweredModule:
     """The result of lowering: the Wasm module plus bookkeeping.
 
-    When the module was lowered with ``optimize=True``, ``optimization``
+    When the module was lowered under an optimizing config, ``optimization``
     holds the :class:`repro.opt.OptimizationResult` (per-pass statistics and
     the instruction-count delta) and ``wasm`` is the optimized module.
 
@@ -268,26 +268,6 @@ class ModuleLowering:
         self.stats.richwasm_instructions = self.module.instruction_count()
         return LoweredModule(wasm_module, self.stats, self.runtime, self.global_map)
 
-    def signature_skeleton(self) -> WasmModule:
-        """A module with the real lowering's declarations but stub bodies.
-
-        Compile workers need a :class:`WasmModule` whose
-        ``compilepipe.wasm_signature_digest`` matches the fully lowered
-        module *before* any function body has been lowered: validate and
-        translate unit keys hash only declaration shapes (function types,
-        global types/mutability, memory presence, table entries), never
-        bodies.  Stubbing every user function with an empty body therefore
-        yields the same digest as :meth:`lower` while costing nothing.
-        """
-
-        functions: list[object] = []
-        for decl in self.module.functions:
-            if isinstance(decl, ImportedFunction):
-                functions.append(self._lower_import(decl))
-                continue
-            functions.append(WasmFunction(self._lower_funtype(decl.funtype), (), (), name=decl.name))
-        return self._compose_module(functions)
-
     # -- module composition ------------------------------------------------------
 
     def _lower_import(self, decl: ImportedFunction) -> WasmImportedFunction:
@@ -295,11 +275,7 @@ class ModuleLowering:
         return WasmImportedFunction(functype, decl.import_ref.module, decl.import_ref.name, decl.exports)
 
     def _compose_module(self, functions: list[object]) -> WasmModule:
-        """Append the runtime and assemble the final :class:`WasmModule`.
-
-        Shared by :meth:`lower` and :meth:`signature_skeleton` so both
-        produce byte-identical declaration sections.
-        """
+        """Append the runtime and assemble the final :class:`WasmModule`."""
 
         functions = list(functions)
         functions.append(build_malloc(self.runtime))

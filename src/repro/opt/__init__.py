@@ -18,9 +18,11 @@ package cleans its output up:
   unoptimized twins side by side and requiring identical behaviour.
 
 Entry points: :func:`optimize_module` for a lowered
-:class:`~repro.wasm.ast.WasmModule`, or pass ``optimize=True`` to
-:func:`repro.lower.lower_module`, :func:`repro.ml.compile_ml_module`,
-:func:`repro.l3.compile_l3_module`, or the FFI ``Program`` execution path.
+:class:`~repro.wasm.ast.WasmModule`, or pass a ``config=`` whose
+``opt_level`` is ``O1``/``O2`` (:class:`repro.api.CompileConfig`) to
+:func:`repro.api.compile`, :func:`repro.lower.lower_module`,
+:func:`repro.ml.compile_ml_module`, :func:`repro.l3.compile_l3_module`, or
+the FFI ``Program`` execution path.
 """
 
 import importlib

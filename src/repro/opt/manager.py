@@ -71,8 +71,7 @@ class FunctionPassSegment:
     """A maximal run of consecutive :class:`FunctionPass` objects.
 
     :meth:`run` applies the whole run to one function and is the single
-    optimize-unit path: the :class:`PassManager` and the parallel compile
-    workers (:mod:`repro.parcompile`) both call it, so their units agree.
+    optimize-unit path the :class:`PassManager` calls.
     """
 
     def __init__(self, passes: Sequence[FunctionPass]) -> None:

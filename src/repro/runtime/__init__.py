@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .._compat import UNSET as _UNSET, legacy_config as _legacy_config
 from .batch import BatchReport, BatchRunner, Request, RequestOutcome, Session
 from .cache import CacheStats, CompiledProgram, ModuleCache, content_key
 from .pool import InstanceImage, InstancePool, PooledInstance, PoolStats
@@ -59,11 +58,6 @@ def scenario_service(
     *,
     config=None,
     cache: Optional[ModuleCache] = None,
-    engine=_UNSET,
-    optimize=_UNSET,
-    memory_pages=_UNSET,
-    max_steps=_UNSET,
-    pool_size=_UNSET,
 ) -> BatchRunner:
     """A ready-to-serve :class:`BatchRunner` for an FFI interop scenario.
 
@@ -73,22 +67,9 @@ def scenario_service(
     via :func:`repro.api.serve` under ``config`` (a
     :class:`repro.api.CompileConfig`; the default policy is the process-wide
     shared cache, and ``cache=`` pins an explicit one); the pool's baseline
-    image includes the program's ``_init`` exports.  The per-parameter
-    keywords are the deprecated pre-:mod:`repro.api` surface (one
-    :class:`DeprecationWarning` per call).
+    image includes the program's ``_init`` exports.
     """
 
-    config = _legacy_config(
-        "scenario_service", config,
-        {
-            "engine": engine,
-            "optimize": optimize,
-            "memory_pages": memory_pages,
-            "max_steps": max_steps,
-            "pool_size": pool_size,
-        },
-        cache_policy="shared",
-    )
     from ..api import serve
 
     return serve(scenario, config, cache=cache).runner

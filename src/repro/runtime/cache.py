@@ -24,12 +24,11 @@ exactly once and every later request reuses the artifacts:
   re-linking overlapping module sets re-checks nothing).
 
 Keys are SHA-256 digests of the (immutable) ASTs plus the compile-relevant
-configuration — the canonical :meth:`repro.api.CompileConfig.content_key`
-(legacy keyword callers are bridged onto the same keyspace).  Since PR 5 the
-digests come from :func:`repro.core.syntax.structural_digest` — a recursive
-structural hash cached on interned type nodes and frozen AST dataclasses —
-instead of hashing whole ``repr`` strings, so re-keying a module only walks
-the parts not digested before.  Keys stay deterministic across processes
+configuration — the canonical :meth:`repro.api.CompileConfig.content_key`.
+Since PR 5 the digests come from :func:`repro.core.syntax.structural_digest`
+— a recursive structural hash cached on interned type nodes and frozen AST
+dataclasses — instead of hashing whole ``repr`` strings, so re-keying a
+module only walks the parts not digested before.  Keys stay deterministic across processes
 (the digest covers class names, enum member names and primitive field
 values, never ``id()`` or ``hash()``) and hashing by content rather than
 identity means two independently built but structurally identical programs
@@ -103,6 +102,17 @@ def _program_fingerprint(richwasm, config_key: str, override) -> Optional[str]:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _default_config(config):
+    """``config``, or the default :class:`repro.api.CompileConfig` when
+    ``None``."""
+
+    if config is not None:
+        return config
+    from ..api.config import CompileConfig
+
+    return CompileConfig.of(None)
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/evict counters for one pipeline stage.
@@ -149,7 +159,7 @@ class CompiledProgram:
     share ``wasm`` (and therefore the module-level ``decoded`` flat code) but
     never mutate it.  ``key`` is the content hash the cache filed the program
     under.  ``config`` records the :class:`repro.api.CompileConfig` the
-    program was compiled under (``None`` for pre-facade callers);
+    program was compiled under (``None`` when constructed without one);
     ``diagnostics`` the :class:`repro.api.Diagnostics` of the most recent
     facade call that produced or returned this artifact.
     """
@@ -233,11 +243,6 @@ class ModuleCache:
         #: The durable tier (duck-typed ``get``/``put``/``stats``; see
         #: :class:`repro.cluster.DiskCache`), or ``None`` for memory-only.
         self.disk = disk
-        #: The :class:`repro.parcompile.ParcompileReport` of the most recent
-        #: :meth:`lower` (or warm-program translate) that ran with
-        #: ``compile_workers > 1``; ``None`` after serial compiles.  The
-        #: facade reads this to populate ``Diagnostics.parcompile``.
-        self.last_parcompile = None
         self._memory_stats: dict[str, CacheStats] = {
             stage: CacheStats(stage)
             for stage in ("typecheck", "link", "lower", "decode", "translate", "program")
@@ -354,29 +359,23 @@ class ModuleCache:
         self,
         richwasm: Module,
         *,
-        memory_pages: int = 4,
-        optimize: bool = False,
         passes=None,
         engine: Optional[str] = None,
-        validate: bool = True,
         config=None,
     ) -> LoweredModule:
         """Lower (and optionally optimize) ``richwasm``, memoized by content.
 
-        The stage key is ``content_key(richwasm, config.content_key())`` —
-        callers without a :class:`repro.api.CompileConfig` get one built
-        from the legacy keywords, so both surfaces share a single keyspace.
-        An explicit ``passes`` list overrides the config's pipeline (and is
-        folded into the key by pass name).
+        The stage key is ``content_key(richwasm, config.content_key())``;
+        ``config`` (a :class:`repro.api.CompileConfig`) defaults to
+        ``CompileConfig.of(None)``.  An explicit ``passes`` list overrides
+        the config's pipeline (and is folded into the key by pass name).
 
         Hits return a shallow copy so callers can adjust bookkeeping fields
         (``engine``) without contaminating the cached artifact; the expensive
         payload (``wasm``, and with it the decode memo) stays shared.
         """
 
-        config = self._config_of(
-            config, memory_pages=memory_pages, optimize=optimize, validate=validate
-        )
+        config = _default_config(config)
         if engine is None:
             engine = config.engine
         override = None if passes is None else tuple(p.name for p in passes)
@@ -386,30 +385,11 @@ class ModuleCache:
             lowered = self.disk.get("lower", key)
             if lowered is not None:
                 self._lowered[key] = lowered
-        self.last_parcompile = None
         if lowered is None:
             self._memory_stats["lower"].record("miss")
-            report = None
-            if getattr(config, "compile_workers", 1) > 1:
-                # Pre-seed the function-unit cache from a worker pool; the
-                # serial pipeline below recomposes from the seeds, so the
-                # result is bit-identical to a serial compile (and any pool
-                # failure just means fewer seeds).
-                from ..parcompile import precompute_function_units
-
-                report = precompute_function_units(
-                    richwasm, config, self.units, disk=self.disk, passes=passes
-                )
             lowered = lower_module(richwasm, config=config, passes=passes, unit_cache=self.units)
             if config.validate_wasm:
                 validate_module(lowered.wasm, unit_cache=self.units)
-            if getattr(config, "compile_workers", 1) > 1 and engine == "compiled":
-                from ..parcompile import precompute_translate_units
-
-                report = precompute_translate_units(
-                    lowered.wasm, config, self.units, disk=self.disk, report=report
-                )
-            self.last_parcompile = report
             self._lowered[key] = lowered
             if self.disk is not None:
                 self.disk.put("lower", key, replace(lowered, engine=None, diagnostics=None))
@@ -513,7 +493,6 @@ class ModuleCache:
         full compile the hit avoids.
         """
 
-        self.last_parcompile = None
         program = self._programs.get(key)
         if program is None and self.disk is not None and richwasm is not None:
             lowered = self.disk.get("program", key)
@@ -524,15 +503,6 @@ class ModuleCache:
                     adopt_decode(lowered.wasm, flat)
                 self.decode(lowered.wasm)
                 if engine == "compiled":
-                    if config is not None and getattr(config, "compile_workers", 1) > 1:
-                        # A disk-warm program still retranslates locally (the
-                        # exec'd callables never persist) — pre-seed those
-                        # units too, from the disk wire entries or the pool.
-                        from ..parcompile import precompute_translate_units
-
-                        self.last_parcompile = precompute_translate_units(
-                            lowered.wasm, config, self.units, disk=self.disk
-                        )
                     self.translate(lowered.wasm)
                 program = CompiledProgram(
                     richwasm=richwasm, lowered=lowered, engine=engine,
@@ -574,9 +544,6 @@ class ModuleCache:
         self,
         modules,
         *,
-        name: str = "linked",
-        memory_pages: int = 4,
-        optimize: bool = False,
         passes=None,
         engine: Optional[str] = None,
         config=None,
@@ -586,11 +553,11 @@ class ModuleCache:
         ``modules`` is a ``{name: RichWasm Module}`` mapping (e.g. from
         :meth:`repro.ffi.InteropScenario.modules`), an
         :class:`repro.ffi.Program`, or a single already-linked RichWasm
-        :class:`Module`.  A :class:`repro.api.CompileConfig` supersedes the
-        individual keywords (and is what :func:`repro.api.compile` passes).
+        :class:`Module`.  ``config`` (a :class:`repro.api.CompileConfig`)
+        defaults to ``CompileConfig.of(None)``.
         """
 
-        config = self._config_of(config, memory_pages=memory_pages, optimize=optimize, name=name)
+        config = _default_config(config)
         richwasm = self._as_linked(modules, name=config.link_name, check=config.check_links)
         if engine is None:
             engine = config.engine
@@ -603,22 +570,6 @@ class ModuleCache:
                 self.translate(lowered.wasm)
             program = self.put_program(key, richwasm, lowered, engine=engine, config=config)
         return program
-
-    def _config_of(self, config, *, memory_pages: int = 4, optimize: bool = False,
-                   validate: bool = True, name: str = "linked"):
-        """The legacy-keyword → config bridge keeping one cache keyspace."""
-
-        if config is not None:
-            return config
-        from ..api.config import CompileConfig
-
-        return CompileConfig(
-            opt_level="O2" if optimize else "O0",
-            memory_pages=memory_pages,
-            validate_wasm=validate,
-            link_name=name,
-            cache="private",
-        )
 
     def _as_linked(self, modules, *, name: str, check: bool = True) -> Module:
         if isinstance(modules, Module):

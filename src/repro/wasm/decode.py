@@ -177,9 +177,8 @@ class HostEntry:
 #
 # Resolved handlers are ``functools.partial`` over module-level functions —
 # never lambdas or local closures — so a :class:`FlatFunction` pickles: the
-# disk tier persists flat code under its content key, and the parallel
-# compile workers ship decode units back to the parent over a queue.  A
-# partial call is C-level, so the flat VM's per-instruction cost matches the
+# disk tier persists flat code under its content key.  A partial call is
+# C-level, so the flat VM's per-instruction cost matches the
 # old closures.
 
 from functools import partial

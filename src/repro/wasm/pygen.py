@@ -139,9 +139,8 @@ _HERE = "$here"
 _EXIT = "$exit"
 
 # Precompiled little-endian accessors for every format a load or store uses,
-# bound into each exec namespace as ``_ld<fmt>``/``_st<fmt>``.  Bound
-# ``Struct`` methods cannot be pickled, so they stay out of the const pool
-# that compile workers ship.
+# bound into each exec namespace as ``_ld<fmt>``/``_st<fmt>`` (shared by
+# every unit rather than filed in each unit's const pool).
 _ACCESSORS: dict[str, object] = {"_SE": struct.error}
 for _fmt in "BbHhIiQqfd":
     _struct = struct.Struct("<" + _fmt)
@@ -1221,10 +1220,7 @@ def emit_function_chunk(
 
     Returns ``(chunk, mode, pool_values)`` — the generated source, the
     calling-convention mode, and the const-pool namespace the chunk must be
-    exec'd against.  Split out of :func:`translate_functions` so compile
-    workers can do the expensive emission + ``compile()`` in a subprocess
-    and ship the pieces back (``pool_values`` entries are picklable; the
-    code object travels as a ``marshal`` blob).
+    exec'd against (:func:`build_translation_unit` compiles and execs it).
     """
 
     flat = slots[index]
@@ -1273,23 +1269,20 @@ def build_translation_unit(
     pool_values: dict[str, object],
     *,
     module_name: str | None = None,
-    code=None,
 ) -> tuple[str, str, object]:
-    """Exec a chunk from :func:`emit_function_chunk` into a translate unit.
+    """Compile and exec a chunk from :func:`emit_function_chunk` into a
+    translate unit.
 
-    ``code`` short-circuits the ``compile()`` step with a pre-compiled code
-    object (e.g. unmarshalled from a compile worker); the exec itself is
-    nearly free.  The namespace also gets the ``Struct`` memory accessors,
-    which cannot travel in ``pool_values``.  The returned ``(chunk, mode,
-    callable)`` triple is the exact value ``translate_functions`` caches.
+    The namespace also gets the ``Struct`` memory accessors.  The returned
+    ``(chunk, mode, callable)`` triple is the exact value
+    ``translate_functions`` caches.
     """
 
-    if code is None:
-        started = time.perf_counter()
-        # ``compile`` stays a module-global lookup, so it can be wrapped.
-        code = compile(chunk, f"<pygen:{module_name or 'module'}:f{index}>", "exec")
-        _PYCOMPILE_SECONDS.inc(time.perf_counter() - started)
-        _SOURCE_CHARS.inc(len(chunk))
+    started = time.perf_counter()
+    # ``compile`` stays a module-global lookup, so it can be wrapped.
+    code = compile(chunk, f"<pygen:{module_name or 'module'}:f{index}>", "exec")
+    _PYCOMPILE_SECONDS.inc(time.perf_counter() - started)
+    _SOURCE_CHARS.inc(len(chunk))
     namespace = dict(pool_values, **_ACCESSORS)
     exec(code, namespace)
     return (chunk, mode, namespace[f"_f{index}"])

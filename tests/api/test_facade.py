@@ -1,5 +1,7 @@
 """repro.api.compile / lower / serve: frontends, caching, diagnostics."""
 
+import warnings
+
 import pytest
 
 from repro import api
@@ -151,6 +153,43 @@ class TestCompile:
         compiled = api.compile(counter_program, cache=ModuleCache())
         with pytest.raises(ConfigError, match="ModuleCache"):
             api.serve(compiled, cache="shared")
+
+    def test_bare_calls_do_not_warn(self):
+        # Calls with no config compile under the entry point's defaults:
+        # Program.lower() memoizes nothing, Program.compile() uses a private
+        # cache, and the codegen functions return RichWasm unless asked to
+        # lower.
+        from repro.ml import compile_ml_module
+        from repro.runtime import scenario_service
+
+        program = Program(counter_program().modules())
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            lowered = program.lower()
+            compiled = program.compile()
+            richwasm = compile_ml_module(ml_source())
+            ml_lowered = compile_ml_module(ml_source(), lower=True)
+            scenario_service(counter_program, cache=ModuleCache())
+        assert [w for w in record if issubclass(w.category, DeprecationWarning)] == []
+        assert lowered.diagnostics.cache["lower"] == "bypass"
+        assert isinstance(compiled, CompiledProgram)
+        assert compiled.diagnostics.cache["program"] == "miss"
+        assert not isinstance(richwasm, LoweredModule)
+        assert isinstance(ml_lowered, LoweredModule)
+
+    def test_bare_compile_program_shares_the_o0_entry(self):
+        # ModuleCache without a config compiles under CompileConfig.of(None),
+        # whose key is O0, 4 pages, "linked" like the facade's "O0", so both
+        # share one compiled payload.
+        cache = ModuleCache()
+        bare = cache.compile_program(counter_program().modules())
+        facade = api.compile(counter_program, "O0", cache=cache)
+        assert facade.key == bare.key
+        assert facade.wasm is bare.wasm
+        assert cache.stats["lower"].misses == 1
+        assert CompileConfig.of(None).content_key() == CompileConfig(
+            opt_level="O0", memory_pages=4, link_name="linked", cache="private"
+        ).content_key()
 
     def test_codegen_entry_points_honor_cache_policy(self):
         # compile_ml_module/compile_l3_module resolve the config's cache

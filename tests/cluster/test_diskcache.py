@@ -112,53 +112,54 @@ class TestCorruption:
         assert not path.exists()
 
     def test_format_1_unit_entry_is_a_miss_and_rewritten(self, tmp_path):
-        # Format 1 filed one (function, count) pair per optimize pass; its
-        # ``unit.optimize`` entries must never be read as segment units.
+        # Format 1 filed per-function units in a layout later formats
+        # changed; an entry stamped 1 under a live stage is never read, and
+        # a fresh put replaces it under the current stamp.
         assert DISK_FORMAT > 1
         cache = DiskCache(tmp_path)
         key = "o" * 64
-        path = self._entry_path(cache, "unit.optimize", key)
-        old = {"format": 1, "stage": "unit.optimize", "key": key, "payload": ("fn", 3)}
+        path = self._entry_path(cache, "lower", key)
+        old = {"format": 1, "stage": "lower", "key": key, "payload": ("fn", 3)}
         path.write_bytes(pickle.dumps(old))
-        assert cache.get("unit.optimize", key) is None
+        assert cache.get("lower", key) is None
         assert not path.exists()
-        assert cache.put("unit.optimize", key, ("fn", (3, 0)))
+        assert cache.put("lower", key, ("fn", (3, 0)))
         assert pickle.loads(path.read_bytes())["format"] == DISK_FORMAT
-        assert cache.get("unit.optimize", key) == ("fn", (3, 0))
-        stats = cache.stats["disk.unit.optimize"]
+        assert cache.get("lower", key) == ("fn", (3, 0))
+        stats = cache.stats["disk.lower"]
         assert (stats.hits, stats.misses, stats.evictions) == (1, 1, 1)
 
     def test_format_2_translate_unit_is_a_miss_and_rewritten(self, tmp_path):
-        # Format 2 translate units carry two-arm step chunks; their keys hash
-        # the function rather than the emitter, so only the stamp keeps
-        # them from resurfacing.
+        # Format 2 translate units carried two-arm step chunks under keys
+        # that hash the function rather than the emitter, so only the stamp
+        # kept them from resurfacing; the same holds for any live stage.
         assert DISK_FORMAT > 2
         cache = DiskCache(tmp_path)
         key = "x" * 64
-        path = self._entry_path(cache, "unit.translate", key)
-        old = {"format": 2, "stage": "unit.translate", "key": key, "payload": (0, "two arms", "register")}
+        path = self._entry_path(cache, "program", key)
+        old = {"format": 2, "stage": "program", "key": key, "payload": (0, "two arms", "register")}
         path.write_bytes(pickle.dumps(old))
-        assert cache.get("unit.translate", key) is None
+        assert cache.get("program", key) is None
         assert not path.exists()
-        assert cache.put("unit.translate", key, (0, "one arm", "register"))
+        assert cache.put("program", key, (0, "one arm", "register"))
         assert pickle.loads(path.read_bytes())["format"] == DISK_FORMAT
-        assert cache.get("unit.translate", key) == (0, "one arm", "register")
-        stats = cache.stats["disk.unit.translate"]
+        assert cache.get("program", key) == (0, "one arm", "register")
+        stats = cache.stats["disk.program"]
         assert (stats.hits, stats.misses, stats.evictions) == (1, 1, 1)
 
     def test_format_3_translate_unit_is_a_miss_and_evicted(self, tmp_path):
-        # Format 3 translate units move every operand through its slot and
-        # guard each address; the unit key is unchanged, so only the stamp
-        # keeps an old disk tier from serving them.
+        # Format 3 entries predate the full-width flag on decoded integer
+        # stores, under unchanged keys, so only the stamp keeps an old disk
+        # tier from serving them.
         assert DISK_FORMAT > 3
         cache = DiskCache(tmp_path)
         key = "y" * 64
-        path = self._entry_path(cache, "unit.translate", key)
-        old = {"format": 3, "stage": "unit.translate", "key": key, "payload": (0, "slot moves", "register")}
+        path = self._entry_path(cache, "program", key)
+        old = {"format": 3, "stage": "program", "key": key, "payload": (0, "slot moves", "register")}
         path.write_bytes(pickle.dumps(old))
-        assert cache.get("unit.translate", key) is None
+        assert cache.get("program", key) is None
         assert not path.exists()
-        stats = cache.stats["disk.unit.translate"]
+        stats = cache.stats["disk.program"]
         assert (stats.hits, stats.misses, stats.evictions) == (0, 1, 1)
 
     def test_stage_or_key_mismatch_is_miss_and_evicted(self, tmp_path):

@@ -521,10 +521,12 @@ class TestKeepUnchangedBlocks:
     def test_segment_rerun_on_a_lowered_program_is_a_no_op(self):
         from workloads import synthetic_module
 
+        from repro.api import CompileConfig
         from repro.opt import optimize_module
         from repro.runtime import ModuleCache
 
-        optimized = ModuleCache().compile_program(synthetic_module(1, functions=20), optimize=True).wasm
+        config = CompileConfig(opt_level="O2")
+        optimized = ModuleCache().compile_program(synthetic_module(1, functions=20), config=config).wasm
         segment = _o2_segment()
         for function in optimized.functions:
             if isinstance(function, WasmFunction):

@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from repro.api import CompileConfig
 from repro.core.syntax import Function, f64, funtype, i64, make_module
 from repro.core.syntax.instructions import Call, CvtOp, NumConst, NumCvtop
 from repro.core.syntax.types import NumType
@@ -75,7 +76,9 @@ class TestNaNKeys:
 
         cache = ModuleCache()
         for bits in (0x7FF8000000000001, 0x7FF8000000000002):
-            program = cache.compile_program(_nan_module(bits, via_i64=via_i64), optimize=True, engine=engine)
+            program = cache.compile_program(
+                _nan_module(bits, via_i64=via_i64), config=CompileConfig(opt_level="O2"), engine=engine
+            )
             interpreter, instance = program.instantiate()
             assert interpreter.invoke(instance, "main", []) == [bits]
 
@@ -142,7 +145,7 @@ class TestStageMemoization:
 
     def test_optimized_and_unoptimized_are_separate_entries(self, cache):
         plain = cache.compile_program(scenario_modules())
-        optimized = cache.compile_program(scenario_modules(), optimize=True)
+        optimized = cache.compile_program(scenario_modules(), config=CompileConfig(opt_level="O2"))
         assert plain is not optimized
         assert optimized.lowered.optimization is not None
         assert optimized.wasm.instruction_count() < plain.wasm.instruction_count()

@@ -18,6 +18,7 @@ observed.  Two things make that sound, and this file checks both:
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.semantics import numerics
@@ -181,9 +182,31 @@ def test_numerics_helpers_the_emitter_calls_are_non_negative():
                         assert 0 <= fn(a, b, width) <= mask
                     except numerics.NumericTrap:
                         pass
-                for op in ("eq", "ne", "lt", "gt", "le", "ge"):
-                    for signed in (False, True):
-                        assert numerics.int_relop(op, a, b, width, signed) in (0, 1)
+
+
+_REFERENCE_RELOPS = {
+    "eq": lambda x, y: x == y,
+    "ne": lambda x, y: x != y,
+    "lt": lambda x, y: x < y,
+    "gt": lambda x, y: x > y,
+    "le": lambda x, y: x <= y,
+    "ge": lambda x, y: x >= y,
+}
+
+
+@pytest.mark.parametrize("width", [32, 64])
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("op", sorted(_REFERENCE_RELOPS))
+def test_int_relop_matches_python_comparison(op, signed, width):
+    """``int_relop`` against Python's own comparison of the operands read
+    as ``width``-bit signed or unsigned values, over the raw edge inputs
+    (so inputs wider than ``width`` are wrapped first)."""
+
+    convert = numerics.to_signed if signed else numerics.to_unsigned
+    for a in EDGES:
+        for b in EDGES:
+            expected = int(_REFERENCE_RELOPS[op](convert(a, width), convert(b, width)))
+            assert numerics.int_relop(op, a, b, width, signed) == expected, (a, b)
 
 
 # ---------------------------------------------------------------------------
