@@ -11,8 +11,10 @@ over these three functions.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional, Union
 
+from ..lower import AnnotationStreams, lower_module, rechecked_functions
 from ..obs.metrics import default_registry
 from ..obs.trace import get_tracer
 from ..runtime.cache import CompiledProgram, ModuleCache
@@ -116,17 +118,18 @@ def lower(sources, config: Union[CompileConfig, str, int, dict, None] = None, *,
         modules = _frontend_stage(sources, config, cache_obj, diagnostics)
         if cache_obj is None:
             with diagnostics.stage("link"):
-                richwasm = _link_direct(modules, config, diagnostics)
-            # Lowering drives the type checker itself; no standalone pass.
+                richwasm, annotations = _link_direct(modules, config, diagnostics)
+            # No standalone typecheck pass: the linked check hands its
+            # annotation streams to the lowering (see _compile_direct).
             _bypass(diagnostics, "typecheck")
-            with diagnostics.stage("lower"):
-                lowered = _lower_direct(richwasm, config)
+            with _lower_stage(diagnostics):
+                lowered = _lower_direct(richwasm, config, annotations)
             _bypass(diagnostics, "lower")
         else:
             with diagnostics.stage("link"):
                 richwasm = _link_cached(modules, config, cache_obj, diagnostics)
             _typecheck_cached(richwasm, cache_obj, diagnostics)
-            with diagnostics.stage("lower") as span:
+            with _lower_stage(diagnostics) as span:
                 before = cache_obj.stats["lower"].hits
                 units_before = cache_obj.units.snapshot()
                 lowered = cache_obj.lower(richwasm, config=config)
@@ -291,13 +294,19 @@ def _resolve_cache(config: CompileConfig, cache: Optional[ModuleCache]) -> Optio
 
 
 def _link_direct(modules, config: CompileConfig, diagnostics: Diagnostics):
-    if not isinstance(modules, dict):
-        _bypass(diagnostics, "link")
-        return modules
-    from ..ffi.link import link_modules
+    """The linked module plus the annotation streams its check recorded
+    (``None`` for a bare pre-linked ``Module``, which nothing checks here)."""
 
     _bypass(diagnostics, "link")
-    return link_modules(modules, name=config.link_name, check=config.check_links)
+    if not isinstance(modules, dict):
+        return modules, None
+    from ..ffi.link import link_modules
+
+    annotations = AnnotationStreams()
+    linked = link_modules(
+        modules, name=config.link_name, check=config.check_links, annotations=annotations
+    )
+    return linked, annotations
 
 
 def _link_cached(modules, config: CompileConfig, cache: ModuleCache, diagnostics: Diagnostics):
@@ -318,12 +327,13 @@ def _typecheck_cached(richwasm, cache: ModuleCache, diagnostics: Diagnostics) ->
     """The memoized core-typecheck stage of the cached pipeline.
 
     Linking already routes its per-module and linked-result checks through
-    ``cache.typecheck``, so for dict sources this lookup is a hit.  A
-    pre-linked ``Module`` the cache has never seen is *not* checked
-    standalone — the lowering stage drives the type checker over the module
-    anyway, and checking twice would double the compile-side hot path this
-    layer exists to speed up — so the stage records a ``bypass`` instead,
-    mirroring the off-cache pipeline.
+    ``cache.typecheck``, so for dict sources this lookup is a hit; the
+    linked check also recorded the annotation streams the lowering replays.
+    A pre-linked ``Module`` the cache has never seen is *not* checked
+    standalone: the lowering type-checks every function that has no stream,
+    which is all of them here, and checking twice would double the
+    compile-side hot path this layer exists to speed up.  So the stage
+    records a ``bypass`` instead, mirroring the off-cache pipeline.
     """
 
     with diagnostics.stage("typecheck") as span:
@@ -360,11 +370,22 @@ def _translate_stage(diagnostics: Diagnostics, cache: ModuleCache, wasm) -> None
             span.set_attr(source_chars=source_chars, emit_s=emit_s, pycompile_s=pycompile_s)
 
 
-def _lower_direct(richwasm, config: CompileConfig):
-    from ..lower import lower_module
+@contextmanager
+def _lower_stage(diagnostics: Diagnostics):
+    """The timed ``lower`` stage.  Its span's ``rechecked`` attribute counts
+    the functions the lowering type-checked itself for want of an
+    annotation stream from the linked check (0 on a lower-stage hit)."""
+
+    before = rechecked_functions()
+    with diagnostics.stage("lower") as span:
+        yield span
+        span.set_attr(rechecked=rechecked_functions() - before)
+
+
+def _lower_direct(richwasm, config: CompileConfig, annotations):
     from ..wasm import validate_module
 
-    lowered = lower_module(richwasm, config=config)
+    lowered = lower_module(richwasm, config=config, annotations=annotations)
     if config.validate_wasm:
         validate_module(lowered.wasm)
     return lowered
@@ -372,10 +393,12 @@ def _lower_direct(richwasm, config: CompileConfig):
 
 def _compile_direct(modules, config: CompileConfig, diagnostics: Diagnostics) -> CompiledProgram:
     with diagnostics.stage("link"):
-        richwasm = _link_direct(modules, config, diagnostics)
-    with diagnostics.stage("lower"):
-        lowered = _lower_direct(richwasm, config)
-    # Lowering drives the type checker itself; no standalone pass off-cache.
+        richwasm, annotations = _link_direct(modules, config, diagnostics)
+    with _lower_stage(diagnostics):
+        lowered = _lower_direct(richwasm, config, annotations)
+    # No standalone typecheck pass off-cache: the linked check hands its
+    # annotation streams to the lowering, which type-checks only functions
+    # without one (every function of a bare pre-linked module).
     _bypass(diagnostics, "typecheck", "lower", "decode")
     if config.engine == "compiled":
         _bypass(diagnostics, "translate")
@@ -402,7 +425,7 @@ def _compile_cached(modules, config: CompileConfig, cache: ModuleCache,
         return program
     diagnostics.cache["program"] = "miss"
     _typecheck_cached(richwasm, cache, diagnostics)
-    with diagnostics.stage("lower") as span:
+    with _lower_stage(diagnostics) as span:
         before = cache.stats["lower"].hits
         units_before = cache.units.snapshot()
         lowered = cache.lower(richwasm, config=config)

@@ -12,7 +12,7 @@ declarations before calling into this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..syntax.modules import Function, FunctionDecl, Global, GlobalDecl, ImportedFunction, ImportedGlobal, Module
 from ..syntax.qualifiers import UNR
@@ -95,13 +95,23 @@ def check_function(
     function: Function,
     *,
     allow_caps_in_linear_memory: bool = True,
+    observer=None,
 ) -> None:
-    """Check one function definition against its declared type."""
+    """Check one function definition against its declared type.
+
+    ``observer`` is the :class:`InstructionChecker` callback
+    ``observer(instr, stack, local_env)``, called before each instruction of
+    the body in traversal order (the type-directed lowering records its
+    annotation stream through it).
+    """
 
     check_funtype_valid(empty_function_env(), function.funtype, "function type")
     fenv, params = function_env_of(function.funtype)
     checker = InstructionChecker(
-        store_typing, module_env, allow_caps_in_linear_memory=allow_caps_in_linear_memory
+        store_typing,
+        module_env,
+        allow_caps_in_linear_memory=allow_caps_in_linear_memory,
+        observer=observer,
     )
 
     # Parameters become the first locals (sized by their types); declared
@@ -149,6 +159,7 @@ def check_module(
     store_typing: Optional[StoreTyping] = None,
     allow_caps_in_linear_memory: bool = True,
     unit_cache=None,
+    observer_for: Optional[Callable[[Function], Callable]] = None,
 ) -> ModuleCheckResult:
     """Check a whole module; raises a RichWasmTypeError subclass on failure.
 
@@ -159,6 +170,12 @@ def check_module(
     checks are cached, and only against the default store typing — a custom
     ``store_typing`` widens what a body may reference, so its results are
     not per-function keyed.
+
+    ``observer_for(function)`` returns the ``observer`` (see
+    :func:`check_function`) to check one defined function under; it is
+    called only for functions this call actually checks, never for a unit
+    hit.  The linker passes it for the linked result so the lowering can
+    replay the recorded types instead of checking again.
     """
 
     module_env = module_env_of(module)
@@ -179,7 +196,11 @@ def check_module(
                 instructions_checked += cached_count
                 continue
         check_function(
-            store, module_env, function, allow_caps_in_linear_memory=allow_caps_in_linear_memory
+            store,
+            module_env,
+            function,
+            allow_caps_in_linear_memory=allow_caps_in_linear_memory,
+            observer=None if observer_for is None else observer_for(function),
         )
         if units is not None:
             units.put("typecheck", key, function.instruction_count())

@@ -182,7 +182,7 @@ def _remapped(decl, build, units, remap_digest: Optional[bytes], exports: tuple 
 
 
 def link_modules(modules: dict[str, Module], *, name: str = "linked", check: bool = True,
-                 checker=check_module, unit_cache=None) -> Module:
+                 checker=check_module, unit_cache=None, annotations=None) -> Module:
     """Statically link modules into one (imports resolved to direct calls).
 
     The resulting module exports every export of every input module, holds
@@ -195,6 +195,12 @@ def link_modules(modules: dict[str, Module], *, name: str = "linked", check: boo
     :class:`repro.compilepipe.FunctionUnitCache`) memoizes each remapped
     declaration, so relinking after a one-function edit returns every
     other declaration as the same object.
+
+    ``annotations`` (a :class:`repro.lower.AnnotationStreams`) asks the
+    linked result's check for the per-function annotation streams the
+    type-directed lowering replays; once that check passes, it is bound to
+    the linked module.  The inputs' checks record nothing: linking
+    renumbers indices, so their streams could not be replayed.
     """
 
     export_maps = _export_maps(modules)
@@ -292,5 +298,9 @@ def link_modules(modules: dict[str, Module], *, name: str = "linked", check: boo
         table=Table(entries=tuple(new_table)),
         name=name,
     )
-    checker(linked)
+    if annotations is None:
+        checker(linked)
+    else:
+        checker(linked, observer_for=annotations.observer_for)
+        annotations.module = linked
     return linked

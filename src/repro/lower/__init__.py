@@ -6,7 +6,13 @@
 * :func:`lower_module` — the one-call entry point used by examples and tests.
 """
 
-from .compiler import LoweredModule, LoweringStats, ModuleLowering
+from .compiler import (
+    AnnotationStreams,
+    LoweredModule,
+    LoweringStats,
+    ModuleLowering,
+    rechecked_functions,
+)
 from .layout import (
     ArrayLayout,
     FieldSlot,
@@ -28,7 +34,8 @@ from .layout import (
 from .runtime import BLOCK_HEADER_BYTES, HEAP_BASE, RuntimeLayout, build_free, build_malloc
 
 
-def lower_module(module, *, config=None, passes=None, unit_cache=None) -> LoweredModule:
+def lower_module(module, *, config=None, passes=None, unit_cache=None,
+                 annotations=None) -> LoweredModule:
     """Type-check-directed lowering of a RichWasm module to Wasm.
 
     ``config`` (a :class:`repro.api.CompileConfig`) selects the memory size,
@@ -42,13 +49,17 @@ def lower_module(module, *, config=None, passes=None, unit_cache=None) -> Lowere
     ``unit_cache`` (a :class:`repro.compilepipe.FunctionUnitCache`) threads
     the per-function unit tables through lowering and optimization so
     unchanged functions are reused across module versions.
+
+    ``annotations`` (an :class:`AnnotationStreams`) carries the typing
+    facts the linked check recorded for ``module``; the lowering
+    type-checks only the functions it has no stream for.
     """
 
     from ..api.config import CompileConfig
 
     config = CompileConfig.of(config)
     lowered = ModuleLowering(
-        module, memory_pages=config.memory_pages, unit_cache=unit_cache
+        module, memory_pages=config.memory_pages, unit_cache=unit_cache, annotations=annotations
     ).lower()
     lowered.engine = config.engine
     if config.optimize:

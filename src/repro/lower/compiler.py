@@ -1,8 +1,12 @@
 """The RichWasm → WebAssembly compiler (paper §6).
 
-Compilation is *type-directed*: the compiler re-runs the RichWasm type
-checker with an observer attached and uses the recorded per-instruction
-operand types to decide data layout.  The main translation decisions are:
+Compilation is *type-directed*: it reads each instruction's operand types
+from an annotation stream the RichWasm type checker records through an
+observer.  The linked check records one stream per function it checks and
+hands them over in an :class:`AnnotationStreams`; the lowering replays
+those and runs the checker itself only for a function without a stream (a
+per-function ``typecheck`` unit hit, or a bare pre-linked module that was
+never checked).  The main translation decisions are:
 
 * **Erasure** — capabilities, ownership tokens, qualifiers, ``mem.pack``,
   ``ref.split``/``join``/``demote``, ``cap.split``/``join``,
@@ -61,6 +65,7 @@ from ..core.typing import (
 from ..core.typing.errors import LoweringError
 from ..core.typing.module_typing import function_env_of
 from ..core.typing.sizing import size_of_type
+from ..obs.metrics import default_registry
 from ..wasm.ast import (
     Binop,
     Const,
@@ -201,6 +206,53 @@ class _AnnotationStream:
         return annotation
 
 
+class AnnotationStreams:
+    """One linked module's annotation streams, from its check to its lowering.
+
+    The linked check fills it through :meth:`observer_for` (the
+    ``observer_for`` hook of :func:`repro.core.typing.check_module`); the
+    lowering of :attr:`module` then takes each function's stream once.
+    Streams are keyed on the ``Function`` object's identity: instructions
+    are not interned and :meth:`_AnnotationStream.next_for` checks ``is``,
+    so a stream only replays over the body it was recorded on.  A lowering
+    of any module other than :attr:`module` ignores the streams, since one
+    linked ``Function`` object can sit in two linked modules whose
+    environments differ.  Nothing here is cached or pickled.
+    """
+
+    def __init__(self) -> None:
+        #: The module the streams were recorded over; bound by
+        #: :func:`repro.ffi.link.link_modules` once its check passes.
+        self.module: Optional[Module] = None
+        self._streams: dict[int, tuple[Function, _AnnotationStream]] = {}
+
+    def observer_for(self, function: Function):
+        stream = _AnnotationStream()
+        self._streams[id(function)] = (function, stream)
+        return stream.record
+
+    def take(self, function: Function) -> Optional[_AnnotationStream]:
+        """``function``'s stream, removed from the set; ``None`` if it has none."""
+
+        entry = self._streams.pop(id(function), None)
+        if entry is None or entry[0] is not function:
+            return None
+        return entry[1]
+
+
+# Functions the lowering had to type-check itself, process-wide (see
+# :func:`rechecked_functions`).
+_RECHECKED = default_registry().counter(
+    "lower.rechecked", "functions the lowering type-checked itself (no annotation stream)"
+)
+
+
+def rechecked_functions() -> int:
+    """How many functions the lowering has type-checked itself so far."""
+
+    return _RECHECKED.value
+
+
 # Erased (type-level) instruction classes.
 _ERASED = (
     ri.Qualify,
@@ -219,12 +271,21 @@ _ERASED = (
 
 
 class ModuleLowering:
-    """Lower a type-checked RichWasm module to a Wasm module."""
+    """Lower a type-checked RichWasm module to a Wasm module.
 
-    def __init__(self, module: Module, *, memory_pages: int = 4, unit_cache=None) -> None:
+    ``annotations`` (an :class:`AnnotationStreams` recorded by the check of
+    this very module) supplies the per-function typing facts; a function
+    without a stream is type-checked here.
+    """
+
+    def __init__(self, module: Module, *, memory_pages: int = 4, unit_cache=None,
+                 annotations: Optional[AnnotationStreams] = None) -> None:
         self.module = module
         self.module_env: ModuleEnv = module_env_of(module)
         self.memory_pages = memory_pages
+        self.annotations = (
+            annotations if annotations is not None and annotations.module is module else None
+        )
         # A repro.compilepipe.FunctionUnitCache: reuses per-function lowering
         # artifacts (the WasmFunction plus its statistics contributions)
         # across module versions sharing the same signature environment.
@@ -316,6 +377,17 @@ class ModuleLowering:
     # -- functions ---------------------------------------------------------------
 
     def _lower_function(self, function: Function) -> WasmFunction:
+        annotations = self.annotations.take(function) if self.annotations is not None else None
+        if annotations is None:
+            annotations = self._check_function(function)
+
+        compiler = _FunctionCompiler(self, function, annotations)
+        return compiler.compile()
+
+    def _check_function(self, function: Function) -> _AnnotationStream:
+        """Run the checker over ``function`` to record its annotation stream."""
+
+        _RECHECKED.inc()
         annotations = _AnnotationStream()
         checker = InstructionChecker(
             empty_store_typing([self.module_env]),
@@ -328,9 +400,7 @@ class ModuleLowering:
             slots.append(LocalSlot(Type(UnitT(), UNR), size))
         local_env = LocalEnv(tuple(slots))
         checker.check_body(fenv, local_env, function.body, [], list(function.funtype.arrow.results))
-
-        compiler = _FunctionCompiler(self, function, annotations)
-        return compiler.compile()
+        return annotations
 
     def _lower_function_cached(self, function: Function) -> WasmFunction:
         """:meth:`_lower_function` through the per-function unit cache.

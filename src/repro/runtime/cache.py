@@ -21,7 +21,10 @@ exactly once and every later request reuses the artifacts:
 
 * **typecheck** — RichWasm ``Module`` → its
   :class:`~repro.core.typing.ModuleCheckResult` (threaded into linking, so
-  re-linking overlapping module sets re-checks nothing).
+  re-linking overlapping module sets re-checks nothing).  The linked
+  result's check also records the per-function annotation streams the
+  type-directed lowering replays; they are held for the next :meth:`lower`
+  only, never filed in a stage table, a unit table or on disk.
 
 Keys are SHA-256 digests of the (immutable) ASTs plus the compile-relevant
 configuration — the canonical :meth:`repro.api.CompileConfig.content_key`.
@@ -52,7 +55,7 @@ from typing import Optional, Sequence
 from ..compilepipe import FunctionUnitCache
 from ..core.syntax import Module
 from ..core.syntax.intern import structural_digest
-from ..lower import LoweredModule, lower_module
+from ..lower import AnnotationStreams, LoweredModule, lower_module
 from ..obs.metrics import default_registry
 from ..wasm import validate_module
 from ..wasm.ast import WasmModule
@@ -243,6 +246,10 @@ class ModuleCache:
         #: The durable tier (duck-typed ``get``/``put``/``stats``; see
         #: :class:`repro.cluster.DiskCache`), or ``None`` for memory-only.
         self.disk = disk
+        #: The annotation streams of the module the last :meth:`link` miss
+        #: checked (a :class:`repro.lower.AnnotationStreams`), waiting for its
+        #: :meth:`lower`; at most one module's, emptied by that lowering.
+        self._annotations: Optional[AnnotationStreams] = None
         self._memory_stats: dict[str, CacheStats] = {
             stage: CacheStats(stage)
             for stage in ("typecheck", "link", "lower", "decode", "translate", "program")
@@ -285,13 +292,14 @@ class ModuleCache:
         self._translated.clear()
         self._programs.clear()
         self._typechecked.clear()
+        self._annotations = None
         self.units.clear()
         for stats in self.stats.values():
             stats.reset()
 
     # -- stage: typecheck --------------------------------------------------
 
-    def typecheck(self, module: Module):
+    def typecheck(self, module: Module, *, observer_for=None):
         """Type-check a RichWasm module, memoized by content.
 
         Returns the :class:`~repro.core.typing.ModuleCheckResult` (raises the
@@ -299,6 +307,8 @@ class ModuleCache:
         are not cached).  :meth:`link` threads this into
         :func:`repro.ffi.link.link_modules`, so a library module shared by
         many programs is checked once per cache, not once per link.
+        ``observer_for`` goes to :func:`~repro.core.typing.check_module` on
+        a miss; a hit checks nothing, so it records nothing.
         """
 
         from ..core.typing import check_module
@@ -309,14 +319,14 @@ class ModuleCache:
             self._memory_stats["typecheck"].record("hit")
             return result
         self._memory_stats["typecheck"].record("miss")
-        result = check_module(module, unit_cache=self.units)
+        result = check_module(module, unit_cache=self.units, observer_for=observer_for)
         self._typechecked[key] = result
         return result
 
     def typecheck_known(self, module: Module) -> bool:
         """Whether ``module``'s check result is already memoized (no stats
         counted, no check performed) — lets the facade skip a standalone
-        whole-module check when lowering will drive the checker anyway."""
+        whole-module check of a module only the lowering will check."""
 
         return content_key("typecheck", module) in self._typechecked
 
@@ -330,11 +340,13 @@ class ModuleCache:
         (the :class:`repro.api.CompileConfig.check_links` toggle).  The
         per-module and linked-result type checks run through the memoized
         :meth:`typecheck` stage, and each remapped declaration is a link
-        unit of :attr:`units`.
+        unit of :attr:`units`.  A miss keeps the linked check's annotation
+        streams for the following :meth:`lower`.
         """
 
         from ..ffi.link import link_modules
 
+        self._annotations = None
         key = content_key("link", name, sorted(modules), [modules[k] for k in sorted(modules)])
         linked = self._linked.get(key)
         if linked is None and self.disk is not None:
@@ -345,9 +357,12 @@ class ModuleCache:
             self._memory_stats["link"].record("hit")
             return linked
         self._memory_stats["link"].record("miss")
+        annotations = AnnotationStreams()
         linked = link_modules(
-            modules, name=name, check=check, checker=self.typecheck, unit_cache=self.units
+            modules, name=name, check=check, checker=self.typecheck, unit_cache=self.units,
+            annotations=annotations,
         )
+        self._annotations = annotations
         self._linked[key] = linked
         if self.disk is not None:
             self.disk.put("link", key, linked)
@@ -373,8 +388,13 @@ class ModuleCache:
         Hits return a shallow copy so callers can adjust bookkeeping fields
         (``engine``) without contaminating the cached artifact; the expensive
         payload (``wasm``, and with it the decode memo) stays shared.
+
+        A miss lowers with the annotation streams the last :meth:`link`
+        recorded for ``richwasm``, so only functions without one are
+        type-checked again; hit or miss, the streams are dropped.
         """
 
+        annotations, self._annotations = self._annotations, None
         config = _default_config(config)
         if engine is None:
             engine = config.engine
@@ -387,7 +407,10 @@ class ModuleCache:
                 self._lowered[key] = lowered
         if lowered is None:
             self._memory_stats["lower"].record("miss")
-            lowered = lower_module(richwasm, config=config, passes=passes, unit_cache=self.units)
+            lowered = lower_module(
+                richwasm, config=config, passes=passes, unit_cache=self.units,
+                annotations=annotations,
+            )
             if config.validate_wasm:
                 validate_module(lowered.wasm, unit_cache=self.units)
             self._lowered[key] = lowered
@@ -513,6 +536,8 @@ class ModuleCache:
             self._memory_stats["program"].record("miss")
             return None
         self._memory_stats["program"].record("hit")
+        # A hit lowers nothing: drop the streams the link may have recorded.
+        self._annotations = None
         if program.engine != engine or (config is not None and config != program.config):
             program = CompiledProgram(
                 richwasm=program.richwasm,

@@ -255,8 +255,9 @@ class TestDiagnostics:
         assert cache.stats["typecheck"].misses >= 2  # inputs + linked result
         again = api.compile(counter_program, cache=cache)
         assert again.diagnostics.cache["typecheck"] == "hit"
-        # Off-cache pipeline: lowering drives the checker itself, so the
-        # stage is recorded as a bypass rather than re-checked standalone.
+        # Off-cache pipeline: the linked check hands its annotation streams
+        # to the lowering, so the stage is recorded as a bypass rather than
+        # re-checked standalone.
         direct = api.compile(counter_program, CompileConfig(cache="none"))
         assert direct.diagnostics.cache["typecheck"] == "bypass"
         # A pre-linked Module the cache has never seen is not checked twice
