@@ -55,11 +55,11 @@ def test_levels_shrink_and_agree():
 def test_recompile_is_a_program_level_hit():
     cache = ModuleCache()
     first = compile_at("O2", cache)
-    lower_misses = cache.stats["lower"].misses
+    program_misses = cache.stats["program"].misses
     second = compile_at("O2", cache)
     assert second is first
     assert second.diagnostics.cache["program"] == "hit"
-    assert cache.stats["lower"].misses == lower_misses
+    assert cache.stats["program"].misses == program_misses
     assert compile_at("O1", cache) is not first  # distinct entry per level
 
 

@@ -83,10 +83,13 @@ def test_disk_warm_start_at_least_10x():
 
 def test_disk_warm_start_hits_without_recompiling():
     # The non-perf half of the warm-start claim: a fresh process against a
-    # warm directory must report a program hit (no floor on the wall time).
+    # warm directory must report a program hit (no floor on the wall time),
+    # reading exactly the fingerprint's key and the one program entry (a
+    # bare module links nothing) and missing nothing.
     result = measure_disk_warm_start(functions=40, warm_repeats=1)
     assert result["program_cold"] == "miss"
     assert result["program_warm"] == "hit"
+    assert result["disk_warm"] == {"disk.key": [1, 0], "disk.program": [1, 0]}
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -28,6 +28,7 @@ import os
 
 import pytest
 
+from repro import api
 from repro.api import CompileConfig
 from repro.lower import lower_module
 from repro.opt import run_engine_cross_check
@@ -67,10 +68,10 @@ def _incremental_compile(opt_level="O2"):
     config = CompileConfig(opt_level=opt_level, engine="compiled", cache="private")
     base = synthetic_module(1, functions=FUNCTIONS)
     cache = ModuleCache()
-    cache.compile_program(base, config=config)
+    api.compile(base, config, cache=cache)
     edited = edit_one_function(base, EDITED)
     before = cache.units.snapshot()
-    program = cache.compile_program(edited, config=config)
+    program = api.compile(edited, config, cache=cache)
     delta = cache.units.delta(before)
     return edited, program, delta
 

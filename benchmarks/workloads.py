@@ -203,6 +203,7 @@ def measure_runtime_throughput(*, min_time: float = 0.15) -> dict:
     serving stateful init/tick*/total sessions off the pool.
     """
 
+    from repro import api
     from repro.runtime import BatchRunner, ModuleCache, Session, run_initializers_setup
 
     modules = counter_program().modules()
@@ -211,8 +212,7 @@ def measure_runtime_throughput(*, min_time: float = 0.15) -> dict:
         lambda: Program(modules).instantiate_wasm(), min_time=min_time, max_rounds=200
     )
 
-    cache = ModuleCache()
-    compiled = cache.compile_program(modules)
+    compiled = api.compile(modules, cache=ModuleCache())
 
     def cached_instantiate():
         interpreter, instance = compiled.instantiate()
@@ -327,6 +327,7 @@ def measure_incremental_compile(*, functions: int = 1000, blocks: int = 1) -> di
     of the incremental recompile.
     """
 
+    from repro import api
     from repro.api import CompileConfig
     from repro.runtime import ModuleCache
 
@@ -335,13 +336,13 @@ def measure_incremental_compile(*, functions: int = 1000, blocks: int = 1) -> di
     cache = ModuleCache()
 
     start = time.perf_counter()
-    cache.compile_program(base, config=config)
+    api.compile(base, config, cache=cache)
     cold_s = time.perf_counter() - start
 
     edited = edit_one_function(base, functions // 2, blocks=blocks)
     units_before = cache.units.snapshot()
     start = time.perf_counter()
-    cache.compile_program(edited, config=config)
+    api.compile(edited, config, cache=cache)
     incremental_s = time.perf_counter() - start
 
     return {
@@ -620,11 +621,14 @@ import json, sys, time
 sys.path[:0] = {paths!r}
 from workloads import synthetic_module
 from repro import api
+from repro.cluster.diskcache import shared_disk_module_cache
 module = synthetic_module(1, functions={functions})
 start = time.perf_counter()
 compiled = api.compile(module, {{"opt_level": "O2", "cache_dir": {cache_dir!r}}})
 wall = time.perf_counter() - start
-print(json.dumps({{"wall": wall, "program": compiled.diagnostics.cache["program"]}}))
+disk = {{stage: [stats.hits, stats.misses]
+        for stage, stats in shared_disk_module_cache({cache_dir!r}).disk.stats.items()}}
+print(json.dumps({{"wall": wall, "program": compiled.diagnostics.cache["program"], "disk": disk}}))
 """
 
 
@@ -657,7 +661,8 @@ def measure_disk_warm_start(*, functions: int = 600, warm_repeats: int = 2) -> d
     warm directory and load the program from disk (fingerprint key lookup +
     unpickle + decode adoption).  The warm wall is the best of
     ``warm_repeats`` children; both walls exclude interpreter startup (the
-    child times only ``api.compile``).
+    child times only ``api.compile``).  ``disk_warm`` is the last warm
+    child's ``{disk stage: [hits, misses]}``.
     """
 
     import shutil
@@ -667,11 +672,11 @@ def measure_disk_warm_start(*, functions: int = 600, warm_repeats: int = 2) -> d
     try:
         cold = _warm_start_child(cache_dir, functions)
         warm_walls = []
-        warm_diag = None
+        warm_diag = warm_disk = None
         for _ in range(max(1, warm_repeats)):
             record = _warm_start_child(cache_dir, functions)
             warm_walls.append(record["wall"])
-            warm_diag = record["program"]
+            warm_diag, warm_disk = record["program"], record["disk"]
         warm_wall = min(warm_walls)
         return {
             "functions": functions,
@@ -680,6 +685,7 @@ def measure_disk_warm_start(*, functions: int = 600, warm_repeats: int = 2) -> d
             "speedup": round(cold["wall"] / warm_wall, 1) if warm_wall else None,
             "program_cold": cold["program"],
             "program_warm": warm_diag,
+            "disk_warm": warm_disk,
         }
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)

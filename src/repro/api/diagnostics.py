@@ -2,8 +2,9 @@
 
 Every :func:`repro.api.compile`/:func:`repro.api.lower` call records what the
 pipeline actually did — wall time per stage (``frontend``, ``link``,
-``typecheck``, ``lower``, ``decode``, and ``translate`` when the compiled
-engine is selected), which stages were served from the
+``program`` for the program store's lookup and filing, ``typecheck``,
+``lower``, ``decode``, and ``translate`` when the compiled engine is
+selected), which stages were served from the
 :class:`~repro.runtime.ModuleCache` (hit/miss/bypass), which frontend
 compiled each source module, and the optimizer's per-pass statistics — into
 one :class:`Diagnostics` value attached to the artifact
@@ -28,7 +29,7 @@ CACHE_EVENTS = ("hit", "miss", "bypass")
 
 #: Canonical stage order, for reporting stages that recorded a cache event
 #: but never ran under a timer (e.g. a ``typecheck`` bypass).
-PIPELINE_STAGES = ("frontend", "link", "typecheck", "lower", "decode", "translate")
+PIPELINE_STAGES = ("frontend", "link", "program", "typecheck", "lower", "decode", "translate")
 
 
 @dataclass(frozen=True)

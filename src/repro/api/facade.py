@@ -36,10 +36,11 @@ def _bypass(diagnostics: Diagnostics, *stages: str) -> None:
         _CACHE_EVENTS.inc(stage=stage, event="bypass")
 
 
-def _record_units(diagnostics: Diagnostics, cache: ModuleCache, before: dict, span=None) -> None:
+def _record_units(diagnostics: Diagnostics, cache: ModuleCache, before: dict, span=None) -> int:
     """Fold the per-function unit reuse since ``before`` (a
-    ``cache.units.snapshot()``) into ``diagnostics.units``, and attach the
-    aggregate counts to the stage's tracing span."""
+    ``cache.units.snapshot()``) into ``diagnostics.units``, attach the
+    aggregate counts to the stage's tracing span, and return how many units
+    were compiled."""
 
     reused = compiled = 0
     for stage, counts in cache.units.delta(before).items():
@@ -50,6 +51,7 @@ def _record_units(diagnostics: Diagnostics, cache: ModuleCache, before: dict, sp
         compiled += counts["compiled"]
     if span is not None and (reused or compiled):
         span.set_attr(units_reused=reused, units_compiled=compiled)
+    return compiled
 
 
 def compile(sources, config: Union[CompileConfig, str, int, dict, None] = None, *,
@@ -130,10 +132,10 @@ def lower(sources, config: Union[CompileConfig, str, int, dict, None] = None, *,
                 richwasm = _link_cached(modules, config, cache_obj, diagnostics)
             _typecheck_cached(richwasm, cache_obj, diagnostics)
             with _lower_stage(diagnostics) as span:
-                before = cache_obj.stats["lower"].hits
+                before = cache_obj.stats["program"].hits
                 units_before = cache_obj.units.snapshot()
                 lowered = cache_obj.lower(richwasm, config=config)
-                diagnostics.cache["lower"] = "hit" if cache_obj.stats["lower"].hits > before else "miss"
+                diagnostics.cache["lower"] = "hit" if cache_obj.stats["program"].hits > before else "miss"
                 _record_units(diagnostics, cache_obj, units_before, span)
         diagnostics.engine = lowered.engine
         diagnostics.optimization = lowered.optimization
@@ -346,23 +348,33 @@ def _typecheck_cached(richwasm, cache: ModuleCache, diagnostics: Diagnostics) ->
             _bypass(diagnostics, "typecheck")
 
 
-def _translate_stage(diagnostics: Diagnostics, cache: ModuleCache, wasm) -> None:
-    """The ``translate`` stage through the cache.  Its span carries the
+def _decode_and_translate(diagnostics: Diagnostics, cache: ModuleCache,
+                          program: CompiledProgram) -> None:
+    """The ``decode`` stage, then (compiled engine) the ``translate`` stage.
+
+    Both run through the per-object memos and the function units; a
+    disk-loaded program adopts the flat code filed with it.  A stage is a
+    ``hit`` when it compiled no function.  The translate span carries the
     characters of source generated and the split of the stage between
     emitting that source (``emit_s``) and Python's ``compile()``
-    (``pycompile_s``)."""
+    (``pycompile_s``).
+    """
 
-    from ..wasm.pygen import translate_work
+    from ..wasm.pygen import translate_module, translate_work
 
+    with diagnostics.stage("decode") as span:
+        units_before = cache.units.snapshot()
+        program.decode(cache.units)
+        compiled = _record_units(diagnostics, cache, units_before, span)
+        diagnostics.cache["decode"] = "miss" if compiled else "hit"
+    if program.engine != "compiled":
+        return
     with diagnostics.stage("translate") as span:
-        before = cache.stats["translate"].hits
         units_before = cache.units.snapshot()
         work_before = translate_work()
-        cache.translate(wasm)
-        diagnostics.cache["translate"] = (
-            "hit" if cache.stats["translate"].hits > before else "miss"
-        )
-        _record_units(diagnostics, cache, units_before, span)
+        translate_module(program.wasm, unit_cache=cache.units)
+        compiled = _record_units(diagnostics, cache, units_before, span)
+        diagnostics.cache["translate"] = "miss" if compiled else "hit"
         emit_s, pycompile_s, source_chars = (
             now - then for now, then in zip(translate_work(), work_before)
         )
@@ -399,7 +411,7 @@ def _compile_direct(modules, config: CompileConfig, diagnostics: Diagnostics) ->
     # No standalone typecheck pass off-cache: the linked check hands its
     # annotation streams to the lowering, which type-checks only functions
     # without one (every function of a bare pre-linked module).
-    _bypass(diagnostics, "typecheck", "lower", "decode")
+    _bypass(diagnostics, "typecheck", "program", "lower", "decode")
     if config.engine == "compiled":
         _bypass(diagnostics, "translate")
     # No cached_key: nothing files this artifact, so the content hash is
@@ -413,30 +425,23 @@ def _compile_cached(modules, config: CompileConfig, cache: ModuleCache,
                     diagnostics: Diagnostics) -> CompiledProgram:
     with diagnostics.stage("link"):
         richwasm = _link_cached(modules, config, cache, diagnostics)
-    key = cache.program_key(richwasm, config)
-    program = cache.get_program(key, engine=config.engine, config=config, richwasm=richwasm)
+    with diagnostics.stage("program"):
+        key = cache.program_key(richwasm, config)
+        program = cache.get_program(key, engine=config.engine, config=config, richwasm=richwasm)
     if program is not None:
-        diagnostics.cache.update(program="hit", typecheck="hit", lower="hit", decode="hit")
-        if config.engine == "compiled":
-            # Re-seed the per-object translation memo from the content store:
-            # a program hit may hand out a structurally equal module object
-            # the pygen memo has never seen.
-            _translate_stage(diagnostics, cache, program.wasm)
+        diagnostics.cache.update(program="hit", typecheck="hit", lower="hit")
+        _decode_and_translate(diagnostics, cache, program)
         return program
     diagnostics.cache["program"] = "miss"
     _typecheck_cached(richwasm, cache, diagnostics)
     with _lower_stage(diagnostics) as span:
-        before = cache.stats["lower"].hits
         units_before = cache.units.snapshot()
-        lowered = cache.lower(richwasm, config=config)
-        diagnostics.cache["lower"] = "hit" if cache.stats["lower"].hits > before else "miss"
+        lowered = cache.lower_fresh(richwasm, config)
+        diagnostics.cache["lower"] = "miss"
         _record_units(diagnostics, cache, units_before, span)
-    with diagnostics.stage("decode") as span:
-        before = cache.stats["decode"].hits
-        units_before = cache.units.snapshot()
-        cache.decode(lowered.wasm)
-        diagnostics.cache["decode"] = "hit" if cache.stats["decode"].hits > before else "miss"
-        _record_units(diagnostics, cache, units_before, span)
-    if config.engine == "compiled":
-        _translate_stage(diagnostics, cache, lowered.wasm)
-    return cache.put_program(key, richwasm, lowered, engine=config.engine, config=config)
+    program = CompiledProgram(
+        richwasm=richwasm, lowered=lowered, engine=config.engine, config=config, cached_key=key
+    )
+    _decode_and_translate(diagnostics, cache, program)
+    with diagnostics.stage("program"):
+        return cache.put_program(program)

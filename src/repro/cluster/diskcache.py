@@ -1,14 +1,16 @@
 """A persistent on-disk artifact cache: content key → pickled artifact.
 
 :class:`DiskCache` is the durable tier under the in-memory
-:class:`repro.runtime.ModuleCache`: compile artifacts (linked modules,
-lowered modules, whole program payloads) are pickled under their content
-keys in a cache-root directory, so a *different process* — a freshly
-spawned cluster worker, a repeat CLI run — warm-starts from disk instead of
-re-paying typecheck → lower → optimize.  PR 5 made the content keys
+:class:`repro.runtime.ModuleCache`: compile artifacts are pickled under
+their content keys in a cache-root directory, so a *different process* — a
+freshly spawned cluster worker, a repeat CLI run — warm-starts from disk
+instead of re-paying typecheck → lower → optimize.  The module cache writes
+three stages: ``link`` (the linked module), ``key`` (a program-input
+fingerprint → the program key) and one ``program`` entry per program key
+(the lowered module with its flat decode).  The content keys are
 deterministic across processes (structural digests, no ``id()``/``hash()``
-leakage) precisely so this sharing is sound: equal keys mean equal
-artifacts, whichever process produced them.
+leakage), so this sharing is sound: equal keys mean equal artifacts,
+whichever process produced them.
 
 Durability contract:
 
@@ -49,8 +51,10 @@ __all__ = ["DISK_FORMAT", "DiskCache", "DiskEntry", "shared_disk_module_cache"]
 #: anything about how entries are interpreted) changes; a stamp mismatch is
 #: a miss + eviction, never an attempt to read the old layout.  Formats 2
 #: and 3 changed per-function unit entries, which nothing writes any more.
-#: Format 4: decoded integer stores carry a full-width flag.
-DISK_FORMAT = 4
+#: Format 4: decoded integer stores carry a full-width flag.  Format 5: one
+#: ``program`` entry holds the lowered module and its flat decode (format 4
+#: also wrote ``lower`` and ``decode`` entries under the same key).
+DISK_FORMAT = 5
 
 _SUFFIX = ".pkl"
 
@@ -81,7 +85,7 @@ class DiskCache:
     (``None`` = unbounded).
 
     Stage names are free-form directory names; the stages
-    (``link``/``lower``/``program``/``decode``/``key``) are written by
+    (``link``/``key``/``program``) are written by
     :class:`repro.runtime.ModuleCache`.
     """
 
@@ -264,7 +268,7 @@ def shared_disk_module_cache(cache_dir: Union[str, Path], *, max_bytes: Optional
     :func:`repro.runtime.default_cache` is one per process).
 
     Repeated facade calls under ``cache="shared"`` + the same ``cache_dir``
-    share both tiers: the memory stage tables *and* the durable store.  A
+    share both tiers: the memory stores *and* the durable store.  A
     later call that supplies ``max_bytes`` retunes the existing store's
     budget rather than silently forking a second cache over the same
     directory.

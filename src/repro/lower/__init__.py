@@ -34,15 +34,13 @@ from .layout import (
 from .runtime import BLOCK_HEADER_BYTES, HEAP_BASE, RuntimeLayout, build_free, build_malloc
 
 
-def lower_module(module, *, config=None, passes=None, unit_cache=None,
-                 annotations=None) -> LoweredModule:
+def lower_module(module, *, config=None, unit_cache=None, annotations=None) -> LoweredModule:
     """Type-check-directed lowering of a RichWasm module to Wasm.
 
     ``config`` (a :class:`repro.api.CompileConfig`) selects the memory size,
     the optimization level (``opt_level`` expanding to a named
-    :mod:`repro.opt.pipelines` pipeline) and the recorded engine preference;
-    an explicit ``passes`` list overrides the config's pipeline when the
-    config optimizes.  When optimization ran, the :class:`LoweredModule`
+    :mod:`repro.opt.pipelines` pipeline) and the recorded engine preference.
+    When optimization ran, the :class:`LoweredModule`
     carries the :class:`~repro.opt.OptimizationResult` and its ``wasm``
     field is the optimized module.
 
@@ -65,11 +63,7 @@ def lower_module(module, *, config=None, passes=None, unit_cache=None,
     if config.optimize:
         from ..opt import optimize_module
 
-        result = optimize_module(
-            lowered.wasm,
-            passes if passes is not None else config.passes(),
-            unit_cache=unit_cache,
-        )
+        result = optimize_module(lowered.wasm, config.passes(), unit_cache=unit_cache)
         lowered.wasm = result.module
         lowered.optimization = result
     return lowered

@@ -6,9 +6,9 @@ instantiation — on *every* run.  This package is the standard serving
 architecture for that shape of workload:
 
 * :class:`ModuleCache` (:mod:`repro.runtime.cache`) — content-hash-keyed
-  memoization of each pipeline stage (link → lower/optimize → decode), so a
-  program compiles once and its :class:`CompiledProgram` artifacts are
-  shared by every instance;
+  memoization of the pipeline (typecheck, link and program stores over
+  per-function units), so a program compiles once and its
+  :class:`CompiledProgram` artifacts are shared by every instance;
 * :class:`InstancePool` (:mod:`repro.runtime.pool`) — recycles instances by
   resetting memory/globals/tables/steps to their post-initialization image
   instead of re-instantiating, bit-identically to a fresh instance (enforced

@@ -1,47 +1,45 @@
 """Content-hash-keyed memoization of the compile pipeline.
 
 Every request through the naive path pays link → lower → optimize → decode
-from source.  :class:`ModuleCache` memoizes each of those stages separately
-under content hashes, so a serving process compiles each distinct program
-exactly once and every later request reuses the artifacts:
-
-* **link** — ``{name: RichWasm Module}`` → linked ``Module``;
-* **lower** — linked ``Module`` (+ lowering/optimization parameters) →
-  :class:`~repro.lower.LoweredModule` (optimization runs inside this stage
-  when requested, so the cached artifact is the optimized module);
-* **decode** — lowered :class:`~repro.wasm.ast.WasmModule` →
-  :class:`~repro.wasm.decode.DecodedModule`, the per-module flat code every
-  :class:`~repro.wasm.engine.FlatVMEngine` instance shares;
-* **translate** — lowered ``WasmModule`` →
-  :class:`~repro.wasm.pygen.ModuleTranslation`, the generated Python source
-  (and its exec'd function objects) the compiled tier runs.  The artifact is
-  instance-independent, so a content hit seeds the per-object memo
-  (:func:`repro.wasm.pygen.adopt_translation`) and a structurally identical
-  module skips source generation and ``exec`` entirely.
+from source.  :class:`ModuleCache` memoizes the pipeline under content
+hashes, so a serving process compiles each distinct program exactly once and
+every later request reuses the artifacts.  It keeps three module-granular
+stores:
 
 * **typecheck** — RichWasm ``Module`` → its
   :class:`~repro.core.typing.ModuleCheckResult` (threaded into linking, so
   re-linking overlapping module sets re-checks nothing).  The linked
   result's check also records the per-function annotation streams the
-  type-directed lowering replays; they are held for the next :meth:`lower`
-  only, never filed in a stage table, a unit table or on disk.
+  type-directed lowering replays; they are held for the next lowering
+  only, never filed in a store, a unit table or on disk.
+* **link** — ``{name: RichWasm Module}`` → linked ``Module``;
+* **program** — linked ``Module`` + config content →
+  :class:`CompiledProgram`, whose :class:`~repro.lower.LoweredModule` is
+  the lowered (and, when requested, optimized) module.  :meth:`lower` and
+  the facade's compile read and file this one store, so
+  ``repro.api.lower`` and ``repro.api.compile`` share one entry.
+
+Under them, :attr:`ModuleCache.units` holds the function-granular units of
+every stage (frontend through decode and translate), and the optional disk
+tier holds ``link`` entries, the fingerprint → key map (``key``) and one
+``program`` entry per key: the lowered module with its flat decode.  Decode
+and translation keep no module-level store: they run through the
+per-object memos of :mod:`repro.wasm.decode` and :mod:`repro.wasm.pygen`
+and the function units.
 
 Keys are SHA-256 digests of the (immutable) ASTs plus the compile-relevant
 configuration — the canonical :meth:`repro.api.CompileConfig.content_key`.
-Since PR 5 the digests come from :func:`repro.core.syntax.structural_digest`
-— a recursive structural hash cached on interned type nodes and frozen AST
-dataclasses — instead of hashing whole ``repr`` strings, so re-keying a
-module only walks the parts not digested before.  Keys stay deterministic across processes
-(the digest covers class names, enum member names and primitive field
-values, never ``id()`` or ``hash()``) and hashing by content rather than
-identity means two independently built but structurally identical programs
-share one compile; the stages are keyed separately, so e.g. two different
-module sets that link to the same module still share the lowering and
-decode.
+The digests come from :func:`repro.core.syntax.structural_digest` — a
+recursive structural hash cached on interned type nodes and frozen AST
+dataclasses — so re-keying a module only walks the parts not digested
+before.  Keys stay deterministic across processes (the digest covers class
+names, enum member names and primitive field values, never ``id()`` or
+``hash()``) and hashing by content rather than identity means two
+independently built but structurally identical programs share one compile.
 
-:meth:`ModuleCache.compile_program` runs the whole pipeline and returns a
-:class:`CompiledProgram` bundle, the unit the instance pool and batch runner
-consume.
+``repro.api.compile(..., cache=cache)`` runs the whole pipeline through a
+cache and returns a :class:`CompiledProgram` bundle, the unit the instance
+pool and batch runner consume.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ def content_key(*parts: object) -> str:
     return hasher.hexdigest()
 
 
-def _program_fingerprint(richwasm, config_key: str, override) -> Optional[str]:
+def _program_fingerprint(richwasm, config_key: str) -> Optional[str]:
     """A cheap, collision-safe fingerprint of the program-key inputs.
 
     ``None`` when the module resists pickling — the caller falls back to
@@ -97,7 +95,7 @@ def _program_fingerprint(richwasm, config_key: str, override) -> Optional[str]:
 
     try:
         blob = pickle.dumps(
-            ("program", richwasm, config_key, override),
+            ("program", richwasm, config_key),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
     except Exception:
@@ -164,7 +162,9 @@ class CompiledProgram:
     under.  ``config`` records the :class:`repro.api.CompileConfig` the
     program was compiled under (``None`` when constructed without one);
     ``diagnostics`` the :class:`repro.api.Diagnostics` of the most recent
-    facade call that produced or returned this artifact.
+    facade call that produced or returned this artifact.  A program loaded
+    from the disk tier carries the flat code filed with it
+    (``persisted_flat``), which :meth:`decode` adopts instead of decoding.
     """
 
     richwasm: Module
@@ -176,12 +176,13 @@ class CompiledProgram:
     #: paths until :attr:`key` is first read (hashing the whole program AST
     #: is measurable, so uncached one-shot compiles do not pay it eagerly).
     cached_key: Optional[str] = None
+    persisted_flat: Optional[list] = field(default=None, repr=False, compare=False)
 
     @property
     def key(self) -> str:
         if self.cached_key is None:
             config_key = self.config.content_key() if self.config is not None else None
-            self.cached_key = content_key("program", self.richwasm, config_key, None)
+            self.cached_key = content_key("program", self.richwasm, config_key)
         return self.cached_key
 
     @property
@@ -190,7 +191,22 @@ class CompiledProgram:
 
     @property
     def decoded(self) -> DecodedModule:
-        return decode_module(self.lowered.wasm)
+        return self.decode()
+
+    def decode(self, unit_cache=None) -> DecodedModule:
+        """The flat code of :attr:`wasm`, from the per-object decode memo.
+
+        A program loaded from disk adopts its persisted flat code
+        (:func:`~repro.wasm.decode.adopt_decode`) instead of decoding; any
+        other program decodes through ``unit_cache`` (a
+        :class:`repro.compilepipe.FunctionUnitCache`), reusing unchanged
+        functions' flat code.
+        """
+
+        flat = self.persisted_flat
+        if flat is not None and len(flat) == len(self.wasm.functions):
+            return adopt_decode(self.wasm, flat)
+        return decode_module(self.wasm, unit_cache=unit_cache)
 
     def instantiate(self, *, host_imports=None, max_steps=None, engine=None):
         """Instantiate on a fresh engine: ``(interpreter, instance)``."""
@@ -212,33 +228,32 @@ class CompiledProgram:
 
 
 class ModuleCache:
-    """Memoizes link/lower/decode so each program compiles once.
+    """Memoizes typecheck, link and whole programs so each program compiles
+    once.
 
-    One cache serves many programs; per-stage :class:`CacheStats` live in
+    One cache serves many programs; per-store :class:`CacheStats` live in
     ``stats``.  The cache is unbounded by design — a serving tier hosts a
     fixed catalogue of programs — but :meth:`clear` drops everything.
 
     ``disk`` optionally attaches a durable tier (a
     :class:`repro.cluster.DiskCache`), making the lookup order *memory →
-    disk → compile* for the picklable stages (``link``, ``lower``,
-    ``program``): a memory miss consults the disk store before compiling,
-    and every freshly compiled artifact is filed to disk, so a different
-    process sharing the cache directory warm-starts instead of recompiling.
-    ``decode`` and ``translate`` stay process-local — their artifacts embed
-    resolved handlers and ``exec``'d callables — and are recomputed from the
-    disk-loaded Wasm (a small fraction of a cold compile).  The disk tier's
-    per-stage hit/miss/evict stats appear in :attr:`stats` under
-    ``disk.<stage>`` names.
+    disk → compile* for the ``link`` and ``program`` stores: a memory miss
+    consults the disk store before compiling, and every freshly compiled
+    artifact is filed to disk, so a different process sharing the cache
+    directory warm-starts instead of recompiling.  A ``program`` entry is
+    the lowered module (bookkeeping stripped) with its flat decode; decoded
+    and translated code is process-local — it embeds resolved handlers and
+    ``exec``'d callables — so a warm start adopts the flat code and
+    translates from the loaded Wasm.  The disk tier's per-stage
+    hit/miss/evict stats appear in :attr:`stats` under ``disk.<stage>``
+    names.
     """
 
     def __init__(self, disk=None) -> None:
-        self._linked: dict[str, Module] = {}
-        self._lowered: dict[str, LoweredModule] = {}
-        self._decoded: dict[str, DecodedModule] = {}
-        self._translated: dict[str, object] = {}
-        self._programs: dict[str, CompiledProgram] = {}
         self._typechecked: dict[str, object] = {}
-        #: Function-granular units under the module-level stages: a miss at
+        self._linked: dict[str, Module] = {}
+        self._programs: dict[str, CompiledProgram] = {}
+        #: Function-granular units under the module-level stores: a miss at
         #: module granularity (one edited function) still reuses every
         #: unchanged function's frontend/link/typecheck/lower/optimize/
         #: validate/decode/translate work through this cache.
@@ -248,16 +263,15 @@ class ModuleCache:
         self.disk = disk
         #: The annotation streams of the module the last :meth:`link` miss
         #: checked (a :class:`repro.lower.AnnotationStreams`), waiting for its
-        #: :meth:`lower`; at most one module's, emptied by that lowering.
+        #: lowering; at most one module's, emptied by that lowering.
         self._annotations: Optional[AnnotationStreams] = None
         self._memory_stats: dict[str, CacheStats] = {
-            stage: CacheStats(stage)
-            for stage in ("typecheck", "link", "lower", "decode", "translate", "program")
+            stage: CacheStats(stage) for stage in ("typecheck", "link", "program")
         }
 
     @property
     def stats(self) -> dict[str, CacheStats]:
-        """Per-stage stats: the memory stages plus the attached disk tier's
+        """Per-store stats: the memory stores plus the attached disk tier's
         ``disk.<stage>`` entries (one merged view for ``Service.stats``)."""
 
         if self.disk is None:
@@ -265,39 +279,30 @@ class ModuleCache:
         return {**self._memory_stats, **self.disk.stats}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        sizes = ", ".join(
-            f"{stage}={len(store)}"
-            for stage, store in (
-                ("link", self._linked),
-                ("lower", self._lowered),
-                ("decode", self._decoded),
-                ("translate", self._translated),
-            )
+        return (
+            f"ModuleCache(typecheck={len(self._typechecked)}, link={len(self._linked)}, "
+            f"program={len(self._programs)})"
         )
-        return f"ModuleCache({sizes})"
 
     def clear(self) -> None:
-        """Drop every stage table (module- and function-granular) and zero
-        the statistics.
+        """Drop every store (module- and function-granular) and zero the
+        statistics.
 
         Artifacts the cache already handed out — `CompiledProgram`s held by
-        callers, translations adopted into the per-object pygen memo, decode
+        callers, translations in the per-object pygen memo, decode
         artifacts pinned by live instances — are owned by their consumers
         and keep working; clearing only forgets the content-keyed indexes.
         """
 
-        self._linked.clear()
-        self._lowered.clear()
-        self._decoded.clear()
-        self._translated.clear()
-        self._programs.clear()
         self._typechecked.clear()
+        self._linked.clear()
+        self._programs.clear()
         self._annotations = None
         self.units.clear()
         for stats in self.stats.values():
             stats.reset()
 
-    # -- stage: typecheck --------------------------------------------------
+    # -- store: typecheck --------------------------------------------------
 
     def typecheck(self, module: Module, *, observer_for=None):
         """Type-check a RichWasm module, memoized by content.
@@ -330,7 +335,7 @@ class ModuleCache:
 
         return content_key("typecheck", module) in self._typechecked
 
-    # -- stage: link -------------------------------------------------------
+    # -- store: link -------------------------------------------------------
 
     def link(self, modules: dict[str, Module], *, name: str = "linked", check: bool = True) -> Module:
         """Statically link ``modules`` (memoized by content).
@@ -339,9 +344,9 @@ class ModuleCache:
         safe when the modules came from an already-checked ``Program``
         (the :class:`repro.api.CompileConfig.check_links` toggle).  The
         per-module and linked-result type checks run through the memoized
-        :meth:`typecheck` stage, and each remapped declaration is a link
+        :meth:`typecheck` store, and each remapped declaration is a link
         unit of :attr:`units`.  A miss keeps the linked check's annotation
-        streams for the following :meth:`lower`.
+        streams for the following lowering.
         """
 
         from ..ffi.link import link_modules
@@ -368,111 +373,9 @@ class ModuleCache:
             self.disk.put("link", key, linked)
         return linked
 
-    # -- stage: lower (+ optimize) ----------------------------------------
+    # -- store: program ----------------------------------------------------
 
-    def lower(
-        self,
-        richwasm: Module,
-        *,
-        passes=None,
-        engine: Optional[str] = None,
-        config=None,
-    ) -> LoweredModule:
-        """Lower (and optionally optimize) ``richwasm``, memoized by content.
-
-        The stage key is ``content_key(richwasm, config.content_key())``;
-        ``config`` (a :class:`repro.api.CompileConfig`) defaults to
-        ``CompileConfig.of(None)``.  An explicit ``passes`` list overrides
-        the config's pipeline (and is folded into the key by pass name).
-
-        Hits return a shallow copy so callers can adjust bookkeeping fields
-        (``engine``) without contaminating the cached artifact; the expensive
-        payload (``wasm``, and with it the decode memo) stays shared.
-
-        A miss lowers with the annotation streams the last :meth:`link`
-        recorded for ``richwasm``, so only functions without one are
-        type-checked again; hit or miss, the streams are dropped.
-        """
-
-        annotations, self._annotations = self._annotations, None
-        config = _default_config(config)
-        if engine is None:
-            engine = config.engine
-        override = None if passes is None else tuple(p.name for p in passes)
-        key = content_key("lower", richwasm, config.content_key(), override)
-        lowered = self._lowered.get(key)
-        if lowered is None and self.disk is not None:
-            lowered = self.disk.get("lower", key)
-            if lowered is not None:
-                self._lowered[key] = lowered
-        if lowered is None:
-            self._memory_stats["lower"].record("miss")
-            lowered = lower_module(
-                richwasm, config=config, passes=passes, unit_cache=self.units,
-                annotations=annotations,
-            )
-            if config.validate_wasm:
-                validate_module(lowered.wasm, unit_cache=self.units)
-            self._lowered[key] = lowered
-            if self.disk is not None:
-                self.disk.put("lower", key, replace(lowered, engine=None, diagnostics=None))
-        else:
-            self._memory_stats["lower"].record("hit")
-        return replace(lowered, engine=engine, diagnostics=None)
-
-    # -- stage: decode -----------------------------------------------------
-
-    def decode(self, wasm: WasmModule) -> DecodedModule:
-        """Flat-decode ``wasm``, memoized once per object by the module-level
-        memo in :mod:`repro.wasm.decode`.
-
-        Always returns *this object's* decode — the artifact the flat VM
-        actually executes — never a structurally-equal twin's (the engine
-        resolves flat code by module identity).  The content-keyed side
-        table only pins the artifact alive and feeds the hit/miss stats;
-        content-level sharing already happens one stage earlier, where
-        :meth:`lower` dedupes equal programs to a single ``WasmModule``
-        object.
-        """
-
-        key = content_key("decode", wasm)
-        self._memory_stats["decode"].record("hit" if key in self._decoded else "miss")
-        decoded = decode_module(wasm, unit_cache=self.units)
-        self._decoded[key] = decoded
-        return decoded
-
-    # -- stage: translate --------------------------------------------------
-
-    def translate(self, wasm: WasmModule):
-        """Translate ``wasm`` to compiled-tier Python source, memoized by
-        content.
-
-        Misses run :func:`repro.wasm.pygen.translate_module` (itself
-        memoized per module object); hits seed the per-object memo with the
-        cached :class:`~repro.wasm.pygen.ModuleTranslation`
-        (:func:`~repro.wasm.pygen.adopt_translation`).  Unlike decode —
-        which the flat VM resolves by module identity — the translation is
-        instance-independent, so sharing one artifact across structurally
-        identical module objects is sound: all mutable state flows through
-        the per-instance runtime object at call time.
-        """
-
-        from ..wasm.pygen import adopt_translation, translate_module
-
-        key = content_key("translate", wasm)
-        translation = self._translated.get(key)
-        if translation is not None:
-            self._memory_stats["translate"].record("hit")
-            adopt_translation(wasm, translation)
-            return translation
-        self._memory_stats["translate"].record("miss")
-        translation = translate_module(wasm, unit_cache=self.units)
-        self._translated[key] = translation
-        return translation
-
-    # -- stage: program (the memoized bundle) ------------------------------
-
-    def program_key(self, richwasm: Module, config, passes=None) -> str:
+    def program_key(self, richwasm: Module, config) -> str:
         """The program-level cache key: linked content + config content.
 
         With a disk tier attached, a *fingerprint shortcut* skips the
@@ -486,17 +389,16 @@ class ModuleCache:
         miss only costs the ordinary structural digest, never correctness.
         """
 
-        override = None if passes is None else tuple(p.name for p in passes)
         if self.disk is not None:
-            fingerprint = _program_fingerprint(richwasm, config.content_key(), override)
+            fingerprint = _program_fingerprint(richwasm, config.content_key())
             if fingerprint is not None:
                 key = self.disk.get("key", fingerprint)
                 if isinstance(key, str):
                     return key
-                key = content_key("program", richwasm, config.content_key(), override)
+                key = content_key("program", richwasm, config.content_key())
                 self.disk.put("key", fingerprint, key)
                 return key
-        return content_key("program", richwasm, config.content_key(), override)
+        return content_key("program", richwasm, config.content_key())
 
     def get_program(self, key: str, *, engine: Optional[str] = None, config=None,
                     richwasm: Optional[Module] = None) -> Optional[CompiledProgram]:
@@ -510,26 +412,19 @@ class ModuleCache:
         (e.g. dropping a later caller's step budget).
 
         With a disk tier attached and ``richwasm`` supplied, a memory miss
-        consults the durable store: the payload there is the lowered module
-        (pickle-safe, bookkeeping stripped), from which the process-local
-        decode/translate artifacts are recomputed — a small fraction of the
-        full compile the hit avoids.
+        reads the durable ``program`` entry: the lowered module and its
+        flat code, which the program's first :meth:`CompiledProgram.decode`
+        adopts.  Decoding and translating are left to the caller.
         """
 
         program = self._programs.get(key)
         if program is None and self.disk is not None and richwasm is not None:
-            lowered = self.disk.get("program", key)
-            if lowered is not None:
-                lowered = replace(lowered, engine=engine)
-                flat = self.disk.get("decode", key)
-                if flat is not None and len(flat) == len(lowered.wasm.functions):
-                    adopt_decode(lowered.wasm, flat)
-                self.decode(lowered.wasm)
-                if engine == "compiled":
-                    self.translate(lowered.wasm)
+            entry = self.disk.get("program", key)
+            if entry is not None:
+                lowered, flat = entry
                 program = CompiledProgram(
-                    richwasm=richwasm, lowered=lowered, engine=engine,
-                    config=config, cached_key=key,
+                    richwasm=richwasm, lowered=replace(lowered, engine=engine), engine=engine,
+                    config=config, cached_key=key, persisted_flat=flat,
                 )
                 self._programs[key] = program
         if program is None:
@@ -539,76 +434,64 @@ class ModuleCache:
         # A hit lowers nothing: drop the streams the link may have recorded.
         self._annotations = None
         if program.engine != engine or (config is not None and config != program.config):
-            program = CompiledProgram(
-                richwasm=program.richwasm,
+            program = replace(
+                program,
                 lowered=replace(program.lowered, engine=engine),
                 engine=engine,
                 config=config if config is not None else program.config,
-                diagnostics=program.diagnostics,
-                cached_key=key,
             )
         return program
 
-    def put_program(self, key: str, richwasm: Module, lowered: LoweredModule, *,
-                    engine: Optional[str] = None, config=None) -> CompiledProgram:
-        program = CompiledProgram(
-            richwasm=richwasm, lowered=lowered, engine=engine, config=config, cached_key=key
-        )
-        self._programs[key] = program
+    def put_program(self, program: CompiledProgram) -> CompiledProgram:
+        """File ``program`` under its key, in memory and (with a disk tier)
+        as one ``program`` entry: the lowered module with its flat code,
+        which spares warm starts the per-function decode + digest pass."""
+
+        self._programs[program.key] = program
         if self.disk is not None:
-            self.disk.put("program", key, replace(lowered, engine=None, diagnostics=None))
-            # Flat code is immutable plain data keyed by the same content
-            # hash, so persisting it spares warm starts the per-function
-            # decode + digest pass (see ``adopt_decode``).
-            self.disk.put("decode", key, self.decode(lowered.wasm).flat)
+            lowered = replace(program.lowered, engine=None, diagnostics=None)
+            self.disk.put("program", program.key, (lowered, program.decode(self.units).flat))
         return program
 
-    # -- the whole pipeline ------------------------------------------------
+    def lower_fresh(self, richwasm: Module, config) -> LoweredModule:
+        """Lower (and optimize, and validate when the config asks) with no
+        store lookup — the work behind a program miss.
 
-    def compile_program(
-        self,
-        modules,
-        *,
-        passes=None,
-        engine: Optional[str] = None,
-        config=None,
-    ) -> CompiledProgram:
-        """Link → lower → optimize → decode, every stage memoized.
+        Replays the annotation streams the last :meth:`link` recorded for
+        ``richwasm``, so only functions without one are type-checked again;
+        the streams are dropped either way.
+        """
 
-        ``modules`` is a ``{name: RichWasm Module}`` mapping (e.g. from
-        :meth:`repro.ffi.InteropScenario.modules`), an
-        :class:`repro.ffi.Program`, or a single already-linked RichWasm
-        :class:`Module`.  ``config`` (a :class:`repro.api.CompileConfig`)
-        defaults to ``CompileConfig.of(None)``.
+        annotations, self._annotations = self._annotations, None
+        lowered = lower_module(
+            richwasm, config=config, unit_cache=self.units, annotations=annotations
+        )
+        if config.validate_wasm:
+            validate_module(lowered.wasm, unit_cache=self.units)
+        return lowered
+
+    def lower(self, richwasm: Module, *, engine: Optional[str] = None, config=None) -> LoweredModule:
+        """Lower (and optionally optimize) ``richwasm``, memoized in the
+        program store.
+
+        The key is :meth:`program_key` under ``config`` (a
+        :class:`repro.api.CompileConfig`, defaulting to
+        ``CompileConfig.of(None)``), so a program compiled by
+        ``repro.api.compile`` is a hit here and a lowering filed here is a
+        program hit there.  Hits return a shallow copy so callers can adjust
+        bookkeeping fields (``engine``) without contaminating the cached
+        artifact; the expensive payload (``wasm``, and with it the decode
+        memo) stays shared.
         """
 
         config = _default_config(config)
-        richwasm = self._as_linked(modules, name=config.link_name, check=config.check_links)
         if engine is None:
             engine = config.engine
-        key = self.program_key(richwasm, config, passes)
+        key = self.program_key(richwasm, config)
         program = self.get_program(key, engine=engine, config=config, richwasm=richwasm)
         if program is None:
-            lowered = self.lower(richwasm, config=config, passes=passes, engine=engine)
-            self.decode(lowered.wasm)
-            if engine == "compiled":
-                self.translate(lowered.wasm)
-            program = self.put_program(key, richwasm, lowered, engine=engine, config=config)
-        return program
-
-    def _as_linked(self, modules, *, name: str, check: bool = True) -> Module:
-        if isinstance(modules, Module):
-            return modules
-        if hasattr(modules, "modules") and not isinstance(modules, dict):
-            modules = modules.modules  # repro.ffi.Program
-        if callable(modules):
-            modules = modules()
-        if not isinstance(modules, dict):
-            raise TypeError(
-                "compile_program expects a {name: Module} dict, a Program, or a linked Module; "
-                f"got {type(modules).__name__}"
-            )
-        # Always link, even a singleton: linking namespaces the exports
-        # (``module.export``), so this path stays interchangeable with
-        # ``Program.lower()``.
-        return self.link(modules, name=name, check=check)
+            program = self.put_program(CompiledProgram(
+                richwasm=richwasm, lowered=self.lower_fresh(richwasm, config), engine=engine,
+                config=config, cached_key=key,
+            ))
+        return replace(program.lowered, engine=engine, diagnostics=None)

@@ -542,9 +542,13 @@ def adopt_decode(module: WasmModule, flat) -> DecodedModule:
     by-content sharing :func:`decode_module` already does through the
     function-unit cache, minus the per-function digest work.  ``flat`` must
     come from a module with identical function bodies (the caller keys the
-    persisted artifact by content hash, which guarantees it).
+    persisted artifact by content hash, which guarantees it).  A module
+    already decoded keeps its decode, so adopting twice changes nothing.
     """
 
+    entry = _MODULE_DECODE_CACHE.get(id(module))
+    if entry is not None and entry[0]() is module:
+        return entry[1]
     return _install_decode(module, DecodedModule(module.functions, list(flat)))
 
 

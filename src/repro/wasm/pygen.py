@@ -1363,15 +1363,6 @@ def translate_module(module: WasmModule, *, unit_cache=None) -> ModuleTranslatio
     return translation
 
 
-def adopt_translation(module: WasmModule, translation: ModuleTranslation) -> None:
-    """Seed the per-module memo with a translation produced for a
-    structurally identical module (the content-addressed cache hit path)."""
-
-    entry = _MODULE_TRANSLATE_CACHE.get(id(module))
-    if entry is None or entry[0]() is not module:
-        _remember_translation(module, translation)
-
-
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------

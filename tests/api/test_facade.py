@@ -177,16 +177,18 @@ class TestCompile:
         assert not isinstance(richwasm, LoweredModule)
         assert isinstance(ml_lowered, LoweredModule)
 
-    def test_bare_compile_program_shares_the_o0_entry(self):
-        # ModuleCache without a config compiles under CompileConfig.of(None),
+    def test_bare_cache_lower_shares_the_o0_entry(self):
+        # ModuleCache.lower without a config lowers under CompileConfig.of(None),
         # whose key is O0, 4 pages, "linked" like the facade's "O0", so both
-        # share one compiled payload.
+        # share one program-store entry.
         cache = ModuleCache()
-        bare = cache.compile_program(counter_program().modules())
+        linked = cache.link(counter_program().modules())
+        bare = cache.lower(linked)
         facade = api.compile(counter_program, "O0", cache=cache)
-        assert facade.key == bare.key
+        assert facade.key == cache.program_key(linked, CompileConfig.of(None))
         assert facade.wasm is bare.wasm
-        assert cache.stats["lower"].misses == 1
+        assert cache.stats["program"].misses == 1
+        assert cache.stats["program"].hits == 1
         assert CompileConfig.of(None).content_key() == CompileConfig(
             opt_level="O0", memory_pages=4, link_name="linked", cache="private"
         ).content_key()
@@ -200,13 +202,13 @@ class TestCompile:
 
         cache = default_cache()
         config = CompileConfig(opt_level="O1", memory_pages=7)  # cache="shared"
-        before = cache.stats["lower"].lookups
+        before = cache.stats["program"].lookups
         first = compile_ml_module(ml_source(), config=config)
         second = compile_ml_module(ml_source(), config=config)
-        assert cache.stats["lower"].lookups == before + 2
+        assert cache.stats["program"].lookups == before + 2
         assert first.wasm is second.wasm  # payload shared via the process cache
         direct = compile_ml_module(ml_source(), config=config.replace(cache="none"))
-        assert cache.stats["lower"].lookups == before + 2
+        assert cache.stats["program"].lookups == before + 2
         assert direct.wasm == first.wasm
 
 
@@ -217,7 +219,7 @@ class TestDiagnostics:
         diag = compiled.diagnostics
         assert isinstance(diag, Diagnostics)
         assert [t.stage for t in diag.stages] == [
-            "frontend", "link", "typecheck", "lower", "decode"
+            "frontend", "link", "program", "typecheck", "lower", "decode", "program"
         ]
         # The linked module was type-checked (memoized) inside the link
         # stage, so the explicit typecheck stage reports a cache hit.
@@ -329,4 +331,4 @@ class TestServe:
         service.call("client_init", [0])
         stats = service.stats()
         assert stats.pool.acquired == 1
-        assert stats.cache["lower"].misses == 1
+        assert stats.cache["program"].misses == 1

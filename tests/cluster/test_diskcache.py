@@ -11,9 +11,13 @@ import time
 
 import pytest
 
+from repro import api
 from repro.api import CompileConfig
 from repro.cluster import DISK_FORMAT, DiskCache
+from repro.ffi import counter_program
+from repro.obs import Tracer, use_tracer
 from repro.runtime import ModuleCache
+from repro.wasm.ast import WasmFunction
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -162,6 +166,30 @@ class TestCorruption:
         stats = cache.stats["disk.program"]
         assert (stats.hits, stats.misses, stats.evictions) == (0, 1, 1)
 
+        # Format 4 filed the lowered module twice (``lower`` and ``program``)
+        # and its flat code apart (``decode``) under the program key; the
+        # ``program`` entry now holds both.  Old entries under a real key
+        # are misses and are evicted, and the compile files a fresh one.
+        assert DISK_FORMAT > 4
+        config = CompileConfig(cache="private")
+        richwasm = ModuleCache().link(counter_program().modules())
+        key = ModuleCache().program_key(richwasm, config)
+        for stage in ("lower", "decode", "program"):
+            path = cache._path(stage, key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(pickle.dumps({"format": 4, "stage": stage, "key": key, "payload": 1}))
+        for stage in ("lower", "decode"):
+            assert cache.get(stage, key) is None
+            assert not cache._path(stage, key).exists()
+            assert cache.stats[f"disk.{stage}"].evictions == 1
+        warm = ModuleCache(disk=cache)
+        program = api.compile(counter_program().modules(), config, cache=warm)
+        assert program.key == key
+        assert program.diagnostics.cache["program"] == "miss"
+        stats = cache.stats["disk.program"]
+        assert (stats.hits, stats.misses, stats.evictions) == (0, 2, 2)
+        assert pickle.loads(cache._path("program", key).read_bytes())["format"] == DISK_FORMAT
+
     def test_stage_or_key_mismatch_is_miss_and_evicted(self, tmp_path):
         # A well-formed entry filed under the wrong name (e.g. a collision
         # or a renamed directory) must not be served.
@@ -206,19 +234,36 @@ class TestEviction:
 
 class TestModuleCacheTiering:
     def test_lower_misses_memory_then_hits_disk(self, tmp_path):
-        from repro.ffi import counter_program
-
         modules = counter_program().modules()
         first = ModuleCache(disk=DiskCache(tmp_path))
-        first.compile_program(modules, config=CompileConfig(cache="private"))
+        api.compile(modules, CompileConfig(cache="private"), cache=first)
         assert first.disk.stats["disk.program"].misses >= 1
+        # One entry per artifact: the link, the fingerprint's key, the program.
+        assert sorted(entry.stage for entry in first.disk.entries()) == ["key", "link", "program"]
 
         # A second ModuleCache over the same directory models a fresh
         # process: its memory tier is empty, the disk tier is warm.
         second = ModuleCache(disk=DiskCache(tmp_path))
-        second.compile_program(modules, config=CompileConfig(cache="private"))
+        api.compile(modules, CompileConfig(cache="private"), cache=second)
         assert second.disk.stats["disk.program"].hits == 1
         assert second.stats["program"].hits == 1
+
+    def test_disk_warm_hit_decodes_and_translates_inside_the_stages(self, tmp_path):
+        config = CompileConfig(opt_level="O1", engine="compiled", cache="private")
+        api.compile(counter_program(), config, cache=ModuleCache(disk=DiskCache(tmp_path)))
+        with use_tracer(Tracer()) as tracer:
+            warm = api.compile(counter_program(), config, cache=ModuleCache(disk=DiskCache(tmp_path)))
+        diag = warm.diagnostics
+        assert diag.cache["program"] == "hit"
+        # The flat code filed with the program is adopted, not decoded.
+        assert diag.cache["decode"] == "hit" and "decode" not in diag.units
+        defined = sum(isinstance(f, WasmFunction) for f in warm.wasm.functions)
+        assert diag.units["translate"] == {"reused": 0, "compiled": defined}
+        spans = tracer.drain()
+        (translate,) = [span for span in spans if span.name == "compile.translate"]
+        assert translate.attrs["source_chars"] > 0
+        # The lookup (fingerprint, key and program reads) has its own span.
+        assert [span.name for span in spans].count("compile.program") == 1
 
     def test_subprocess_warm_start_hits_disk_stages(self, tmp_path):
         # The real thing: a genuinely cold process (no fork inheritance)

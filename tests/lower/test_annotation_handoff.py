@@ -150,9 +150,9 @@ class TestFallbackAndNoLeak:
     def test_lowering_miss_after_a_typecheck_hit_rechecks_bit_identically(self, checks):
         cache = ModuleCache()
         api.compile(_sources(), CONFIG, cache=cache)
-        # Forget every lowering (module, program and per-function tables):
-        # the link and typecheck stages still hit, so no stream is recorded.
-        cache._lowered.clear()
+        # Forget every lowering (the program store and the per-function
+        # table): the link and typecheck stores still hit, so no stream is
+        # recorded.
         cache._programs.clear()
         cache.units._tables["lower"].clear()
         checks["bodies"] = 0
@@ -178,10 +178,10 @@ class TestFallbackAndNoLeak:
         assert (again.diagnostics.cache["link"], again.diagnostics.cache["program"]) == ("miss", "hit")
         assert cache._annotations is None
         direct = ModuleCache()
-        direct.compile_program(_richwasm_sources(), config=CONFIG)
+        api.compile(_richwasm_sources(), CONFIG, cache=direct)
         assert direct._annotations is None
         direct._linked.clear()
-        direct.compile_program(_richwasm_sources(), config=CONFIG)
+        api.compile(_richwasm_sources(), CONFIG, cache=direct)
         assert direct.stats["program"].hits == 1
         assert direct._annotations is None
 

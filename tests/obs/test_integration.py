@@ -126,17 +126,17 @@ class TestCompileTelemetry:
         cache = ModuleCache()
         config = CompileConfig(opt_level="O0", cache="private")
 
-        before_miss = events.labeled(stage="lower", event="miss")
+        before_miss = events.labeled(stage="program", event="miss")
         api_compile(tiny_module("obs_cache_a"), config, cache=cache)
-        assert events.labeled(stage="lower", event="miss") == before_miss + 1
+        assert events.labeled(stage="program", event="miss") == before_miss + 1
 
         before_hit = events.labeled(stage="program", event="hit")
         api_compile(tiny_module("obs_cache_a"), config, cache=cache)
         assert events.labeled(stage="program", event="hit") == before_hit + 1
 
-        before_bypass = events.labeled(stage="lower", event="bypass")
+        before_bypass = events.labeled(stage="program", event="bypass")
         api_compile(tiny_module("obs_cache_b"), CompileConfig(opt_level="O0", cache="none"))
-        assert events.labeled(stage="lower", event="bypass") == before_bypass + 1
+        assert events.labeled(stage="program", event="bypass") == before_bypass + 1
 
     def test_compile_stage_spans_share_the_api_compile_trace(self):
         with use_tracer(Tracer()) as tracer:

@@ -521,12 +521,13 @@ class TestKeepUnchangedBlocks:
     def test_segment_rerun_on_a_lowered_program_is_a_no_op(self):
         from workloads import synthetic_module
 
+        from repro import api
         from repro.api import CompileConfig
         from repro.opt import optimize_module
         from repro.runtime import ModuleCache
 
         config = CompileConfig(opt_level="O2")
-        optimized = ModuleCache().compile_program(synthetic_module(1, functions=20), config=config).wasm
+        optimized = api.compile(synthetic_module(1, functions=20), config, cache=ModuleCache()).wasm
         segment = _o2_segment()
         for function in optimized.functions:
             if isinstance(function, WasmFunction):

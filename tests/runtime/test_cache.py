@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from repro import api
 from repro.api import CompileConfig
 from repro.core.syntax import Function, f64, funtype, i64, make_module
 from repro.core.syntax.instructions import Call, CvtOp, NumConst, NumCvtop
@@ -76,8 +77,9 @@ class TestNaNKeys:
 
         cache = ModuleCache()
         for bits in (0x7FF8000000000001, 0x7FF8000000000002):
-            program = cache.compile_program(
-                _nan_module(bits, via_i64=via_i64), config=CompileConfig(opt_level="O2"), engine=engine
+            program = api.compile(
+                _nan_module(bits, via_i64=via_i64), CompileConfig(opt_level="O2", engine=engine),
+                cache=cache,
             )
             interpreter, instance = program.instantiate()
             assert interpreter.invoke(instance, "main", []) == [bits]
@@ -85,15 +87,27 @@ class TestNaNKeys:
 
 class TestStageMemoization:
     def test_each_stage_compiles_once(self, cache):
-        compiled_first = cache.compile_program(scenario_modules())
-        compiled_second = cache.compile_program(scenario_modules())
+        compiled_first = api.compile(scenario_modules(), cache=cache)
+        first_decode = compiled_first.diagnostics.cache["decode"]
+        compiled_second = api.compile(scenario_modules(), cache=cache)
         assert compiled_second is compiled_first
         assert cache.stats["link"].misses == 1
-        assert cache.stats["lower"].misses == 1
-        assert cache.stats["decode"].misses == 1
+        assert cache.stats["program"].misses == 1
+        assert (first_decode, compiled_second.diagnostics.cache["decode"]) == ("miss", "hit")
         # The second compile short-circuits on the linked-program key after
         # the (memoized) link stage.
         assert cache.stats["link"].hits == 1
+        assert cache.stats["program"].hits == 1
+
+    @pytest.mark.parametrize("config", [None, CompileConfig(opt_level="O2")])
+    def test_program_key_matches_compiled_program_key(self, cache, config):
+        """The lazily computed ``CompiledProgram.key`` of an off-cache
+        compile is the key the cache files the same program under."""
+
+        cached = api.compile(scenario_modules(), config, cache=cache)
+        direct = api.compile(scenario_modules(), CompileConfig.of(config, cache="none"))
+        assert direct.cached_key is None
+        assert direct.key == cached.key == cache.program_key(cached.richwasm, cached.config)
 
     def test_lower_hit_returns_shared_wasm(self, cache):
         linked = cache.link(scenario_modules())
@@ -103,12 +117,12 @@ class TestStageMemoization:
         assert first is not second
         assert first.wasm is second.wasm
         assert second.engine == "tree"
-        assert cache.stats["lower"] .hits == 1
+        assert cache.stats["program"].hits == 1
 
     def test_decode_shared_across_instances(self, cache):
         # Pin the flat VM: only it materializes instance.decoded (the tree
         # walker, e.g. under REPRO_WASM_ENGINE=tree, has no flat code).
-        compiled = cache.compile_program(scenario_modules())
+        compiled = api.compile(scenario_modules(), cache=cache)
         _, first_instance = compiled.instantiate(engine="flat")
         _, second_instance = compiled.instantiate(engine="flat")
         decoded = compiled.decoded
@@ -117,23 +131,22 @@ class TestStageMemoization:
                 assert first_instance.decoded[index] is flat
                 assert second_instance.decoded[index] is flat
 
-    def test_compile_program_engine_variants_share_payload(self, cache):
+    def test_compile_engine_variants_share_payload(self, cache):
         # The engine preference is per-caller: a later caller asking for a
         # different engine must not inherit the first caller's, and must not
         # trigger a recompile either.
-        tree = cache.compile_program(scenario_modules(), engine="tree")
-        flat = cache.compile_program(scenario_modules(), engine="flat")
-        again = cache.compile_program(scenario_modules(), engine="tree")
+        tree = api.compile(scenario_modules(), cache=cache, engine="tree")
+        flat = api.compile(scenario_modules(), cache=cache, engine="flat")
+        again = api.compile(scenario_modules(), cache=cache, engine="tree")
         assert tree.engine == again.engine == "tree" and flat.engine == "flat"
         assert tree.wasm is flat.wasm  # one compiled payload
-        assert cache.stats["lower"].misses == 1
+        assert cache.stats["program"].misses == 1
         interpreter, _ = flat.instantiate()
         assert interpreter.engine_name == "flat"
         interpreter, _ = again.instantiate()
         assert interpreter.engine_name == "tree"
 
     def test_program_compile_reduces_engine_instances_to_names(self, cache):
-        from repro.api import CompileConfig
         from repro.wasm import TreeWalkingEngine
 
         config = CompileConfig(engine=TreeWalkingEngine())
@@ -144,23 +157,23 @@ class TestStageMemoization:
         assert interpreter.engine_name == "tree"
 
     def test_optimized_and_unoptimized_are_separate_entries(self, cache):
-        plain = cache.compile_program(scenario_modules())
-        optimized = cache.compile_program(scenario_modules(), config=CompileConfig(opt_level="O2"))
+        plain = api.compile(scenario_modules(), cache=cache)
+        optimized = api.compile(scenario_modules(), CompileConfig(opt_level="O2"), cache=cache)
         assert plain is not optimized
         assert optimized.lowered.optimization is not None
         assert optimized.wasm.instruction_count() < plain.wasm.instruction_count()
 
     def test_clear_resets_everything(self, cache):
-        cache.compile_program(scenario_modules())
+        api.compile(scenario_modules(), cache=cache)
         cache.clear()
-        assert cache.stats["lower"].lookups == 0
-        cache.compile_program(scenario_modules())
-        assert cache.stats["lower"].misses == 1
+        assert cache.stats["program"].lookups == 0
+        api.compile(scenario_modules(), cache=cache)
+        assert cache.stats["program"].misses == 1
 
 
 class TestCompiledProgram:
     def test_cached_wasm_is_validated_and_runnable(self, cache):
-        compiled = cache.compile_program(scenario_modules())
+        compiled = api.compile(scenario_modules(), cache=cache)
         validate_module(compiled.wasm)
         interpreter, instance = compiled.instantiate()
         for export in sorted(compiled.wasm.exported_functions()):
@@ -187,11 +200,10 @@ class TestCompiledProgram:
         baseline = program.instantiate_wasm()
         cached_first = program.instantiate_wasm(cache=cache)
         cached_second = program.instantiate_wasm(cache=cache)
-        assert cache.stats["lower"].misses == 1
-        # The second call short-circuits on the program-level entry, so the
-        # lower stage is never re-queried.
-        assert cache.stats["program"].hits >= 1
-        assert cache.stats["lower"].hits == 0
+        # The first call misses the program store once (a miss lowers with
+        # no second lookup); the second short-circuits on the entry.
+        assert cache.stats["program"].misses == 1
+        assert cache.stats["program"].hits == 1
         baseline.invoke("client", "client_init", [2])
         cached_first.invoke("client", "client_init", [2])
         cached_second.invoke("client", "client_init", [2])
@@ -219,8 +231,8 @@ class TestFrontendCacheThreading:
 
         first = compile_ml_module(self._ml_module(), cache=cache)
         second = compile_ml_module(self._ml_module(), cache=cache)
-        assert cache.stats["lower"].misses == 1
-        assert cache.stats["lower"].hits == 1
+        assert cache.stats["program"].misses == 1
+        assert cache.stats["program"].hits == 1
         assert first.wasm is second.wasm  # the expensive payload is shared
         interpreter, instance = second.instantiate()
         assert interpreter.invoke(instance, "double", [21]) == [42]
@@ -241,8 +253,8 @@ class TestFrontendCacheThreading:
 
         first = compile_l3_module(build(), cache=cache)
         second = compile_l3_module(build(), cache=cache)
-        assert cache.stats["lower"].misses == 1
-        assert cache.stats["lower"].hits == 1
+        assert cache.stats["program"].misses == 1
+        assert cache.stats["program"].hits == 1
         assert first.wasm is second.wasm
         interpreter, instance = second.instantiate()
         assert interpreter.invoke(instance, "churn", [9]) == [10]

@@ -155,10 +155,10 @@ class TestReset:
             InstancePool(loop_module(), engine=FlatVMEngine())
 
     def test_setup_runs_once_and_is_part_of_the_image(self):
-        cache = ModuleCache()
+        from repro import api
         from repro.ffi import counter_program
 
-        compiled = cache.compile_program(counter_program().modules())
+        compiled = api.compile(counter_program().modules(), cache=ModuleCache())
         pool = compiled.instance_pool(setup=run_initializers_setup)
         entry = pool.acquire()
         image_steps = entry.image.steps

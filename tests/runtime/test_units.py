@@ -211,10 +211,10 @@ N = 8
 
 def _incremental(cache: ModuleCache):
     base = synthetic_module(1, functions=N)
-    cache.compile_program(base, config=CONFIG)
+    api.compile(base, CONFIG, cache=cache)
     edited = edit_one_function(base, N // 2)
     before = cache.units.snapshot()
-    program = cache.compile_program(edited, config=CONFIG)
+    program = api.compile(edited, CONFIG, cache=cache)
     return program, cache.units.delta(before)
 
 
@@ -252,7 +252,7 @@ class TestIncrementalThroughModuleCache:
         interpreter, instance = program.instantiate()
         assert interpreter.invoke(instance, "main", [])[0] == 2
         # And the next compile rebuilds from nothing: all misses, no hits.
-        rebuilt = cache.compile_program(synthetic_module(1, functions=N), config=CONFIG)
+        rebuilt = api.compile(synthetic_module(1, functions=N), CONFIG, cache=cache)
         assert cache.units.stats["lower"].compiled == N
         assert cache.units.stats["lower"].reused == 0
         interpreter, instance = rebuilt.instantiate()
@@ -664,7 +664,7 @@ class TestMemoizedKeys:
         functions = 1000
         base = synthetic_module(1, functions=functions)
         cache = ModuleCache()
-        cache.compile_program(base, config=EDIT_CONFIG)
+        api.compile(base, EDIT_CONFIG, cache=cache)
         edited = edit_one_function(base, functions // 2)
 
         keyed = []
@@ -682,7 +682,7 @@ class TestMemoizedKeys:
 
         monkeypatch.setattr(deadfuncs, "iter_sequences", scanning)
         before = cache.units.snapshot()
-        program = cache.compile_program(edited, config=EDIT_CONFIG)
+        program = api.compile(edited, EDIT_CONFIG, cache=cache)
         delta = cache.units.delta(before)
 
         assert delta["lower"] == {"reused": functions - 1, "compiled": 1}

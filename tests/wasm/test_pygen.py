@@ -54,7 +54,7 @@ from repro.wasm import (
 )
 from repro.wasm import pygen
 from repro.wasm.decode import decode_module
-from repro.wasm.pygen import ModuleTranslation, adopt_translation, translate_functions
+from repro.wasm.pygen import ModuleTranslation, translate_functions
 from workloads import synthetic_module
 
 I32 = ValType.I32
@@ -95,17 +95,6 @@ class TestTranslation:
         assert first.function_count == 2
         assert first.modes == ("register", "register")
         assert "def _f0" in first.source and "def _f1" in first.source
-
-    def test_adopt_translation_seeds_structural_twin(self):
-        module = sum_module()
-        twin = sum_module()
-        translation = translate_module(module)
-        adopt_translation(twin, translation)
-        assert translate_module(twin) is translation
-        # The adopted artifact executes correctly on the twin.
-        interp = WasmInterpreter(engine="compiled")
-        inst = interp.instantiate(twin)
-        assert interp.invoke(inst, "sum", [10]) == [55]
 
     def test_forced_list_mode_matches_register_mode(self):
         module = sum_module()
@@ -510,33 +499,31 @@ def test_fig9_counter_source_folds_operands():
 
 
 class TestCacheStage:
-    def test_translate_stage_hit_miss_and_clear(self):
+    def test_structural_twin_translates_from_the_units(self):
+        # A structurally identical module object translated through the same
+        # unit cache compiles no translate unit and yields identical source.
         cache = ModuleCache()
-        module = sum_module()
-        first = cache.translate(module)
-        assert cache.stats["translate"].misses == 1
-        assert cache.translate(module) is first
-        assert cache.stats["translate"].hits == 1
-        # A structurally identical module object is a content hit and adopts
-        # the artifact instead of re-translating.
+        first = translate_module(sum_module(), unit_cache=cache.units)
         twin = sum_module()
-        assert cache.translate(twin) is first
-        assert cache.stats["translate"].hits == 2
-        assert translate_module(twin) is first
-        cache.clear()
-        assert cache.stats["translate"].lookups == 0
-        cache.translate(module)
-        assert cache.stats["translate"].misses == 1
+        before = cache.units.snapshot()
+        translation = translate_module(twin, unit_cache=cache.units)
+        assert cache.units.delta(before)["translate"] == {"reused": 2, "compiled": 0}
+        assert translation.source == first.source
+        assert translate_module(twin) is translation
+        # The reassembled translation executes correctly on the twin.
+        interp = WasmInterpreter(engine="compiled")
+        inst = interp.instantiate(twin)
+        assert interp.invoke(inst, "sum", [10]) == [55]
 
-    def test_compile_program_translates_for_compiled_engine(self):
-        cache = ModuleCache()
+    def test_compile_translates_for_compiled_engine(self):
         from repro.ffi import counter_program
 
-        cache.compile_program(counter_program().modules(), engine="compiled")
-        assert cache.stats["translate"].misses == 1
-        cache2 = ModuleCache()
-        cache2.compile_program(counter_program().modules())
-        assert cache2.stats["translate"].lookups == 0  # default engine: no translation
+        program = api.compile(counter_program().modules(), cache=ModuleCache(), engine="compiled")
+        assert program.diagnostics.cache["translate"] == "miss"
+        default = api.compile(counter_program().modules(), cache=ModuleCache())
+        # Default engine: no translation.
+        assert "translate" not in default.diagnostics.cache
+        assert "translate" not in default.diagnostics.units
 
 
 def _ml_source():
@@ -552,8 +539,8 @@ class TestFacadeWiring:
         program = api.compile(_ml_source(), config, cache=cache)
         assert program.diagnostics.cache["translate"] == "miss"
         assert program.diagnostics.seconds("translate") >= 0
-        # Recompiling is a program-level hit; the translate stage re-seeds
-        # the per-object memo from the content store and records a hit.
+        # Recompiling is a program-level hit; the translate stage finds the
+        # program's module in the per-object memo and records a hit.
         again = api.compile(_ml_source(), config, cache=cache)
         assert again.diagnostics.cache["program"] == "hit"
         assert again.diagnostics.cache["translate"] == "hit"
