@@ -181,24 +181,15 @@ def int_relop(op: str, a: int, b: int, width: int, signed: bool) -> int:
 
 
 def float_canon(value: float, width: int) -> float:
-    """Round a Python float to f32 precision when needed."""
+    """Round a Python float to f32 precision when needed.
+
+    The result is always a ``float``: ``math.ceil``, ``floor`` and ``trunc``
+    return ints, which are not canonical f64 values.
+    """
 
     if width == 32:
         return struct.unpack("<f", struct.pack("<f", value))[0]
-    return value
-
-
-def float_binop(op: str, a: float, b: float, width: int) -> float:
-    operations: dict[str, Callable[[float, float], float]] = {
-        "add": lambda x, y: x + y,
-        "sub": lambda x, y: x - y,
-        "mul": lambda x, y: x * y,
-        "div": _float_div,
-        "min": min,
-        "max": max,
-        "copysign": math.copysign,
-    }
-    return float_canon(operations[op](a, b), width)
+    return float(value)
 
 
 def _float_div(a: float, b: float) -> float:
@@ -209,31 +200,48 @@ def _float_div(a: float, b: float) -> float:
     return a / b
 
 
+_FLOAT_BINOPS: dict[str, Callable[[float, float], float]] = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": _float_div,
+    "min": min,
+    "max": max,
+    "copysign": math.copysign,
+}
+
+_FLOAT_UNOPS: dict[str, Callable[[float], float]] = {
+    "abs": abs,
+    "neg": operator.neg,
+    "sqrt": lambda x: math.sqrt(x) if x >= 0 else math.nan,
+    "ceil": math.ceil,
+    "floor": math.floor,
+    "trunc": math.trunc,
+    "nearest": lambda x: float(round(x)),
+}
+
+_FLOAT_RELOPS: dict[str, Callable[[float, float], bool]] = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "gt": operator.gt,
+    "le": operator.le,
+    "ge": operator.ge,
+}
+
+
+def float_binop(op: str, a: float, b: float, width: int) -> float:
+    return float_canon(_FLOAT_BINOPS[op](a, b), width)
+
+
 def float_unop(op: str, a: float, width: int) -> float:
-    operations: dict[str, Callable[[float], float]] = {
-        "abs": abs,
-        "neg": lambda x: -x,
-        "sqrt": lambda x: math.sqrt(x) if x >= 0 else math.nan,
-        "ceil": math.ceil,
-        "floor": math.floor,
-        "trunc": math.trunc,
-        "nearest": lambda x: float(round(x)),
-    }
-    return float_canon(operations[op](a), width)
+    return float_canon(_FLOAT_UNOPS[op](a), width)
 
 
 def float_relop(op: str, a: float, b: float) -> int:
-    comparisons: dict[str, Callable[[float, float], bool]] = {
-        "eq": lambda x, y: x == y,
-        "ne": lambda x, y: x != y,
-        "lt": lambda x, y: x < y,
-        "gt": lambda x, y: x > y,
-        "le": lambda x, y: x <= y,
-        "ge": lambda x, y: x >= y,
-    }
     if math.isnan(a) or math.isnan(b):
         return bool_to_i32(op == "ne")
-    return bool_to_i32(comparisons[op](a, b))
+    return bool_to_i32(_FLOAT_RELOPS[op](a, b))
 
 
 # ---------------------------------------------------------------------------

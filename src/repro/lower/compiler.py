@@ -176,11 +176,9 @@ class LoweredModule:
         return InstancePool(self.wasm, **kwargs)
 
 
-@dataclass
-class _Annotation:
-    instr: Instr
-    stack: tuple[Type, ...]
-    local_env: LocalEnv
+# One recorded typing fact: ``(instr, stack, local_env)``.  A plain tuple,
+# since the observed check records one per instruction.
+_Annotation = tuple[Instr, tuple[Type, ...], LocalEnv]
 
 
 class _AnnotationStream:
@@ -191,17 +189,17 @@ class _AnnotationStream:
         self.cursor = 0
 
     def record(self, instr: Instr, stack: tuple[Type, ...], local_env: LocalEnv) -> None:
-        self.items.append(_Annotation(instr, stack, local_env))
+        self.items.append((instr, stack, local_env))
 
     def next_for(self, instr: Instr) -> _Annotation:
         if self.cursor >= len(self.items):
             raise LoweringError("typing annotation stream exhausted (traversal mismatch)")
         annotation = self.items[self.cursor]
         self.cursor += 1
-        if annotation.instr is not instr:
+        if annotation[0] is not instr:
             raise LoweringError(
                 f"typing annotation mismatch: expected {type(instr).__name__},"
-                f" recorded {type(annotation.instr).__name__}"
+                f" recorded {type(annotation[0]).__name__}"
             )
         return annotation
 
@@ -557,9 +555,7 @@ class _FunctionCompiler:
         return out
 
     def _compile_instr(self, instr: Instr, label_map: list[int]) -> list[WInstr]:
-        annotation = self.annotations.next_for(instr)
-        stack = annotation.stack
-        local_env = annotation.local_env
+        _instr, stack, local_env = self.annotations.next_for(instr)
 
         if isinstance(instr, _ERASED):
             self.stats.erased_instructions += 1

@@ -90,8 +90,10 @@ class PooledInstance:
     def reset(self) -> None:
         """Restore the post-initialization image in place.
 
-        Memory resets through :meth:`~repro.wasm.LinearMemory.reset` (an
-        identity-preserving, resizing restore), globals and table through
+        Memory resets through :meth:`~repro.wasm.LinearMemory.reset`, which
+        preserves identity: a memory of the image's size takes one copy of
+        the whole image through its cached view, and a grown one shrinks back
+        by the resizing path.  Globals and table reset through
         slice assignment, function slots the same way but only when the
         request changed them (their ``version`` moved), and the engine's
         ``steps``/``max_steps`` go back to their captured values — so the

@@ -37,6 +37,7 @@ from abc import ABC, abstractmethod
 from typing import Callable, ClassVar, Optional, Sequence, Union
 
 from ..core.semantics import numerics
+from ..core.semantics.numerics import MASK32, MASK64
 from ..core.typing.errors import WasmError
 from .ast import (
     Binop,
@@ -114,6 +115,7 @@ from .decode import (
     HostEntry,
     _INT_BINOPS,
     _INT_UNOPS,
+    _build_cvt,
     decode_instance,
 )
 from .interpreter import (
@@ -567,6 +569,23 @@ _PURE_HANDLERS: dict[int, Callable] = {
     OP_F_RELOP: _h_f_relop,
 }
 
+# Integer memory accessors indexed by byte width: unsigned little-endian, so
+# a load reads the same value as ``int.from_bytes(..., "little")`` and a
+# store takes its operand already masked to the stored width.
+_INT_FORMATS = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+_LOAD_INT = tuple(
+    struct.Struct(_INT_FORMATS[n]).unpack_from if n in _INT_FORMATS else None for n in range(9)
+)
+_STORE_INT = tuple(
+    struct.Struct(_INT_FORMATS[n]).pack_into if n in _INT_FORMATS else None for n in range(9)
+)
+
+# The decoder's shared handlers for the two commonest conversions.  The
+# extend handler is a shared ``partial``; one unpickled from the disk cache
+# is a copy of it and takes the call path, with the same result.
+_CVT_WRAP = _build_cvt(Cvtop(ValType.I32, "wrap", ValType.I64))
+_CVT_EXTEND_U = _build_cvt(Cvtop(ValType.I64, "extend_u", ValType.I32))
+
 
 # ---------------------------------------------------------------------------
 # The flat VM
@@ -661,10 +680,15 @@ class FlatVMEngine(ExecutionEngine):
         NumericTrap = numerics.NumericTrap
         wrap = numerics.wrap
         to_signed = numerics.to_signed
-        int_eqz = numerics.int_eqz
+        int_add = numerics.int_add
+        int_sub = numerics.int_sub
+        int_mul = numerics.int_mul
         int_relop = numerics.int_relop
+        cvt_wrap = _CVT_WRAP
+        cvt_extend_u = _CVT_EXTEND_U
         float_binop = numerics.float_binop
-        from_bytes = int.from_bytes
+        load_int = _LOAD_INT
+        store_int = _STORE_INT
         unpack_from = struct.unpack_from
         pack_into = struct.pack_into
         pure_handlers = _PURE_HANDLERS
@@ -696,77 +720,45 @@ class FlatVMEngine(ExecutionEngine):
                         boundary = trap_at if trap_at < next_at else next_at
                 pc += 1
 
+                # The chain is ordered by the dynamic opcode mix of lowered,
+                # optimized RichWasm code; conversions and branches come next,
+                # for unoptimized code and loops.  Every value on the stack is
+                # normalized, so the inlined integer ops need only the mask.
                 if op == OP_LOCAL_GET:
                     stack.append(locals_[ins[1]])
                 elif op == OP_CONST:
                     stack.append(ins[1])
                 elif op == OP_I_BINOP:
                     rhs = stack.pop()
-                    try:
-                        stack[-1] = ins[1](stack[-1], rhs, ins[2])
-                    except NumericTrap as exc:
-                        raise WasmTrap(str(exc)) from exc
+                    fn = ins[1]
+                    if fn is int_add:
+                        stack[-1] = (stack[-1] + rhs) & (MASK32 if ins[2] == 32 else MASK64)
+                    elif fn is int_sub:
+                        stack[-1] = (stack[-1] - rhs) & (MASK32 if ins[2] == 32 else MASK64)
+                    elif fn is int_mul:
+                        stack[-1] = (stack[-1] * rhs) & (MASK32 if ins[2] == 32 else MASK64)
+                    else:
+                        try:
+                            stack[-1] = fn(stack[-1], rhs, ins[2])
+                        except NumericTrap as exc:
+                            raise WasmTrap(str(exc)) from exc
                 elif op == OP_LOCAL_SET:
                     locals_[ins[1]] = stack.pop()
+                elif op == OP_GLOBAL_GET:
+                    stack.append(globals_[ins[1]])
                 elif op == OP_LOCAL_TEE:
                     locals_[ins[1]] = stack[-1]
-                elif op == OP_I_RELOP:
-                    rhs = stack.pop()
-                    stack[-1] = int_relop(ins[1], stack[-1], rhs, ins[3], ins[2])
-                elif op == OP_TESTOP:
-                    stack[-1] = int_eqz(stack[-1], ins[1])
-                elif op == OP_BR_IF:
-                    if stack.pop():
-                        depth = ins[1]
-                        label_index = len(labels) - 1 - depth
-                        if label_index < 0:
-                            raise WasmTrap(f"branch escaped function body (depth {depth - len(labels)})")
-                        target, arity, _end_arity, base, is_loop = labels[label_index]
-                        del labels[label_index + 1 if is_loop else label_index :]
-                        if arity:
-                            if len(stack) != base + arity:
-                                stack[base:] = stack[len(stack) - arity :]
-                        else:
-                            del stack[base:]
-                        pc = target
-                elif op == OP_BR:
-                    depth = ins[1]
-                    label_index = len(labels) - 1 - depth
-                    if label_index < 0:
-                        raise WasmTrap(f"branch escaped function body (depth {depth - len(labels)})")
-                    target, arity, _end_arity, base, is_loop = labels[label_index]
-                    del labels[label_index + 1 if is_loop else label_index :]
-                    if arity:
-                        if len(stack) != base + arity:
-                            stack[base:] = stack[len(stack) - arity :]
-                    else:
-                        del stack[base:]
-                    pc = target
-                elif op == OP_END:
-                    # Fallthrough keeps the label's *result* values (for a
-                    # loop these differ from the branch arity, its params).
-                    target, _br_arity, arity, base, is_loop = labels.pop()
-                    if len(stack) != base + arity:
-                        if arity:
-                            stack[base:] = stack[len(stack) - arity :]
-                        else:
-                            del stack[base:]
-                elif op == OP_BLOCK:
-                    labels.append((ins[1], ins[2], ins[2], len(stack) - ins[3], False))
-                elif op == OP_LOOP:
-                    labels.append((ins[1], ins[2], ins[3], len(stack) - ins[2], True))
-                elif op == OP_JUMP:
-                    pc = ins[1]
-                elif op == OP_IF:
-                    condition = stack.pop()
-                    labels.append((ins[2], ins[3], ins[3], len(stack) - ins[4], False))
-                    if not condition:
-                        pc = ins[1]
-                elif op == OP_CVT:
-                    try:
-                        stack[-1] = ins[1](stack[-1])
-                    except NumericTrap as exc:
-                        raise WasmTrap(str(exc)) from exc
+                elif op == OP_STORE_I:
+                    value = stack.pop()
+                    address = stack.pop() + ins[1]
+                    nbytes = ins[2]
+                    if mdata is None:
+                        raise WasmTrap("module has no memory")
+                    if address < 0 or address + nbytes > len(mdata):
+                        raise WasmTrap(
+                            f"out-of-bounds memory access at {address} (+{nbytes}), memory is {len(mdata)} bytes"
+                        )
+                    store_int[nbytes](mdata, address, int(value) & ins[3])
                 elif op == OP_CALL or op == OP_CALL_INDIRECT:
                     if op == OP_CALL_INDIRECT:
                         table_index = stack.pop()
@@ -781,13 +773,13 @@ class FlatVMEngine(ExecutionEngine):
                     if type(callee) is FlatFunction:
                         if expected is not None and callee.functype != expected:
                             raise WasmTrap("indirect call type mismatch")
+                        # Arguments pass as they are: every producer leaves
+                        # a normalized value (only the entry frame and host
+                        # results need normalizing).
                         n_params = callee.n_params
                         if n_params:
                             new_locals = stack[len(stack) - n_params :]
                             del stack[len(stack) - n_params :]
-                            callee_params = callee.functype.params
-                            for position in range(n_params):
-                                new_locals[position] = _normalize(callee_params[position], new_locals[position])
                         else:
                             new_locals = []
                         new_locals.extend(callee.local_inits)
@@ -825,39 +817,91 @@ class FlatVMEngine(ExecutionEngine):
                         stack.extend(
                             _normalize(valtype, value) for valtype, value in zip(functype.results, results)
                         )
-                elif op == OP_RETURN:
-                    pc = code_len
+                elif op == OP_CVT:
+                    fn = ins[1]
+                    if fn is cvt_wrap or fn is cvt_extend_u:
+                        # i32.wrap_i64 and i64.extend_i32_u both keep the
+                        # low 32 bits.
+                        stack[-1] = int(stack[-1]) & MASK32
+                    else:
+                        try:
+                            stack[-1] = fn(stack[-1])
+                        except NumericTrap as exc:
+                            raise WasmTrap(str(exc)) from exc
+                elif op == OP_TESTOP:
+                    stack[-1] = 1 if stack[-1] == 0 else 0
+                elif op == OP_BR_IF:
+                    if stack.pop():
+                        depth = ins[1]
+                        label_index = len(labels) - 1 - depth
+                        if label_index < 0:
+                            raise WasmTrap(f"branch escaped function body (depth {depth - len(labels)})")
+                        target, arity, _end_arity, base, is_loop = labels[label_index]
+                        del labels[label_index + 1 if is_loop else label_index :]
+                        if arity:
+                            if len(stack) != base + arity:
+                                stack[base:] = stack[len(stack) - arity :]
+                        else:
+                            del stack[base:]
+                        pc = target
+                elif op == OP_BR:
+                    depth = ins[1]
+                    label_index = len(labels) - 1 - depth
+                    if label_index < 0:
+                        raise WasmTrap(f"branch escaped function body (depth {depth - len(labels)})")
+                    target, arity, _end_arity, base, is_loop = labels[label_index]
+                    del labels[label_index + 1 if is_loop else label_index :]
+                    if arity:
+                        if len(stack) != base + arity:
+                            stack[base:] = stack[len(stack) - arity :]
+                    else:
+                        del stack[base:]
+                    pc = target
+                elif op == OP_BLOCK:
+                    labels.append((ins[1], ins[2], ins[2], len(stack) - ins[3], False))
+                elif op == OP_END:
+                    # Fallthrough keeps the label's *result* values (for a
+                    # loop these differ from the branch arity, its params).
+                    target, _br_arity, arity, base, is_loop = labels.pop()
+                    if len(stack) != base + arity:
+                        if arity:
+                            stack[base:] = stack[len(stack) - arity :]
+                        else:
+                            del stack[base:]
                 elif op == OP_LOAD_I:
                     address = stack[-1] + ins[1]
                     nbytes = ins[2]
-                    end = address + nbytes
                     if mdata is None:
                         raise WasmTrap("module has no memory")
-                    if address < 0 or end > len(mdata):
+                    if address < 0 or address + nbytes > len(mdata):
                         raise WasmTrap(
                             f"out-of-bounds memory access at {address} (+{nbytes}), memory is {len(mdata)} bytes"
                         )
-                    value = from_bytes(mdata[address:end], "little")
+                    value = load_int[nbytes](mdata, address)[0]
                     signed_width = ins[3]
                     if signed_width:
                         value = wrap(to_signed(value, signed_width), ins[4])
                     stack[-1] = value
-                elif op == OP_STORE_I:
-                    value = stack.pop()
-                    address = stack.pop() + ins[1]
-                    nbytes = ins[2]
-                    end = address + nbytes
-                    if mdata is None:
-                        raise WasmTrap("module has no memory")
-                    if address < 0 or end > len(mdata):
-                        raise WasmTrap(
-                            f"out-of-bounds memory access at {address} (+{nbytes}), memory is {len(mdata)} bytes"
-                        )
-                    mdata[address:end] = (int(value) & ins[3]).to_bytes(nbytes, "little")
-                elif op == OP_GLOBAL_GET:
-                    stack.append(globals_[ins[1]])
+                elif op == OP_IF:
+                    condition = stack.pop()
+                    labels.append((ins[2], ins[3], ins[3], len(stack) - ins[4], False))
+                    if not condition:
+                        pc = ins[1]
+                elif op == OP_LOOP:
+                    labels.append((ins[1], ins[2], ins[3], len(stack) - ins[2], True))
                 elif op == OP_GLOBAL_SET:
                     globals_[ins[1]] = stack.pop()
+                elif op == OP_I_RELOP:
+                    rhs = stack.pop()
+                    stack[-1] = int_relop(ins[1], stack[-1], rhs, ins[3], ins[2])
+                elif op == OP_MEMORY_SIZE:
+                    if memory is None:
+                        raise WasmTrap("module has no memory")
+                    stack.append(len(mdata) // PAGE_SIZE)
+                elif op == OP_JUMP:
+                    pc = ins[1]
+                elif op == OP_RETURN:
+                    pc = code_len
                 elif op == OP_DROP:
                     stack.pop()
                 elif op == OP_BR_TABLE:
@@ -904,10 +948,6 @@ class FlatVMEngine(ExecutionEngine):
                             f"out-of-bounds memory access at {address} (+{nbytes}), memory is {len(mdata)} bytes"
                         )
                     pack_into(ins[2], mdata, address, float(value))
-                elif op == OP_MEMORY_SIZE:
-                    if memory is None:
-                        raise WasmTrap("module has no memory")
-                    stack.append(len(mdata) // PAGE_SIZE)
                 elif op == OP_MEMORY_GROW:
                     if memory is None:
                         raise WasmTrap("module has no memory")

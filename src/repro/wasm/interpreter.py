@@ -37,6 +37,8 @@ class WasmTrap(WasmError):
 WasmValue = Union[int, float]
 HostFunction = Callable[..., Sequence[WasmValue]]
 
+_I32, _I64, _F32 = ValType.I32, ValType.I64, ValType.F32
+
 
 def _normalize(valtype: ValType, value: WasmValue) -> WasmValue:
     """Normalize a host-supplied value to its canonical runtime form.
@@ -48,9 +50,16 @@ def _normalize(valtype: ValType, value: WasmValue) -> WasmValue:
     the optimizer's conversion-elimination passes rely on.
     """
 
-    if valtype.is_integer:
-        return numerics.wrap(int(value), valtype.bit_width)
-    return numerics.float_canon(float(value), valtype.bit_width)
+    # Identity tests, not ``valtype.is_integer``/``bit_width``: those enum
+    # properties cost more than the normalization itself, which runs on
+    # every external argument and host result.
+    if valtype is _I32:
+        return int(value) & numerics.MASK32
+    if valtype is _I64:
+        return int(value) & numerics.MASK64
+    if valtype is _F32:
+        return numerics.float_canon(float(value), 32)
+    return float(value)
 
 
 # The Wasm 1.0 hard limit: memory is indexed by u32 byte addresses, so it can
@@ -74,10 +83,10 @@ class LinearMemory:
     valid) after releasing and re-creating the cached view.
 
     Callers must not hold a view returned by :meth:`read` across a
-    :meth:`grow` or :meth:`reset` — resizing requires the buffer to be
-    unexported, so either raises a :class:`BufferError` naming the hazard
-    (and leaves the memory unchanged) while a view is outstanding.  Use
-    :meth:`read_bytes` for data that must survive a resize.
+    :meth:`grow` or a resizing :meth:`reset` — resizing requires the buffer
+    to be unexported, so either raises a :class:`BufferError` naming the
+    hazard (and leaves the memory unchanged) while a view is outstanding.
+    Use :meth:`read_bytes` for data that must survive a resize.
     """
 
     pages: int = 1
@@ -128,9 +137,13 @@ class LinearMemory:
         Identity-preserving like :meth:`grow` (bindings to ``data`` stay
         valid) and resizing: a memory grown past ``len(image)`` shrinks back.
         Used by the instance pool to recycle instances without
-        re-instantiating.
+        re-instantiating.  A same-size image is copied through the cached
+        view: no resize, so it succeeds while a :meth:`read` view is held.
         """
 
+        if len(image) == len(self.data):
+            self._view[:] = image
+            return
         self._view.release()
         try:
             self.data[:] = image

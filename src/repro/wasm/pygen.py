@@ -1234,6 +1234,8 @@ def emit_function_chunk(
             # ``n_params`` arguments so the defaults apply, while external
             # invocations with surplus arguments fill local slots directly —
             # the same frame shape the flat VM builds (``args + inits``).
+            # Parameters arrive normalized: ``invoke_index`` normalizes the
+            # entry arguments and every internal producer's value already is.
             slots_sig = [f"l{i}" for i in range(flat.n_params)]
             slots_sig += [
                 f"l{flat.n_params + j}={init!r}" for j, init in enumerate(flat.local_inits)
@@ -1247,8 +1249,6 @@ def emit_function_chunk(
                 em.write("gl = rt.globals")
             if em.uses_memory:
                 em.write("_md = rt.memory.data")
-            for i, valtype in enumerate(flat.functype.params):
-                em.write(f"l{i} = {em.norm_expr(valtype, f'l{i}')}")
             if em.need_br:
                 em.write("_br = 0")
             for line in em.prologue():
@@ -1513,6 +1513,10 @@ class CompiledPyEngine(ExecutionEngine):
                 # builds its historical ``list(args) + local_inits`` frame.
                 return self._flat.invoke_index(instance, index, args)
             args = adapted
+        # Normalize the entry arguments once, as the flat VM's entry frame
+        # does; internal calls pass values that are already normalized.
+        params = flat.functype.params
+        args = [_normalize(params[i], args[i]) for i in range(flat.n_params)] + args[flat.n_params :]
         rt.engine = self
         rt.instance = instance
         rt.globals = instance.globals

@@ -160,6 +160,25 @@ class TestDirectAccess:
         memory.reset(bytes(PAGE_SIZE))
         assert memory.size_pages() == 1
 
+    def test_same_size_reset_restores_in_place_with_a_view_held(self):
+        # A same-size image needs no resize: it is copied through the cached
+        # view, so the backing store keeps its identity and a caller-held
+        # view neither blocks the reset nor goes stale.
+        memory = LinearMemory(1)
+        backing = memory.data
+        memory.write(0, b"init")
+        image = bytes(memory.data)
+        memory.write(0, b"gone")
+        memory.write(PAGE_SIZE - 4, b"tail")
+        view = memory.read(0, 4)
+        memory.reset(image)
+        assert memory.data is backing
+        assert bytes(memory.data) == image
+        assert view == b"init"
+        view.release()
+        assert memory.grow(1) == 1  # the cached view was kept coherent
+        assert memory.read(0, 4) == b"init"
+
     def test_reads_still_work_after_rejected_grow(self):
         # The cached internal view must be re-established after the failure.
         memory = LinearMemory(1)
