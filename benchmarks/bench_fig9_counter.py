@@ -27,8 +27,8 @@ def run_wasm(ticks: int = TICKS) -> int:
     wasm = program.instantiate_wasm()
     wasm.invoke("client", "client_init", [0])
     for _ in range(ticks):
-        wasm.invoke("client", "client_tick", [0])
-    return wasm.invoke("client", "client_total", [0])[0]
+        wasm.invoke("client", "client_tick", [])
+    return wasm.invoke("client", "client_total", [])[0]
 
 
 def test_backends_agree():

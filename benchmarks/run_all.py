@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -91,6 +92,24 @@ def measure_workloads(engine: str) -> dict:
     return results
 
 
+#: Interleaved fresh samples per workload behind the regression gate.
+GATE_SAMPLES = 9
+
+
+def gate_workloads(engine: str) -> dict:
+    """Steps/sec samples per workload on ``engine``: :data:`GATE_SAMPLES`
+    rounds, each taking one fresh sample of every workload in turn, so the
+    samples of one round share the host's state."""
+
+    built = {name: build() for name, build in sorted(WORKLOADS.items())}
+    samples: dict[str, list[float]] = {name: [] for name in built}
+    for _ in range(GATE_SAMPLES):
+        for name, (wasm, calls) in built.items():
+            steps, best = measure_engine(wasm, calls, engine)
+            samples[name].append(steps / best)
+    return {name: {"engine": engine, "samples": values} for name, values in samples.items()}
+
+
 def cross_check_workloads() -> tuple[dict, bool]:
     results: dict[str, dict] = {}
     all_ok = True
@@ -118,15 +137,21 @@ def cross_check_workloads() -> tuple[dict, bool]:
 
 
 def check_regression(fresh: dict, baseline_path: Path, *, threshold: float = 0.25) -> tuple[dict, bool]:
-    """Compare fresh steps/sec against the committed baseline.
+    """Compare fresh steps/sec samples against the committed baseline.
 
-    The verdict uses the *normalized* ratio — each workload's fresh/baseline
-    ratio divided by the median ratio across workloads — so the gate is
-    machine-speed independent: a uniformly slower CI runner shifts every raw
-    ratio but leaves the normalized ones at ~1.0, while a regression that
-    hits some workload harder than the rest drops its normalized ratio below
-    ``1 - threshold`` and fails.  Raw ratios are recorded alongside for
-    same-machine comparisons (where a uniform drop *is* a finding).
+    ``fresh`` maps each workload to its ``engine`` and round-aligned
+    ``samples`` (:func:`gate_workloads`).  The verdict uses *normalized*
+    ratios: in each round, every workload's sample/baseline ratio is divided
+    by that round's median ratio across workloads, and a workload's verdict
+    is the median of its normalized ratios over the rounds.  That makes the
+    gate machine-speed independent — a uniformly slower runner, or a round
+    the host slowed down as a whole, shifts every raw ratio but leaves the
+    normalized ones at ~1.0 — while a regression that hits some workload
+    harder than the rest drops its median normalized ratio below
+    ``1 - threshold`` and fails.  One sample per workload was not enough: on
+    a loaded 2-vCPU host the same code passed and failed from run to run.
+    Median raw ratios are recorded alongside for same-machine comparisons
+    (where a uniform drop *is* a finding).
     """
 
     if not baseline_path.exists():
@@ -137,31 +162,39 @@ def check_regression(fresh: dict, baseline_path: Path, *, threshold: float = 0.2
         return {"checked": False, "reason": f"unreadable baseline: {exc}"}, True
 
     base_workloads = baseline.get("workloads") or {}
-    ratios: dict[str, float] = {}
+    ratios: dict[str, list[float]] = {}
     for name, entry in fresh.items():
         base = base_workloads.get(name, {})
-        if base.get("steps_per_sec") and entry.get("steps_per_sec") and base.get("engine") == entry.get("engine"):
-            ratios[name] = entry["steps_per_sec"] / base["steps_per_sec"]
+        if base.get("steps_per_sec") and entry.get("samples") and base.get("engine") == entry.get("engine"):
+            ratios[name] = [sample / base["steps_per_sec"] for sample in entry["samples"]]
     if not ratios:
         return {"checked": False, "reason": "no comparable workloads in baseline"}, True
 
-    ordered = sorted(ratios.values())
-    median = ordered[len(ordered) // 2]
+    normalized: dict[str, list[float]] = {name: [] for name in ratios}
+    round_medians = []
+    for round_ratios in zip(*ratios.values()):
+        ordered = sorted(round_ratios)
+        median = ordered[len(ordered) // 2]
+        round_medians.append(median)
+        for name, ratio in zip(ratios, round_ratios):
+            normalized[name].append(ratio / median if median else 1.0)
     detail: dict[str, dict] = {}
     all_ok = True
-    for name, ratio in sorted(ratios.items()):
-        normalized = ratio / median if median else 1.0
-        ok = normalized >= 1.0 - threshold
+    for name in sorted(ratios):
+        verdict = statistics.median(normalized[name])
+        ok = verdict >= 1.0 - threshold
         detail[name] = {
-            "ratio": round(ratio, 3),
-            "normalized": round(normalized, 3),
+            "ratio": round(statistics.median(ratios[name]), 3),
+            "normalized": round(verdict, 3),
+            "samples": [round(sample) for sample in fresh[name]["samples"]],
             "ok": ok,
         }
         all_ok = all_ok and ok
     return {
         "checked": True,
         "threshold": threshold,
-        "median_ratio": round(median, 3),
+        "rounds": len(round_medians),
+        "median_ratio": round(statistics.median(round_medians), 3),
         "workloads": detail,
     }, all_ok
 
@@ -241,10 +274,11 @@ def _run(args, sink) -> int:
 
     regression_ok = True
     if args.smoke and not args.no_regression_gate:
-        print("steps/sec regression gate vs committed baseline ...")
-        results["regression_gate"], regression_ok = check_regression(
-            results["workloads"], Path(args.baseline)
-        )
+        print(f"steps/sec regression gate vs committed baseline ({GATE_SAMPLES} interleaved "
+              "samples per workload) ...")
+        with get_tracer().span("bench.regression_gate", engine=args.engine):
+            gated = gate_workloads(args.engine)
+        results["regression_gate"], regression_ok = check_regression(gated, Path(args.baseline))
         gate = results["regression_gate"]
         if not gate["checked"]:
             print(f"  skipped: {gate['reason']}")

@@ -151,8 +151,8 @@ def _linked_counter():
     validate_module(wasm)
     calls = [(export, ()) for export in sorted(wasm.exported_functions()) if export.endswith("._init")]
     calls.append(("client.client_init", (0,)))
-    calls.extend(("client.client_tick", (0,)) for _ in range(COUNTER_TICKS))
-    calls.append(("client.client_total", (0,)))
+    calls.extend(("client.client_tick", ()) for _ in range(COUNTER_TICKS))
+    calls.append(("client.client_total", ()))
     return wasm, calls
 
 

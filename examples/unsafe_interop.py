@@ -68,7 +68,7 @@ def act_3_repaired() -> None:
     # (and engine/cache policy when needed) instead of per-call keywords.
     wasm = program.instantiate_wasm(config=CompileConfig(opt_level="O1"))
     wasm.invoke("client", "store", [42])
-    print("wasm (one shared linear memory): took back", wasm.invoke("client", "take", [0]))
+    print("wasm (one shared linear memory): took back", wasm.invoke("client", "take", []))
 
     # Reading the cell twice is the runtime-checked failure mode the paper
     # describes for ref_to_lin: the second take traps instead of duplicating.

@@ -19,9 +19,10 @@ one result get per chunk, not per request.  Parent → worker ops:
   ``{"id", "export", "args", "max_steps", "trace_id"}`` or a session
   ``{"id", "calls", "max_steps", "trace_id", "session_id"}``; a single
   submit is a one-item chunk
-* ``{"op": "stats", "id"}`` — reply with pool/cache stats + a metrics
+* ``{"op": "stats", "id"}`` — reply with pool/cache stats, a metrics
   snapshot (the dispatcher merges these via
-  :func:`repro.obs.merge_snapshots`)
+  :func:`repro.obs.merge_snapshots`) and the worker's collector state
+  (frozen object count, collections per generation)
 * ``{"op": "crash"}`` — deterministic fault injection for the
   worker-death tests: hard-exit without cleanup (``os._exit``)
 * ``{"op": "shutdown"}`` — drain and exit cleanly
@@ -46,6 +47,7 @@ carries its request's:
 
 from __future__ import annotations
 
+import gc
 import os
 import traceback
 from typing import Optional
@@ -169,6 +171,10 @@ def _stats_record(service) -> dict:
         "pool": asdict(stats.pool),
         "cache": cache,
         "metrics": default_registry().snapshot(),
+        "gc": {
+            "frozen": gc.get_freeze_count(),
+            "collections": [generation["collections"] for generation in gc.get_stats()],
+        },
     }
 
 
@@ -181,6 +187,12 @@ def worker_main(worker_id: int, request_queue, result_queue, payload: dict) -> N
     CLI merges them).
     """
 
+    # A forked worker inherits the parent's whole heap.  Frozen, it is out of
+    # the collector's reach: the worker's first full collection would
+    # otherwise walk every inherited object (and dirty their copy-on-write
+    # pages) for nothing, since the worker never frees them.  Objects a
+    # caller froze before forking stay frozen too: nothing here unfreezes.
+    gc.freeze()
     sink = None
     try:
         _reset_forked_telemetry()

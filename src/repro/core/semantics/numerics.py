@@ -180,15 +180,22 @@ def int_relop(op: str, a: int, b: int, width: int, signed: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
+_F32 = struct.Struct("<f")
+
+
 def float_canon(value: float, width: int) -> float:
     """Round a Python float to f32 precision when needed.
 
-    The result is always a ``float``: ``math.ceil``, ``floor`` and ``trunc``
-    return ints, which are not canonical f64 values.
+    Rounding is to nearest, ties to even; a value that rounds past the f32
+    range becomes ±inf (``struct`` raises ``OverflowError`` exactly then),
+    and NaN stays NaN.  The result is always a ``float``.
     """
 
     if width == 32:
-        return struct.unpack("<f", struct.pack("<f", value))[0]
+        try:
+            return _F32.unpack(_F32.pack(value))[0]
+        except OverflowError:
+            return math.copysign(math.inf, value)
     return float(value)
 
 
@@ -200,13 +207,46 @@ def _float_div(a: float, b: float) -> float:
     return a / b
 
 
+def _float_min(a: float, b: float) -> float:
+    """Wasm ``fmin``: NaN if either operand is NaN, and -0 below +0."""
+
+    if a != a or b != b:
+        return math.nan
+    if a == b:  # equal, or zeros of either sign: prefer the negative one
+        return a if math.copysign(1.0, a) < 0 else b
+    return a if a < b else b
+
+
+def _float_max(a: float, b: float) -> float:
+    """Wasm ``fmax``: NaN if either operand is NaN, and +0 above -0."""
+
+    if a != a or b != b:
+        return math.nan
+    if a == b:
+        return b if math.copysign(1.0, a) < 0 else a
+    return a if a > b else b
+
+
+def _float_rounding(to_integer: Callable[[float], int]) -> Callable[[float], float]:
+    """``ceil``/``floor``/``trunc``/``nearest`` per the Wasm spec: ±inf and
+    NaN come back unchanged, and a zero result keeps the operand's sign
+    (``ceil(-0.5)`` is -0.0)."""
+
+    def rounded(x: float) -> float:
+        if not math.isfinite(x):
+            return x
+        return math.copysign(float(to_integer(x)), x)
+
+    return rounded
+
+
 _FLOAT_BINOPS: dict[str, Callable[[float, float], float]] = {
     "add": operator.add,
     "sub": operator.sub,
     "mul": operator.mul,
     "div": _float_div,
-    "min": min,
-    "max": max,
+    "min": _float_min,
+    "max": _float_max,
     "copysign": math.copysign,
 }
 
@@ -214,10 +254,10 @@ _FLOAT_UNOPS: dict[str, Callable[[float], float]] = {
     "abs": abs,
     "neg": operator.neg,
     "sqrt": lambda x: math.sqrt(x) if x >= 0 else math.nan,
-    "ceil": math.ceil,
-    "floor": math.floor,
-    "trunc": math.trunc,
-    "nearest": lambda x: float(round(x)),
+    "ceil": _float_rounding(math.ceil),
+    "floor": _float_rounding(math.floor),
+    "trunc": _float_rounding(math.trunc),
+    "nearest": _float_rounding(round),  # round() ties to even, as Wasm's nearest does
 }
 
 _FLOAT_RELOPS: dict[str, Callable[[float, float], bool]] = {

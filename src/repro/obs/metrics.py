@@ -25,6 +25,7 @@ unrelated.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Optional, Sequence
 
 __all__ = [
@@ -148,8 +149,6 @@ class Histogram:
         self.max: Optional[float] = None
 
     def observe(self, value) -> None:
-        from bisect import bisect_left
-
         self.counts[bisect_left(self.buckets, value)] += 1
         self.count += 1
         self.sum += value

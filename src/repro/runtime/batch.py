@@ -219,7 +219,11 @@ class BatchRunner:
     def run_one(self, request: Union[Request, Session, tuple]) -> RequestOutcome:
         if not isinstance(request, (Request, Session)):
             (request,) = _normalize_requests([request])
-        with get_tracer().span("request", trace_id=request.trace_id, export=request.export) as span:
+        tracer = get_tracer()
+        # A session's ``export`` is a formatted display string: build it
+        # only for a tracer that records it.
+        export = request.export if tracer.enabled else None
+        with tracer.span("request", trace_id=request.trace_id, export=export) as span:
             entry = self.pool.acquire()
             try:
                 engine = entry.engine

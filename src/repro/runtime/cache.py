@@ -378,18 +378,23 @@ class ModuleCache:
     def program_key(self, richwasm: Module, config) -> str:
         """The program-level cache key: linked content + config content.
 
-        With a disk tier attached, a *fingerprint shortcut* skips the
-        structural walk on warm starts: the pickle bytes of the inputs hash
-        in C speed, and the disk's ``key`` stage maps that fingerprint to
-        the structural key computed the first time.  The shortcut is sound
-        because pickle faithfully encodes the frozen AST — equal bytes imply
-        equal structure, so a mapped key is always the key the walk would
+        A module that already carries its structural digest (the
+        ``_hc_digest`` memo: every module the typecheck store linked, and
+        every link entry loaded from disk or inherited over ``fork``, since
+        the memo travels in the pickle) is keyed directly — a lookup, not a
+        walk.  For a fresh module without one, a disk tier enables a
+        *fingerprint shortcut* that skips the structural walk on warm
+        starts: the pickle bytes of the inputs hash in C speed, and the
+        disk's ``key`` stage maps that fingerprint to the structural key
+        computed the first time.  The shortcut is sound because pickle
+        faithfully encodes the frozen AST — equal bytes imply equal
+        structure, so a mapped key is always the key the walk would
         produce.  The converse does not hold (equal structures built with
         different internal sharing pickle differently), so a fingerprint
         miss only costs the ordinary structural digest, never correctness.
         """
 
-        if self.disk is not None:
+        if self.disk is not None and "_hc_digest" not in getattr(richwasm, "__dict__", ()):
             fingerprint = _program_fingerprint(richwasm, config.content_key())
             if fingerprint is not None:
                 key = self.disk.get("key", fingerprint)

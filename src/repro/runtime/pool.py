@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from ..obs.metrics import default_registry
 from ..wasm.ast import WasmModule
+from ..wasm.engine import ExecutionEngine, unknown_export
 from ..wasm.interpreter import HostFunction, WasmInstance, WasmInterpreter, WasmValue
 
 # Process-wide pool telemetry (every pool in the process accumulates here;
@@ -66,8 +67,9 @@ class InstanceImage:
 class PooledInstance:
     """One pooled ``(interpreter, instance)`` pair plus its reset image.
 
-    The entry binds its interpreter's engine once, so :meth:`invoke` goes
-    straight to :meth:`~repro.wasm.engine.ExecutionEngine.invoke`.
+    The entry binds its interpreter's engine once, so :meth:`invoke` looks
+    the export up itself and goes straight to the engine's
+    :meth:`~repro.wasm.engine.ExecutionEngine.invoke_index`.
     """
 
     __slots__ = ("interpreter", "engine", "instance", "image", "funcs_version", "generation")
@@ -85,7 +87,12 @@ class PooledInstance:
         return self.engine.steps
 
     def invoke(self, export: str, args: Sequence[WasmValue] = ()) -> list[WasmValue]:
-        return self.engine.invoke(self.instance, export, args)
+        instance = self.instance
+        try:
+            index = instance.exports[export]
+        except KeyError:
+            raise unknown_export(export) from None
+        return self.engine.invoke_index(instance, index, args)
 
     def reset(self) -> None:
         """Restore the post-initialization image in place.
@@ -154,8 +161,6 @@ class InstancePool:
         setup: Optional[Callable[[WasmInterpreter, WasmInstance], None]] = None,
         max_size: int = 4,
     ) -> None:
-        from ..wasm.engine import ExecutionEngine
-
         if isinstance(engine, ExecutionEngine):
             raise TypeError(
                 "InstancePool needs an engine *name* (or None); a shared engine "

@@ -126,6 +126,8 @@ from .interpreter import (
     WasmTrap,
     WasmValue,
     _normalize,
+    arity_error,
+    entry_normalizer,
 )
 
 DEFAULT_ENGINE = "flat"
@@ -231,12 +233,31 @@ class ExecutionEngine(ABC):
         try:
             index = instance.exports[name]
         except KeyError:
-            raise WasmError(f"no export named {name!r}") from None
-        return self.invoke_index(instance, index, list(args))
+            raise unknown_export(name) from None
+        return self.invoke_index(instance, index, args)
 
     @abstractmethod
-    def invoke_index(self, instance: WasmInstance, index: int, args: list[WasmValue]) -> list[WasmValue]:
-        """Execute function ``index`` of ``instance`` with ``args``."""
+    def invoke_index(self, instance: WasmInstance, index: int, args: Sequence[WasmValue]) -> list[WasmValue]:
+        """Execute function ``index`` of ``instance`` with ``args``: the
+        external entry.  ``args`` is read, never kept or mutated; a count
+        other than the function's parameter count raises
+        :func:`~repro.wasm.interpreter.arity_error`."""
+
+
+def unknown_export(name: str) -> WasmError:
+    """The error an invocation of a name ``instance.exports`` lacks raises."""
+
+    return WasmError(f"no export named {name!r}")
+
+
+def _call_host(instance: WasmInstance, index: int, fn, functype, args: Sequence[WasmValue]) -> list[WasmValue]:
+    """An external call of a host-function slot: the arguments go to ``fn``
+    as given, checked against the declared import type when there is one."""
+
+    if functype is not None and len(args) != len(functype.params):
+        raise arity_error(instance, index, len(functype.params), len(args))
+    results = fn(*args)
+    return list(results) if results is not None else []
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +276,24 @@ class TreeWalkingEngine(ExecutionEngine):
         # attached (the sampler's attribution source).
         self._profile_stack: list = []
 
-    def invoke_index(self, instance: WasmInstance, index: int, args: list[WasmValue]) -> list[WasmValue]:
+    def invoke_index(self, instance: WasmInstance, index: int, args: Sequence[WasmValue]) -> list[WasmValue]:
         target = instance.funcs[index]
-        if callable(target) and not isinstance(target, WasmFunction):
+        if not isinstance(target, WasmFunction):
+            declared = instance.module.functions[index] if index < len(instance.module.functions) else None
+            functype = declared.functype if isinstance(declared, WasmImportedFunction) else None
+            return _call_host(instance, index, target, functype, args)
+        if len(args) != len(target.functype.params):
+            raise arity_error(instance, index, len(target.functype.params), len(args))
+        return self._invoke(instance, index, args)
+
+    def _invoke(self, instance: WasmInstance, index: int, args: Sequence[WasmValue]) -> list[WasmValue]:
+        """Run function ``index``: the entry and every internal call."""
+
+        target = instance.funcs[index]
+        if not isinstance(target, WasmFunction):
             results = target(*args)
             return list(results) if results is not None else []
-        assert isinstance(target, WasmFunction)
-        locals_: list[WasmValue] = list(args)
-        for position, valtype in enumerate(target.functype.params[: len(locals_)]):
-            locals_[position] = _normalize(valtype, locals_[position])
+        locals_: list[WasmValue] = [_normalize(valtype, arg) for valtype, arg in zip(target.functype.params, args)]
         for valtype in target.locals:
             locals_.append(0 if valtype.is_integer else 0.0)
         stack: list[WasmValue] = []
@@ -430,7 +460,7 @@ class TreeWalkingEngine(ExecutionEngine):
             if target.functype != expected:
                 raise WasmTrap("indirect call type mismatch")
         args = [stack.pop() for _ in functype.params][::-1]
-        results = self.invoke_index(instance, index, args)
+        results = self._invoke(instance, index, args)
         if not isinstance(target, WasmFunction):
             # Host results enter the stack unchecked; normalize them so the
             # all-values-normalized invariant holds (defined functions already
@@ -610,32 +640,42 @@ class FlatVMEngine(ExecutionEngine):
         decoded = decode_instance(instance)
         instance.decoded = decoded
         instance.decoded_snapshot = CodeSnapshot(instance.funcs)
+        instance.entry_normalizers = [None] * len(decoded)
         return decoded
 
-    def invoke_index(self, instance: WasmInstance, index: int, args: list[WasmValue]) -> list[WasmValue]:
+    def invoke_index(self, instance: WasmInstance, index: int, args: Sequence[WasmValue]) -> list[WasmValue]:
         snapshot = instance.decoded_snapshot
-        if snapshot is not None and snapshot.is_current(instance.funcs):
-            decoded = instance.decoded
-        else:
+        if snapshot is None or (
+            instance.funcs.version != snapshot.version and not snapshot.is_current(instance.funcs)
+        ):
             # Instance was created by another engine (decode on first use) or
             # its function table was patched since the last decode.
-            decoded = self._decode(instance)
+            self._decode(instance)
+        decoded = instance.decoded
         entry = decoded[index]
         if type(entry) is HostEntry:
-            results = entry.fn(*args)
-            return list(results) if results is not None else []
-        return self._run(instance, decoded, index, args)
+            return _call_host(instance, index, entry.fn, entry.functype, args)
+        if len(args) != entry.n_params:
+            raise arity_error(instance, index, entry.n_params, len(args))
+        if args:
+            normalize = instance.entry_normalizers[index]
+            if normalize is None:
+                normalize = instance.entry_normalizers[index] = entry_normalizer(entry.functype.params)
+            return self._run(instance, decoded, index, normalize(*args))
+        return self._run(instance, decoded, index, [])
 
     def _run(
         self, instance: WasmInstance, decoded: list, index: int, args: list[WasmValue], resume=None
     ) -> list[WasmValue]:
         """Run function ``index`` to its return.
 
-        ``resume`` — ``(pc, locals, stack, labels)`` — enters the function
-        mid-body instead of at pc 0 with ``args``: the compiled tier hands
-        an activation over this way when a step budget or profiler sample
-        falls inside one of its step chunks (``stack`` is the activation's
-        own operand stack; ``labels`` its enclosing label stack).
+        ``args`` — normalized, one per parameter — becomes the entry frame's
+        locals (the list is taken over).  ``resume`` — ``(pc, locals,
+        stack, labels)`` — enters the function mid-body instead of at pc 0:
+        the compiled tier hands an activation over this way when a step
+        budget or profiler sample falls inside one of its step chunks
+        (``stack`` is the activation's own operand stack; ``labels`` its
+        enclosing label stack).
         """
 
         flat: FlatFunction = decoded[index]
@@ -646,12 +686,7 @@ class FlatVMEngine(ExecutionEngine):
         mdata = memory.data if memory is not None else None
 
         if resume is None:
-            # Entry frame: normalize arguments (mirrors the tree walker,
-            # which normalizes the provided prefix of the parameter list).
-            locals_: list[WasmValue] = list(args)
-            params = flat.functype.params
-            for position in range(min(len(params), len(locals_))):
-                locals_[position] = _normalize(params[position], locals_[position])
+            locals_: list[WasmValue] = args
             locals_.extend(flat.local_inits)
             stack: list[WasmValue] = []
             labels: list[tuple] = []

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from ..core.semantics import numerics
 from ..core.typing.errors import WasmError
-from .ast import PAGE_SIZE, ValType, WasmModule
+from .ast import PAGE_SIZE, ValType, WasmFunction, WasmImportedFunction, WasmModule
 
 
 class WasmTrap(WasmError):
@@ -60,6 +60,57 @@ def _normalize(valtype: ValType, value: WasmValue) -> WasmValue:
     if valtype is _F32:
         return numerics.float_canon(float(value), 32)
     return float(value)
+
+
+# Per-type normalizing expressions over a parameter name, for
+# :func:`entry_normalizer` (the same rules as :func:`_normalize`).
+_NORMALIZE_EXPR = {
+    _I32: "int({0}) & 0xFFFFFFFF",
+    _I64: "int({0}) & 0xFFFFFFFFFFFFFFFF",
+    _F32: "_canon(float({0}), 32)",
+    ValType.F64: "float({0})",
+}
+_ENTRY_NORMALIZERS: dict[tuple, Callable[..., list]] = {}
+
+
+def entry_normalizer(params: Sequence[ValType]) -> Callable[..., list]:
+    """A function taking one argument per parameter in ``params`` and
+    returning the list of them normalized as :func:`_normalize` would.
+
+    External calls apply it once per call; engines keep it per function
+    slot (``WasmInstance.entry_normalizers``), so the parameter types are
+    tested once per function rather than once per argument and call.  One
+    function is generated per distinct signature.
+    """
+
+    key = tuple(valtype.value for valtype in params)
+    normalize = _ENTRY_NORMALIZERS.get(key)
+    if normalize is None:
+        names = [f"a{position}" for position in range(len(params))]
+        values = ", ".join(_NORMALIZE_EXPR[valtype].format(name) for valtype, name in zip(params, names))
+        namespace = {"_canon": numerics.float_canon}
+        exec(f"def normalize({', '.join(names)}):\n    return [{values}]", namespace)
+        normalize = _ENTRY_NORMALIZERS[key] = namespace["normalize"]
+    return normalize
+
+
+def arity_error(instance: "WasmInstance", index: int, expected: int, got: int) -> WasmError:
+    """The error every engine raises for an external call whose argument
+    count differs from the function's parameter count (Wasm has no such
+    call; surplus arguments would otherwise land in local slots)."""
+
+    target = instance.funcs[index]
+    declared = instance.module.functions[index] if index < len(instance.module.functions) else None
+    if isinstance(target, WasmFunction):
+        name = target.name
+    elif isinstance(declared, WasmImportedFunction):
+        name = f"{declared.module}.{declared.name}"
+    else:
+        name = None
+    name = name or f"#{index}"
+    return WasmError(
+        f"function {name!r} takes {expected} argument{'' if expected == 1 else 's'}, called with {got}"
+    )
 
 
 # The Wasm 1.0 hard limit: memory is indexed by u32 byte addresses, so it can
@@ -275,6 +326,10 @@ class WasmInstance:
     decoded_snapshot: Optional[CodeSnapshot] = field(default=None, repr=False, compare=False)
     # The compiled tier's per-instance translation (``repro.wasm.pygen``).
     compiled_py: Optional[object] = field(default=None, repr=False, compare=False)
+    # Per-slot :func:`entry_normalizer` for external calls, filled on a
+    # slot's first external call with arguments and reset with every
+    # (re)decode.
+    entry_normalizers: Optional[list] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.funcs) is not FuncList:
@@ -326,7 +381,7 @@ class WasmInterpreter:
     def invoke(self, instance: WasmInstance, name: str, args: Sequence[WasmValue] = ()) -> list[WasmValue]:
         return self.engine.invoke(instance, name, args)
 
-    def invoke_index(self, instance: WasmInstance, index: int, args: list[WasmValue]) -> list[WasmValue]:
+    def invoke_index(self, instance: WasmInstance, index: int, args: Sequence[WasmValue]) -> list[WasmValue]:
         return self.engine.invoke_index(instance, index, args)
 
     def _eval_const_expr(self, body, instance: WasmInstance) -> WasmValue:

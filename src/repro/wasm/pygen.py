@@ -57,7 +57,7 @@ import re
 import struct
 import time
 import weakref
-from typing import ClassVar, Optional
+from typing import ClassVar, Optional, Sequence
 
 from ..core.semantics import numerics
 from ..obs.metrics import default_registry
@@ -106,8 +106,8 @@ from .decode import (
     decode_instance,
     decode_module,
 )
-from .engine import ENGINES, ExecutionEngine, FlatVMEngine
-from .interpreter import CodeSnapshot, WasmInstance, WasmTrap, WasmValue, _normalize
+from .engine import ENGINES, ExecutionEngine, FlatVMEngine, _call_host
+from .interpreter import CodeSnapshot, WasmInstance, WasmTrap, WasmValue, _normalize, arity_error, entry_normalizer
 
 _INF = float("inf")
 
@@ -1230,12 +1230,11 @@ def emit_function_chunk(
         pool.values.update(_WT=WasmTrap, _NT=numerics.NumericTrap, _FF=FlatFunction, _OOB=_oob_trap, _dp=_deopt)
         em = emitter_cls(index, flat, slots, module, pool)
         try:
-            # Locals are defaulted parameters: internal calls pass exactly
-            # ``n_params`` arguments so the defaults apply, while external
-            # invocations with surplus arguments fill local slots directly —
-            # the same frame shape the flat VM builds (``args + inits``).
-            # Parameters arrive normalized: ``invoke_index`` normalizes the
-            # entry arguments and every internal producer's value already is.
+            # Locals are defaulted parameters: every call, internal or
+            # external, passes exactly ``n_params`` arguments, so the
+            # defaults are the local inits.  Parameters arrive normalized:
+            # ``invoke_index`` normalizes the entry arguments and every
+            # internal producer's value already is.
             slots_sig = [f"l{i}" for i in range(flat.n_params)]
             slots_sig += [
                 f"l{flat.n_params + j}={init!r}" for j, init in enumerate(flat.local_inits)
@@ -1401,8 +1400,10 @@ def _deopt(rt, steps: int, frame: dict, index: int, pc: int, count: int, depth, 
 
 
 class _Runtime:
-    """Per-instance state the generated code reads: ``decoded`` and
-    ``targets`` are set per translation, the rest refreshed per invoke."""
+    """Per-instance state the generated code reads: ``instance``,
+    ``decoded`` and ``targets`` are set per translation; the engine and the
+    instance's globals, memory and table are bound at the first invoke and
+    rebound only when one of them changes identity."""
 
     __slots__ = ("engine", "instance", "globals", "memory", "table", "decoded", "targets")
 
@@ -1483,6 +1484,8 @@ class CompiledPyEngine(ExecutionEngine):
             # (the module-level artifact would run stale code).
             translation = translate_functions(decoded, instance.module)
         rt = _Runtime()
+        rt.engine = rt.globals = rt.memory = rt.table = None  # bound at the first invoke
+        rt.instance = instance
         rt.decoded = decoded
         targets = list(translation.functions)
         rt.targets = targets
@@ -1492,78 +1495,46 @@ class CompiledPyEngine(ExecutionEngine):
         # Keep the flat VM's decode cache coherent too: we just decoded.
         instance.decoded = decoded
         instance.decoded_snapshot = snapshot
+        instance.entry_normalizers = [None] * len(decoded)
         return compiled
 
     # -- invocation ---------------------------------------------------------
 
-    def invoke_index(self, instance: WasmInstance, index: int, args: list[WasmValue]) -> list[WasmValue]:
+    def invoke_index(self, instance: WasmInstance, index: int, args: Sequence[WasmValue]) -> list[WasmValue]:
         compiled: Optional[_CompiledInstance] = instance.compiled_py
-        if compiled is None or not compiled.snapshot.is_current(instance.funcs):
+        if compiled is None or (
+            instance.funcs.version != compiled.snapshot.version and not compiled.snapshot.is_current(instance.funcs)
+        ):
             compiled = self._compile_instance(instance)
         rt = compiled.rt
         flat = rt.decoded[index]
         if type(flat) is HostEntry:
-            results = flat.fn(*args)
-            return list(results) if results is not None else []
+            return _call_host(instance, index, flat.fn, flat.functype, args)
+        # Internal calls never come through here: the generated code calls
+        # its targets directly, so this is the one external entry.  Its
+        # arguments are normalized once, as the flat VM's entry frame does.
         if len(args) != flat.n_params:
-            adapted = self._adapt_entry_args(flat, args)
-            if adapted is None:
-                # Validation guarantees exact arity for internal calls, so
-                # only an external invocation lands here: the flat twin
-                # builds its historical ``list(args) + local_inits`` frame.
-                return self._flat.invoke_index(instance, index, args)
-            args = adapted
-        # Normalize the entry arguments once, as the flat VM's entry frame
-        # does; internal calls pass values that are already normalized.
-        params = flat.functype.params
-        args = [_normalize(params[i], args[i]) for i in range(flat.n_params)] + args[flat.n_params :]
-        rt.engine = self
-        rt.instance = instance
-        rt.globals = instance.globals
-        rt.memory = instance.memory
-        rt.table = instance.table
+            raise arity_error(instance, index, flat.n_params, len(args))
+        if rt.engine is not self or rt.globals is not instance.globals or rt.memory is not instance.memory \
+                or rt.table is not instance.table:
+            rt.engine = self
+            rt.globals = instance.globals
+            rt.memory = instance.memory
+            rt.table = instance.table
         limit = self.max_steps
         boundary = limit + 1 if limit is not None else _INF
         if self.profiler is not None:
             boundary = self._current_boundary()
-        result = compiled.targets[index](rt, self.steps, boundary, *args)
+        if args:
+            normalize = instance.entry_normalizers[index]
+            if normalize is None:
+                normalize = instance.entry_normalizers[index] = entry_normalizer(flat.functype.params)
+            result = compiled.targets[index](rt, self.steps, boundary, *normalize(*args))
+        else:
+            result = compiled.targets[index](rt, self.steps, boundary)
         self.steps = result[0]
-        return list(result[1:])
-
-    @staticmethod
-    def _adapt_entry_args(flat, args: list[WasmValue]) -> Optional[list[WasmValue]]:
-        """Map a surplus-argument entry call onto the generated signature.
-
-        The flat VM's entry frame is ``list(args)`` with the local inits
-        appended, so surplus arguments occupy leading local slots and push
-        the inits outward.  The generated functions take locals as defaulted
-        parameters, so passing the surplus arguments through reproduces that
-        frame exactly — provided every slot still covered by a default would
-        receive the same init value the flat VM's shifted frame gives it.
-        Returns the argument list to pass, or ``None`` when only the flat
-        twin can reproduce the historical semantics (missing arguments, an
-        init shift that changes a slot's value/type, or a surplus argument
-        that is not a normalized value of its slot's kind: generated code
-        relies on every integer being non-negative, and nothing normalizes
-        a surplus argument)."""
-
-        supplied, n_params = len(args), flat.n_params
-        if supplied < n_params:
-            return None
-        inits = flat.local_inits
-        total = n_params + len(inits)
-        for position in range(n_params, min(supplied, total)):
-            value, init = args[position], inits[position - n_params]
-            if type(value) is not type(init) or (type(value) is int and not 0 <= value <= 0xFFFFFFFF):
-                return None
-        if supplied >= total:
-            # Every readable slot is an argument; extras are unreachable.
-            return args[:total]
-        for position in range(supplied, total):
-            lead, shifted = inits[position - n_params], inits[position - supplied]
-            if type(lead) is not type(shifted) or lead != shifted:
-                return None
-        return args
+        # Most functions return one value; that case skips the slice.
+        return [result[1]] if len(result) == 2 else list(result[1:])
 
 
 class _FlatTwin(FlatVMEngine):

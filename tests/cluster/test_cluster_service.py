@@ -166,6 +166,23 @@ class TestTrapIsolation:
         assert followup.ok and followup.values[-1] == [7]
 
 
+    def test_arity_mismatch_is_worker_error_not_crash(self, cluster):
+        # A call with surplus (or missing) arguments is malformed, like an
+        # unknown export: that item fails as a worker error naming the
+        # function and both counts, and the worker keeps serving.
+        for request in (Request("client.client_tick", (1,)), Request("client.client_init", ())):
+            outcome = cluster.dispatcher.run_one(request)
+            assert not outcome.ok
+            assert outcome.trap_kind == "worker_error"
+            expected = "takes 0 arguments, called with 1" if request.args else "takes 1 argument, called with 0"
+            assert expected in outcome.trap
+        session = Session(calls=(("client.client_init", (1,)), ("client.client_tick", (1,))),
+                          session_id="bad-arity")
+        assert cluster.dispatcher.run_one(session).trap_kind == "worker_error"
+        followup = cluster.session(_session(3).calls, session_id="after-arity")
+        assert followup.ok and followup.values[-1] == [7]
+
+
 class TestBackpressure:
     def test_fail_mode_raises_cluster_queue_full(self):
         with api.serve(counter_program(), {"cache": "private", "workers": 2}) as service:
@@ -283,6 +300,10 @@ class TestStats:
         for record in stats.workers.values():
             assert record["pid"] > 0
             assert "pool" in record and "metrics" in record
+            # The worker froze the heap it started with, so the collector
+            # never walks it.
+            assert record["gc"]["frozen"] > 0
+            assert len(record["gc"]["collections"]) == 3
         merged = {entry["name"]: entry for entry in stats.metrics}
         assert "runtime.requests" in merged
         per_worker_total = sum(

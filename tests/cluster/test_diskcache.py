@@ -238,8 +238,10 @@ class TestModuleCacheTiering:
         first = ModuleCache(disk=DiskCache(tmp_path))
         api.compile(modules, CompileConfig(cache="private"), cache=first)
         assert first.disk.stats["disk.program"].misses >= 1
-        # One entry per artifact: the link, the fingerprint's key, the program.
-        assert sorted(entry.stage for entry in first.disk.entries()) == ["key", "link", "program"]
+        # One entry per artifact: the link and the program.  The linked
+        # module carries its structural digest, so no fingerprint ``key``
+        # entry is written.
+        assert sorted(entry.stage for entry in first.disk.entries()) == ["link", "program"]
 
         # A second ModuleCache over the same directory models a fresh
         # process: its memory tier is empty, the disk tier is warm.

@@ -60,7 +60,7 @@ class TestFig3:
         program = Program(safe.modules())
         wasm = program.instantiate_wasm()
         wasm.invoke("client", "store", [7])
-        assert wasm.invoke("client", "take", [0]) == [7]
+        assert wasm.invoke("client", "take", []) == [7]
 
     def test_taking_twice_traps(self):
         _, safe = fig3_programs()
@@ -87,8 +87,8 @@ class TestFig9Counter:
         wasm = program.instantiate_wasm()
         wasm.invoke("client", "client_init", [10])
         for _ in range(3):
-            wasm.invoke("client", "client_tick", [0])
-        assert wasm.invoke("client", "client_total", [0]) == [13]
+            wasm.invoke("client", "client_tick", [])
+        assert wasm.invoke("client", "client_total", []) == [13]
 
     def test_custom_increment(self):
         program = Program(counter_program(increment=5).modules())
@@ -106,10 +106,10 @@ class TestFig9Counter:
         wasm.invoke("client", "client_init", [1])
         for _ in range(5):
             instance.invoke("client", "client_tick", [UnitV()])
-            wasm.invoke("client", "client_tick", [0])
+            wasm.invoke("client", "client_tick", [])
         assert (
             instance.invoke("client", "client_total", [UnitV()])[0].value
-            == wasm.invoke("client", "client_total", [0])[0]
+            == wasm.invoke("client", "client_total", [])[0]
         )
 
 
@@ -161,7 +161,7 @@ class TestWasmInvokeResolution:
         # The linked module re-exports bare names for the same indices; a
         # module prefix that does not exist still resolves via the bare name.
         wasm.invoke("nosuchmodule", "client_init", [3])
-        assert wasm.invoke("client", "client_total", [0]) == [3]
+        assert wasm.invoke("client", "client_total", []) == [3]
 
     def test_ambiguous_bare_and_qualified_raise(self):
         program = Program(counter_program().modules())

@@ -116,8 +116,8 @@ class TestCrossLanguagePrograms:
         wasm = program.instantiate_wasm()
         wasm.invoke("client", "client_init", [0])
         for _ in range(6):
-            wasm.invoke("client", "client_tick", [0])
-        wasm_total = wasm.invoke("client", "client_total", [0])[0]
+            wasm.invoke("client", "client_tick", [])
+        wasm_total = wasm.invoke("client", "client_total", [])[0]
 
         assert interp_total == wasm_total == 6
 

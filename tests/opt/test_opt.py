@@ -334,8 +334,8 @@ class TestDifferentialHarness:
         program = Program(counter_program().modules())
         plain = program.lower()
         optimized = program.lower(config=O2)
-        calls = [("client.client_init", (0,))] + [("client.client_tick", (0,))] * 5 + [
-            ("client.client_total", (0,)),
+        calls = [("client.client_init", (0,))] + [("client.client_tick", ())] * 5 + [
+            ("client.client_total", ()),
         ]
         report = run_differential(plain.wasm, optimized.wasm, calls)
         assert report.ok

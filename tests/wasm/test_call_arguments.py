@@ -271,9 +271,9 @@ class TestCallArgumentDifferential:
 
 
 def test_flat_internal_calls_do_not_renormalize(monkeypatch):
-    """Only the entry frame normalizes: a chain of internal calls adds no
-    ``_normalize`` call, and an external ``-5`` still arrives as its i32
-    bit pattern."""
+    """Only the entry frame normalizes, through the function's entry
+    normalizer: a chain of internal calls adds no ``_normalize`` call, and
+    an external ``-5`` still arrives as its i32 bit pattern."""
 
     identity = WasmFunction(FT((I32,), (I32,)), (), (LocalGet(0),), name="identity")
     main = WasmFunction(FT((I32,), (I32,)), (), (
@@ -288,7 +288,19 @@ def test_flat_internal_calls_do_not_renormalize(monkeypatch):
         calls.append(value)
         return original(valtype, value)
 
+    original_entry = engine_module.entry_normalizer
+
+    def counting_entry(params):
+        normalize = original_entry(params)
+
+        def counted(*args):
+            calls.extend(args)
+            return normalize(*args)
+
+        return counted
+
     monkeypatch.setattr(engine_module, "_normalize", counting)
+    monkeypatch.setattr(engine_module, "entry_normalizer", counting_entry)
     interp = WasmInterpreter(engine="flat")
     instance = interp.instantiate(module)
     assert interp.invoke(instance, "main", [-5]) == [0xFFFFFFFA]

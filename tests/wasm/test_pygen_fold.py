@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.semantics import numerics
+from repro.core.typing.errors import WasmError
 from repro.obs import StepProfiler
 from repro.wasm import (
     Binop,
@@ -400,19 +401,33 @@ class TestFoldingDifferential:
                 assert observed[engine] == observed["flat"], f"seed {seed}, {run}: {engine} differs from flat"
 
 
-def test_unnormalized_surplus_arguments_match_flat():
-    # Surplus entry arguments fill declared locals unnormalized, on the
-    # flat VM as on the tree walker; generated code relies on normalized
-    # integers, so such calls must reach the same answer.
+def test_arity_mismatched_entry_calls_are_rejected():
+    # Wasm has no call with surplus or missing arguments: every engine
+    # rejects one at the entry with the same WasmError, before it executes
+    # a step or touches memory.  The exact-arity call still agrees.
     main = WasmFunction(FT((I32,), (I32,)), (I32, I32), (
         LocalGet(1), LocalGet(2), StoreI(I32),
         LocalGet(1), Load(I32), LocalGet(0), Binop(I32, "add"),
     ), name="main", exports=("main",))
     module = WasmModule(functions=(main,), memory=WasmMemory(1, 1))
     validate_module(module)
-    for args in ([8], [8, 16], [8, 16, 7], [8, -4, 7], [8, 16, -1], [8, 2**40, 1], [8, 16, 2**33 + 5],
+    for args in ([], [8], [8, 16], [8, 16, 7], [8, -4, 7], [8, 16, -1], [8, 2**40, 1], [8, 16, 2**33 + 5],
                  [8, 16, 2.5], [8, True, 3]):
-        observed = {engine: _observe(module, engine, tuple(args)) for engine in _ENGINES}
+        observed = {}
+        for engine in _ENGINES:
+            interp = WasmInterpreter(engine=engine)
+            inst = interp.instantiate(module)
+            try:
+                outcome = ("ok", interp.invoke(inst, "main", args))
+            except WasmError as error:
+                assert not isinstance(error, WasmTrap), (args, engine)
+                outcome = ("error", str(error))
+            observed[engine] = (outcome, interp.steps, bytes(inst.memory.data))
+        if len(args) == 1:
+            assert observed["flat"][0] == ("ok", [8])
+        else:
+            message = f"function 'main' takes 1 argument, called with {len(args)}"
+            assert observed["flat"] == (("error", message), 0, bytes(65536)), args
         for engine in _ENGINES:
             assert observed[engine] == observed["flat"], (args, engine)
 
