@@ -59,21 +59,39 @@ from workloads import (  # noqa: E402
 )
 
 
-def measure_workloads(engine: str) -> dict:
+#: Rounds of steps/sec samples per workload behind the regression gate.
+GATE_SAMPLES = 9
+
+
+def measure_workloads(engine: str, *, rounds: int = 1) -> dict:
     """Per-workload timings on ``engine``, plus an all-engines breakdown.
 
     The top-level numbers stay keyed to the requested ``--engine`` (that is
     what the regression gate compares), while ``engines`` records steps/sec
     for every registered engine so one results file shows the whole
     tree → flat → compiled trajectory.
+
+    ``engine`` is timed first, in ``rounds`` rounds that each take one
+    fresh sample of every workload in turn, so the samples of one round
+    share the host's state; ``samples`` lists them per workload, and the
+    recorded figures are the median round's.  The other engines follow,
+    one sample each.
     """
 
+    built = {name: build() for name, build in sorted(WORKLOADS.items())}
+    timed: dict[str, list[tuple[int, float]]] = {name: [] for name in built}
+    for _ in range(rounds):
+        for name, (wasm, calls) in built.items():
+            timed[name].append(measure_engine(wasm, calls, engine))
+
     results: dict[str, dict] = {}
-    for name, build in sorted(WORKLOADS.items()):
-        wasm, calls = build()
+    for name, (wasm, calls) in built.items():
         per_engine: dict[str, dict] = {}
         for candidate in available_engines():
-            steps, best = measure_engine(wasm, calls, candidate)
+            if candidate == engine:
+                steps, best = sorted(timed[name], key=lambda sample: sample[1])[rounds // 2]
+            else:
+                steps, best = measure_engine(wasm, calls, candidate)
             per_engine[candidate] = {
                 "steps": steps,
                 "wall_s": round(best, 6),
@@ -87,27 +105,10 @@ def measure_workloads(engine: str) -> dict:
             "instructions": wasm.instruction_count(),
             "wall_s": primary["wall_s"],
             "steps_per_sec": primary["steps_per_sec"],
+            "samples": [round(steps / best) if best else None for steps, best in timed[name]],
             "engines": per_engine,
         }
     return results
-
-
-#: Interleaved fresh samples per workload behind the regression gate.
-GATE_SAMPLES = 9
-
-
-def gate_workloads(engine: str) -> dict:
-    """Steps/sec samples per workload on ``engine``: :data:`GATE_SAMPLES`
-    rounds, each taking one fresh sample of every workload in turn, so the
-    samples of one round share the host's state."""
-
-    built = {name: build() for name, build in sorted(WORKLOADS.items())}
-    samples: dict[str, list[float]] = {name: [] for name in built}
-    for _ in range(GATE_SAMPLES):
-        for name, (wasm, calls) in built.items():
-            steps, best = measure_engine(wasm, calls, engine)
-            samples[name].append(steps / best)
-    return {name: {"engine": engine, "samples": values} for name, values in samples.items()}
 
 
 def cross_check_workloads() -> tuple[dict, bool]:
@@ -140,7 +141,8 @@ def check_regression(fresh: dict, baseline_path: Path, *, threshold: float = 0.2
     """Compare fresh steps/sec samples against the committed baseline.
 
     ``fresh`` maps each workload to its ``engine`` and round-aligned
-    ``samples`` (:func:`gate_workloads`).  The verdict uses *normalized*
+    ``samples`` (:func:`measure_workloads`); a workload missing a sample is
+    left out, like one the baseline lacks.  The verdict uses *normalized*
     ratios: in each round, every workload's sample/baseline ratio is divided
     by that round's median ratio across workloads, and a workload's verdict
     is the median of its normalized ratios over the rounds.  That makes the
@@ -165,8 +167,9 @@ def check_regression(fresh: dict, baseline_path: Path, *, threshold: float = 0.2
     ratios: dict[str, list[float]] = {}
     for name, entry in fresh.items():
         base = base_workloads.get(name, {})
-        if base.get("steps_per_sec") and entry.get("samples") and base.get("engine") == entry.get("engine"):
-            ratios[name] = [sample / base["steps_per_sec"] for sample in entry["samples"]]
+        samples = entry.get("samples")
+        if base.get("steps_per_sec") and samples and all(samples) and base.get("engine") == entry.get("engine"):
+            ratios[name] = [sample / base["steps_per_sec"] for sample in samples]
     if not ratios:
         return {"checked": False, "reason": "no comparable workloads in baseline"}, True
 
@@ -186,7 +189,7 @@ def check_regression(fresh: dict, baseline_path: Path, *, threshold: float = 0.2
         detail[name] = {
             "ratio": round(statistics.median(ratios[name]), 3),
             "normalized": round(verdict, 3),
-            "samples": [round(sample) for sample in fresh[name]["samples"]],
+            "samples": fresh[name]["samples"],
             "ok": ok,
         }
         all_ok = all_ok and ok
@@ -262,9 +265,10 @@ def _run(args, sink) -> int:
         "python": sys.version.split()[0],
     }
 
+    gated = args.smoke and not args.no_regression_gate
     print(f"workload timings on the {args.engine!r} engine ...")
     with get_tracer().span("bench.workloads", engine=args.engine):
-        results["workloads"] = measure_workloads(args.engine)
+        results["workloads"] = measure_workloads(args.engine, rounds=GATE_SAMPLES if gated else 1)
     for name, entry in results["workloads"].items():
         breakdown = ", ".join(
             f"{engine} {stats['steps_per_sec']:,}" for engine, stats in entry["engines"].items()
@@ -273,12 +277,10 @@ def _run(args, sink) -> int:
               f"{entry['calls']} calls; {breakdown})")
 
     regression_ok = True
-    if args.smoke and not args.no_regression_gate:
-        print(f"steps/sec regression gate vs committed baseline ({GATE_SAMPLES} interleaved "
+    if gated:
+        print(f"steps/sec regression gate vs committed baseline ({GATE_SAMPLES} rounds of "
               "samples per workload) ...")
-        with get_tracer().span("bench.regression_gate", engine=args.engine):
-            gated = gate_workloads(args.engine)
-        results["regression_gate"], regression_ok = check_regression(gated, Path(args.baseline))
+        results["regression_gate"], regression_ok = check_regression(results["workloads"], Path(args.baseline))
         gate = results["regression_gate"]
         if not gate["checked"]:
             print(f"  skipped: {gate['reason']}")

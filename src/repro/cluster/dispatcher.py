@@ -441,7 +441,7 @@ class Dispatcher:
     def worker_stats(self) -> dict[int, dict]:
         """Per-slot stats records from every live worker (dead slots absent).
 
-        Each record is the worker's ``{"pid", "pool", "cache", "metrics", "gc"}``
+        Each record is the worker's ``{"pid", "pool", "cache", "metrics"}``
         bundle; merge the metrics with :func:`repro.obs.merge_snapshots`.
         """
 

@@ -19,10 +19,9 @@ one result get per chunk, not per request.  Parent → worker ops:
   ``{"id", "export", "args", "max_steps", "trace_id"}`` or a session
   ``{"id", "calls", "max_steps", "trace_id", "session_id"}``; a single
   submit is a one-item chunk
-* ``{"op": "stats", "id"}`` — reply with pool/cache stats, a metrics
+* ``{"op": "stats", "id"}`` — reply with pool/cache stats + a metrics
   snapshot (the dispatcher merges these via
-  :func:`repro.obs.merge_snapshots`) and the worker's collector state
-  (frozen object count, collections per generation)
+  :func:`repro.obs.merge_snapshots`)
 * ``{"op": "crash"}`` — deterministic fault injection for the
   worker-death tests: hard-exit without cleanup (``os._exit``)
 * ``{"op": "shutdown"}`` — drain and exit cleanly
@@ -171,10 +170,6 @@ def _stats_record(service) -> dict:
         "pool": asdict(stats.pool),
         "cache": cache,
         "metrics": default_registry().snapshot(),
-        "gc": {
-            "frozen": gc.get_freeze_count(),
-            "collections": [generation["collections"] for generation in gc.get_stats()],
-        },
     }
 
 

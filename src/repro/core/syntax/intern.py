@@ -354,6 +354,11 @@ def canonical(node):
 # ---------------------------------------------------------------------------
 
 
+#: The instance-``__dict__`` key under which frozen dataclasses memoize
+#: their :func:`structural_digest`.
+_DIGEST_MEMO = "_hc_digest"
+
+
 def structural_digest(obj) -> bytes:
     """A 32-byte SHA-256 digest of ``obj``'s *structure*.
 
@@ -374,6 +379,15 @@ def structural_digest(obj) -> bytes:
     if digester is None:
         digester = _digester_for(type(obj))
     return digester(obj)
+
+
+def has_structural_digest(obj) -> bool:
+    """Whether ``obj`` already carries its :func:`structural_digest` memo, so
+    digesting it again is a lookup rather than a walk.  Only frozen
+    dataclass instances with a ``__dict__`` keep one; the memo travels in
+    their pickles."""
+
+    return _DIGEST_MEMO in getattr(obj, "__dict__", ())
 
 
 #: Entries kept in each leaf memo (:data:`_INT_DIGESTS`, :data:`_STR_DIGESTS`);
@@ -479,9 +493,9 @@ def _dataclass_digester(cls) -> Callable:
             memos = obj.__dict__
         except AttributeError:  # a slotted dataclass has nowhere to cache
             return compute(obj)
-        out = memos.get("_hc_digest")
+        out = memos.get(_DIGEST_MEMO)
         if out is None:
-            out = memos["_hc_digest"] = compute(obj)
+            out = memos[_DIGEST_MEMO] = compute(obj)
         return out
 
     return digest

@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 from ..compilepipe import FunctionUnitCache
 from ..core.syntax import Module
-from ..core.syntax.intern import structural_digest
+from ..core.syntax.intern import has_structural_digest, structural_digest
 from ..lower import AnnotationStreams, LoweredModule, lower_module
 from ..obs.metrics import default_registry
 from ..wasm import validate_module
@@ -378,11 +378,11 @@ class ModuleCache:
     def program_key(self, richwasm: Module, config) -> str:
         """The program-level cache key: linked content + config content.
 
-        A module that already carries its structural digest (the
-        ``_hc_digest`` memo: every module the typecheck store linked, and
-        every link entry loaded from disk or inherited over ``fork``, since
-        the memo travels in the pickle) is keyed directly — a lookup, not a
-        walk.  For a fresh module without one, a disk tier enables a
+        A module that already carries its structural digest
+        (:func:`~repro.core.syntax.intern.has_structural_digest`: every
+        module the typecheck store linked, and every link entry loaded from
+        disk or inherited over ``fork``, since the memo travels in the
+        pickle) is keyed directly — a lookup, not a walk.  For a fresh module without one, a disk tier enables a
         *fingerprint shortcut* that skips the structural walk on warm
         starts: the pickle bytes of the inputs hash in C speed, and the
         disk's ``key`` stage maps that fingerprint to the structural key
@@ -394,7 +394,7 @@ class ModuleCache:
         miss only costs the ordinary structural digest, never correctness.
         """
 
-        if self.disk is not None and "_hc_digest" not in getattr(richwasm, "__dict__", ()):
+        if self.disk is not None and not has_structural_digest(richwasm):
             fingerprint = _program_fingerprint(richwasm, config.content_key())
             if fingerprint is not None:
                 key = self.disk.get("key", fingerprint)

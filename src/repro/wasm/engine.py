@@ -127,7 +127,6 @@ from .interpreter import (
     WasmValue,
     _normalize,
     arity_error,
-    entry_normalizer,
 )
 
 DEFAULT_ENGINE = "flat"
@@ -640,7 +639,6 @@ class FlatVMEngine(ExecutionEngine):
         decoded = decode_instance(instance)
         instance.decoded = decoded
         instance.decoded_snapshot = CodeSnapshot(instance.funcs)
-        instance.entry_normalizers = [None] * len(decoded)
         return decoded
 
     def invoke_index(self, instance: WasmInstance, index: int, args: Sequence[WasmValue]) -> list[WasmValue]:
@@ -657,12 +655,9 @@ class FlatVMEngine(ExecutionEngine):
             return _call_host(instance, index, entry.fn, entry.functype, args)
         if len(args) != entry.n_params:
             raise arity_error(instance, index, entry.n_params, len(args))
-        if args:
-            normalize = instance.entry_normalizers[index]
-            if normalize is None:
-                normalize = instance.entry_normalizers[index] = entry_normalizer(entry.functype.params)
-            return self._run(instance, decoded, index, normalize(*args))
-        return self._run(instance, decoded, index, [])
+        if not args:
+            return self._run(instance, decoded, index, [])
+        return self._run(instance, decoded, index, list(map(_normalize, entry.functype.params, args)))
 
     def _run(
         self, instance: WasmInstance, decoded: list, index: int, args: list[WasmValue], resume=None

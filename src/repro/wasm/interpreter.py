@@ -62,38 +62,6 @@ def _normalize(valtype: ValType, value: WasmValue) -> WasmValue:
     return float(value)
 
 
-# Per-type normalizing expressions over a parameter name, for
-# :func:`entry_normalizer` (the same rules as :func:`_normalize`).
-_NORMALIZE_EXPR = {
-    _I32: "int({0}) & 0xFFFFFFFF",
-    _I64: "int({0}) & 0xFFFFFFFFFFFFFFFF",
-    _F32: "_canon(float({0}), 32)",
-    ValType.F64: "float({0})",
-}
-_ENTRY_NORMALIZERS: dict[tuple, Callable[..., list]] = {}
-
-
-def entry_normalizer(params: Sequence[ValType]) -> Callable[..., list]:
-    """A function taking one argument per parameter in ``params`` and
-    returning the list of them normalized as :func:`_normalize` would.
-
-    External calls apply it once per call; engines keep it per function
-    slot (``WasmInstance.entry_normalizers``), so the parameter types are
-    tested once per function rather than once per argument and call.  One
-    function is generated per distinct signature.
-    """
-
-    key = tuple(valtype.value for valtype in params)
-    normalize = _ENTRY_NORMALIZERS.get(key)
-    if normalize is None:
-        names = [f"a{position}" for position in range(len(params))]
-        values = ", ".join(_NORMALIZE_EXPR[valtype].format(name) for valtype, name in zip(params, names))
-        namespace = {"_canon": numerics.float_canon}
-        exec(f"def normalize({', '.join(names)}):\n    return [{values}]", namespace)
-        normalize = _ENTRY_NORMALIZERS[key] = namespace["normalize"]
-    return normalize
-
-
 def arity_error(instance: "WasmInstance", index: int, expected: int, got: int) -> WasmError:
     """The error every engine raises for an external call whose argument
     count differs from the function's parameter count (Wasm has no such
@@ -326,10 +294,6 @@ class WasmInstance:
     decoded_snapshot: Optional[CodeSnapshot] = field(default=None, repr=False, compare=False)
     # The compiled tier's per-instance translation (``repro.wasm.pygen``).
     compiled_py: Optional[object] = field(default=None, repr=False, compare=False)
-    # Per-slot :func:`entry_normalizer` for external calls, filled on a
-    # slot's first external call with arguments and reset with every
-    # (re)decode.
-    entry_normalizers: Optional[list] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.funcs) is not FuncList:

@@ -107,7 +107,7 @@ from .decode import (
     decode_module,
 )
 from .engine import ENGINES, ExecutionEngine, FlatVMEngine, _call_host
-from .interpreter import CodeSnapshot, WasmInstance, WasmTrap, WasmValue, _normalize, arity_error, entry_normalizer
+from .interpreter import CodeSnapshot, WasmInstance, WasmTrap, WasmValue, _normalize, arity_error
 
 _INF = float("inf")
 
@@ -1495,7 +1495,6 @@ class CompiledPyEngine(ExecutionEngine):
         # Keep the flat VM's decode cache coherent too: we just decoded.
         instance.decoded = decoded
         instance.decoded_snapshot = snapshot
-        instance.entry_normalizers = [None] * len(decoded)
         return compiled
 
     # -- invocation ---------------------------------------------------------
@@ -1526,10 +1525,7 @@ class CompiledPyEngine(ExecutionEngine):
         if self.profiler is not None:
             boundary = self._current_boundary()
         if args:
-            normalize = instance.entry_normalizers[index]
-            if normalize is None:
-                normalize = instance.entry_normalizers[index] = entry_normalizer(flat.functype.params)
-            result = compiled.targets[index](rt, self.steps, boundary, *normalize(*args))
+            result = compiled.targets[index](rt, self.steps, boundary, *map(_normalize, flat.functype.params, args))
         else:
             result = compiled.targets[index](rt, self.steps, boundary)
         self.steps = result[0]

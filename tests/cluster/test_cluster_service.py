@@ -165,7 +165,6 @@ class TestTrapIsolation:
         followup = cluster.session(_session(3).calls, session_id="after-error")
         assert followup.ok and followup.values[-1] == [7]
 
-
     def test_arity_mismatch_is_worker_error_not_crash(self, cluster):
         # A call with surplus (or missing) arguments is malformed, like an
         # unknown export: that item fails as a worker error naming the
@@ -300,10 +299,6 @@ class TestStats:
         for record in stats.workers.values():
             assert record["pid"] > 0
             assert "pool" in record and "metrics" in record
-            # The worker froze the heap it started with, so the collector
-            # never walks it.
-            assert record["gc"]["frozen"] > 0
-            assert len(record["gc"]["collections"]) == 3
         merged = {entry["name"]: entry for entry in stats.metrics}
         assert "runtime.requests" in merged
         per_worker_total = sum(
