@@ -15,9 +15,10 @@ processes, and this package cashes that in twice —
   (:mod:`repro.cluster.dispatcher`) — N ``multiprocessing`` workers, each
   owning its own instance pool and batch runner warmed from the shared disk
   cache; round-robin requests, sticky sessions (``session_id`` hash →
-  worker), requests shipped in per-worker chunks (one queue message per
-  chunk), bounded per-worker queues with block-or-fail backpressure,
-  per-request trap isolation, worker-death detection with typed
+  worker), requests shipped in per-worker chunks over one duplex
+  connection per worker (one message per chunk), a bound on each worker's
+  unanswered chunks with block-or-fail backpressure, per-request trap
+  isolation, worker-death detection (EOF on the connection) with typed
   ``worker_died`` outcomes and respawn.
 * :class:`ClusterService` (:mod:`repro.cluster.service`) — the
   :class:`~repro.api.Service`-mirroring surface ``repro.api.serve(...,

@@ -11,27 +11,43 @@ the same request objects :class:`~repro.runtime.BatchRunner` takes:
   same session lands on the same worker process (and therefore observes the
   same pool; the hash is content-based, surviving respawns and restarts).
 
-Requests cross the process boundary in **chunks**: one ``"batch"`` message
-carries a list of requests for one worker, and the worker answers with one
-``"results"`` record holding that chunk's outcomes.  :meth:`Dispatcher.submit`
-sends a one-item chunk; :meth:`Dispatcher.run` groups a batch by slot
-(keeping order within each slot), cuts each slot's list into chunks of
-``ceil(len(batch) / (4 * workers))`` and sends them interleaved across the
-slots, so the parent pays one queue put and one result get per chunk rather
-than per request.
+Each worker slot has **one connection**: a duplex ``multiprocessing.Pipe``
+the parent writes requests to and reads that worker's replies from.  The
+parent pickles each message once and writes it from the calling thread (no
+feeder thread, no lock shared between workers); it collects by waiting on
+every live connection at once.  Requests cross in **chunks**: one
+``"batch"`` message carries a list of requests for one worker, and the
+worker answers with one ``"results"`` record holding that chunk's outcomes.
+:meth:`Dispatcher.submit` sends a one-item chunk; :meth:`Dispatcher.run`
+groups a batch by slot (keeping order within each slot), cuts each slot's
+list into chunks of ``ceil(len(batch) / (4 * workers))`` and sends them
+interleaved across the slots, so the parent pays one write and one read per
+chunk rather than per request.
 
-**Backpressure**: each worker's queue is bounded (``queue_depth``, counted
-in *chunks*), and a send against a full queue either blocks
-(``backpressure="block"``, the default) or raises the typed
-:class:`ClusterQueueFull` (``backpressure="fail"``).
+**Backpressure** is counted by the dispatcher, per worker: a message is
+*unanswered* from its write until its reply is read.  A message goes out at
+once when the worker has nothing unanswered, or when the worker holds fewer
+than ``queue_depth`` unanswered chunks whose bytes, with the new message's,
+stay within the slot's byte bound (a quarter of the connection's socket
+send buffer, each message counted with the kernel's per-write overhead).
+Otherwise ``backpressure="block"`` (the default) reads replies until it
+fits, raising :class:`ClusterQueueFull` after ``submit_timeout``, and
+``backpressure="fail"`` raises :class:`ClusterQueueFull` at once (a reply
+counts once the parent has read it, which it does only while collecting
+or blocking).  The
+parent therefore never writes more to a busy worker than its connection
+buffers, so it never blocks on a write while that worker is blocked writing
+a reply: the two cannot deadlock, whatever the chunk and reply sizes.
 
-Worker death is detected while collecting (a dead process with in-flight
-requests): only *that worker's* unacknowledged chunks fail — each request
-in them with a typed :class:`~repro.runtime.RequestOutcome`
-(``trap_kind="worker_died"``) — the slot respawns with a fresh queue, and
-subsequent traffic proceeds.  Trap isolation inside a live worker is exactly
-``BatchRunner``'s: traps come back as ``ok=False`` outcomes with their
-classified ``trap_kind``, never as dispatcher errors.
+Worker death shows on the connection: EOF when the parent reads it, or
+``EPIPE`` when the parent writes to it.  Only *that worker's* unanswered
+chunks fail — each request in them with a typed
+:class:`~repro.runtime.RequestOutcome` (``trap_kind="worker_died"``); the
+replies it wrote before dying are still filed — the slot respawns with a
+fresh connection, and subsequent traffic proceeds.  A reaper also respawns
+any dead worker the parent finds while idle.  Trap isolation inside a live
+worker is exactly ``BatchRunner``'s: traps come back as ``ok=False``
+outcomes with their classified ``trap_kind``, never as dispatcher errors.
 """
 
 from __future__ import annotations
@@ -39,8 +55,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import multiprocessing as mp
-import queue as queue_mod
+import pickle
+import socket
 import time
+from collections import deque
+from multiprocessing.connection import wait
+from multiprocessing.util import register_after_fork
 from typing import Optional, Sequence, Union
 
 from ..obs.trace import get_tracer
@@ -63,29 +83,57 @@ TRAP_KIND_WORKER_DIED = "worker_died"
 #: export reaching the worker): the request failed, the worker lives on.
 TRAP_KIND_WORKER_ERROR = "worker_error"
 
+#: Bytes each message counts toward its slot's byte bound on top of its
+#: length: the kernel's bookkeeping per write.  On Linux a 200-byte write
+#: takes about 1.3 KB of a Unix socket's send buffer, so the default
+#: 208 KiB buffer holds only 167 of them; the bound's factor of four
+#: covers the rest.
+_WRITE_OVERHEAD = 1024
+
+_SHUTDOWN = pickle.dumps({"op": "shutdown"})
+
 
 class ClusterError(RuntimeError):
     """A cluster-level failure (startup, protocol, shutdown)."""
 
 
 class ClusterQueueFull(ClusterError):
-    """Backpressure: the routed worker's bounded queue already holds
-    ``queue_depth`` chunks (``backpressure="fail"`` mode; ``"block"`` mode
-    waits instead)."""
+    """Backpressure: the routed worker already holds ``queue_depth``
+    unanswered chunks, or as many unanswered bytes as its connection may
+    buffer (``backpressure="fail"`` mode, or ``"block"`` mode after its
+    timeout)."""
+
+
+def _byte_bound(connection) -> int:
+    """How many unanswered bytes a slot may hold: a quarter of the
+    connection's socket send buffer."""
+
+    with socket.socket(fileno=connection.fileno()) as sock:
+        try:
+            return sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) // 4
+        finally:
+            sock.detach()  # the fd stays the connection's
 
 
 class _WorkerHandle:
-    """One worker slot: process + its bounded chunk queue + in-flight ids."""
+    """One worker slot: process + its connection + what it has not
+    answered yet."""
 
-    __slots__ = ("slot", "process", "queue", "pending", "ready", "generation")
+    __slots__ = ("slot", "process", "conn", "byte_bound", "pending", "unanswered",
+                 "unanswered_bytes", "ready", "generation")
 
     def __init__(self, slot: int) -> None:
         self.slot = slot
         self.process = None
-        self.queue = None
+        self.conn = None
+        self.byte_bound = 0
         # request id -> request object, for every request in a sent chunk
         # the worker has not answered yet
         self.pending: dict[int, object] = {}
+        # the counted size of each unanswered message, oldest first (the
+        # worker answers in order)
+        self.unanswered: deque[int] = deque()
+        self.unanswered_bytes = 0
         self.ready = False
         self.generation = 0
 
@@ -93,14 +141,13 @@ class _WorkerHandle:
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
 
+    def fits(self, size: int, depth: int) -> bool:
+        """Whether a message of counted ``size`` may be written now without
+        the write blocking on this worker."""
 
-def _retire(request_queue) -> None:
-    """Close a queue whose worker is gone.  Nobody reads it any more, so its
-    feeder thread may be stuck on a full pipe of stranded chunks: let the
-    thread go rather than join it at exit."""
-
-    request_queue.cancel_join_thread()
-    request_queue.close()
+        return not self.unanswered or (
+            len(self.unanswered) < depth and self.unanswered_bytes + size <= self.byte_bound
+        )
 
 
 class WorkerPool:
@@ -109,7 +156,8 @@ class WorkerPool:
     ``payload`` is the picklable bundle each worker builds its service from
     (linked RichWasm module + a ``workers=1`` config, optionally a per-worker
     ``obs_jsonl`` path template — ``{worker}`` expands to the slot index).
-    ``queue_depth`` bounds each worker's queue in chunks, not requests.
+    ``queue_depth`` bounds each worker's unanswered messages in chunks, not
+    requests.
     """
 
     def __init__(
@@ -127,9 +175,14 @@ class WorkerPool:
         self.payload = payload
         self.queue_depth = queue_depth
         self.context = mp.get_context(start_method)
-        self.results = self.context.Queue()
         self.handles = [_WorkerHandle(slot) for slot in range(workers)]
+        #: each live connection -> its slot's handle
+        self.connections: dict = {}
         self.respawns = 0
+        # A forked worker inherits the parent's end of every slot's
+        # connection; it closes them, so a worker sees EOF when the parent
+        # closes its end, whichever siblings were forked after it.
+        register_after_fork(self, WorkerPool._close_connections)
         for handle in self.handles:
             self._spawn(handle)
 
@@ -142,22 +195,35 @@ class WorkerPool:
             payload["obs_jsonl"] = str(template).format(worker=slot)
         return payload
 
+    def _close_connections(self) -> None:
+        for conn in self.connections:
+            conn.close()
+
     def _spawn(self, handle: _WorkerHandle) -> None:
-        # A fresh queue per (re)spawn: messages stranded in a dead worker's
-        # queue belong to its generation and are failed by the reaper, never
-        # replayed against the replacement.
-        if handle.queue is not None:
-            _retire(handle.queue)
-        handle.queue = self.context.Queue(maxsize=self.queue_depth)
+        # A fresh connection per (re)spawn: messages stranded in a dead
+        # worker's connection belong to its generation and are failed by the
+        # reaper, never replayed against the replacement.
+        if handle.conn is not None:
+            self.connections.pop(handle.conn, None)
+            handle.conn.close()
+        handle.conn, child_end = self.context.Pipe()
+        handle.byte_bound = _byte_bound(handle.conn)
+        handle.unanswered.clear()
+        handle.unanswered_bytes = 0
         handle.ready = False
         handle.generation += 1
         handle.process = self.context.Process(
             target=worker_main,
-            args=(handle.slot, handle.queue, self.results, self._worker_payload(handle.slot)),
+            args=(child_end, self._worker_payload(handle.slot)),
             daemon=True,
             name=f"repro-cluster-w{handle.slot}",
         )
-        handle.process.start()
+        self.connections[handle.conn] = handle
+        try:
+            handle.process.start()
+        finally:
+            # Only the worker holds its end, so its exit reads as EOF here.
+            child_end.close()
 
     def wait_ready(self, timeout: float = 60.0) -> None:
         """Block until every worker reports ready (startup errors raise)."""
@@ -167,20 +233,22 @@ class WorkerPool:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ClusterError("cluster startup timed out")
-            try:
-                record = self.results.get(timeout=min(remaining, 0.5))
-            except queue_mod.Empty:
-                for handle in self.handles:
-                    if not handle.ready and not handle.alive:
-                        raise ClusterError(
-                            f"worker {handle.slot} died during startup "
-                            f"(exitcode {handle.process.exitcode})"
-                        )
-                continue
-            if record.get("op") == "ready":
-                self.handles[record["worker"]].ready = True
-            elif record.get("op") == "error":
-                raise ClusterError(record.get("message") or "worker startup failed")
+            # A worker's first record is its ready (or error) record.
+            starting = {h.conn: h for h in self.handles if not h.ready}
+            for conn in wait(starting, timeout=remaining):
+                handle = starting[conn]
+                try:
+                    record = conn.recv()
+                except (EOFError, ConnectionError):
+                    handle.process.join(timeout=1.0)
+                    raise ClusterError(
+                        f"worker {handle.slot} died during startup "
+                        f"(exitcode {handle.process.exitcode})"
+                    ) from None
+                if record.get("op") == "ready":
+                    handle.ready = True
+                elif record.get("op") == "error":
+                    raise ClusterError(record.get("message") or "worker startup failed")
 
     def respawn(self, handle: _WorkerHandle) -> list:
         """Replace a dead worker; returns the requests it had in flight."""
@@ -193,21 +261,21 @@ class WorkerPool:
 
     def shutdown(self, timeout: float = 5.0) -> None:
         for handle in self.handles:
-            if handle.alive:
+            # Only where the write cannot block; closing the connection
+            # below ends any other worker (EOF or EPIPE).
+            if handle.fits(len(_SHUTDOWN) + _WRITE_OVERHEAD, self.queue_depth):
                 try:
-                    handle.queue.put({"op": "shutdown"}, timeout=timeout)
-                except queue_mod.Full:
+                    handle.conn.send_bytes(_SHUTDOWN)
+                except OSError:
                     pass
+        self._close_connections()
+        self.connections.clear()
         for handle in self.handles:
             if handle.process is not None:
                 handle.process.join(timeout=timeout)
                 if handle.process.is_alive():
                     handle.process.terminate()
                     handle.process.join(timeout=timeout)
-        self.results.close()
-        for handle in self.handles:
-            if handle.queue is not None:
-                _retire(handle.queue)
 
 
 class Dispatcher:
@@ -263,33 +331,51 @@ class Dispatcher:
             "trace_id": trace_id,
         }
 
-    def _send(self, handle: _WorkerHandle, requests: list, *, timeout: float) -> int:
-        """Put one chunk of ``requests`` on ``handle``'s queue; returns the
-        first one's id (the chunk's ids are consecutive).
+    def _write(self, handle: _WorkerHandle, data: bytes, *, fail: bool, deadline: float) -> None:
+        """Write one pickled message that the worker will answer.
 
-        A dead target worker is respawned first (its stranded in-flight
-        requests are failed into the outcome buffer).  Requests without their
-        own ``trace_id`` carry the ambient span's, so the worker-side request
-        spans join the caller's trace across the process boundary.
+        Until it fits (see :meth:`_WorkerHandle.fits`), ``fail`` raises
+        :class:`ClusterQueueFull`, and otherwise replies are read until
+        ``deadline``.  A worker found dead by the write (``EPIPE``) is
+        reaped, and the message goes to its replacement.
         """
 
-        if not handle.alive:
+        size = len(data) + _WRITE_OVERHEAD
+        depth = self.pool.queue_depth
+        while not handle.fits(size, depth):
+            if fail or time.monotonic() > deadline:
+                raise ClusterQueueFull(
+                    f"worker {handle.slot} has {len(handle.unanswered)} unanswered "
+                    f"chunk(s) of {handle.unanswered_bytes} byte(s) "
+                    f"(queue_depth {depth}, byte bound {handle.byte_bound})"
+                )
+            self._pump(deadline)
+        try:
+            handle.conn.send_bytes(data)
+        except ConnectionError:  # EPIPE: the worker is gone
             self._reap(handle)
+            handle.conn.send_bytes(data)
+        handle.unanswered.append(size)
+        handle.unanswered_bytes += size
+
+    def _send(self, handle: _WorkerHandle, requests: list, *, timeout: float) -> int:
+        """Write one chunk of ``requests`` to ``handle``'s worker; returns
+        the first one's id (the chunk's ids are consecutive).
+
+        Requests without their own ``trace_id`` carry the ambient span's, so
+        the worker-side request spans join the caller's trace across the
+        process boundary.
+        """
+
         ambient = getattr(get_tracer().current_span(), "trace_id", None)
         first = self._next_id
         items = [
             self._wire_item(request, request_id, ambient)
             for request_id, request in enumerate(requests, first)
         ]
-        try:
-            # "fail" mode never blocks; the timeout only applies to "block".
-            handle.queue.put({"op": "batch", "items": items},
-                             block=self.backpressure == "block", timeout=timeout)
-        except queue_mod.Full:
-            raise ClusterQueueFull(
-                f"worker {handle.slot} queue is full "
-                f"({self.pool.queue_depth} chunk(s) deep)"
-            ) from None
+        data = pickle.dumps({"op": "batch", "items": items})
+        self._write(handle, data, fail=self.backpressure == "fail",
+                    deadline=time.monotonic() + timeout)
         self._next_id = first + len(requests)
         handle.pending.update(enumerate(requests, first))
         return first
@@ -298,19 +384,20 @@ class Dispatcher:
 
     def submit(self, request: Union[Request, Session, tuple], *,
                timeout: Optional[float] = None) -> int:
-        """Enqueue one request as a one-item chunk; returns its id (claim
-        with :meth:`collect`).
+        """Send one request as a one-item chunk; returns its id (claim with
+        :meth:`collect`).
 
         Backpressure applies per the dispatcher's mode: ``"fail"`` never
-        blocks (a full queue raises :class:`ClusterQueueFull`); ``"block"``
-        waits up to ``timeout`` (default ``submit_timeout``) before raising.
+        blocks (a full slot raises :class:`ClusterQueueFull`); ``"block"``
+        reads replies for up to ``timeout`` (default ``submit_timeout``)
+        before raising.
         """
 
         if not isinstance(request, (Request, Session)):
             (request,) = _normalize_requests([request])
         handle = self.pool.handles[self.route(request)]
-        wait = self.submit_timeout if timeout is None else timeout
-        return self._send(handle, [request], timeout=wait)
+        wait_s = self.submit_timeout if timeout is None else timeout
+        return self._send(handle, [request], timeout=wait_s)
 
     def collect(self, request_id: int) -> RequestOutcome:
         """Block until ``request_id``'s outcome arrives (buffering others)."""
@@ -323,11 +410,12 @@ class Dispatcher:
             self._pump(deadline, waiting_for=request_id)
 
     def _pump(self, deadline: float, *, waiting_for: Optional[int] = None) -> None:
-        """Drain one result-queue record (or reap dead workers on idle)."""
+        """Read one record from each connection that has one (or reap dead
+        workers on idle)."""
 
-        try:
-            record = self.pool.results.get(timeout=0.05)
-        except queue_mod.Empty:
+        connections = self.pool.connections
+        ready = wait(connections, timeout=0.05)
+        if not ready:
             self._reap_dead()
             if waiting_for is not None and waiting_for not in self._outcomes:
                 if time.monotonic() > deadline:
@@ -336,20 +424,32 @@ class Dispatcher:
                         f"({self.result_timeout}s)"
                     )
             return
+        for conn in ready:
+            handle = connections[conn]
+            try:
+                record = conn.recv()
+            except (EOFError, ConnectionError):
+                self._reap(handle)
+                continue
+            self._file(handle, record)
+
+    def _file(self, handle: _WorkerHandle, record: dict) -> None:
         op = record.get("op")
-        if op == "results":
-            self._file_results(record)
-        elif op == "error" and record.get("id") is None:
-            # A respawned worker failed to start (or rejected an id-less
-            # op): there is no request to file it under, so it surfaces.
+        if op == "ready":
+            handle.ready = True
+            return
+        if op == "error" and record.get("id") is None:
+            # A respawned worker failed to start: there is no request to
+            # file it under, so it surfaces.
             raise ClusterError(record.get("message") or "worker error")
+        handle.unanswered_bytes -= handle.unanswered.popleft()
+        if op == "results":
+            self._file_results(handle, record)
         elif op == "stats":
             self._stats_replies[record["id"]] = record["stats"]
-        elif op == "ready":
-            self.pool.handles[record["worker"]].ready = True
 
-    def _file_results(self, record: dict) -> None:
-        pending = self.pool.handles[record["worker"]].pending
+    def _file_results(self, handle: _WorkerHandle, record: dict) -> None:
+        pending = handle.pending
         for item in record["items"]:
             request = pending.pop(item["id"], None)
             if request is None:
@@ -371,15 +471,26 @@ class Dispatcher:
             if not handle.alive:
                 self._reap(handle)
 
-    def _reap(self, handle) -> None:
-        """Fail the dead worker's in-flight requests (typed) and respawn."""
+    def _reap(self, handle: _WorkerHandle) -> None:
+        """File what the dead worker answered, fail the rest of its
+        in-flight requests (typed) and respawn it."""
 
-        exitcode = handle.process.exitcode if handle.process is not None else None
+        try:
+            while handle.conn.poll():
+                self._file(handle, handle.conn.recv())
+        except (EOFError, ConnectionError):
+            pass
+        process = handle.process
+        process.join(timeout=1.0)
+        if process.is_alive():
+            # Its connection is broken, so it can serve nobody.
+            process.kill()
+            process.join()
         for request_id, request in self.pool.respawn(handle):
             self._outcomes[request_id] = RequestOutcome(
                 request=request, ok=False, values=None,
                 trap=(
-                    f"worker {handle.slot} died (exitcode {exitcode}) "
+                    f"worker {handle.slot} died (exitcode {process.exitcode}) "
                     "with this request in flight"
                 ),
                 steps=0, trap_kind=TRAP_KIND_WORKER_DIED,
@@ -392,8 +503,8 @@ class Dispatcher:
         return self.collect(self.submit(request))
 
     def run(self, requests: Sequence[Union[Request, Session, tuple]]) -> BatchReport:
-        """Send a whole batch in per-worker chunks (interleaving collection
-        under backpressure) and gather every outcome, in input order, into a
+        """Send a whole batch in per-worker chunks (reading replies while a
+        worker is full) and gather every outcome, in input order, into a
         :class:`BatchReport`."""
 
         report = BatchReport()
@@ -402,7 +513,7 @@ class Dispatcher:
         slots: list[list[int]] = [[] for _ in self.pool.handles]
         for position, request in enumerate(requests):
             slots[self.route(request)].append(position)
-        # About four chunks per worker: its next chunk is already queued
+        # About four chunks per worker: its next chunk is already written
         # while the parent files the last one's outcomes, and the parent
         # still pays only a few messages per worker.
         size = max(1, -(-len(requests) // (4 * len(slots))))
@@ -415,21 +526,8 @@ class Dispatcher:
             for slot, positions in enumerate(round_):
                 if positions is None:
                     continue
-                chunk = [requests[p] for p in positions]
-                deadline = time.monotonic() + self.submit_timeout
-                while True:
-                    try:
-                        # Short waits interleaved with result draining: under
-                        # backpressure the sender keeps consuming outcomes,
-                        # so a bounded queue throttles rather than deadlocks.
-                        first = self._send(self.pool.handles[slot], chunk, timeout=0.05)
-                        break
-                    except ClusterQueueFull:
-                        if self.backpressure == "fail":
-                            raise
-                        if time.monotonic() > deadline:
-                            raise
-                        self._pump(deadline)
+                first = self._send(self.pool.handles[slot], [requests[p] for p in positions],
+                                   timeout=self.submit_timeout)
                 for request_id, position in enumerate(positions, first):
                     ids[position] = request_id
         report.outcomes.extend(self.collect(request_id) for request_id in ids)
@@ -445,28 +543,30 @@ class Dispatcher:
         bundle; merge the metrics with :func:`repro.obs.merge_snapshots`.
         """
 
-        pending: dict[int, int] = {}
+        # request id -> (slot, generation asked): a reply from a worker that
+        # died in between never comes.
+        pending: dict[int, tuple[int, int]] = {}
         for handle in self.pool.handles:
             if not handle.alive:
                 continue
             request_id = self._next_id
             self._next_id += 1
+            data = pickle.dumps({"op": "stats", "id": request_id})
             try:
-                handle.queue.put({"op": "stats", "id": request_id}, timeout=self.submit_timeout)
-            except queue_mod.Full:
+                self._write(handle, data, fail=False,
+                            deadline=time.monotonic() + self.submit_timeout)
+            except ClusterQueueFull:
                 continue
-            pending[request_id] = handle.slot
+            pending[request_id] = (handle.slot, handle.generation)
         stats: dict[int, dict] = {}
         deadline = time.monotonic() + self.result_timeout
         while pending and time.monotonic() < deadline:
-            ready = [rid for rid in pending if rid in self._stats_replies]
-            for request_id in ready:
-                stats[pending.pop(request_id)] = self._stats_replies.pop(request_id)
-            if not pending:
-                break
-            alive_slots = {h.slot for h in self.pool.handles if h.alive}
-            pending = {rid: slot for rid, slot in pending.items() if slot in alive_slots}
-            if not pending:
-                break
-            self._pump(deadline)
+            for request_id in [rid for rid in pending if rid in self._stats_replies]:
+                stats[pending.pop(request_id)[0]] = self._stats_replies.pop(request_id)
+            pending = {
+                rid: (slot, generation) for rid, (slot, generation) in pending.items()
+                if self.pool.handles[slot].generation == generation
+            }
+            if pending:
+                self._pump(deadline)
         return stats

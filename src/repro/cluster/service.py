@@ -11,9 +11,18 @@ The surface mirrors :class:`~repro.api.Service` call for call — ``call``
 (raising :class:`~repro.wasm.interpreter.WasmTrap` on traps), ``run_one``,
 ``run``, ``session``, ``stats``, ``resolve``, ``exports``, ``diagnostics``
 — with the execution fanned out by the :class:`~repro.cluster.Dispatcher`
-(round-robin requests, sticky sessions, bounded queues, worker respawn).
-Export resolution happens parent-side against the same export table, so
-lenient names behave identically in both tiers.
+(round-robin requests, sticky sessions, worker respawn).  Export
+resolution happens parent-side against the same export table, so lenient
+names behave identically in both tiers.
+
+Each worker is reached over one duplex connection.  ``queue_depth`` caps
+the chunks a worker holds unanswered, and a per-connection byte bound (a
+quarter of the socket's send buffer) caps their bytes, so a write never
+blocks on a busy worker.  With ``backpressure="block"`` a send that does
+not fit waits for replies; with ``"fail"`` it raises
+:class:`~repro.cluster.ClusterQueueFull`.  A worker that dies is seen as
+EOF (or ``EPIPE``) on its connection: its unanswered requests come back as
+``worker_died`` outcomes and the slot respawns.
 
 The service is a context manager; :meth:`close` shuts the workers down
 (``with api.serve(prog, workers=4) as svc: ...``).
@@ -147,7 +156,7 @@ class ClusterService:
 
     def run(self, requests) -> BatchReport:
         """A batch fanned out across the workers in per-worker chunks
-        (throttled by the bounded queues, ``queue_depth`` chunks each)."""
+        (at most ``queue_depth`` unanswered chunks per worker)."""
 
         resolved = [self._resolver.request(request) for request in _normalize_requests(requests)]
         with get_tracer().span("cluster.run", requests=len(resolved), workers=self.workers):

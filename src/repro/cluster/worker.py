@@ -8,11 +8,14 @@ its *own* single-process :class:`repro.api.Service` — its own
 when the config carries a ``cache_dir`` (the parent compiled first, so the
 worker's compile is a disk hit, not a recompile).
 
-The wire protocol is deliberately plain: JSON-able dicts over
-``multiprocessing`` queues (the pipeable-JSONL idiom — every field is a
-primitive, so the protocol survives ``spawn``, ``fork`` and any pickle
-protocol).  Requests travel in chunks, so the parent pays one queue put and
-one result get per chunk, not per request.  Parent → worker ops:
+The wire protocol is deliberately plain: JSON-able dicts over one duplex
+``multiprocessing`` connection per worker (the pipeable-JSONL idiom —
+every field is a primitive, so the protocol survives ``spawn``, ``fork``
+and any pickle protocol).  The worker reads a message, serves it and
+writes its reply on the same connection, one message at a time, so replies
+come back in the order their requests went out.  Requests travel in
+chunks, so the parent pays one write and one read per chunk, not per
+request.  Parent → worker ops:
 
 * ``{"op": "batch", "items": [...]}`` — a chunk of requests, served in
   order.  Each item is a request
@@ -24,24 +27,24 @@ one result get per chunk, not per request.  Parent → worker ops:
   :func:`repro.obs.merge_snapshots`)
 * ``{"op": "crash"}`` — deterministic fault injection for the
   worker-death tests: hard-exit without cleanup (``os._exit``)
-* ``{"op": "shutdown"}`` — drain and exit cleanly
+* ``{"op": "shutdown"}`` — exit cleanly; so does EOF on the connection
+  (the parent closed its end or died), and ``EPIPE`` on a reply
 
-Worker → parent records always carry ``worker`` (the slot index); a
-``stats`` reply echoes its request's ``id``, and each ``results`` item
-carries its request's:
+Worker → parent records (the connection tells the parent which worker
+wrote them); a ``stats`` reply echoes its request's ``id``, and each
+``results`` item carries its request's:
 
-* ``{"op": "ready", "worker", "pid"}`` — service built, pool warm
-* ``{"op": "results", "worker", "items": [...]}`` — one reply per
-  ``batch``, one item per request in chunk order: ``{"id", "outcome": {...}}``
-  carries a :class:`~repro.runtime.RequestOutcome`, flattened (``ok``,
-  ``values``, ``trap``, ``trap_kind``, ``steps``, ``trace_id``) so trap
-  isolation and span identity cross the process boundary intact;
-  ``{"id", "message"}`` reports a malformed request (unknown export, bad
-  args), which fails that item alone — never a trap, since traps are
-  outcomes with ``ok=False``
-* ``{"op": "stats", "worker", "id", "stats": {...}}``
-* ``{"op": "error", "worker", "id", "message"}`` — startup failed, or an
-  unknown op arrived
+* ``{"op": "ready", "pid"}`` — service built, pool warm; the first record
+* ``{"op": "results", "items": [...]}`` — one reply per ``batch``, one
+  item per request in chunk order: ``{"id", "outcome": {...}}`` carries a
+  :class:`~repro.runtime.RequestOutcome`, flattened (``ok``, ``values``,
+  ``trap``, ``trap_kind``, ``steps``, ``trace_id``) so trap isolation and
+  span identity cross the process boundary intact; ``{"id", "message"}``
+  reports a malformed request (unknown export, bad args), which fails that
+  item alone — never a trap, since traps are outcomes with ``ok=False``
+* ``{"op": "stats", "id", "stats": {...}}``
+* ``{"op": "error", "id", "message"}`` — startup failed (``id`` is
+  ``None``, and the worker exits), or an unknown op arrived
 """
 
 from __future__ import annotations
@@ -173,9 +176,10 @@ def _stats_record(service) -> dict:
     }
 
 
-def worker_main(worker_id: int, request_queue, result_queue, payload: dict) -> None:
-    """Process target: build the service, then serve the request queue.
+def worker_main(conn, payload: dict) -> None:
+    """Process target: build the service, then serve the connection.
 
+    ``conn`` is the worker's end of its slot's duplex connection.
     ``payload`` carries the linked RichWasm module and the (workers=1)
     :class:`~repro.api.CompileConfig`; optionally ``obs_jsonl``, a path this
     worker exports its spans/metrics to (one file per worker — the report
@@ -198,38 +202,38 @@ def worker_main(worker_id: int, request_queue, result_queue, payload: dict) -> N
             set_tracer(Tracer(sink=sink))
         service = _build_service(payload)
     except BaseException:
-        result_queue.put({
-            "op": "error", "worker": worker_id, "id": None,
+        conn.send({
+            "op": "error", "id": None,
             "message": f"worker startup failed:\n{traceback.format_exc()}",
         })
         return
-    result_queue.put({"op": "ready", "worker": worker_id, "pid": os.getpid()})
+    conn.send({"op": "ready", "pid": os.getpid()})
     try:
         while True:
-            message = request_queue.get()
+            try:
+                message = conn.recv()
+            except (EOFError, ConnectionError):
+                return  # the parent closed its end, or died
             op = message.get("op")
             if op == "shutdown":
                 return
             if op == "crash":
                 # Fault injection: die the way a SIGKILLed / OOMed worker
-                # does — no cleanup, no reply, queues left mid-stream.
+                # does — no cleanup, no reply, connection left mid-stream.
                 os._exit(1)
-            if op == "stats":
-                result_queue.put({
-                    "op": "stats", "worker": worker_id, "id": message.get("id"),
-                    "stats": _stats_record(service),
-                })
-                continue
             if op == "batch":
-                result_queue.put({
-                    "op": "results", "worker": worker_id,
+                reply = {
+                    "op": "results",
                     "items": [_run_item(service, item) for item in message.get("items", ())],
-                })
-                continue
-            result_queue.put({
-                "op": "error", "worker": worker_id, "id": message.get("id"),
-                "message": f"unknown op {op!r}",
-            })
+                }
+            elif op == "stats":
+                reply = {"op": "stats", "id": message.get("id"), "stats": _stats_record(service)}
+            else:
+                reply = {"op": "error", "id": message.get("id"), "message": f"unknown op {op!r}"}
+            try:
+                conn.send(reply)
+            except ConnectionError:
+                return  # the parent closed its end mid-reply
     finally:
         if sink is not None:
             from ..obs import NOOP_TRACER, default_registry, set_tracer

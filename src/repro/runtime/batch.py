@@ -127,7 +127,7 @@ class Session:
         return ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RequestOutcome:
     """What one request observed: results or a trap, and its step cost.
 
@@ -145,6 +145,15 @@ class RequestOutcome:
     steps: int
     trap_kind: Optional[str] = None
     trace_id: Optional[str] = None
+
+    def __init__(self, request: Request, ok: bool, values: Optional[list[WasmValue]],
+                 trap: Optional[str], steps: int, trap_kind: Optional[str] = None,
+                 trace_id: Optional[str] = None) -> None:
+        # One dict update, not the frozen dataclass's object.__setattr__ per
+        # field: an outcome is built for every request, twice per cluster
+        # request (worker and parent).  Assignment still raises.
+        self.__dict__.update(request=request, ok=ok, values=values, trap=trap, steps=steps,
+                             trap_kind=trap_kind, trace_id=trace_id)
 
 
 @dataclass

@@ -2,6 +2,10 @@
 in-process service, trap isolation over the wire, backpressure, and
 worker-death recovery."""
 
+import contextlib
+import os
+import pickle
+import signal
 import threading
 import time
 
@@ -13,11 +17,45 @@ from repro.cluster import (
     ClusterService,
     TRAP_KIND_WORKER_DIED,
 )
+from repro.cluster.worker import outcome_to_wire
 from repro.ffi import counter_program
+from repro.ml import MLFunction, TInt, Var, ml_module
 from repro.runtime import Request, Session
 from repro.wasm.interpreter import WasmTrap
 
 ENGINES = ("tree", "flat", "compiled")
+
+
+class Deadlocked(Exception):
+    """Raised by :func:`wall_clock_guard`; not an ``OSError``, so no
+    connection error handler can take it for a dead worker."""
+
+
+@contextlib.contextmanager
+def wall_clock_guard(seconds):
+    """Fail, rather than hang, when the block runs past ``seconds``: the
+    alarm interrupts even a write blocked on a full connection."""
+
+    def expire(signum, frame):
+        raise Deadlocked(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _session_ids_for(dispatcher, slot, count, prefix):
+    """``count`` session ids that route to ``slot``."""
+
+    ids = (f"{prefix}{i}" for i in range(10_000))
+    return [
+        session_id for session_id in ids
+        if dispatcher.route(Session(calls=(), session_id=session_id)) == slot
+    ][:count]
 
 
 def _session(value, ticks=4, session_id=None):
@@ -184,16 +222,25 @@ class TestTrapIsolation:
 
 class TestBackpressure:
     def test_fail_mode_raises_cluster_queue_full(self):
-        with api.serve(counter_program(), {"cache": "private", "workers": 2}) as service:
-            service.dispatcher.backpressure = "fail"
-            service.pool.queue_depth = 1
-            # Refill the slot-0 queue faster than the worker drains it.
-            # queue_depth was set post-hoc only for the error message; the
-            # real bound is the mp.Queue's maxsize (32), so saturate it.
-            slot0 = Session(calls=(("client.client_init", (1,)),), session_id=None)
-            with pytest.raises(ClusterQueueFull):
-                for _ in range(200):
-                    service.dispatcher.submit(slot0)
+        with ClusterService(
+            api.compile(counter_program(), {"cache": "private"}),
+            api.CompileConfig(workers=2, cache="private"),
+            queue_depth=1, backpressure="fail",
+        ) as service:
+            dispatcher = service.dispatcher
+            slot0, slot1 = (_session_ids_for(dispatcher, slot, 1, "qf")[0] for slot in (0, 1))
+            first = dispatcher.submit(_session(1, session_id=slot0))
+            # One session is unanswered on slot 0 (its reply, if written, is
+            # not read yet), so its next submit raises; slot 1 still takes
+            # one.
+            with pytest.raises(ClusterQueueFull, match="worker 0 has 1 unanswered"):
+                dispatcher.submit(_session(2, session_id=slot0))
+            other = dispatcher.collect(dispatcher.submit(_session(3, session_id=slot1)))
+            assert other.ok and other.values[-1] == [7]
+            assert dispatcher.collect(first).values[-1] == [5]
+            # Answered, the slot takes a submit again.
+            again = dispatcher.collect(dispatcher.submit(_session(4, session_id=slot0)))
+            assert again.ok and again.values[-1] == [8]
 
     def test_block_mode_run_completes_past_queue_depth(self):
         with ClusterService(
@@ -203,6 +250,58 @@ class TestBackpressure:
         ) as service:
             report = service.run([_session(i, session_id=f"bp{i}") for i in range(12)])
         assert report.ok_count == 12
+
+
+class TestLargeChunks:
+    """Chunks and replies larger than a connection's buffer: the parent must
+    not block writing a chunk while the worker blocks writing a reply."""
+
+    CALLS = 48_000  # per session: about 670 KB written, 380 KB replied
+
+    @pytest.fixture(scope="class")
+    def echo(self):
+        return api.compile(
+            ml_module("echo", functions=[MLFunction("echo", "x", TInt(), TInt(), Var("x"))]),
+            {"cache": "private"},
+        )
+
+    def _batch(self, dispatcher):
+        # Two sessions a slot, so each worker gets two one-session chunks.
+        batch = []
+        for slot in (0, 1):
+            for n, session_id in enumerate(_session_ids_for(dispatcher, slot, 2, "big")):
+                base = 1_000_000 * (2 * slot + n + 1)
+                batch.append(Session(
+                    calls=tuple(("echo.echo", (base + i,)) for i in range(self.CALLS)),
+                    session_id=session_id,
+                ))
+        return batch
+
+    def test_block_mode_completes(self, echo):
+        with ClusterService(echo, api.CompileConfig(workers=2, cache="private")) as service:
+            dispatcher = service.dispatcher
+            batch = self._batch(dispatcher)
+            sndbuf = 4 * service.pool.handles[0].byte_bound
+            chunk = pickle.dumps(
+                {"op": "batch", "items": [dispatcher._wire_item(batch[0], 0, None)]})
+            with wall_clock_guard(60):
+                report = dispatcher.run(batch)
+            assert report.ok_count == len(batch)
+            for request, outcome in zip(batch, report.outcomes):
+                assert outcome.values == [[args[0]] for _, args in request.calls]
+            reply = pickle.dumps({"op": "results", "items": [
+                {"id": 0, "outcome": outcome_to_wire(report.outcomes[0])}]})
+            # Both directions overflow the socket buffer, by a margin wider
+            # than the one write the kernel lets past it.
+            assert len(chunk) > 1.5 * sndbuf and len(reply) > 1.5 * sndbuf
+
+    def test_fail_mode_raises_instead_of_hanging(self, echo):
+        with ClusterService(
+            echo, api.CompileConfig(workers=2, cache="private"), backpressure="fail",
+        ) as service:
+            batch = self._batch(service.dispatcher)
+            with wall_clock_guard(60), pytest.raises(ClusterQueueFull, match="byte bound"):
+                service.dispatcher.run(batch)
 
 
 class TestWorkerDeath:
@@ -239,13 +338,17 @@ class TestWorkerDeath:
                 session_id = f"mid{i}"
                 by_slot[dispatcher.route(_session(0, session_id=session_id))].append(session_id)
             victim = 0
-            # Eight sessions a slot, interleaved: the victim's run for seconds
-            # on any engine, the survivor's are short enough to keep the test
-            # quick, and the batch spans several chunks per worker.
+            # Eight sessions a slot, interleaved, two to a chunk.  The
+            # victim's first chunk runs for seconds on any engine, so it is
+            # in flight at the kill.  Its later chunks are short: being larger
+            # than the byte bound, that first chunk holds them back until it
+            # is answered, so the replacement worker serves them.  The
+            # survivor's are short enough to keep the test quick.
             batch, expected = [], []
             for i, (victim_id, survivor_id) in enumerate(zip(by_slot[0][:8], by_slot[1][:8])):
-                batch.append(_session(i, ticks=20_000, session_id=victim_id))
-                expected.append([i + 20_000])
+                ticks = 50_000 if i < 2 else 100
+                batch.append(_session(i, ticks=ticks, session_id=victim_id))
+                expected.append([i + ticks])
                 batch.append(_session(i, ticks=1_000, session_id=survivor_id))
                 expected.append([i + 1_000])
             killer = threading.Timer(0.3, service.pool.handles[victim].process.kill)
@@ -277,7 +380,7 @@ class TestWorkerDeath:
         with api.serve(counter_program(), {"cache": "private", "workers": 2}) as service:
             handle = service.pool.handles[0]
             pid_before = handle.process.pid
-            handle.queue.put({"op": "crash"})
+            handle.conn.send({"op": "crash"})
             handle.process.join(timeout=10)
             assert not handle.alive
             # The next submit to that slot reaps + respawns transparently.
@@ -289,6 +392,63 @@ class TestWorkerDeath:
             assert service.pool.respawns >= 1
             live = [h.process.pid for h in service.pool.handles if h.alive]
             assert len(live) == 2 and pid_before not in live
+
+
+    def test_crash_in_flight_after_sibling_respawn_reads_as_eof(self, monkeypatch):
+        with api.serve(counter_program(), {"cache": "private", "workers": 2}) as service:
+            dispatcher, pool = service.dispatcher, service.pool
+            victim, sibling = pool.handles
+            victim_id = _session_ids_for(dispatcher, 0, 1, "eof")[0]
+            sibling_id = _session_ids_for(dispatcher, 1, 1, "eof")[0]
+            # Respawn the sibling first: a forked replacement inherits
+            # whatever the parent holds of the victim's connection.
+            sibling.conn.send({"op": "crash"})
+            sibling.process.join(timeout=10)
+            assert dispatcher.run_one(_session(2, session_id=sibling_id)).ok
+            pool.wait_ready()
+            assert pool.respawns == 1
+
+            # Only EOF on the connection may find the death: no idle reaper,
+            # and a short result timeout instead of a hang.
+            monkeypatch.setattr(dispatcher, "_reap_dead", lambda: None)
+            dispatcher.result_timeout = 20.0
+            request_id = dispatcher.submit(_session(1, ticks=50_000, session_id=victim_id))
+            os.kill(victim.process.pid, signal.SIGKILL)
+            outcome = dispatcher.collect(request_id)
+            assert not outcome.ok and outcome.trap_kind == TRAP_KIND_WORKER_DIED
+            assert pool.respawns == 2
+            pool.wait_ready()
+
+            # The other direction: once the parent closes its end of a
+            # worker's connection, that worker reads EOF and exits, though
+            # the victim's replacement was forked after that connection
+            # was made.
+            sibling.conn.close()
+            sibling.process.join(timeout=10)
+            assert not sibling.process.is_alive()
+
+
+class TestSpawnStartMethod:
+    def test_round_trip_batch_and_respawn(self):
+        with ClusterService(
+            api.compile(counter_program(), {"cache": "private"}),
+            api.CompileConfig(workers=2, cache="private"),
+            start_method="spawn",
+        ) as service:
+            assert service.pool.context.get_start_method() == "spawn"
+            assert service.call("client.client_init", [5]) == []
+            report = service.run([_session(i, session_id=f"sp{i}") for i in range(8)])
+            assert [o.values[-1] for o in report.outcomes] == [[i + 4] for i in range(8)]
+
+            handle = service.pool.handles[0]
+            pid_before = handle.process.pid
+            handle.conn.send({"op": "crash"})
+            handle.process.join(timeout=10)
+            session_id = _session_ids_for(service.dispatcher, 0, 1, "sp-after")[0]
+            outcome = service.session(_session(3).calls, session_id=session_id)
+            assert outcome.ok and outcome.values[-1] == [7]
+            assert service.pool.respawns == 1
+            assert handle.process.pid != pid_before
 
 
 class TestStats:

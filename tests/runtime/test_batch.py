@@ -1,5 +1,8 @@
 """Tests for :class:`repro.runtime.BatchRunner` — budgets, isolation, stats."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro import api
@@ -12,6 +15,7 @@ from repro.runtime import (
     InstancePool,
     ModuleCache,
     Request,
+    RequestOutcome,
     Session,
     scenario_service,
 )
@@ -233,3 +237,47 @@ class TestRequestMetrics:
         assert requests.snapshot() == expected_requests.snapshot()
         assert traps.snapshot() == expected_traps.snapshot()
         assert requests.labeled(outcome="ok") == 2 and traps.labeled(kind="unreachable") == 2
+
+
+class TestRequestOutcome:
+    """The outcome record keeps its dataclass contract, however it is built."""
+
+    def _outcome(self, **changes):
+        fields = dict(request=Request("m.f", (1,)), ok=False, values=None, trap="boom",
+                      steps=7, trap_kind="unreachable", trace_id="t-1")
+        fields.update(changes)
+        return RequestOutcome(**fields)
+
+    def test_fields_defaults_and_positional_order(self):
+        assert [f.name for f in dataclasses.fields(RequestOutcome)] == [
+            "request", "ok", "values", "trap", "steps", "trap_kind", "trace_id",
+        ]
+        outcome = RequestOutcome(Request("m.f", ()), True, [3], None, 5)
+        assert (outcome.ok, outcome.values, outcome.trap, outcome.steps) == (True, [3], None, 5)
+        assert outcome.trap_kind is None and outcome.trace_id is None
+
+    def test_equality_and_repr(self):
+        assert self._outcome() == self._outcome()
+        assert self._outcome() != self._outcome(steps=8)
+        assert repr(self._outcome()) == (
+            "RequestOutcome(request=Request(export='m.f', args=(1,), max_steps=None, "
+            "trace_id=None), ok=False, values=None, trap='boom', steps=7, "
+            "trap_kind='unreachable', trace_id='t-1')"
+        )
+
+    def test_pickle_round_trip(self):
+        outcome = self._outcome(ok=True, values=[[1], [2]], trap=None, trap_kind=None)
+        assert pickle.loads(pickle.dumps(outcome)) == outcome
+
+    def test_replace(self):
+        outcome = self._outcome()
+        replaced = dataclasses.replace(outcome, steps=9, trace_id=None)
+        assert replaced == self._outcome(steps=9, trace_id=None)
+        assert outcome.steps == 7
+
+    def test_assignment_raises(self):
+        outcome = self._outcome()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.steps = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del outcome.trap
