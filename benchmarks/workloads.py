@@ -571,48 +571,60 @@ def counter_sessions(count: int, *, ticks: int = COUNTER_TICKS) -> list:
 
 
 def measure_cluster_throughput(*, workers: int = 4, sessions: int = 60,
-                               rounds: int = 3) -> dict:
+                               rounds: int = 5) -> dict:
     """Aggregate cluster rps vs the single-process serving baseline.
 
     Serves the same batch of sticky counter sessions through an in-process
     :class:`repro.api.Service` and through ``api.serve(..., workers=N)``
-    (the :class:`repro.cluster.ClusterService` fan-out), best-of ``rounds``
-    each.  The two sides alternate round by round, so a host whose speed
-    drifts slows both alike.  Records ``cpu_count`` alongside the speedup:
-    the dispatcher ships a batch to each worker in a few chunks, so the
-    parent's wire cost is small and the speedup tracks the cores the workers
-    actually get — on a single-CPU host N workers time-slice one core and
-    the honest figure is about 1x, which is why the scale-out gate in
-    ``bench_cluster.py`` sizes its worker count and floor to ``cpu_count``.
+    (the :class:`repro.cluster.ClusterService` fan-out).  After one untimed
+    batch on each side, every round times one batch on each, the first of
+    the two alternating from round to round, so a host whose speed drifts
+    slows both sides of a round alike; ``speedup`` is the median of the
+    per-round cluster/single ratios (all of them are in ``speedups``).
+    Records ``cpu_count`` alongside: the dispatcher ships a batch to each
+    worker in a few chunks, so the parent's wire cost is small and the
+    speedup tracks the cores the workers actually get — on a single-CPU
+    host N workers time-slice one core and the honest figure is about 1x,
+    which is why the scale-out gate in ``bench_cluster.py`` sizes its worker
+    count and floor to ``cpu_count``.
     """
 
-    import os
+    import statistics
 
     from repro import api
 
     scenario = counter_program()
-    best = {"single": 0.0, "cluster": 0.0}
+    rps: dict[str, list[float]] = {"single": [], "cluster": []}
     ok = {"single": 0, "cluster": 0}
     with api.serve(scenario, {"cache": "private"}) as single, \
             api.serve(scenario, {"cache": "private", "workers": workers}) as cluster:
-        for _ in range(rounds):
-            for side, service in (("single", single), ("cluster", cluster)):
+        sides = (("single", single), ("cluster", cluster))
+        for _side, service in sides:
+            service.run(counter_sessions(sessions))
+        for turn in range(rounds):
+            for side, service in sides[::-1] if turn % 2 else sides:
                 report = service.run(counter_sessions(sessions))
                 ok[side] = report.ok_count
-                best[side] = max(best[side], report.requests_per_sec or 0.0)
+                rps[side].append(report.requests_per_sec or 0.0)
         cluster_workers = cluster.workers
 
-    single_rps, cluster_rps = best["single"], best["cluster"]
+    ratios = [
+        cluster_rps / single_rps
+        for single_rps, cluster_rps in zip(rps["single"], rps["cluster"])
+        if single_rps
+    ]
     return {
         "workload": "linked_counter",
         "workers": cluster_workers,
         "sessions": sessions,
+        "rounds": rounds,
         "cpu_count": os.cpu_count(),
         "single_ok": ok["single"],
         "cluster_ok": ok["cluster"],
-        "single_requests_per_sec": round(single_rps, 1),
-        "cluster_requests_per_sec": round(cluster_rps, 1),
-        "speedup": round(cluster_rps / single_rps, 2) if single_rps else None,
+        "single_requests_per_sec": round(statistics.median(rps["single"]), 1),
+        "cluster_requests_per_sec": round(statistics.median(rps["cluster"]), 1),
+        "speedup": round(statistics.median(ratios), 2) if ratios else None,
+        "speedups": [round(ratio, 2) for ratio in ratios],
     }
 
 

@@ -30,11 +30,11 @@ new version of a module reuses every unchanged function's work:
 * **validate** — (Wasm function digest, Wasm signature digest) → a checked
   marker (:func:`repro.wasm.validate_module`);
 * **decode** — Wasm function digest → the :class:`~repro.wasm.decode.FlatFunction`;
-* **translate** — (Wasm function digest, Wasm signature digest, slot index,
-  stack mode) → the generated Python source chunk, stack mode and exec'd
-  callable (:mod:`repro.wasm.pygen`; sound since PR 8 routed direct calls
-  through the per-instance runtime, making each generated function
-  self-contained).
+* **translate** — (Wasm function digest, Wasm signature digest, slot index)
+  → the generated Python source chunk, its mode (``"flat"`` for a function
+  left to the flat VM) and the callable (:mod:`repro.wasm.pygen`; sound
+  because direct calls dispatch through the per-instance runtime, which
+  makes each generated function self-contained).
 
 Unit keys are built from :func:`repro.core.syntax.structural_digest` parts,
 so — like the PR 5 content keys — they are deterministic across processes
@@ -235,19 +235,17 @@ def decode_unit_key(function: WasmFunction) -> str:
     return _memoized_key("decode", function, (), ())
 
 
-def translate_unit_key(
-    function: WasmFunction, module: WasmModule, index: int, *, force_list: bool = False
-) -> str:
+def translate_unit_key(function: WasmFunction, module: WasmModule, index: int) -> str:
     """Per-function pygen translation unit key.
 
     The signature digest covers the callee arities and host import types the
     emitted call sites bake in; the slot index is baked into the generated
-    function name and host-call dispatch, so it is part of the key too.
+    function name, host-call dispatch and flat-VM target, so it is part of
+    the key too.  The unit's mode (``"register"`` or ``"flat"``) follows
+    from the function and signatures alone, so the key needs no more.
     """
 
-    return _memoized_key(
-        "translate", function, (), (wasm_signature_digest(module), index, force_list)
-    )
+    return _memoized_key("translate", function, (), (wasm_signature_digest(module), index))
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +401,8 @@ class FunctionUnitCache:
     def decode_key(self, function) -> str:
         return decode_unit_key(function)
 
-    def translate_key(self, function, module, index: int, *, force_list: bool = False) -> str:
-        return translate_unit_key(function, module, index, force_list=force_list)
+    def translate_key(self, function, module, index: int) -> str:
+        return translate_unit_key(function, module, index)
 
 
 __all__ = [

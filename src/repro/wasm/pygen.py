@@ -16,10 +16,11 @@ Translation strategy:
   multi-level branches set a ``_br`` counter unwound by a small cascade
   after each inner region;
 * Wasm locals become Python locals ``l0..lN``;
-* the operand stack becomes Python locals ``s0..sN`` wherever the static
-  stack depth is provable (it always is for validated code); translation
-  falls back to an explicit list per function otherwise.  In register mode
-  the emitter keeps a *symbolic* operand stack, Binaryen's expression-tree
+* the operand stack becomes Python locals ``s0..sN``: in validated code the
+  stack depth at every instruction is static.  A function where it cannot
+  be proven (only invalid code) is not translated; its slot gets a target
+  that runs each activation on the flat VM, which is the reference.  The
+  emitter keeps a *symbolic* operand stack, Binaryen's expression-tree
   idea applied at emit time: pure operands (local and global reads,
   constants, the inline integer binops, integer relops and tests, the other
   non-trapping integer numerics, ``wrap``/``extend`` and ``select``) stay
@@ -160,7 +161,8 @@ _MAX_NEST = 16
 
 
 class _RegisterModeUnsupported(Exception):
-    """Static stack depth could not be proven; retranslate with a list."""
+    """Static stack depth could not be proven: the function runs on the
+    flat VM instead (see :func:`_flat_target`)."""
 
 
 class _ConstPool:
@@ -257,12 +259,12 @@ class _Label:
         self.kind = kind  # "block" | "loop" | "if"
         self.br_arity = br_arity
         self.end_arity = end_arity
-        self.base = base  # int (register mode) or base-var name (list mode)
+        self.base = base  # stack depth under the construct's parameters
         self.target = target  # the flat VM's branch target pc
 
 
 # ---------------------------------------------------------------------------
-# Symbolic operands (register mode)
+# Symbolic operands
 # ---------------------------------------------------------------------------
 
 _NAME = re.compile(r"[\w.]+(\[\d+\])?")
@@ -332,12 +334,14 @@ def _lines(pre: list[str], assign: Optional[str]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# The emitters
+# The emitter
 # ---------------------------------------------------------------------------
 
 
 class _FunctionEmitter:
-    """Shared emission machinery; stack access is specialized by subclass.
+    """One function's emission state: the operand stack as Python locals
+    ``s0..sN`` (static depth proven), with pure operands folded into their
+    consumers (see :class:`_Operand`).
 
     The stack primitives every leaf translation is written against:
 
@@ -350,11 +354,12 @@ class _FunctionEmitter:
       branch condition;
     * ``assign(target, key)``/``tee(name)`` — ``local.set``/``global.set``
       and ``local.tee``;
-    * ``settle()`` — the lines that leave every operand in its storage at a
+    * ``settle()`` — the lines that leave every operand in its slot at a
       chunk end, and ``drop_pending()`` after an unconditional transfer.
-    """
 
-    mode: ClassVar[str] = "abstract"
+    Any primitive raises :class:`_RegisterModeUnsupported` where the depth
+    it needs is not there.
+    """
 
     def __init__(self, index: int, flat: FlatFunction, slots: list, module: WasmModule, pool: _ConstPool):
         self.index = index
@@ -365,8 +370,10 @@ class _FunctionEmitter:
         self.lines: list[str] = []
         self.indent = 1
         self.chunk: list[list[str]] = []
-        self.chunk_start: tuple = (0, None)  # (pc, register depth) of the chunk
+        self.chunk_start: tuple = (0, 0)  # (pc, stack depth) of the chunk
         self.labels: list[_Label] = []
+        self.stack: list[_Operand] = []
+        self._leaves: dict[str, _Operand] = {}  # pushed names and literals
         self.has_memory = module.memory is not None
         code = flat.code
         self.need_br = any(
@@ -415,7 +422,7 @@ class _FunctionEmitter:
         else:
             # Due somewhere inside the chunk: ``_deopt`` re-reads the
             # boundary and, if it really is, resumes on the flat VM with
-            # these label records (bases still named in list mode).
+            # these label records.
             records = tuple(
                 (label.target, label.br_arity, label.end_arity, label.base, label.kind == "loop")
                 for label in self.labels
@@ -430,23 +437,6 @@ class _FunctionEmitter:
                 write(line)
         for line in self.settle():
             write(line)
-
-    # -- pending operands (none unless the subclass folds them) -------------
-
-    def settle(self) -> list[str]:
-        return []
-
-    def drop_pending(self) -> None:
-        pass
-
-    def spill_below(self, keep: int) -> list[str]:
-        return []
-
-    def save(self):
-        return None
-
-    def restore(self, state) -> None:
-        pass
 
     # -- value normalization ------------------------------------------------
 
@@ -468,17 +458,7 @@ class _FunctionEmitter:
         declared = self.module.functions[findex] if findex < len(self.module.functions) else None
         return declared.functype if isinstance(declared, WasmImportedFunction) else None
 
-
-class _RegisterEmitter(_FunctionEmitter):
-    """Operand stack as Python locals ``s0..sN`` (static depth proven),
-    with pure operands folded into their consumers (see :class:`_Operand`)."""
-
-    mode: ClassVar[str] = "register"
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.stack: list[_Operand] = []
-        self._leaves: dict[str, _Operand] = {}  # pushed names and literals
+    # -- the symbolic stack ------------------------------------------------
 
     @property
     def depth(self) -> int:
@@ -540,12 +520,6 @@ class _RegisterEmitter(_FunctionEmitter):
 
     def drop_pending(self) -> None:
         self.depth = len(self.stack)
-
-    def save(self) -> list:
-        return list(self.stack)
-
-    def restore(self, state: list) -> None:
-        self.stack = list(state)
 
     # -- stack primitives --------------------------------------------------
 
@@ -685,106 +659,9 @@ class _RegisterEmitter(_FunctionEmitter):
             self.stack.append(_slot(self.depth))
         return lines
 
-    def prologue(self) -> list[str]:
-        return []
-
-
-class _ListEmitter(_FunctionEmitter):
-    """Operand stack as an explicit list ``st`` (the robust fallback)."""
-
-    mode: ClassVar[str] = "list"
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self._tmp = 0
-
-    def _fresh(self) -> str:
-        name = f"_p{self._tmp % 4}"
-        self._tmp += 1
-        return name
-
-    def push(self, expr: str, reads=()) -> list[str]:
-        return [f"st.append({expr})"]
-
-    def apply(self, count: int, build, *, pure: bool = True, cond=None) -> tuple[list[str], Optional[str]]:
-        if count == 0:
-            return [], f"st.append({build()})"
-        if count == 1:
-            return [], f"st[-1] = {build('st[-1]')}"
-        rhs, lines = self.pop()
-        return lines, f"st[-1] = {build('st[-1]', rhs)}"
-
-    def top(self) -> str:
-        return "st[-1]"
-
-    def pop(self, reuse: bool = False) -> tuple[str, list[str]]:
-        name = self._fresh()
-        return name, [f"{name} = st.pop()"]
-
-    pop_cond = pop
-
-    def discard(self) -> list[str]:
-        return ["del st[-1]"]
-
-    def assign(self, target: str, key: str) -> list[str]:
-        value, lines = self.pop()
-        return lines + [f"{target} = {value}"]
-
-    def tee(self, name: str) -> list[str]:
-        return [f"{name} = st[-1]"]
-
-    def select(self) -> list[str]:
-        cond, lines1 = self.pop()
-        second, lines2 = self.pop()
-        return lines1 + lines2 + [f"if not {cond}:", f"    st[-1] = {second}"]
-
-    def make_label(self, kind: str, n_params: int, br_arity: int, end_arity: int, target: int) -> _Label:
-        base = f"_b{len(self.labels)}"
-        self.write(f"{base} = len(st) - {n_params}")
-        return _Label(kind, br_arity, end_arity, base, target)
-
-    @staticmethod
-    def _keep(arity: int, base: str) -> list[str]:
-        """Cut the stack back to ``base`` plus its top ``arity`` values."""
-
-        if arity:
-            return [f"if len(st) != {base} + {arity}:", f"    st[{base}:] = st[len(st) - {arity}:]"]
-        return [f"del st[{base}:]"]
-
-    def branch_adjust(self, label: _Label) -> list[str]:
-        return self._keep(label.br_arity, label.base)
-
-    def end_adjust(self, label: _Label) -> list[str]:
-        return self._keep(label.end_arity, label.base)
-
-    def return_lines(self) -> list[str]:
-        nres = self.flat.n_results
-        if nres:
-            return [f"return (steps, *st[len(st) - {nres}:])"]
-        return ["return (steps,)"]
-
-    def call_args(self, n_params: int) -> tuple[str, list[str]]:
-        if n_params == 0:
-            return "", []
-        return "*_a", [f"_a = st[len(st) - {n_params}:]", f"del st[len(st) - {n_params}:]"]
-
-    def defined_call_results(self, call: str, n_results: int) -> list[str]:
-        return [f"_r = {call}", "steps = _r[0]", "st.extend(_r[1:])"]
-
-    def host_call_results(self, functype) -> list[str]:
-        nz = self.pool.add(_normalize, "fn")
-        types = self.pool.add(functype.results, "t")
-        return [
-            "_r = list(_r) if _r is not None else []",
-            f"st.extend({nz}(_vt, _v) for _vt, _v in zip({types}, _r))",
-        ]
-
-    def prologue(self) -> list[str]:
-        return ["st = []"]
-
 
 # ---------------------------------------------------------------------------
-# Leaf and structure translation (mode-independent, built on the primitives)
+# Leaf and structure translation (built on the stack primitives)
 # ---------------------------------------------------------------------------
 
 
@@ -796,7 +673,7 @@ def _emit_body(em: _FunctionEmitter, nodes: list, tail: bool = False) -> bool:
 
     for pc, node in nodes:
         if not em.chunk:
-            em.chunk_start = (pc, getattr(em, "depth", None))
+            em.chunk_start = (pc, em.depth)
         if isinstance(node[0], str):
             # The construct header costs one step; an ``if`` consumes its
             # condition there, before the chunk's operands settle.
@@ -825,7 +702,7 @@ def _emit_construct(em: _FunctionEmitter, node, cond: Optional[str]) -> None:
     if kind == "if":
         _, arity, n_params, then_nodes, else_nodes, target = node
         label = em.make_label("if", n_params, arity, arity, target)
-        entry_depth = getattr(em, "depth", None)
+        entry_depth = em.depth
         em.write("while True:")
         em.indent += 1
         em.write(f"if {cond}:")
@@ -836,8 +713,7 @@ def _emit_construct(em: _FunctionEmitter, node, cond: Optional[str]) -> None:
                 em.write(line)
             em.write("break")
         em.indent -= 1
-        if entry_depth is not None:
-            em.depth = entry_depth
+        em.depth = entry_depth
         if not _emit_body(em, else_nodes):
             for line in em.end_adjust(label):
                 em.write(line)
@@ -860,8 +736,7 @@ def _emit_construct(em: _FunctionEmitter, node, cond: Optional[str]) -> None:
             em.write("break")
         em.labels.pop()
         em.indent -= 1
-    if hasattr(em, "depth"):
-        em.depth = (label.base if isinstance(label.base, int) else 0) + label.end_arity
+    em.depth = label.base + label.end_arity
     # Unwind multi-level branches that broke out of the inner region.
     if em.need_br and em.labels:
         parent = em.labels[-1]
@@ -1153,12 +1028,12 @@ def _emit_call_indirect(em: _FunctionEmitter, expected) -> None:
         "        eng.steps = steps",
         '        raise _WT("indirect call type mismatch")',
     ]
-    state = em.save()
+    state = list(em.stack)
     args, arg_lines = em.call_args(n_params)
     lines.extend("    " + line for line in arg_lines)
     call = f"_tg[_fx](rt, steps, boundary{', ' + args if args else ''})"
     lines.extend("    " + line for line in em.defined_call_results(call, len(expected.results)))
-    em.restore(state)
+    em.stack = state
     lines.append("else:")
     lines.extend("    " + line for line in _host_call_lines(em, "_ce", expected))
     em.step(lines)
@@ -1173,9 +1048,11 @@ def _emit_call_indirect(em: _FunctionEmitter, expected) -> None:
 class ModuleTranslation:
     """The per-module translation artifact: source plus exec'd callables.
 
-    ``functions[i]`` is the compiled Python callable for defined slot ``i``
-    and ``None`` at host slots; ``modes[i]`` records whether the register or
-    list stack layout was used.  The artifact is instance-independent (all
+    ``functions[i]`` is the Python callable for defined slot ``i`` and
+    ``None`` at host slots.  ``modes[i]`` is ``"register"`` where the slot's
+    code was translated and ``"flat"`` where its stack depth could not be
+    proven (only invalid code), so its callable runs each activation on the
+    flat VM (:func:`_flat_target`).  The artifact is instance-independent (all
     instance state flows through the per-instance runtime object), so it is
     shared across every instance of the module — and, via the module cache's
     content keyspace, across structurally identical module objects.
@@ -1213,61 +1090,48 @@ def translate_work() -> tuple[float, float, int]:
     return (_EMIT_SECONDS.value, _PYCOMPILE_SECONDS.value, _SOURCE_CHARS.value)
 
 
-def emit_function_chunk(
-    index: int, slots: list, module: WasmModule, *, force_list: bool = False
-) -> tuple[str, str, dict[str, object]]:
+def emit_function_chunk(index: int, slots: list, module: WasmModule) -> Optional[tuple[str, dict[str, object]]]:
     """Emit one function's translation unit source without exec'ing it.
 
-    Returns ``(chunk, mode, pool_values)`` — the generated source, the
-    calling-convention mode, and the const-pool namespace the chunk must be
-    exec'd against (:func:`build_translation_unit` compiles and execs it).
+    Returns ``(chunk, pool_values)`` — the generated source and the
+    const-pool namespace it must be exec'd against
+    (:func:`build_translation_unit` compiles and execs it) — or ``None``
+    when the function's static stack depth cannot be proven.
     """
 
     flat = slots[index]
     nodes = _parse_seq(flat.code, 0, len(flat.code))
-    for emitter_cls in ((_ListEmitter,) if force_list else (_RegisterEmitter, _ListEmitter)):
-        pool = _ConstPool()
-        pool.values.update(_WT=WasmTrap, _NT=numerics.NumericTrap, _FF=FlatFunction, _OOB=_oob_trap, _dp=_deopt)
-        em = emitter_cls(index, flat, slots, module, pool)
-        try:
-            # Locals are defaulted parameters: every call, internal or
-            # external, passes exactly ``n_params`` arguments, so the
-            # defaults are the local inits.  Parameters arrive normalized:
-            # ``invoke_index`` normalizes the entry arguments and every
-            # internal producer's value already is.
-            slots_sig = [f"l{i}" for i in range(flat.n_params)]
-            slots_sig += [
-                f"l{flat.n_params + j}={init!r}" for j, init in enumerate(flat.local_inits)
-            ]
-            head = ", ".join(slots_sig)
-            em.lines.append(f"def _f{index}(rt, steps, boundary{', ' + head if head else ''}):")
-            em.write("eng = rt.engine")
-            if em.uses_targets:
-                em.write("_tg = rt.targets")
-            if em.uses_globals:
-                em.write("gl = rt.globals")
-            if em.uses_memory:
-                em.write("_md = rt.memory.data")
-            if em.need_br:
-                em.write("_br = 0")
-            for line in em.prologue():
+    pool = _ConstPool()
+    pool.values.update(_WT=WasmTrap, _NT=numerics.NumericTrap, _FF=FlatFunction, _OOB=_oob_trap, _dp=_deopt)
+    em = _FunctionEmitter(index, flat, slots, module, pool)
+    # Locals are defaulted parameters: every call, internal or external,
+    # passes exactly ``n_params`` arguments, so the defaults are the local
+    # inits.  Parameters arrive normalized: ``invoke_index`` normalizes the
+    # entry arguments and every internal producer's value already is.
+    slots_sig = [f"l{i}" for i in range(flat.n_params)]
+    slots_sig += [f"l{flat.n_params + j}={init!r}" for j, init in enumerate(flat.local_inits)]
+    head = ", ".join(slots_sig)
+    em.lines.append(f"def _f{index}(rt, steps, boundary{', ' + head if head else ''}):")
+    em.write("eng = rt.engine")
+    if em.uses_targets:
+        em.write("_tg = rt.targets")
+    if em.uses_globals:
+        em.write("gl = rt.globals")
+    if em.uses_memory:
+        em.write("_md = rt.memory.data")
+    if em.need_br:
+        em.write("_br = 0")
+    try:
+        if not _emit_body(em, nodes, tail=True):
+            for line in em.return_lines():
                 em.write(line)
-            if not _emit_body(em, nodes, tail=True):
-                for line in em.return_lines():
-                    em.write(line)
-            return "\n".join(em.lines), em.mode, dict(pool.values)
-        except _RegisterModeUnsupported:
-            continue
-    raise AssertionError("list-mode translation cannot fail")  # pragma: no cover
+    except _RegisterModeUnsupported:
+        return None
+    return "\n".join(em.lines), dict(pool.values)
 
 
 def build_translation_unit(
-    index: int,
-    chunk: str,
-    mode: str,
-    pool_values: dict[str, object],
-    *,
-    module_name: str | None = None,
+    index: int, chunk: str, pool_values: dict[str, object], *, module_name: str | None = None
 ) -> tuple[str, str, object]:
     """Compile and exec a chunk from :func:`emit_function_chunk` into a
     translate unit.
@@ -1284,12 +1148,25 @@ def build_translation_unit(
     _SOURCE_CHARS.inc(len(chunk))
     namespace = dict(pool_values, **_ACCESSORS)
     exec(code, namespace)
-    return (chunk, mode, namespace[f"_f{index}"])
+    return (chunk, "register", namespace[f"_f{index}"])
 
 
-def translate_functions(
-    slots: list, module: WasmModule, *, force_list: bool = False, unit_cache=None
-) -> ModuleTranslation:
+def _flat_target(index: int):
+    """The target of a function whose stack depth could not be proven: each
+    activation runs from its first instruction on the engine's flat VM, the
+    tier's reference semantics, and returns the compiled ``(steps,
+    *results)``."""
+
+    def run(rt, steps, boundary, *args):
+        eng = rt.engine
+        eng.steps = steps
+        results = eng._flat._run(rt.instance, rt.decoded, index, list(args))
+        return (eng.steps, *results)
+
+    return run
+
+
+def translate_functions(slots: list, module: WasmModule, *, unit_cache=None) -> ModuleTranslation:
     """Translate a decoded function table (``FlatFunction``/host per slot).
 
     Each defined slot becomes its own unit: emitted with a private const
@@ -1313,17 +1190,21 @@ def translate_functions(
             continue
         unit = key = None
         if unit_cache is not None:
-            key = unit_cache.translate_key(module.functions[index], module, index, force_list=force_list)
+            key = unit_cache.translate_key(module.functions[index], module, index)
             unit = unit_cache.get("translate", key)
         if unit is None:
             started = time.perf_counter()
-            chunk, mode, pool_values = emit_function_chunk(index, slots, module, force_list=force_list)
+            emitted = emit_function_chunk(index, slots, module)
             _EMIT_SECONDS.inc(time.perf_counter() - started)
-            unit = build_translation_unit(index, chunk, mode, pool_values, module_name=module.name)
+            if emitted is None:
+                unit = ("", "flat", _flat_target(index))
+            else:
+                unit = build_translation_unit(index, *emitted, module_name=module.name)
             if unit_cache is not None:
                 unit_cache.put("translate", key, unit)
         chunk, mode, compiled = unit
-        chunks.append(chunk)
+        if chunk:
+            chunks.append(chunk)
         functions.append(compiled)
         modes.append(mode)
     return ModuleTranslation("\n\n".join(chunks), tuple(functions), tuple(modes))
@@ -1367,17 +1248,15 @@ def translate_module(module: WasmModule, *, unit_cache=None) -> ModuleTranslatio
 # ---------------------------------------------------------------------------
 
 
-def _deopt(rt, steps: int, frame: dict, index: int, pc: int, count: int, depth, labels: tuple):
+def _deopt(rt, steps: int, frame: dict, index: int, pc: int, count: int, depth: int, labels: tuple):
     """The guard of a ``count``-step chunk found ``steps >= boundary``.
 
     A caller's ``boundary`` goes stale once a callee takes a sample, so the
     boundary is re-read first: if nothing is due inside the chunk, the fresh
     boundary goes back and the compiled frame carries on.  Otherwise the
     activation is resumed on the engine's flat VM at the chunk's first
-    ``pc`` — locals and operand stack read out of the compiled ``frame``
-    (``locals()``: ``l*``/``s*`` in register mode, ``st`` and the ``_b*``
-    label bases in list mode, where ``depth`` is ``None``) — and run to its
-    return, which the flat VM steps one instruction at a time: budget traps
+    ``pc`` — locals ``l*`` and the ``depth`` operand slots ``s*`` read out
+    of the compiled ``frame`` (``locals()``) — and run to its return, which the flat VM steps one instruction at a time: budget traps
     and samples land on the same step, with the same partial side effects,
     as on the flat engine.  Returns the compiled ``(steps, *results)``.
     """
@@ -1388,14 +1267,9 @@ def _deopt(rt, steps: int, frame: dict, index: int, pc: int, count: int, depth, 
         return boundary
     flat = rt.decoded[index]
     locals_ = [frame[f"l{i}"] for i in range(flat.n_params + len(flat.local_inits))]
-    if depth is None:
-        stack = frame["st"]
-        labels = [(target, br, end, frame[base], loop) for target, br, end, base, loop in labels]
-    else:
-        stack = [frame[f"s{j}"] for j in range(depth)]
-        labels = list(labels)
+    stack = [frame[f"s{j}"] for j in range(depth)]
     eng.steps = steps - count
-    results = eng._flat._run(rt.instance, rt.decoded, index, None, (pc, locals_, stack, labels))
+    results = eng._flat._run(rt.instance, rt.decoded, index, None, (pc, locals_, stack, list(labels)))
     return (eng.steps, *results)
 
 

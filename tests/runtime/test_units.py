@@ -122,9 +122,6 @@ class TestUnitKeys:
         assert translate_unit_key(wasm.functions[0], wasm, 0) != translate_unit_key(
             wasm.functions[0], wasm, 1
         )
-        assert translate_unit_key(wasm.functions[0], wasm, 0) != translate_unit_key(
-            wasm.functions[0], wasm, 0, force_list=True
-        )
 
     def test_structurally_equal_twins_share_keys(self):
         first = synthetic_module(2, functions=3)

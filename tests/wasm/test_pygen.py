@@ -3,10 +3,10 @@
 The engine-agreement suites (``test_engines.py``, the property suite, the
 profiler parity tests) already pin the compiled tier's semantics against the
 flat VM and the tree walker; this file covers the translator's own
-machinery — the register/list stack layouts, the per-module translation
-memo, the content-keyed ``translate`` cache stage, and the facade's
-``translate`` diagnostics — plus compiled-engine invalidation on patched
-function tables.
+machinery — the register stack layout, the flat-VM route for functions
+whose stack depth cannot be proven, the per-module translation memo, the
+content-keyed ``translate`` cache stage, and the facade's ``translate``
+diagnostics — plus compiled-engine invalidation on patched function tables.
 """
 
 import re
@@ -48,13 +48,14 @@ from repro.wasm import (
     WBrIf,
     WCall,
     WCallIndirect,
+    WIf,
     WLoop,
     translate_module,
     validate_module,
 )
 from repro.wasm import pygen
 from repro.wasm.decode import decode_module
-from repro.wasm.pygen import ModuleTranslation, translate_functions
+from repro.wasm.pygen import ModuleTranslation
 from workloads import synthetic_module
 
 I32 = ValType.I32
@@ -95,28 +96,6 @@ class TestTranslation:
         assert first.function_count == 2
         assert first.modes == ("register", "register")
         assert "def _f0" in first.source and "def _f1" in first.source
-
-    def test_forced_list_mode_matches_register_mode(self):
-        module = sum_module()
-        slots = decode_module(module).flat
-        listy = translate_functions(slots, module, force_list=True)
-        assert listy.modes == ("list", "list")
-        # Run the register-mode translation and the list-mode one and
-        # compare results and steps against the flat VM.
-        flat = WasmInterpreter(engine="flat")
-        flat_inst = flat.instantiate(module)
-        expected = flat.invoke(flat_inst, "sum", [12])
-
-        compiled = WasmInterpreter(engine="compiled")
-        inst = compiled.instantiate(module)
-        assert compiled.invoke(inst, "sum", [12]) == expected
-        register_steps = compiled.steps
-
-        pygen._remember_translation(module, listy)
-        listy_interp = WasmInterpreter(engine="compiled")
-        listy_inst = listy_interp.instantiate(module)
-        assert listy_interp.invoke(listy_inst, "sum", [12]) == expected
-        assert listy_interp.steps == register_steps == flat.steps
 
     def test_patched_function_slot_retranslates(self):
         module = sum_module()
@@ -214,8 +193,8 @@ class TestMidChunkTraps:
 
     The compiled tier counts a whole chunk before running it, so a trap or a
     taken ``br_if`` in the middle must take back the instructions after it.
-    Every case runs on the tree walker, the flat VM and both compiled stack
-    layouts, unbudgeted and under budgets landing all over the loop.
+    Every case runs on the tree walker, the flat VM and the compiled tier,
+    unbudgeted and under budgets landing all over the loop.
     """
 
     @pytest.mark.parametrize("budget", [None, 1, 2, 3, 5, 17, 100, 399, 701])
@@ -223,16 +202,7 @@ class TestMidChunkTraps:
     def test_engines_agree(self, case, budget):
         hot, unbudgeted = _MID_CHUNK_CASES[case]
         module = _countdown_module(hot)
-        listy = _countdown_module(hot)
-        pygen._remember_translation(
-            listy, translate_functions(decode_module(listy).flat, listy, force_list=True)
-        )
-        observed = {
-            "tree": _observe("tree", module, budget),
-            "flat": _observe("flat", module, budget),
-            "compiled": _observe("compiled", module, budget),
-            "compiled/list": _observe("compiled", listy, budget),
-        }
+        observed = {engine: _observe(engine, module, budget) for engine in ("tree", "flat", "compiled")}
         reference = observed["flat"]
         for engine, outcome in observed.items():
             assert outcome[:2] == reference[:2], f"{case}, budget {budget}: {engine} {outcome[:2]} vs flat {reference[:2]}"
@@ -339,6 +309,18 @@ def _reentry_module():
     )
 
 
+def _flat_routed_module():
+    """``main`` is valid; its callee ``leaf`` first leaves a block with a
+    surplus value, so its stack depth cannot be proven and every call runs
+    it on the compiled engine's flat VM."""
+
+    leaf = _leaf()
+    callee = WasmFunction(
+        leaf.functype, leaf.locals, (WBlock(FT((), ()), (Const(I32, 9),)), *leaf.body), name="leaf"
+    )
+    return WasmModule(functions=(callee, _calling_loop([WCall(0)])), globals=(_counter_global(),))
+
+
 def _reentry_hosts(interp, holder):
     def cb(acc, n):
         (value,) = interp.invoke(holder["inst"], "leaf", [acc, n])
@@ -353,25 +335,23 @@ _DEOPT_FIXTURES = {
     "callee deopts under a compiled caller": (_callee_module, 5, None),
     "deopted caller calls compiled functions": (_caller_module, 4, None),
     "host import re-enters the engine": (_reentry_module, 4, _reentry_hosts),
+    "compiled caller calls a flat-routed callee": (_flat_routed_module, 8, None),
 }
+_FLAT_ROUTED = "compiled caller calls a flat-routed callee"  # not valid Wasm
 
-_DEOPT_ENGINES = ("flat", "compiled", "compiled/list")
+_DEOPT_ENGINES = ("flat", "compiled")
 
 
-def _deopt_module(name, engine):
-    factory = _DEOPT_FIXTURES[name][0]
-    module = factory()
-    validate_module(module)
-    if engine == "compiled/list":
-        pygen._remember_translation(
-            module, translate_functions(decode_module(module).flat, module, force_list=True)
-        )
+def _deopt_module(name):
+    module = _DEOPT_FIXTURES[name][0]()
+    if name != _FLAT_ROUTED:
+        validate_module(module)
     return module
 
 
 def _observe_deopt(name, module, engine, *, budget=None, interval=None):
     _factory, arg, hosts = _DEOPT_FIXTURES[name]
-    interp = WasmInterpreter(max_steps=budget, engine=engine.split("/")[0])
+    interp = WasmInterpreter(max_steps=budget, engine=engine)
     holder = {}
     holder["inst"] = inst = interp.instantiate(module, hosts(interp, holder) if hosts else None)
     profiler = StepProfiler(interval=interval, keep_trace=True).install(interp) if interval else None
@@ -406,10 +386,12 @@ class TestDeopt:
 
     @pytest.mark.parametrize("name", sorted(_DEOPT_FIXTURES))
     def test_every_budget_and_interval_matches_flat(self, name, resumes):
-        modules = {engine: _deopt_module(name, engine) for engine in _DEOPT_ENGINES}
-        assert "register" in translate_module(modules["compiled"]).modes
+        modules = {engine: _deopt_module(name) for engine in _DEOPT_ENGINES}
+        modes = translate_module(modules["compiled"]).modes
+        assert modes[-1] == "register"  # main
+        assert ("flat" in modes) == (name == _FLAT_ROUTED)
         total = _observe_deopt(name, modules["flat"], "flat")[1]
-        runs = [{"budget": budget} for budget in range(1, total + 1)]
+        runs = [{"budget": budget} for budget in range(1, total + 2)]
         runs += [{"interval": interval} for interval in range(1, 9)]
         for run in runs:
             observed = {
@@ -420,8 +402,8 @@ class TestDeopt:
         assert resumes, "no run deoptimized"
 
     def test_budget_trap_inside_a_chunk_deoptimizes(self, resumes):
-        module = _deopt_module("loop with a taken mid-chunk br_if", "compiled")
-        flat = _deopt_module("loop with a taken mid-chunk br_if", "flat")
+        module = _deopt_module("loop with a taken mid-chunk br_if")
+        flat = _deopt_module("loop with a taken mid-chunk br_if")
         # Step 10 is in the middle of the loop body's first turn.
         budget = 9
         expected = _observe_deopt("loop with a taken mid-chunk br_if", flat, "flat", budget=budget)
@@ -434,8 +416,8 @@ class TestDeopt:
         # ``leaf``: ``main`` sees a stale boundary when it returns, and the
         # guard must re-read it instead of deoptimizing ``main`` too.
         name = "callee deopts under a compiled caller"
-        flat = _deopt_module(name, "flat")
-        compiled = _deopt_module(name, "compiled")
+        flat = _deopt_module(name)
+        compiled = _deopt_module(name)
         total = _observe_deopt(name, flat, "flat")[1]
         in_leaf = 0
         for interval in range(total // 2 + 1, total + 1):
@@ -447,6 +429,69 @@ class TestDeopt:
                 in_leaf += 1
                 assert [index for index, _pc in resumes] in ([], [0]), f"interval {interval}: {resumes}"
         assert in_leaf > 0
+
+
+# Bodies of ``f(x)`` that register mode rejects; none is valid Wasm.
+_UNPROVABLE = {
+    "block left with a surplus value": (
+        WBlock(FT((), ()), (Const(I32, 7),)), LocalGet(0), Const(I32, 5), Binop(I32, "add"),
+    ),
+    "if whose then-arm leaves two values": (
+        LocalGet(0), WIf(FT((), (I32,)), (Const(I32, 1), Const(I32, 2)), (Const(I32, 3),)),
+        Const(I32, 10), Binop(I32, "add"),
+    ),
+    "i32.add on one operand": (Const(I32, 1), Binop(I32, "add")),
+}
+
+
+def _unprovable_module(case):
+    return WasmModule(functions=(WasmFunction(FT((I32,), (I32,)), (), _UNPROVABLE[case], exports=("f",)),))
+
+
+def _observe_unprovable(module, engine, arg, budget):
+    interp = WasmInterpreter(max_steps=budget, engine=engine)
+    inst = interp.instantiate(module)
+    try:
+        outcome = ("ok", interp.invoke(inst, "f", [arg]))
+    except WasmTrap as trap:
+        outcome = ("trap", str(trap))
+    except IndexError:
+        # The operand stack ran dry; the engines word the error differently.
+        outcome = ("underflow",)
+    return outcome, interp.steps
+
+
+class TestFlatRoute:
+    """A function whose stack depth cannot be proven is not translated: the
+    compiled engine runs its activations on the flat VM, so it matches the
+    reference engines step for step."""
+
+    @pytest.mark.parametrize("case", sorted(_UNPROVABLE))
+    def test_engines_agree(self, case):
+        module = _unprovable_module(case)
+        translation = translate_module(module)
+        assert translation.modes == ("flat",) and translation.source == ""
+        for arg in (0, 1):
+            total = _observe_unprovable(module, "flat", arg, None)[1]
+            assert total > 0
+            for budget in (None, *range(1, total + 2)):
+                observed = {
+                    engine: _observe_unprovable(module, engine, arg, budget)
+                    for engine in ("tree", "flat", "compiled")
+                }
+                assert observed["tree"] == observed["flat"] == observed["compiled"], (case, arg, budget)
+
+    def test_flat_unit_is_reused_by_a_structural_twin(self):
+        cache = ModuleCache()
+        translate_module(_unprovable_module("block left with a surplus value"), unit_cache=cache.units)
+        twin = _unprovable_module("block left with a surplus value")
+        before = cache.units.snapshot()
+        translation = translate_module(twin, unit_cache=cache.units)
+        assert cache.units.delta(before)["translate"] == {"reused": 1, "compiled": 0}
+        assert translation.modes == ("flat",)
+        interp = WasmInterpreter(engine="compiled")
+        assert interp.invoke(interp.instantiate(twin), "f", [1]) == [6]
+        assert interp.steps == 5
 
 
 def test_inline_conversions_match_flat():

@@ -21,8 +21,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import api
+from repro.api import CompileConfig
 from repro.core.semantics import numerics
 from repro.core.typing.errors import WasmError
+from repro.ffi import counter_program, fig3_programs
 from repro.obs import StepProfiler
 from repro.wasm import (
     Binop,
@@ -59,6 +62,7 @@ from repro.wasm import (
     validate_module,
 )
 from repro.wasm.ast import MemoryGrow, MemorySize, WDrop, WSelect
+from workloads import synthetic_module
 
 I32, I64, F32, F64 = ValType.I32, ValType.I64, ValType.F32, ValType.F64
 FT = WasmFuncType
@@ -451,3 +455,22 @@ def test_long_pure_chains_stay_compilable():
     for args in ((3, 5), (2**32 - 1, 0)):
         observed = {engine: _observe(module, engine, args) for engine in _ENGINES}
         assert observed["compiled"] == observed["flat"] == observed["tree"]
+
+
+@pytest.mark.parametrize("opt_level", ["O0", "O1", "O2"])
+def test_pipeline_programs_translate_every_function(opt_level):
+    # Lowered code is validated, so its stack depth is static at every
+    # instruction: no function of a pipeline program may be left to the
+    # flat VM, which would run it at a fraction of the compiled speed.
+    programs = {
+        "synthetic seed 1": synthetic_module(1, functions=40),
+        "synthetic seed 3": synthetic_module(3, functions=40),
+        "Fig. 3 (safe)": fig3_programs()[1],
+        "Fig. 9 counter": counter_program(),
+    }
+    config = CompileConfig(opt_level=opt_level, cache="none")
+    for name, program in programs.items():
+        wasm = api.compile(program, config).wasm
+        modes = translate_module(wasm).modes
+        defined = [mode for function, mode in zip(wasm.functions, modes) if isinstance(function, WasmFunction)]
+        assert defined and set(defined) == {"register"}, name
