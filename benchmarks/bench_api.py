@@ -21,7 +21,7 @@ from repro.ffi import counter_program
 from repro.opt import pipeline_names, run_differential, run_engine_cross_check
 from repro.runtime import ModuleCache
 
-from workloads import COUNTER_TICKS
+from workload_builders import COUNTER_TICKS
 
 CALLS = (
     [("client.client_init", (0,))]

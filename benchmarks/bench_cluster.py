@@ -28,7 +28,7 @@ import pytest
 from repro import api
 from repro.ffi import counter_program
 
-from workloads import (
+from workload_builders import (
     counter_sessions,
     measure_cluster_throughput,
     measure_disk_warm_start,

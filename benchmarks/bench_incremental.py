@@ -36,7 +36,7 @@ from repro.runtime import ModuleCache
 from repro.runtime.cache import content_key
 from repro.wasm import validate_module
 
-from workloads import (
+from workload_builders import (
     edit_one_function,
     measure_incremental_compile,
     measure_source_edit_compile,
@@ -85,7 +85,7 @@ def _calls():
 
 def _expected(export: str) -> int:
     # Function i computes seed + 1 with seed = i + 1; the edited function's
-    # seed is FUNCTIONS + EDITED + 1 (see workloads.edit_one_function).
+    # seed is FUNCTIONS + EDITED + 1 (see workload_builders.edit_one_function).
     if export == f"f{EDITED}":
         return FUNCTIONS + EDITED + 2
     index = 0 if export == "main" else int(export[1:])

@@ -24,7 +24,7 @@ from repro.core.syntax import NumType, NumV
 from repro.opt import run_engine_cross_check
 from repro.wasm import WasmInterpreter
 
-from workloads import SUM_N, WORKLOADS, measure_engine, run_calls
+from workload_builders import SUM_N, WORKLOADS, measure_engine, run_calls
 
 EXPECTED = SUM_N * (SUM_N + 1) // 2
 

@@ -25,7 +25,7 @@ from repro.obs import NOOP_TRACER, StepProfiler, Tracer, get_tracer, set_tracer
 from repro.obs.export import span_record, validate_record
 from repro.wasm import WasmInterpreter
 
-from workloads import WORKLOADS, run_calls
+from workload_builders import WORKLOADS, run_calls
 
 DISABLED_FLOOR = 0.98
 TRACED_FLOOR = 0.90

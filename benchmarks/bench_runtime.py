@@ -21,7 +21,7 @@ from repro.ffi import counter_program
 from repro.opt import run_pool_reset_cross_check
 from repro.runtime import ModuleCache, Request, Session, scenario_service
 
-from workloads import COUNTER_TICKS, WORKLOADS, measure_runtime_throughput
+from workload_builders import COUNTER_TICKS, WORKLOADS, measure_runtime_throughput
 
 # The acceptance floor; measured headroom is orders of magnitude (the naive
 # path re-runs linking and type-directed lowering per instantiation).

@@ -22,7 +22,7 @@ import pytest
 from repro.core.syntax import interning_disabled
 from repro.core.typing import check_module
 
-from workloads import synthetic_module
+from workload_builders import synthetic_module
 
 #: Required interned-over-structural-baseline throughput ratio (CI floor).
 CHECKER_SPEEDUP_FLOOR = 2.0

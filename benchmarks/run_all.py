@@ -48,7 +48,7 @@ from repro.obs import (  # noqa: E402
 from repro.opt import run_engine_cross_check, run_pool_reset_cross_check  # noqa: E402
 from repro.wasm import available_engines  # noqa: E402
 
-from workloads import (  # noqa: E402
+from workload_builders import (  # noqa: E402
     WORKLOADS,
     measure_cluster_throughput,
     measure_compile_stages,

@@ -21,6 +21,7 @@ import os
 import time
 from typing import Callable
 
+from repro import api
 from repro.core.syntax import (
     Block,
     Br,
@@ -126,7 +127,7 @@ def ml_pipeline_module():
 
 def _ml_pipeline():
     module = ml_pipeline_module()
-    wasm = compile_ml_module(module, lower=True).wasm
+    wasm = api.lower(compile_ml_module(module), {"cache": "none"}).wasm
     validate_module(wasm)
     calls = [("pipeline", (value,)) for value in (21, -3, 0, 100, 7, -1, 55, 13)]
     return wasm, calls
@@ -139,15 +140,14 @@ def _l3_churn():
                         LLetPair("old", "o2", LSwap(LVar("o"), LIntLit(1)),
                                  LBinOp("+", LVar("old"), LFree(LVar("o2")))))),
     ])
-    wasm = compile_l3_module(module, lower=True).wasm
+    wasm = api.lower(compile_l3_module(module), {"cache": "none"}).wasm
     validate_module(wasm)
     calls = [("churn", (value,)) for value in (9, 1, 42, 0, 17, 3, 8, 26)]
     return wasm, calls
 
 
 def _linked_counter():
-    program = Program(counter_program().modules())
-    wasm = program.lower().wasm
+    wasm = api.lower(Program(counter_program().modules()), {"cache": "none"}).wasm
     validate_module(wasm)
     calls = [(export, ()) for export in sorted(wasm.exported_functions()) if export.endswith("._init")]
     calls.append(("client.client_init", (0,)))
@@ -203,7 +203,6 @@ def measure_runtime_throughput(*, min_time: float = 0.15) -> dict:
     serving stateful init/tick*/total sessions off the pool.
     """
 
-    from repro import api
     from repro.runtime import BatchRunner, ModuleCache, Session, run_initializers_setup
 
     modules = counter_program().modules()
@@ -327,7 +326,6 @@ def measure_incremental_compile(*, functions: int = 1000, blocks: int = 1) -> di
     of the incremental recompile.
     """
 
-    from repro import api
     from repro.api import CompileConfig
     from repro.runtime import ModuleCache
 
@@ -414,7 +412,6 @@ def measure_source_edit_compile(*, functions: int = 100, edits: int = 3) -> dict
 
     from statistics import median
 
-    from repro import api
     from repro.api import CompileConfig
     from repro.runtime import ModuleCache
     from repro.runtime.cache import content_key
@@ -591,7 +588,6 @@ def measure_cluster_throughput(*, workers: int = 4, sessions: int = 60,
 
     import statistics
 
-    from repro import api
 
     scenario = counter_program()
     rps: dict[str, list[float]] = {"single": [], "cluster": []}
@@ -631,7 +627,7 @@ def measure_cluster_throughput(*, workers: int = 4, sessions: int = 60,
 _WARM_START_CHILD = """
 import json, sys, time
 sys.path[:0] = {paths!r}
-from workloads import synthetic_module
+from workload_builders import synthetic_module
 from repro import api
 from repro.cluster.diskcache import shared_disk_module_cache
 module = synthetic_module(1, functions={functions})

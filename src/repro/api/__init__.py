@@ -12,15 +12,16 @@ keyword sprawl of the lower layers:
 * :func:`compile` — any mix of registered frontends (``ml``, ``l3``,
   ``richwasm``; see :mod:`repro.api.frontends`) in, one shareable
   :class:`~repro.runtime.CompiledProgram` out, with structured
-  :class:`Diagnostics` attached.  :func:`lower` is the stop-after-lowering
-  variant.
+  :class:`Diagnostics` attached.  :func:`lower` runs the same pipeline and
+  stops before decoding, returning the program's ``LoweredModule``.
 * :func:`serve` — wrap a compiled program (or raw sources) in a
   :class:`Service`: instance pool + batch runner + lenient-but-checked
   export resolution.
 
-Every lower-layer entry point (``Program.lower``/``compile``,
-``lower_module``, the ml/l3 codegen functions, ``ModuleCache``) takes its
-settings as one ``config=`` :class:`CompileConfig`.
+These are the only entry points that lower a program; the ml/l3 codegen
+functions return RichWasm, and ``lower_module`` and ``ModuleCache`` are the
+stages the pipeline runs, taking their settings as one ``config=``
+:class:`CompileConfig`.
 """
 
 from .config import CACHE_POLICIES, CompileConfig, ConfigError

@@ -4,17 +4,19 @@ The single configuration-driven entry surface over the whole stack: sources
 (any mix of registered frontends, or pre-built scenario/program objects) plus
 one :class:`CompileConfig` in; a shareable
 :class:`~repro.runtime.CompiledProgram` (or a :class:`Service` ready to take
-traffic) with :class:`Diagnostics` attached out.  ``Program.lower``/
-``compile``/``instantiate_wasm`` and ``scenario_service`` are thin wrappers
-over these three functions.
+traffic) with :class:`Diagnostics` attached out.  :func:`compile` and
+:func:`lower` run one pipeline (:func:`_pipeline`) and share its program
+store; ``Program.instantiate_wasm`` and ``scenario_service`` are thin
+wrappers over these functions.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Optional, Union
 
-from ..lower import AnnotationStreams, lower_module, rechecked_functions
+from ..lower import AnnotationStreams, LoweredModule, lower_module, rechecked_functions
 from ..obs.metrics import default_registry
 from ..obs.trace import get_tracer
 from ..runtime.cache import CompiledProgram, ModuleCache
@@ -84,63 +86,32 @@ def compile(sources, config: Union[CompileConfig, str, int, dict, None] = None, 
     with get_tracer().span(
         "api.compile", opt_level=config.opt_level, cache_policy=config.cache
     ) as span:
-        diagnostics = Diagnostics(config=config)
-        cache_obj = _resolve_cache(config, cache)
-        modules = _frontend_stage(sources, config, cache_obj, diagnostics)
-        if cache_obj is None:
-            program = _compile_direct(modules, config, diagnostics)
-        else:
-            program = _compile_cached(modules, config, cache_obj, diagnostics)
+        program = _pipeline(sources, config, cache, decode=True)
         # Read the stored key, not the lazy property: off the cache paths the
         # program hash is computed only if someone actually asks for it.
-        diagnostics.key = program.cached_key
-        diagnostics.engine = program.engine
-        diagnostics.optimization = program.lowered.optimization
-        program.diagnostics = diagnostics
         if program.cached_key is not None:
             span.set_attr(key=program.cached_key)
-        span.set_attr(cache_hit=diagnostics.cache.get("program") == "hit")
+        span.set_attr(cache_hit=program.diagnostics.cache.get("program") == "hit")
         return program
 
 
 def lower(sources, config: Union[CompileConfig, str, int, dict, None] = None, *,
-          cache: Optional[ModuleCache] = None, **overrides):
-    """Like :func:`compile`, but stop after lowering: a ``LoweredModule``.
+          cache: Optional[ModuleCache] = None, **overrides) -> LoweredModule:
+    """Like :func:`compile`, but stop before decoding: a ``LoweredModule``.
 
-    The cheaper entry point when only the Wasm module is wanted (no flat-code
-    decode, no program-level cache entry); ``Program.lower`` routes here.
+    The same pipeline and the same program-store entry as :func:`compile`
+    (a lowering filed here is a program hit there, and the reverse); the
+    result is a copy of the program's lowered module carrying this call's
+    :class:`Diagnostics`.  To lower one unlinked module, pass its RichWasm,
+    e.g. ``lower(compile_ml_module(m), config)``.
     """
 
     config = CompileConfig.of(config, **overrides)
     with get_tracer().span(
         "api.lower", opt_level=config.opt_level, cache_policy=config.cache
     ):
-        diagnostics = Diagnostics(config=config)
-        cache_obj = _resolve_cache(config, cache)
-        modules = _frontend_stage(sources, config, cache_obj, diagnostics)
-        if cache_obj is None:
-            with diagnostics.stage("link"):
-                richwasm, annotations = _link_direct(modules, config, diagnostics)
-            # No standalone typecheck pass: the linked check hands its
-            # annotation streams to the lowering (see _compile_direct).
-            _bypass(diagnostics, "typecheck")
-            with _lower_stage(diagnostics):
-                lowered = _lower_direct(richwasm, config, annotations)
-            _bypass(diagnostics, "lower")
-        else:
-            with diagnostics.stage("link"):
-                richwasm = _link_cached(modules, config, cache_obj, diagnostics)
-            _typecheck_cached(richwasm, cache_obj, diagnostics)
-            with _lower_stage(diagnostics) as span:
-                before = cache_obj.stats["program"].hits
-                units_before = cache_obj.units.snapshot()
-                lowered = cache_obj.lower(richwasm, config=config)
-                diagnostics.cache["lower"] = "hit" if cache_obj.stats["program"].hits > before else "miss"
-                _record_units(diagnostics, cache_obj, units_before, span)
-        diagnostics.engine = lowered.engine
-        diagnostics.optimization = lowered.optimization
-        lowered.diagnostics = diagnostics
-        return lowered
+        program = _pipeline(sources, config, cache, decode=False)
+        return replace(program.lowered, engine=program.engine, diagnostics=program.diagnostics)
 
 
 def serve(compiled, config: Union[CompileConfig, str, int, dict, None] = None, *,
@@ -403,45 +374,65 @@ def _lower_direct(richwasm, config: CompileConfig, annotations):
     return lowered
 
 
-def _compile_direct(modules, config: CompileConfig, diagnostics: Diagnostics) -> CompiledProgram:
-    with diagnostics.stage("link"):
-        richwasm, annotations = _link_direct(modules, config, diagnostics)
-    with _lower_stage(diagnostics):
-        lowered = _lower_direct(richwasm, config, annotations)
-    # No standalone typecheck pass off-cache: the linked check hands its
-    # annotation streams to the lowering, which type-checks only functions
-    # without one (every function of a bare pre-linked module).
-    _bypass(diagnostics, "typecheck", "program", "lower", "decode")
-    if config.engine == "compiled":
-        _bypass(diagnostics, "translate")
-    # No cached_key: nothing files this artifact, so the content hash is
-    # computed lazily by CompiledProgram.key if ever needed.
-    return CompiledProgram(
-        richwasm=richwasm, lowered=lowered, engine=config.engine, config=config
-    )
+def _pipeline(sources, config: CompileConfig, cache: Optional[ModuleCache], *,
+              decode: bool) -> CompiledProgram:
+    """The one lowering pipeline behind :func:`compile` and :func:`lower`.
 
+    Frontend, link and program-store stages; on a program miss, the
+    typecheck and lower stages, then (``decode``) the decode and translate
+    stages, then the program is filed.  Off the cache it lowers directly
+    and files nothing.  The program carries the call's diagnostics.
+    """
 
-def _compile_cached(modules, config: CompileConfig, cache: ModuleCache,
-                    diagnostics: Diagnostics) -> CompiledProgram:
-    with diagnostics.stage("link"):
-        richwasm = _link_cached(modules, config, cache, diagnostics)
-    with diagnostics.stage("program"):
-        key = cache.program_key(richwasm, config)
-        program = cache.get_program(key, engine=config.engine, config=config, richwasm=richwasm)
-    if program is not None:
-        diagnostics.cache.update(program="hit", typecheck="hit", lower="hit")
-        _decode_and_translate(diagnostics, cache, program)
-        return program
-    diagnostics.cache["program"] = "miss"
-    _typecheck_cached(richwasm, cache, diagnostics)
-    with _lower_stage(diagnostics) as span:
-        units_before = cache.units.snapshot()
-        lowered = cache.lower_fresh(richwasm, config)
-        diagnostics.cache["lower"] = "miss"
-        _record_units(diagnostics, cache, units_before, span)
-    program = CompiledProgram(
-        richwasm=richwasm, lowered=lowered, engine=config.engine, config=config, cached_key=key
-    )
-    _decode_and_translate(diagnostics, cache, program)
-    with diagnostics.stage("program"):
-        return cache.put_program(program)
+    diagnostics = Diagnostics(config=config)
+    cache = _resolve_cache(config, cache)
+    modules = _frontend_stage(sources, config, cache, diagnostics)
+    if cache is None:
+        with diagnostics.stage("link"):
+            richwasm, annotations = _link_direct(modules, config, diagnostics)
+        with _lower_stage(diagnostics):
+            lowered = _lower_direct(richwasm, config, annotations)
+        # No standalone typecheck pass off-cache: the linked check hands its
+        # annotation streams to the lowering, which type-checks only functions
+        # without one (every function of a bare pre-linked module).
+        _bypass(diagnostics, "typecheck", "program", "lower")
+        if decode:
+            _bypass(diagnostics, "decode")
+            if config.engine == "compiled":
+                _bypass(diagnostics, "translate")
+        # No cached_key: nothing files this artifact, so the content hash is
+        # computed lazily by CompiledProgram.key if ever needed.
+        program = CompiledProgram(
+            richwasm=richwasm, lowered=lowered, engine=config.engine, config=config
+        )
+    else:
+        with diagnostics.stage("link"):
+            richwasm = _link_cached(modules, config, cache, diagnostics)
+        with diagnostics.stage("program"):
+            key = cache.program_key(richwasm, config)
+            program = cache.get_program(key, engine=config.engine, config=config, richwasm=richwasm)
+        if program is not None:
+            diagnostics.cache.update(program="hit", typecheck="hit", lower="hit")
+            if decode:
+                _decode_and_translate(diagnostics, cache, program)
+        else:
+            diagnostics.cache["program"] = "miss"
+            _typecheck_cached(richwasm, cache, diagnostics)
+            with _lower_stage(diagnostics) as span:
+                units_before = cache.units.snapshot()
+                lowered = cache.lower_fresh(richwasm, config)
+                diagnostics.cache["lower"] = "miss"
+                _record_units(diagnostics, cache, units_before, span)
+            program = CompiledProgram(
+                richwasm=richwasm, lowered=lowered, engine=config.engine, config=config,
+                cached_key=key,
+            )
+            if decode:
+                _decode_and_translate(diagnostics, cache, program)
+            with diagnostics.stage("program"):
+                program = cache.put_program(program)
+    diagnostics.key = program.cached_key
+    diagnostics.engine = program.engine
+    diagnostics.optimization = program.lowered.optimization
+    program.diagnostics = diagnostics
+    return program

@@ -67,7 +67,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .core.syntax.intern import structural_digest
 from .core.syntax.modules import signature_env_digest
@@ -79,7 +78,7 @@ UNIT_STAGES = (
     "frontend", "link", "typecheck", "lower", "optimize", "validate", "decode", "translate",
 )
 
-# Process-wide unit telemetry, labeled by stage and outcome (hit/miss/evict).
+# Process-wide unit telemetry, labeled by stage and outcome (hit/miss).
 # The per-cache integer view lives on ``FunctionUnitCache.stats``.
 _UNIT_EVENTS = default_registry().counter(
     "compile.units.events", "Per-function compile unit lookups by stage/outcome"
@@ -266,7 +265,6 @@ class UnitStats:
     stage: str
     reused: int = 0
     compiled: int = 0
-    evicted: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
     #: ``event`` -> this stage's ``compile.units.events`` label key, built once.
     _event_keys: dict = field(init=False, repr=False, compare=False)
@@ -274,7 +272,7 @@ class UnitStats:
     def __post_init__(self) -> None:
         self._event_keys = {
             event: label_key({"stage": self.stage, "event": event})
-            for event in ("hit", "miss", "evict")
+            for event in ("hit", "miss")
         }
 
     @property
@@ -285,15 +283,13 @@ class UnitStats:
         with self._lock:
             if event == "hit":
                 self.reused += 1
-            elif event == "miss":
-                self.compiled += 1
             else:
-                self.evicted += 1
+                self.compiled += 1
             _UNIT_EVENTS.inc_key(self._event_keys[event])
 
     def reset(self) -> None:
         with self._lock:
-            self.reused = self.compiled = self.evicted = 0
+            self.reused = self.compiled = 0
 
 
 class FunctionUnitCache:
@@ -302,16 +298,11 @@ class FunctionUnitCache:
     Artifacts are immutable (or treated as such) and never ``None``; ``get``
     returns ``None`` on a miss and counts every lookup, so one ``get`` is
     one hit-or-miss regardless of whether the caller ``put``s afterwards.
-
-    ``max_entries`` (per stage) bounds the tables with LRU eviction —
-    ``None`` (the default, matching :class:`~repro.runtime.ModuleCache`)
-    keeps them unbounded.  Eviction only drops the cache's own references:
-    artifacts already composed into live modules/programs stay alive with
-    their owners.
+    The tables are unbounded, like :class:`~repro.runtime.ModuleCache`'s
+    stores; :meth:`clear` drops them.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._tables: dict[str, dict[str, object]] = {stage: {} for stage in UNIT_STAGES}
         self.stats: dict[str, UnitStats] = {stage: UnitStats(stage) for stage in UNIT_STAGES}
 
@@ -325,23 +316,12 @@ class FunctionUnitCache:
     # -- storage -----------------------------------------------------------
 
     def get(self, stage: str, key: str):
-        table = self._tables[stage]
-        value = table.get(key)
-        if value is None:
-            self.stats[stage].record("miss")
-            return None
-        if self.max_entries is not None:
-            table[key] = table.pop(key)  # LRU touch: move to the young end
-        self.stats[stage].record("hit")
+        value = self._tables[stage].get(key)
+        self.stats[stage].record("miss" if value is None else "hit")
         return value
 
     def put(self, stage: str, key: str, value: object) -> None:
-        table = self._tables[stage]
-        table[key] = value
-        if self.max_entries is not None:
-            while len(table) > self.max_entries:
-                del table[next(iter(table))]
-                self.stats[stage].record("evict")
+        self._tables[stage][key] = value
 
     def clear(self) -> None:
         """Drop every table and zero the stats.

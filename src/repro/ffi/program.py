@@ -9,7 +9,9 @@ paths that share one heap:
   shared two-memory store, with imports wired by export name;
 * the **Wasm** path — the modules are statically linked into a single
   RichWasm module, lowered to one Wasm module with one linear memory, and run
-  on the Wasm interpreter.
+  on the Wasm interpreter (:meth:`Program.instantiate_wasm`).  To compile or
+  lower a program without running it, pass it to :func:`repro.api.compile`
+  or :func:`repro.api.lower`.
 """
 
 from __future__ import annotations
@@ -82,39 +84,6 @@ class Program:
 
         return link_modules(self.modules, name=name)
 
-    def lower(self, *, config=None, cache=None):
-        """Link and lower the whole program to a single Wasm module.
-
-        ``config`` (a :class:`repro.api.CompileConfig`) is the entry surface:
-        its ``opt_level`` runs a named :mod:`repro.opt` pipeline over the
-        *linked* module, so cross-language programs get whole-program
-        optimization (the linker already resolved imports to direct calls).
-        ``cache`` pins an explicit :class:`repro.runtime.ModuleCache`
-        (otherwise the config's cache policy decides; without a config,
-        nothing is memoized), memoizing the link and lower/optimize stages by
-        content so repeated lowerings of the same program compile once.
-        """
-
-        from ..api import lower as api_lower
-
-        return api_lower(self, _config_or(config, "none"), cache=cache)
-
-    def compile(self, *, config=None, cache=None):
-        """Compile to the shareable :class:`repro.runtime.CompiledProgram`
-        (the input to instance pools and batch runners) via
-        :func:`repro.api.compile`.
-
-        Without an explicit ``cache`` the config's cache policy decides
-        (historical default: a private per-call cache).  ``config.engine``
-        accepts a name or an :class:`~repro.wasm.engine.ExecutionEngine`
-        instance (reduced to its registry name — compiled artifacts record
-        preferences, not live engines).
-        """
-
-        from ..api import compile as api_compile
-
-        return api_compile(self, _config_or(config, "private"), cache=cache)
-
     def instantiate_wasm(self, *, config=None, cache=None) -> "WasmProgramInstance":
         """Lower and run the whole program on a Wasm execution engine.
 
@@ -125,9 +94,11 @@ class Program:
         instantiation is paid per call.
         """
 
-        from ..api import compile as api_compile
+        from ..api import CompileConfig, compile as api_compile
 
-        compiled = api_compile(self, _config_or(config, "none"), cache=cache)
+        if config is None:
+            config = CompileConfig(cache="none")
+        compiled = api_compile(self, config, cache=cache)
         interpreter = WasmInterpreter(
             max_steps=compiled.config.max_steps, engine=compiled.engine
         )
@@ -135,17 +106,6 @@ class Program:
         program = WasmProgramInstance(self, interpreter, instance, compiled.lowered)
         program.run_initializers()
         return program
-
-
-def _config_or(config, cache_policy: str):
-    """``config``, or a default config under this entry point's historical
-    cache policy when none is given."""
-
-    if config is not None:
-        return config
-    from ..api.config import CompileConfig
-
-    return CompileConfig(cache=cache_policy)
 
 
 @dataclass

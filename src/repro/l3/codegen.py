@@ -493,38 +493,14 @@ def _bits(ty: Type) -> int:
     return eval_size(closed_size_of_type(ty))
 
 
-def compile_l3_module(
-    module: L3Module, *, lower: bool = False, cache=None, config=None, unit_cache=None,
-):
-    """Linearity-check and compile an L3 module to RichWasm.
-
-    By default this returns the RichWasm :class:`Module` (this is also the
-    ``"l3"`` frontend of :func:`repro.api.compile`).  With ``lower=True``,
-    a ``config=`` (:class:`repro.api.CompileConfig`), or a ``cache=``
-    (:class:`repro.runtime.ModuleCache`, which memoizes the lower/optimize
-    stage by content) it continues down the pipeline and returns the
-    :class:`repro.lower.LoweredModule` instead, optionally post-processed by
-    the config's named :mod:`repro.opt` pipeline.  An explicit ``cache``
-    wins over the config's cache policy; without a config, lowering runs
-    under the defaults and is memoized only in an explicit ``cache``.
+def compile_l3_module(module: L3Module, *, unit_cache=None) -> Module:
+    """Linearity-check and compile an L3 module to RichWasm (the ``"l3"``
+    frontend of :func:`repro.api.compile`).
 
     ``unit_cache`` (a :class:`repro.compilepipe.FunctionUnitCache`) reuses
     the per-function frontend units of earlier compiles (see
-    :class:`L3Compiler`).
+    :class:`L3Compiler`).  To lower the result, pass it (or the L3 module)
+    to :func:`repro.api.lower` or :func:`repro.api.compile`.
     """
 
-    richwasm = L3Compiler(module, unit_cache=unit_cache).compile()
-    if not (lower or cache is not None or config is not None):
-        return richwasm
-    from ..api.config import CompileConfig
-
-    config = CompileConfig.of(config if config is not None else {"cache": "none"})
-    if cache is None:
-        from ..api.facade import _resolve_cache
-
-        cache = _resolve_cache(config, None)
-    if cache is not None:
-        return cache.lower(richwasm, config=config)
-    from ..lower import lower_module
-
-    return lower_module(richwasm, config=config)
+    return L3Compiler(module, unit_cache=unit_cache).compile()

@@ -993,39 +993,14 @@ def _size_bits(ty: Type) -> int:
     return eval_size(closed_size_of_type(ty))
 
 
-def compile_ml_module(
-    module: MLModule, *, lower: bool = False, cache=None, config=None, unit_cache=None,
-):
-    """Type-check and compile an ML module to RichWasm.
-
-    By default this returns the RichWasm :class:`Module` (this is also the
-    ``"ml"`` frontend of :func:`repro.api.compile`).  With ``lower=True``,
-    a ``config=`` (:class:`repro.api.CompileConfig`), or a ``cache=``
-    (:class:`repro.runtime.ModuleCache`, which memoizes the lower/optimize
-    stage by content) it continues down the pipeline and returns the
-    :class:`repro.lower.LoweredModule` instead, optionally post-processed by
-    the config's named :mod:`repro.opt` pipeline.  An explicit ``cache``
-    wins over the config's cache policy; without a config, lowering runs
-    under the defaults and is memoized only in an explicit ``cache``.
+def compile_ml_module(module: MLModule, *, unit_cache=None) -> Module:
+    """Type-check and compile an ML module to RichWasm (the ``"ml"``
+    frontend of :func:`repro.api.compile`).
 
     ``unit_cache`` (a :class:`repro.compilepipe.FunctionUnitCache`) reuses
     the per-function frontend units of earlier compiles (see
-    :class:`MLCompiler`).
+    :class:`MLCompiler`).  To lower the result, pass it (or the ML module)
+    to :func:`repro.api.lower` or :func:`repro.api.compile`.
     """
 
-    checked = check_declarations(module)
-    richwasm = MLCompiler(checked, unit_cache).compile()
-    if not (lower or cache is not None or config is not None):
-        return richwasm
-    from ..api.config import CompileConfig
-
-    config = CompileConfig.of(config if config is not None else {"cache": "none"})
-    if cache is None:
-        from ..api.facade import _resolve_cache
-
-        cache = _resolve_cache(config, None)
-    if cache is not None:
-        return cache.lower(richwasm, config=config)
-    from ..lower import lower_module
-
-    return lower_module(richwasm, config=config)
+    return MLCompiler(check_declarations(module), unit_cache).compile()

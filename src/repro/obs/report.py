@@ -160,12 +160,9 @@ def format_summary(summary: Summary) -> str:
 
     if summary.unit_events:
         lines.append("")
-        lines.append(f"{'compile units':<12} {'reused':>9} {'compiled':>9} {'evicted':>9}")
+        lines.append(f"{'compile units':<12} {'reused':>9} {'compiled':>9}")
         for stage, events in sorted(summary.unit_events.items()):
-            lines.append(
-                f"{stage:<12} {events.get('hit', 0):>9} {events.get('miss', 0):>9} "
-                f"{events.get('evict', 0):>9}"
-            )
+            lines.append(f"{stage:<12} {events.get('hit', 0):>9} {events.get('miss', 0):>9}")
 
     for record in summary.histograms:
         lines.append("")

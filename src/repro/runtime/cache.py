@@ -15,9 +15,9 @@ stores:
 * **link** — ``{name: RichWasm Module}`` → linked ``Module``;
 * **program** — linked ``Module`` + config content →
   :class:`CompiledProgram`, whose :class:`~repro.lower.LoweredModule` is
-  the lowered (and, when requested, optimized) module.  :meth:`lower` and
-  the facade's compile read and file this one store, so
-  ``repro.api.lower`` and ``repro.api.compile`` share one entry.
+  the lowered (and, when requested, optimized) module.  ``repro.api.lower``
+  and ``repro.api.compile`` run one pipeline over this store, so they
+  share one entry.
 
 Under them, :attr:`ModuleCache.units` holds the function-granular units of
 every stage (frontend through decode and translate), and the optional disk
@@ -48,7 +48,7 @@ import hashlib
 import pickle
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..compilepipe import FunctionUnitCache
 from ..core.syntax import Module
@@ -101,17 +101,6 @@ def _program_fingerprint(richwasm, config_key: str) -> Optional[str]:
     except Exception:
         return None
     return hashlib.sha256(blob).hexdigest()
-
-
-def _default_config(config):
-    """``config``, or the default :class:`repro.api.CompileConfig` when
-    ``None``."""
-
-    if config is not None:
-        return config
-    from ..api.config import CompileConfig
-
-    return CompileConfig.of(None)
 
 
 @dataclass
@@ -474,29 +463,3 @@ class ModuleCache:
         if config.validate_wasm:
             validate_module(lowered.wasm, unit_cache=self.units)
         return lowered
-
-    def lower(self, richwasm: Module, *, engine: Optional[str] = None, config=None) -> LoweredModule:
-        """Lower (and optionally optimize) ``richwasm``, memoized in the
-        program store.
-
-        The key is :meth:`program_key` under ``config`` (a
-        :class:`repro.api.CompileConfig`, defaulting to
-        ``CompileConfig.of(None)``), so a program compiled by
-        ``repro.api.compile`` is a hit here and a lowering filed here is a
-        program hit there.  Hits return a shallow copy so callers can adjust
-        bookkeeping fields (``engine``) without contaminating the cached
-        artifact; the expensive payload (``wasm``, and with it the decode
-        memo) stays shared.
-        """
-
-        config = _default_config(config)
-        if engine is None:
-            engine = config.engine
-        key = self.program_key(richwasm, config)
-        program = self.get_program(key, engine=engine, config=config, richwasm=richwasm)
-        if program is None:
-            program = self.put_program(CompiledProgram(
-                richwasm=richwasm, lowered=self.lower_fresh(richwasm, config), engine=engine,
-                config=config, cached_key=key,
-            ))
-        return replace(program.lowered, engine=engine, diagnostics=None)

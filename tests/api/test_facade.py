@@ -155,20 +155,19 @@ class TestCompile:
             api.serve(compiled, cache="shared")
 
     def test_bare_calls_do_not_warn(self):
-        # Calls with no config compile under the entry point's defaults:
-        # Program.lower() memoizes nothing, Program.compile() uses a private
-        # cache, and the codegen functions return RichWasm unless asked to
-        # lower.
+        # Calls with no config compile under the defaults: a "none" policy
+        # memoizes nothing, a private cache misses once, and the codegen
+        # functions return RichWasm, which api.lower lowers.
         from repro.ml import compile_ml_module
         from repro.runtime import scenario_service
 
         program = Program(counter_program().modules())
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            lowered = program.lower()
-            compiled = program.compile()
+            lowered = api.lower(program, {"cache": "none"})
+            compiled = api.compile(program, {"cache": "private"})
             richwasm = compile_ml_module(ml_source())
-            ml_lowered = compile_ml_module(ml_source(), lower=True)
+            ml_lowered = api.lower(richwasm, {"cache": "none"})
             scenario_service(counter_program, cache=ModuleCache())
         assert [w for w in record if issubclass(w.category, DeprecationWarning)] == []
         assert lowered.diagnostics.cache["lower"] == "bypass"
@@ -178,12 +177,12 @@ class TestCompile:
         assert isinstance(ml_lowered, LoweredModule)
 
     def test_bare_cache_lower_shares_the_o0_entry(self):
-        # ModuleCache.lower without a config lowers under CompileConfig.of(None),
+        # api.lower without a config lowers under CompileConfig.of(None),
         # whose key is O0, 4 pages, "linked" like the facade's "O0", so both
         # share one program-store entry.
         cache = ModuleCache()
         linked = cache.link(counter_program().modules())
-        bare = cache.lower(linked)
+        bare = api.lower(linked, cache=cache)
         facade = api.compile(counter_program, "O0", cache=cache)
         assert facade.key == cache.program_key(linked, CompileConfig.of(None))
         assert facade.wasm is bare.wasm
@@ -193,23 +192,45 @@ class TestCompile:
             opt_level="O0", memory_pages=4, link_name="linked", cache="private"
         ).content_key()
 
-    def test_codegen_entry_points_honor_cache_policy(self):
-        # compile_ml_module/compile_l3_module resolve the config's cache
-        # policy exactly like the facade: "private" memoizes within...
-        # nothing (fresh per call), "shared" lands in the default cache.
+    def test_lower_honors_cache_policy(self):
+        # api.lower resolves the config's cache policy exactly like
+        # api.compile: "shared" lands in the default cache, "none" memoizes
+        # nothing.
         from repro.ml import compile_ml_module
         from repro.runtime import default_cache
 
         cache = default_cache()
         config = CompileConfig(opt_level="O1", memory_pages=7)  # cache="shared"
         before = cache.stats["program"].lookups
-        first = compile_ml_module(ml_source(), config=config)
-        second = compile_ml_module(ml_source(), config=config)
+        first = api.lower(compile_ml_module(ml_source()), config)
+        second = api.lower(compile_ml_module(ml_source()), config)
         assert cache.stats["program"].lookups == before + 2
         assert first.wasm is second.wasm  # payload shared via the process cache
-        direct = compile_ml_module(ml_source(), config=config.replace(cache="none"))
+        direct = api.lower(compile_ml_module(ml_source()), config.replace(cache="none"))
         assert cache.stats["program"].lookups == before + 2
         assert direct.wasm == first.wasm
+
+
+class TestOneLoweringEntry:
+    """api.lower and api.compile run one pipeline over one program entry."""
+
+    @pytest.mark.parametrize("level", ["O0", "O2"])
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    @pytest.mark.parametrize("lower_first", [True, False], ids=["lower-compile", "compile-lower"])
+    def test_lower_and_compile_share_one_entry(self, tmp_path, level, tier, lower_first):
+        from repro.cluster.diskcache import DiskCache
+
+        cache = ModuleCache(disk=DiskCache(tmp_path) if tier == "disk" else None)
+        if lower_first:
+            lowered = api.lower(counter_program, level, cache=cache)
+            compiled = api.compile(counter_program, level, cache=cache)
+        else:
+            compiled = api.compile(counter_program, level, cache=cache)
+            lowered = api.lower(counter_program, level, cache=cache)
+        assert lowered.wasm is compiled.wasm
+        assert (cache.stats["program"].misses, cache.stats["program"].hits) == (1, 1)
+        uncached = api.lower(counter_program, CompileConfig.of(level, cache="none"))
+        assert uncached.wasm == lowered.wasm
 
 
 class TestDiagnostics:

@@ -519,7 +519,7 @@ class TestKeepUnchangedBlocks:
         assert counts == (0,) * len(segment.passes)
 
     def test_segment_rerun_on_a_lowered_program_is_a_no_op(self):
-        from workloads import synthetic_module
+        from workload_builders import synthetic_module
 
         from repro import api
         from repro.api import CompileConfig

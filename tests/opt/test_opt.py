@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.api import CompileConfig
 from repro.ffi import Program, counter_program
 from repro.l3 import compile_l3_module
@@ -311,7 +312,7 @@ class TestFlattenAndDeadFunctions:
         assert run(result.module) == [1]
 
     def test_ml_module_free_is_dead(self):
-        lowered = compile_ml_module(ml_workload(), config=O2)
+        lowered = api.lower(compile_ml_module(ml_workload()), O2)
         free_index = lowered.runtime.free_index
         assert lowered.wasm.functions[free_index].body == (WUnreachable(),)
 
@@ -332,8 +333,8 @@ class TestDifferentialHarness:
 
     def test_counter_program_differential(self):
         program = Program(counter_program().modules())
-        plain = program.lower()
-        optimized = program.lower(config=O2)
+        plain = api.lower(program, {"cache": "none"})
+        optimized = api.lower(program, O2)
         calls = [("client.client_init", (0,))] + [("client.client_tick", ())] * 5 + [
             ("client.client_total", ()),
         ]
@@ -345,7 +346,7 @@ class TestDifferentialHarness:
 
 class TestPipelineIntegration:
     def test_compile_ml_module_optimize_flag(self):
-        lowered = compile_ml_module(ml_workload(), config=O2)
+        lowered = api.lower(compile_ml_module(ml_workload()), O2)
         assert isinstance(lowered, LoweredModule)
         assert isinstance(lowered.optimization, OptimizationResult)
         interp = WasmInterpreter()
@@ -353,7 +354,7 @@ class TestPipelineIntegration:
         assert interp.invoke(instance, "pipeline", [21]) == [42]
 
     def test_compile_l3_module_optimize_flag(self):
-        lowered = compile_l3_module(l3_workload(), config=O2)
+        lowered = api.lower(compile_l3_module(l3_workload()), O2)
         assert isinstance(lowered, LoweredModule)
         interp = WasmInterpreter()
         instance = interp.instantiate(lowered.wasm)

@@ -379,7 +379,7 @@ _CORPUS_SCRIPT = """
 import sys
 sys.path.insert(0, {src!r})
 sys.path.insert(0, {benchmarks!r})
-from workloads import synthetic_module
+from workload_builders import synthetic_module
 from repro.api import CompileConfig
 from repro.runtime.cache import content_key
 from repro.core.syntax import LIN, SizeConst, SizePlus, SizeVar, StructHT, Type, RefT, lin_loc, i32

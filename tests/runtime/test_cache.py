@@ -111,8 +111,8 @@ class TestStageMemoization:
 
     def test_lower_hit_returns_shared_wasm(self, cache):
         linked = cache.link(scenario_modules())
-        first = cache.lower(linked)
-        second = cache.lower(linked, engine="tree")
+        first = api.lower(linked, cache=cache)
+        second = api.lower(linked, cache=cache, engine="tree")
         # Shallow copies: bookkeeping may differ, the payload is shared.
         assert first is not second
         assert first.wasm is second.wasm
@@ -151,7 +151,7 @@ class TestStageMemoization:
 
         config = CompileConfig(engine=TreeWalkingEngine())
         assert config.engine == "tree"  # configs record names, not live engines
-        compiled = Program(scenario_modules()).compile(config=config, cache=cache)
+        compiled = api.compile(Program(scenario_modules()), config, cache=cache)
         assert compiled.engine == "tree"
         interpreter, _ = compiled.instantiate()
         assert interpreter.engine_name == "tree"
@@ -185,14 +185,14 @@ class TestCompiledProgram:
 
     def test_program_compile_entry_point(self, cache):
         program = Program(scenario_modules())
-        compiled = program.compile(cache=cache)
+        compiled = api.compile(program, cache=cache)
         assert isinstance(compiled, CompiledProgram)
-        assert program.compile(cache=cache) is compiled
+        assert api.compile(program, cache=cache) is compiled
 
     def test_program_lower_through_cache_matches_direct(self, cache):
         program = Program(scenario_modules())
-        direct = program.lower()
-        via_cache = program.lower(cache=cache)
+        direct = api.lower(program, {"cache": "none"})
+        via_cache = api.lower(program, cache=cache)
         assert via_cache.wasm == direct.wasm
 
     def test_instantiate_wasm_through_cache(self, cache):
@@ -229,8 +229,8 @@ class TestFrontendCacheThreading:
     def test_compile_ml_module_lowers_once_via_cache(self, cache):
         from repro.ml import compile_ml_module
 
-        first = compile_ml_module(self._ml_module(), cache=cache)
-        second = compile_ml_module(self._ml_module(), cache=cache)
+        first = api.lower(compile_ml_module(self._ml_module()), cache=cache)
+        second = api.lower(compile_ml_module(self._ml_module()), cache=cache)
         assert cache.stats["program"].misses == 1
         assert cache.stats["program"].hits == 1
         assert first.wasm is second.wasm  # the expensive payload is shared
@@ -251,8 +251,8 @@ class TestFrontendCacheThreading:
                                          LBinOp("+", LVar("old"), LFree(LVar("o2")))))),
             ])
 
-        first = compile_l3_module(build(), cache=cache)
-        second = compile_l3_module(build(), cache=cache)
+        first = api.lower(compile_l3_module(build()), cache=cache)
+        second = api.lower(compile_l3_module(build()), cache=cache)
         assert cache.stats["program"].misses == 1
         assert cache.stats["program"].hits == 1
         assert first.wasm is second.wasm

@@ -2,8 +2,8 @@
 
 The PR 8 layer under :class:`repro.runtime.ModuleCache`: per-function unit
 keys (deterministic across processes, like the PR 5 content keys), the
-:class:`FunctionUnitCache` LRU store, its stats/obs-counter consistency,
-eviction and ``clear()`` interaction with partially-reused modules, and the
+:class:`FunctionUnitCache` store, its stats/obs-counter consistency,
+``clear()`` interaction with partially-reused modules, and the
 ``Diagnostics.units`` surface the facade reports reuse through.
 """
 
@@ -52,7 +52,7 @@ from repro.runtime import ModuleCache
 from repro.runtime.cache import content_key
 from repro.wasm.ast import WCall, WasmFunction
 
-from workloads import edit_one_function, edit_one_ml_function, mixed_sources, synthetic_module
+from workload_builders import edit_one_function, edit_one_ml_function, mixed_sources, synthetic_module
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -65,7 +65,7 @@ _KEY_SCRIPT = """
 import sys
 sys.path.insert(0, {src!r})
 sys.path.insert(0, {benchmarks!r})
-from workloads import synthetic_module
+from workload_builders import synthetic_module
 from repro.compilepipe import lower_unit_key, translate_unit_key, typecheck_unit_key
 from repro.lower import lower_module
 
@@ -139,7 +139,7 @@ class TestUnitKeys:
 
 
 # ---------------------------------------------------------------------------
-# The cache itself: stats, eviction, clear
+# The cache itself: stats, clear
 # ---------------------------------------------------------------------------
 
 
@@ -152,27 +152,13 @@ class TestFunctionUnitCache:
         stats = units.stats["lower"]
         assert (stats.reused, stats.compiled, stats.lookups) == (1, 1, 2)
 
-    def test_lru_eviction_is_bounded_and_counted(self):
-        units = FunctionUnitCache(max_entries=2)
-        for index in range(4):
-            units.put("decode", f"k{index}", index)
-        assert units.sizes()["decode"] == 2
-        assert units.stats["decode"].evicted == 2
-        # The two youngest survive; touching one protects it from the next put.
-        assert units.get("decode", "k2") == 2
-        units.put("decode", "k4", 4)
-        assert units.get("decode", "k2") == 2
-        assert units.get("decode", "k3") is None
-
     def test_clear_resets_tables_and_stats(self):
         units = FunctionUnitCache()
         units.put("translate", "k", "chunk")
         units.get("translate", "k")
         units.clear()
         assert len(units) == 0
-        assert all(
-            (s.reused, s.compiled, s.evicted) == (0, 0, 0) for s in units.stats.values()
-        )
+        assert all((s.reused, s.compiled) == (0, 0) for s in units.stats.values())
 
     def test_snapshot_delta_reports_only_moved_stages(self):
         units = FunctionUnitCache()
@@ -190,16 +176,15 @@ class TestFunctionUnitCache:
         stats = UnitStats("probe-stage")
         base_hits = counter.labeled(stage="probe-stage", event="hit")
         base_misses = counter.labeled(stage="probe-stage", event="miss")
-        for event in ("hit", "miss", "hit", "evict"):
+        for event in ("hit", "miss", "hit"):
             stats.record(event)
-        assert (stats.reused, stats.compiled, stats.evicted) == (2, 1, 1)
+        assert (stats.reused, stats.compiled) == (2, 1)
         assert counter.labeled(stage="probe-stage", event="hit") - base_hits == stats.reused
         assert counter.labeled(stage="probe-stage", event="miss") - base_misses == stats.compiled
-        assert counter.labeled(stage="probe-stage", event="evict") == stats.evicted
 
 
 # ---------------------------------------------------------------------------
-# Through the ModuleCache: incremental reuse, eviction, clear
+# Through the ModuleCache: incremental reuse, clear
 # ---------------------------------------------------------------------------
 
 CONFIG = CompileConfig(opt_level="O1", engine="compiled", cache="private")
@@ -225,18 +210,6 @@ class TestIncrementalThroughModuleCache:
         interpreter, instance = program.instantiate()
         # Function N//2 was re-seeded to N + N//2 + 1; it computes seed + 1.
         assert interpreter.invoke(instance, f"f{N // 2}", [])[0] == N + N // 2 + 2
-        assert interpreter.invoke(instance, "main", [])[0] == 2
-
-    def test_partially_reused_module_under_eviction(self):
-        # A tiny per-stage bound forces most units out between versions; the
-        # recompile must still be correct, just with less reuse.
-        cache = ModuleCache()
-        cache.units = FunctionUnitCache(max_entries=3)
-        program, delta = _incremental(cache)
-        assert sum(s.evicted for s in cache.units.stats.values()) > 0
-        assert all(size <= 3 for size in cache.units.sizes().values())
-        assert delta["lower"]["compiled"] >= 1
-        interpreter, instance = program.instantiate()
         assert interpreter.invoke(instance, "main", [])[0] == 2
 
     def test_clear_resets_units_without_stranding_programs(self):

@@ -56,7 +56,7 @@ from repro.wasm import (
 from repro.wasm import pygen
 from repro.wasm.decode import decode_module
 from repro.wasm.pygen import ModuleTranslation
-from workloads import synthetic_module
+from workload_builders import synthetic_module
 
 I32 = ValType.I32
 I64 = ValType.I64

@@ -62,7 +62,7 @@ from repro.wasm import (
     validate_module,
 )
 from repro.wasm.ast import MemoryGrow, MemorySize, WDrop, WSelect
-from workloads import synthetic_module
+from workload_builders import synthetic_module
 
 I32, I64, F32, F64 = ValType.I32, ValType.I64, ValType.F32, ValType.F64
 FT = WasmFuncType
