@@ -325,10 +325,13 @@ def _decode_and_translate(diagnostics: Diagnostics, cache: ModuleCache,
 
     Both run through the per-object memos and the function units; a
     disk-loaded program adopts the flat code filed with it.  A stage is a
-    ``hit`` when it compiled no function.  The translate span carries the
-    characters of source generated and the split of the stage between
-    emitting that source (``emit_s``) and Python's ``compile()``
-    (``pycompile_s``).
+    ``hit`` when it compiled no function.  Translation emits every
+    function's source; Python's ``compile()`` runs for each function at its
+    first call, after this stage.  The translate span carries the characters
+    of source emitted, the seconds spent emitting it (``emit_s``) and the
+    seconds of ``compile()`` inside the stage (``pycompile_s``, 0 unless
+    something ran generated code during it); first-call compiles still add
+    to the process-wide ``compile.translate.pycompile_seconds`` counter.
     """
 
     from ..wasm.pygen import translate_module, translate_work
@@ -429,8 +432,12 @@ def _pipeline(sources, config: CompileConfig, cache: Optional[ModuleCache], *,
             )
             if decode:
                 _decode_and_translate(diagnostics, cache, program)
-            with diagnostics.stage("program"):
+            with diagnostics.stage("program") as span:
+                # A disk tier files the flat code with the program, so
+                # ``lower`` decodes here: its units are this call's work.
+                units_before = cache.units.snapshot()
                 program = cache.put_program(program)
+                _record_units(diagnostics, cache, units_before, span)
     diagnostics.key = program.cached_key
     diagnostics.engine = program.engine
     diagnostics.optimization = program.lowered.optimization

@@ -32,7 +32,9 @@ new version of a module reuses every unchanged function's work:
 * **decode** — Wasm function digest → the :class:`~repro.wasm.decode.FlatFunction`;
 * **translate** — (Wasm function digest, Wasm signature digest, slot index)
   → the generated Python source chunk, its mode (``"flat"`` for a function
-  left to the flat VM) and the callable (:mod:`repro.wasm.pygen`; sound
+  left to the flat VM) and the callable, which compiles the chunk at its
+  first call and is shared by every translation holding the unit
+  (:mod:`repro.wasm.pygen`; sound
   because direct calls dispatch through the per-instance runtime, which
   makes each generated function self-contained).
 
@@ -57,9 +59,10 @@ worker payloads stay as they were.
 The consumers (``ml``, ``l3``, ``ffi``, ``core.typing``, ``lower``, ``opt``,
 ``wasm``) receive the cache as an opaque ``unit_cache`` parameter and call
 its ``*_key``/``get``/``put`` methods, so no lower layer imports this
-module.  Every lookup is
-counted in per-stage :class:`UnitStats` and mirrored to the process-wide
-``compile.units.events`` counter through a single locked increment path.
+module.  Every lookup is counted in per-stage :class:`UnitStats` with a
+plain integer increment, and the counts are mirrored to the process-wide
+``compile.units.events`` counter in one locked step per stage
+(:meth:`FunctionUnitCache.delta`).
 """
 
 from __future__ import annotations
@@ -256,16 +259,20 @@ def translate_unit_key(function: WasmFunction, module: WasmModule, index: int) -
 class UnitStats:
     """Reuse counters for one stage's per-function units.
 
-    ``record`` is the *only* increment path: it bumps the integer view and
-    the process-wide ``compile.units.events`` counter under one lock, so the
-    two can never disagree (the pattern :class:`repro.runtime.CacheStats`
-    adopted in the same PR).
+    ``reused``/``compiled`` count lookups as they happen, with no lock and no
+    registry call (:meth:`FunctionUnitCache.get` bumps them inline).
+    :meth:`publish` mirrors what they gained since the last publish to the
+    process-wide ``compile.units.events`` counter under one lock, so once
+    published the two always agree; :meth:`FunctionUnitCache.delta` publishes
+    at the end of every facade stage.
     """
 
     stage: str
     reused: int = 0
     compiled: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    #: ``(reused, compiled)`` as of the last :meth:`publish`.
+    _published: tuple = field(default=(0, 0), repr=False, compare=False)
     #: ``event`` -> this stage's ``compile.units.events`` label key, built once.
     _event_keys: dict = field(init=False, repr=False, compare=False)
 
@@ -279,17 +286,26 @@ class UnitStats:
     def lookups(self) -> int:
         return self.reused + self.compiled
 
-    def record(self, event: str) -> None:
+    def publish(self) -> None:
+        """Add the lookups counted since the last publish to
+        ``compile.units.events``."""
+
         with self._lock:
-            if event == "hit":
-                self.reused += 1
-            else:
-                self.compiled += 1
-            _UNIT_EVENTS.inc_key(self._event_keys[event])
+            reused, compiled = self.reused, self.compiled
+            published_reused, published_compiled = self._published
+            if reused != published_reused:
+                _UNIT_EVENTS.inc_key(self._event_keys["hit"], reused - published_reused)
+            if compiled != published_compiled:
+                _UNIT_EVENTS.inc_key(self._event_keys["miss"], compiled - published_compiled)
+            self._published = (reused, compiled)
 
     def reset(self) -> None:
+        """Publish what is pending, then zero the counters."""
+
+        self.publish()
         with self._lock:
             self.reused = self.compiled = 0
+            self._published = (0, 0)
 
 
 class FunctionUnitCache:
@@ -317,7 +333,11 @@ class FunctionUnitCache:
 
     def get(self, stage: str, key: str):
         value = self._tables[stage].get(key)
-        self.stats[stage].record("miss" if value is None else "hit")
+        stats = self.stats[stage]
+        if value is None:
+            stats.compiled += 1
+        else:
+            stats.reused += 1
         return value
 
     def put(self, stage: str, key: str, value: object) -> None:
@@ -346,9 +366,21 @@ class FunctionUnitCache:
 
         return {stage: (stats.reused, stats.compiled) for stage, stats in self.stats.items()}
 
-    def delta(self, before: dict[str, tuple[int, int]]) -> dict[str, dict[str, int]]:
-        """Per-stage reuse since ``before`` (stages with no lookups omitted)."""
+    def publish(self) -> None:
+        """Mirror every stage's unpublished lookups to ``compile.units.events``."""
 
+        for stats in self.stats.values():
+            stats.publish()
+
+    def delta(self, before: dict[str, tuple[int, int]]) -> dict[str, dict[str, int]]:
+        """Per-stage reuse since ``before`` (stages with no lookups omitted).
+
+        Publishes the lookups first (:meth:`publish`): the facade takes one
+        delta per stage, so ``compile.units.events`` moves once per stage,
+        not once per lookup.
+        """
+
+        self.publish()
         changed: dict[str, dict[str, int]] = {}
         for stage, stats in self.stats.items():
             reused_before, compiled_before = before.get(stage, (0, 0))

@@ -173,9 +173,12 @@ class Module:
     def instruction_count(self) -> int:
         """Total number of instructions across all defined functions."""
 
+        # No ``defined_functions()`` list: a recompile calls this on every
+        # module version, and the counts are memoized per function.
         total = 0
-        for _, function in self.defined_functions():
-            total += function.instruction_count()
+        for function in self.functions:
+            if isinstance(function, Function):
+                total += function.instruction_count()
         for global_decl in self.globals:
             if isinstance(global_decl, Global):
                 total += instruction_count(global_decl.init)

@@ -5,8 +5,10 @@ re-discovery of structure, but every step still pays a dispatch-loop
 iteration, a handler lookup and a step-budget comparison.  This module is
 the next tier — the standard template-compilation move: decoded
 :class:`~repro.wasm.decode.FlatFunction` code is translated *once per
-module* into Python source (one Python function per Wasm function) and
-``exec``'d, so the CPython bytecode interpreter becomes the dispatch loop.
+module* into Python source (one Python function per Wasm function), and
+each function's source is ``compile()``'d and ``exec``'d at its first call,
+so the CPython bytecode interpreter becomes the dispatch loop and a function
+that never runs costs only its emission.
 
 Translation strategy:
 
@@ -1046,13 +1048,16 @@ def _emit_call_indirect(em: _FunctionEmitter, expected) -> None:
 
 
 class ModuleTranslation:
-    """The per-module translation artifact: source plus exec'd callables.
+    """The per-module translation artifact: source plus one callable per slot.
 
-    ``functions[i]`` is the Python callable for defined slot ``i`` and
-    ``None`` at host slots.  ``modes[i]`` is ``"register"`` where the slot's
-    code was translated and ``"flat"`` where its stack depth could not be
-    proven (only invalid code), so its callable runs each activation on the
-    flat VM (:func:`_flat_target`).  The artifact is instance-independent (all
+    ``functions[i]`` is the callable of defined slot ``i`` and ``None`` at
+    host slots.  ``modes[i]`` is ``"register"`` where the slot's code was
+    translated and ``"flat"`` where its stack depth could not be proven (only
+    invalid code), so its callable runs each activation on the flat VM
+    (:func:`_flat_target`).  Every function's source is emitted up front, but
+    a ``"register"`` slot's callable is its unit's first-call stub
+    (:class:`_FirstCallStub`): Python's ``compile()`` runs for a function
+    only when it is first called.  The artifact is instance-independent (all
     instance state flows through the per-instance runtime object), so it is
     shared across every instance of the module — and, via the module cache's
     content keyspace, across structurally identical module objects.
@@ -1066,13 +1071,19 @@ class ModuleTranslation:
         self.modes = modes
         self.function_count = sum(1 for fn in functions if fn is not None)
 
+    def targets(self) -> list:
+        """A new instance's target table: the generated function of every
+        slot whose stub has already compiled it, the stub elsewhere."""
+
+        return [getattr(fn, "generated", None) or fn for fn in self.functions]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ModuleTranslation({self.function_count} functions, {len(self.source)} chars)"
 
 
 # Translation work, process-wide: seconds emitting source, seconds in
-# ``compile()`` and characters compiled.  The facade's ``compile.translate``
-# span carries the deltas of one stage.
+# ``compile()`` (at functions' first calls) and characters emitted.  The
+# facade's ``compile.translate`` span carries the deltas of one stage.
 _EMIT_SECONDS = default_registry().counter(
     "compile.translate.emit_seconds", "seconds spent emitting compiled-tier source"
 )
@@ -1080,7 +1091,7 @@ _PYCOMPILE_SECONDS = default_registry().counter(
     "compile.translate.pycompile_seconds", "seconds spent in compile() on compiled-tier source"
 )
 _SOURCE_CHARS = default_registry().counter(
-    "compile.translate.source_chars", "characters of compiled-tier source passed to compile()"
+    "compile.translate.source_chars", "characters of compiled-tier source emitted"
 )
 
 
@@ -1095,8 +1106,8 @@ def emit_function_chunk(index: int, slots: list, module: WasmModule) -> Optional
 
     Returns ``(chunk, pool_values)`` — the generated source and the
     const-pool namespace it must be exec'd against
-    (:func:`build_translation_unit` compiles and execs it) — or ``None``
-    when the function's static stack depth cannot be proven.
+    (:func:`build_translation_unit` wraps both in a first-call stub) — or
+    ``None`` when the function's static stack depth cannot be proven.
     """
 
     flat = slots[index]
@@ -1130,25 +1141,68 @@ def emit_function_chunk(index: int, slots: list, module: WasmModule) -> Optional
     return "\n".join(em.lines), dict(pool.values)
 
 
-def build_translation_unit(
-    index: int, chunk: str, pool_values: dict[str, object], *, module_name: str | None = None
-) -> tuple[str, str, object]:
-    """Compile and exec a chunk from :func:`emit_function_chunk` into a
-    translate unit.
-
-    The namespace also gets the ``Struct`` memory accessors.  The returned
-    ``(chunk, mode, callable)`` triple is the exact value
-    ``translate_functions`` caches.
-    """
+def _compile_chunk(index: int, chunk: str, pool_values: dict[str, object], filename: str):
+    """Run ``compile()`` and ``exec`` on one emitted chunk: its generated
+    function, exec'd against the const pool and the ``Struct`` accessors."""
 
     started = time.perf_counter()
     # ``compile`` stays a module-global lookup, so it can be wrapped.
-    code = compile(chunk, f"<pygen:{module_name or 'module'}:f{index}>", "exec")
+    code = compile(chunk, filename, "exec")
     _PYCOMPILE_SECONDS.inc(time.perf_counter() - started)
-    _SOURCE_CHARS.inc(len(chunk))
     namespace = dict(pool_values, **_ACCESSORS)
     exec(code, namespace)
-    return (chunk, "register", namespace[f"_f{index}"])
+    return namespace[f"_f{index}"]
+
+
+class _FirstCallStub:
+    """The callable of a ``"register"`` unit until its function first runs.
+
+    The first call compiles the emitted chunk and files the generated
+    function as ``generated``, on the stub every translation sharing the
+    unit holds, so :meth:`ModuleTranslation.targets` binds it directly into
+    later instances.  Every call through the stub patches the calling
+    instance's ``rt.targets[index]`` to the generated function, then runs it
+    with the same arguments: the activation is the one the generated
+    function would have run had it been compiled up front.
+    """
+
+    __slots__ = ("index", "chunk", "pool_values", "filename", "generated")
+
+    def __init__(self, index: int, chunk: str, pool_values: dict[str, object], filename: str):
+        self.index = index
+        self.chunk = chunk
+        self.pool_values = pool_values
+        self.filename = filename
+        self.generated = None
+
+    def compile(self):
+        """The generated function, compiled on the first request."""
+
+        generated = self.generated
+        if generated is None:
+            generated = self.generated = _compile_chunk(self.index, self.chunk, self.pool_values, self.filename)
+        return generated
+
+    def __call__(self, rt, steps, boundary, *args):
+        generated = self.compile()
+        targets = rt.targets
+        if targets[self.index] is self:
+            targets[self.index] = generated
+        return generated(rt, steps, boundary, *args)
+
+
+def build_translation_unit(
+    index: int, chunk: str, pool_values: dict[str, object], *, module_name: str | None = None
+) -> tuple[str, str, object]:
+    """Wrap a chunk from :func:`emit_function_chunk` into a translate unit.
+
+    The returned ``(chunk, mode, callable)`` triple is the exact value
+    ``translate_functions`` caches; the callable is the chunk's first-call
+    stub, so nothing is compiled here.
+    """
+
+    filename = f"<pygen:{module_name or 'module'}:f{index}>"
+    return (chunk, "register", _FirstCallStub(index, chunk, pool_values, filename))
 
 
 def _flat_target(index: int):
@@ -1169,8 +1223,10 @@ def _flat_target(index: int):
 def translate_functions(slots: list, module: WasmModule, *, unit_cache=None) -> ModuleTranslation:
     """Translate a decoded function table (``FlatFunction``/host per slot).
 
-    Each defined slot becomes its own unit: emitted with a private const
-    pool and exec'd into a private namespace.  The generated code reads
+    Each defined slot becomes its own unit: its source is emitted here with
+    a private const pool, and ``compile()`` + ``exec`` into a private
+    namespace run at the function's first call (:class:`_FirstCallStub`),
+    so a function that never runs is never compiled.  The generated code reads
     everything else (including direct-call targets) off the per-invoke
     runtime object, so with a ``unit_cache`` a cached callable recombines
     into any module version whose key matches.  Caching is only sound where
@@ -1199,6 +1255,7 @@ def translate_functions(slots: list, module: WasmModule, *, unit_cache=None) -> 
             if emitted is None:
                 unit = ("", "flat", _flat_target(index))
             else:
+                _SOURCE_CHARS.inc(len(emitted[0]))
                 unit = build_translation_unit(index, *emitted, module_name=module.name)
             if unit_cache is not None:
                 unit_cache.put("translate", key, unit)
@@ -1361,7 +1418,7 @@ class CompiledPyEngine(ExecutionEngine):
         rt.engine = rt.globals = rt.memory = rt.table = None  # bound at the first invoke
         rt.instance = instance
         rt.decoded = decoded
-        targets = list(translation.functions)
+        targets = translation.targets()
         rt.targets = targets
         snapshot = CodeSnapshot(instance.funcs)
         compiled = _CompiledInstance(rt, targets, snapshot)

@@ -232,6 +232,22 @@ class TestOneLoweringEntry:
         uncached = api.lower(counter_program, CompileConfig.of(level, cache="none"))
         assert uncached.wasm == lowered.wasm
 
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_lower_reports_the_decode_a_disk_entry_files(self, tmp_path, tier):
+        # A disk ``program`` entry carries the flat code, so filing it
+        # decodes the module; the call's diagnostics count those units.
+        from repro.cluster.diskcache import DiskCache
+
+        cache = ModuleCache(disk=DiskCache(tmp_path) if tier == "disk" else None)
+        lowered = api.lower(counter_program, "O0", cache=cache)
+        decoded = cache.units.stats["decode"].compiled
+        assert decoded == (len(lowered.wasm.functions) if tier == "disk" else 0)
+        units = lowered.diagnostics.units
+        if tier == "disk":
+            assert units["decode"] == {"reused": 0, "compiled": decoded}
+        else:
+            assert "decode" not in units
+
 
 class TestDiagnostics:
     def test_stages_cache_events_and_pass_stats(self):

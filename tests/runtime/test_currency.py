@@ -180,6 +180,28 @@ class TestPatchedSlots:
             assert instance.compiled_py is not before
             assert instance.compiled_py.snapshot.funcs[0] is replacement
 
+    def test_compiled_patch_runs_its_own_code_at_first_call(self):
+        # The patched instance retranslates its own table: its slot starts
+        # as a fresh stub and compiles the replacement at its first call,
+        # while the module's shared unit keeps the original code for every
+        # other instance.
+        from repro.wasm.pygen import translate_module
+
+        module = constant_module()
+        interp = WasmInterpreter(engine="compiled")
+        patched, other = interp.instantiate(module), interp.instantiate(module)
+        assert interp.invoke(patched, "main") == [1]
+        (shared,) = translate_module(module).functions
+        original = shared.generated
+        assert patched.compiled_py.targets[0] is original is not None
+        patched.funcs[0] = constant(2)
+        assert interp.invoke(patched, "main") == [2]
+        assert patched.compiled_py.targets[0] not in (original, shared)
+        assert shared.generated is original
+        assert interp.invoke(other, "main") == [1]
+        assert other.compiled_py.targets[0] is original
+        assert interp.invoke(interp.instantiate(module), "main") == [1]
+
 
 class TestFastPath:
     def test_unpatched_session_never_rescans(self, monkeypatch):

@@ -24,7 +24,6 @@ from repro.cluster import DiskCache
 from repro.compilepipe import (
     UNIT_STAGES,
     FunctionUnitCache,
-    UnitStats,
     lower_unit_key,
     translate_unit_key,
     typecheck_unit_key,
@@ -169,18 +168,52 @@ class TestFunctionUnitCache:
         assert units.delta(before) == {"lower": {"reused": 1, "compiled": 1}}
 
     def test_stats_agree_with_obs_counter(self):
-        """One locked increment path: the integer view and the process-wide
-        ``compile.units.events`` counter move together."""
+        """Once published, the integer view and the process-wide
+        ``compile.units.events`` counter agree."""
 
         counter = default_registry().counter("compile.units.events")
-        stats = UnitStats("probe-stage")
-        base_hits = counter.labeled(stage="probe-stage", event="hit")
-        base_misses = counter.labeled(stage="probe-stage", event="miss")
-        for event in ("hit", "miss", "hit"):
-            stats.record(event)
+        units = FunctionUnitCache()
+        base_hits = counter.labeled(stage="lower", event="hit")
+        base_misses = counter.labeled(stage="lower", event="miss")
+        units.put("lower", "k", "artifact")
+        for key in ("k", "missing", "k"):
+            units.get("lower", key)
+        stats = units.stats["lower"]
         assert (stats.reused, stats.compiled) == (2, 1)
-        assert counter.labeled(stage="probe-stage", event="hit") - base_hits == stats.reused
-        assert counter.labeled(stage="probe-stage", event="miss") - base_misses == stats.compiled
+        units.publish()
+        assert counter.labeled(stage="lower", event="hit") - base_hits == stats.reused
+        assert counter.labeled(stage="lower", event="miss") - base_misses == stats.compiled
+        units.publish()  # nothing new: nothing added twice
+        units.get("lower", "missing")
+        units.clear()  # publishes the pending miss before zeroing
+        assert counter.labeled(stage="lower", event="hit") - base_hits == 2
+        assert counter.labeled(stage="lower", event="miss") - base_misses == 2
+
+    def test_facade_publishes_lookups_once_per_stage(self, monkeypatch):
+        """A compile counts thousands of lookups but moves the counter only
+        at the end of a facade stage, and the counter ends equal to the
+        integer view."""
+
+        counter = compilepipe._UNIT_EVENTS
+        publishes = []
+
+        class Spy:
+            def inc_key(self, key, amount=1):
+                publishes.append(key)
+                counter.inc_key(key, amount)
+
+        monkeypatch.setattr(compilepipe, "_UNIT_EVENTS", Spy())
+        cache = ModuleCache()
+        before = {stage: (counter.labeled(stage=stage, event="hit"), counter.labeled(stage=stage, event="miss"))
+                  for stage in UNIT_STAGES}
+        program = api.compile(synthetic_module(1, functions=N), CONFIG, cache=cache)
+        lookups = sum(stats.lookups for stats in cache.units.stats.values())
+        assert lookups > 5 * N
+        assert 0 < len(publishes) <= 2 * len(program.diagnostics.stages)
+        for stage, stats in cache.units.stats.items():
+            hits, misses = before[stage]
+            assert counter.labeled(stage=stage, event="hit") - hits == stats.reused, stage
+            assert counter.labeled(stage=stage, event="miss") - misses == stats.compiled, stage
 
 
 # ---------------------------------------------------------------------------
