@@ -6,7 +6,7 @@ keyword sprawl of the lower layers:
 * :class:`CompileConfig` — a frozen, validated description of a compile
   (named ``O0``/``O1``/``O2`` optimization levels expanding to
   :mod:`repro.opt.pipelines`, engine preference, memory pages, cache policy,
-  step budgets, validation toggles).  Its :meth:`~CompileConfig.content_key`
+  step budgets, the link-check toggle).  Its :meth:`~CompileConfig.content_key`
   is the canonical content hash the :class:`repro.runtime.ModuleCache` keys
   on.
 * :func:`compile` — any mix of registered frontends (``ml``, ``l3``,

@@ -11,7 +11,7 @@ can be shared, compared and hashed.  Two groups of fields:
   digest is used directly as the :class:`repro.runtime.ModuleCache` key, so
   two configs that compile identically share one cache entry.
 * **execution bookkeeping** — ``engine``, ``cache`` policy, ``max_steps``,
-  ``pool_size`` and the validation toggles.  These select *how* the artifact
+  ``pool_size`` and ``check_links``.  These select *how* the artifact
   is built and run, never *what* is built, and are deliberately excluded
   from :meth:`content_key` (the engine-bit-identity contract of PR 2/3: one
   compiled payload serves every engine).
@@ -76,8 +76,6 @@ class CompileConfig:
     max_steps: Optional[int] = None
     #: ``InstancePool`` size used by :func:`repro.api.serve`.
     pool_size: int = 4
-    #: Validate the lowered Wasm module (:func:`repro.wasm.validate_module`).
-    validate_wasm: bool = True
     #: Re-check cross-module import/export agreement before linking.  Safe to
     #: disable when the sources came from an already-checked ``Program``.
     check_links: bool = True
@@ -168,9 +166,8 @@ class CompileConfig:
             )
         if not isinstance(self.link_name, str) or not self.link_name:
             raise ConfigError(f"link_name must be a non-empty string, got {self.link_name!r}")
-        for name in ("validate_wasm", "check_links"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.check_links, bool):
+            raise ConfigError(f"check_links must be a bool, got {self.check_links!r}")
         return self
 
     @staticmethod
@@ -207,8 +204,8 @@ class CompileConfig:
         Covers ``opt_level`` (expanded to its pass names, so a re-registered
         pipeline changes the key), ``memory_pages`` and ``link_name`` —
         nothing else.  ``engine``, ``cache``, ``max_steps``, ``pool_size``,
-        ``workers``, ``cache_dir``/``disk_cache_bytes`` and the validation
-        toggles do not change the compiled artifact and therefore do not
+        ``workers``, ``cache_dir``/``disk_cache_bytes`` and ``check_links``
+        do not change the compiled artifact and therefore do not
         change the key (so disk entries are shared across worker counts and
         cache locations).  :class:`repro.runtime.ModuleCache` combines this
         digest with the source module's own content hash to key its stages.

@@ -372,8 +372,7 @@ def _lower_direct(richwasm, config: CompileConfig, annotations):
     from ..wasm import validate_module
 
     lowered = lower_module(richwasm, config=config, annotations=annotations)
-    if config.validate_wasm:
-        validate_module(lowered.wasm)
+    validate_module(lowered.wasm)
     return lowered
 
 

@@ -53,8 +53,10 @@ __all__ = ["DISK_FORMAT", "DiskCache", "DiskEntry", "shared_disk_module_cache"]
 #: and 3 changed per-function unit entries, which nothing writes any more.
 #: Format 4: decoded integer stores carry a full-width flag.  Format 5: one
 #: ``program`` entry holds the lowered module and its flat decode (format 4
-#: also wrote ``lower`` and ``decode`` entries under the same key).
-DISK_FORMAT = 5
+#: also wrote ``lower`` and ``decode`` entries under the same key).  Format
+#: 6: a ``program`` entry is filed only after its module was validated, so a
+#: warm start adopts it as valid (format 5 could hold an unvalidated one).
+DISK_FORMAT = 6
 
 _SUFFIX = ".pkl"
 

@@ -31,12 +31,11 @@ new version of a module reuses every unchanged function's work:
   marker (:func:`repro.wasm.validate_module`);
 * **decode** — Wasm function digest → the :class:`~repro.wasm.decode.FlatFunction`;
 * **translate** — (Wasm function digest, Wasm signature digest, slot index)
-  → the generated Python source chunk, its mode (``"flat"`` for a function
-  left to the flat VM) and the callable, which compiles the chunk at its
-  first call and is shared by every translation holding the unit
-  (:mod:`repro.wasm.pygen`; sound
-  because direct calls dispatch through the per-instance runtime, which
-  makes each generated function self-contained).
+  → the generated Python source chunk and the callable, which compiles
+  the chunk at its first call and is shared by every translation holding
+  the unit (:mod:`repro.wasm.pygen`; sound because direct calls dispatch
+  through the per-instance runtime, which makes each generated function
+  self-contained).
 
 Unit keys are built from :func:`repro.core.syntax.structural_digest` parts,
 so — like the PR 5 content keys — they are deterministic across processes
@@ -242,9 +241,7 @@ def translate_unit_key(function: WasmFunction, module: WasmModule, index: int) -
 
     The signature digest covers the callee arities and host import types the
     emitted call sites bake in; the slot index is baked into the generated
-    function name, host-call dispatch and flat-VM target, so it is part of
-    the key too.  The unit's mode (``"register"`` or ``"flat"``) follows
-    from the function and signatures alone, so the key needs no more.
+    function name and host-call dispatch, so it is part of the key too.
     """
 
     return _memoized_key("translate", function, (), (wasm_signature_digest(module), index))

@@ -174,14 +174,12 @@ class PassManager:
         passes: Optional[Sequence[Union[FunctionPass, ModulePass]]] = None,
         *,
         max_iterations: int = 8,
-        validate: bool = True,
         unit_cache=None,
     ) -> None:
         self.passes: list[Union[FunctionPass, ModulePass]] = (
             list(passes) if passes is not None else default_passes()
         )
         self.max_iterations = max_iterations
-        self.validate = validate
         # A repro.compilepipe.FunctionUnitCache: memoizes each (segment,
         # function version) round.  Sound because FunctionPasses are pure
         # functions of the body — they receive the module but none of the
@@ -201,10 +199,6 @@ class PassManager:
             module, rewrites = self._run_pipeline_once(module, stats)
             if rewrites == 0:
                 break
-        if self.validate:
-            from ..wasm.validation import validate_module
-
-            validate_module(module, unit_cache=self.unit_cache)
         return OptimizationResult(
             module=module,
             stats=list(stats.values()),
@@ -284,11 +278,11 @@ def optimize_module(
     passes: Optional[Sequence[FunctionPass]] = None,
     *,
     max_iterations: int = 8,
-    validate: bool = True,
     unit_cache=None,
 ) -> OptimizationResult:
-    """Optimize a lowered module with the default (or a custom) pipeline."""
+    """Optimize a lowered module with the default (or a custom) pipeline.
 
-    return PassManager(
-        passes, max_iterations=max_iterations, validate=validate, unit_cache=unit_cache
-    ).run(module)
+    The result is not validated here: the compile pipeline validates the
+    module it returns, and every engine validates at instantiation."""
+
+    return PassManager(passes, max_iterations=max_iterations, unit_cache=unit_cache).run(module)

@@ -59,8 +59,6 @@ _TRAP_KIND_PATTERNS = (
     ("float-to-int conversion", "invalid_conversion"),
     ("conversion of NaN/inf", "invalid_conversion"),
     ("integer overflow", "int_overflow"),
-    ("module has no memory", "no_memory"),
-    ("branch escaped function body", "branch_escaped"),
 )
 
 

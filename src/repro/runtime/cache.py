@@ -58,6 +58,7 @@ from ..obs.metrics import default_registry
 from ..wasm import validate_module
 from ..wasm.ast import WasmModule
 from ..wasm.decode import DecodedModule, adopt_decode, decode_module
+from ..wasm.validation import mark_validated
 
 # Process-wide cache telemetry: one counter, labeled by stage and outcome
 # (hit/miss here; the facade records its bypass decisions under the same
@@ -416,6 +417,7 @@ class ModuleCache:
             entry = self.disk.get("program", key)
             if entry is not None:
                 lowered, flat = entry
+                mark_validated(lowered.wasm)  # put_program files valid modules only
                 program = CompiledProgram(
                     richwasm=richwasm, lowered=replace(lowered, engine=engine), engine=engine,
                     config=config, cached_key=key, persisted_flat=flat,
@@ -439,17 +441,21 @@ class ModuleCache:
     def put_program(self, program: CompiledProgram) -> CompiledProgram:
         """File ``program`` under its key, in memory and (with a disk tier)
         as one ``program`` entry: the lowered module with its flat code,
-        which spares warm starts the per-function decode + digest pass."""
+        which spares warm starts the per-function decode + digest pass.  A
+        disk entry is filed only once its module is valid, so a warm start
+        adopts the module without checking it (:meth:`get_program`)."""
 
         self._programs[program.key] = program
         if self.disk is not None:
+            validate_module(program.wasm, unit_cache=self.units)
             lowered = replace(program.lowered, engine=None, diagnostics=None)
             self.disk.put("program", program.key, (lowered, program.decode(self.units).flat))
         return program
 
     def lower_fresh(self, richwasm: Module, config) -> LoweredModule:
-        """Lower (and optimize, and validate when the config asks) with no
-        store lookup — the work behind a program miss.
+        """Lower, optimize and validate with no store lookup — the work
+        behind a program miss.  The validated module is the one the
+        program's ``wasm`` returns, so instantiating it checks nothing again.
 
         Replays the annotation streams the last :meth:`link` recorded for
         ``richwasm``, so only functions without one are type-checked again;
@@ -460,6 +466,5 @@ class ModuleCache:
         lowered = lower_module(
             richwasm, config=config, unit_cache=self.units, annotations=annotations
         )
-        if config.validate_wasm:
-            validate_module(lowered.wasm, unit_cache=self.units)
+        validate_module(lowered.wasm, unit_cache=self.units)
         return lowered

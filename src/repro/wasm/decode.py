@@ -65,6 +65,7 @@ from .ast import (
     WSelect,
     WUnreachable,
 )
+from .validation import validate_function
 
 # ---------------------------------------------------------------------------
 # Opcodes
@@ -559,8 +560,9 @@ def decode_instance(instance, shared: Optional[DecodedModule] = None) -> list:
     (decoded once, shared across all instances); host imports become
     :class:`HostEntry` records carrying the declared import type.  A function
     slot that no longer matches the module by identity (``instance.funcs``
-    was patched, e.g. with an optimized body) is decoded fresh instead of
-    served stale.
+    was patched, e.g. with an optimized body) is validated against the
+    instance's module and decoded fresh instead of served stale; an invalid
+    one raises :class:`~repro.wasm.validation.WasmValidationError`.
     """
 
     if shared is None:
@@ -573,6 +575,7 @@ def decode_instance(instance, shared: Optional[DecodedModule] = None) -> list:
             if index < len(module_functions) and module_functions[index] is target:
                 decoded.append(shared.flat[index])
             else:
+                validate_function(instance.module, target)
                 decoded.append(decode_function(target))
         else:
             declared = declared_functions[index] if index < len(declared_functions) else None

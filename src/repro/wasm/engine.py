@@ -19,10 +19,13 @@ runs on.  Three implementations ship:
   dispatch entirely.  Registered here on import of :mod:`repro.wasm`.
 
 All engines share instantiation, export lookup and constant-expression
-evaluation (implemented on the base class), count ``steps`` identically
-(one step per executed instruction that the tree walker would have visited),
-and produce bit-identical results, traps, memories and globals — a property
-enforced by :func:`repro.opt.run_engine_cross_check` and the property suite.
+evaluation (implemented on the base class).  Instantiation validates the
+module first (:func:`~repro.wasm.validation.validate_module`, once per
+module object), so every engine runs valid code only.  The engines count
+``steps`` identically (one step per executed instruction that the tree
+walker would have visited), and produce bit-identical results, traps,
+memories and globals — a property enforced by
+:func:`repro.opt.run_engine_cross_check` and the property suite.
 
 Select an engine by name via :func:`create_engine`, the ``engine=`` argument
 of :class:`repro.wasm.WasmInterpreter`, or the ``REPRO_WASM_ENGINE``
@@ -128,6 +131,7 @@ from .interpreter import (
     _normalize,
     arity_error,
 )
+from .validation import validate_module
 
 DEFAULT_ENGINE = "flat"
 _ENGINE_ENV_VAR = "REPRO_WASM_ENGINE"
@@ -150,6 +154,12 @@ class _Return(Exception):
 
 class ExecutionEngine(ABC):
     """Instantiates Wasm modules and executes exported functions.
+
+    :meth:`instantiate` validates the module before any of its code runs: an
+    invalid module raises :class:`~repro.wasm.validation.WasmValidationError`
+    there, so the engines never execute invalid code.  A module object the
+    compile pipeline (or an earlier instantiation) validated is not checked
+    again.
 
     Engines are stateful in exactly two counters: ``steps`` (cumulative
     executed-instruction count across all invocations) and ``max_steps``
@@ -179,6 +189,7 @@ class ExecutionEngine(ABC):
         module: WasmModule,
         host_imports: Optional[dict[tuple[str, str], HostFunction]] = None,
     ) -> WasmInstance:
+        validate_module(module)
         host_imports = host_imports or {}
         instance = WasmInstance(module=module)
 
@@ -303,11 +314,10 @@ class TreeWalkingEngine(ExecutionEngine):
             self._exec_seq(target.body, stack, locals_, instance)
             count = len(target.functype.results)
             return stack[len(stack) - count :] if count else []
-        except _Return as ret:
+        except (_Return, _Branch) as exit_:
+            # A branch to the function body's own label is a return.
             count = len(target.functype.results)
-            return ret.values[len(ret.values) - count :] if count else []
-        except _Branch as branch:  # pragma: no cover - validation prevents this
-            raise WasmTrap(f"branch escaped function body (depth {branch.depth})")
+            return exit_.values[len(exit_.values) - count :] if count else []
         finally:
             if profiling:
                 self._profile_stack.pop()
@@ -404,10 +414,10 @@ class TreeWalkingEngine(ExecutionEngine):
             address = int(stack.pop()) + instr.offset
             self._store(instance, instr, address, value)
         elif isinstance(instr, MemorySize):
-            stack.append(self._memory(instance).size_pages())
+            stack.append(instance.memory.size_pages())
         elif isinstance(instr, MemoryGrow):
             delta = int(stack.pop())
-            stack.append(numerics.wrap(self._memory(instance).grow(delta), 32))
+            stack.append(numerics.wrap(instance.memory.grow(delta), 32))
         else:
             raise WasmError(f"no execution rule for Wasm instruction {instr!r}")
 
@@ -524,14 +534,8 @@ class TreeWalkingEngine(ExecutionEngine):
 
     # -- memory ------------------------------------------------------------
 
-    @staticmethod
-    def _memory(instance: WasmInstance) -> LinearMemory:
-        if instance.memory is None:
-            raise WasmTrap("module has no memory")
-        return instance.memory
-
     def _load(self, instance: WasmInstance, instr: Load, address: int) -> WasmValue:
-        memory = self._memory(instance)
+        memory = instance.memory
         if instr.width is not None:
             raw = memory.read(address, instr.width // 8)
             value = int.from_bytes(raw, "little", signed=False)
@@ -548,7 +552,7 @@ class TreeWalkingEngine(ExecutionEngine):
         return struct.unpack("<d", raw)[0]
 
     def _store(self, instance: WasmInstance, instr: StoreI, address: int, value: WasmValue) -> None:
-        memory = self._memory(instance)
+        memory = instance.memory
         if instr.width is not None:
             payload = (int(value) & ((1 << instr.width) - 1)).to_bytes(instr.width // 8, "little")
         elif instr.valtype is ValType.I32:
@@ -782,8 +786,6 @@ class FlatVMEngine(ExecutionEngine):
                     value = stack.pop()
                     address = stack.pop() + ins[1]
                     nbytes = ins[2]
-                    if mdata is None:
-                        raise WasmTrap("module has no memory")
                     if address < 0 or address + nbytes > len(mdata):
                         raise WasmTrap(
                             f"out-of-bounds memory access at {address} (+{nbytes}), memory is {len(mdata)} bytes"
@@ -862,10 +864,11 @@ class FlatVMEngine(ExecutionEngine):
                     stack[-1] = 1 if stack[-1] == 0 else 0
                 elif op == OP_BR_IF:
                     if stack.pop():
-                        depth = ins[1]
-                        label_index = len(labels) - 1 - depth
+                        label_index = len(labels) - 1 - ins[1]
                         if label_index < 0:
-                            raise WasmTrap(f"branch escaped function body (depth {depth - len(labels)})")
+                            # The function body's own label: a return.
+                            pc = code_len
+                            continue
                         target, arity, _end_arity, base, is_loop = labels[label_index]
                         del labels[label_index + 1 if is_loop else label_index :]
                         if arity:
@@ -875,10 +878,10 @@ class FlatVMEngine(ExecutionEngine):
                             del stack[base:]
                         pc = target
                 elif op == OP_BR:
-                    depth = ins[1]
-                    label_index = len(labels) - 1 - depth
+                    label_index = len(labels) - 1 - ins[1]
                     if label_index < 0:
-                        raise WasmTrap(f"branch escaped function body (depth {depth - len(labels)})")
+                        pc = code_len
+                        continue
                     target, arity, _end_arity, base, is_loop = labels[label_index]
                     del labels[label_index + 1 if is_loop else label_index :]
                     if arity:
@@ -901,8 +904,6 @@ class FlatVMEngine(ExecutionEngine):
                 elif op == OP_LOAD_I:
                     address = stack[-1] + ins[1]
                     nbytes = ins[2]
-                    if mdata is None:
-                        raise WasmTrap("module has no memory")
                     if address < 0 or address + nbytes > len(mdata):
                         raise WasmTrap(
                             f"out-of-bounds memory access at {address} (+{nbytes}), memory is {len(mdata)} bytes"
@@ -925,8 +926,6 @@ class FlatVMEngine(ExecutionEngine):
                     rhs = stack.pop()
                     stack[-1] = int_relop(ins[1], stack[-1], rhs, ins[3], ins[2])
                 elif op == OP_MEMORY_SIZE:
-                    if memory is None:
-                        raise WasmTrap("module has no memory")
                     stack.append(len(mdata) // PAGE_SIZE)
                 elif op == OP_JUMP:
                     pc = ins[1]
@@ -940,7 +939,8 @@ class FlatVMEngine(ExecutionEngine):
                     depth = depths[branch_index] if 0 <= branch_index < len(depths) else ins[2]
                     label_index = len(labels) - 1 - depth
                     if label_index < 0:
-                        raise WasmTrap(f"branch escaped function body (depth {depth - len(labels)})")
+                        pc = code_len
+                        continue
                     target, arity, _end_arity, base, is_loop = labels[label_index]
                     del labels[label_index + 1 if is_loop else label_index :]
                     if arity:
@@ -959,8 +959,6 @@ class FlatVMEngine(ExecutionEngine):
                     address = stack[-1] + ins[1]
                     nbytes = ins[3]
                     end = address + nbytes
-                    if mdata is None:
-                        raise WasmTrap("module has no memory")
                     if address < 0 or end > len(mdata):
                         raise WasmTrap(
                             f"out-of-bounds memory access at {address} (+{nbytes}), memory is {len(mdata)} bytes"
@@ -971,16 +969,12 @@ class FlatVMEngine(ExecutionEngine):
                     address = stack.pop() + ins[1]
                     nbytes = ins[3]
                     end = address + nbytes
-                    if mdata is None:
-                        raise WasmTrap("module has no memory")
                     if address < 0 or end > len(mdata):
                         raise WasmTrap(
                             f"out-of-bounds memory access at {address} (+{nbytes}), memory is {len(mdata)} bytes"
                         )
                     pack_into(ins[2], mdata, address, float(value))
                 elif op == OP_MEMORY_GROW:
-                    if memory is None:
-                        raise WasmTrap("module has no memory")
                     delta = stack.pop()
                     stack.append(wrap(memory.grow(int(delta)), 32))
                     mdata = memory.data

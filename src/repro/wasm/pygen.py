@@ -18,10 +18,9 @@ Translation strategy:
   multi-level branches set a ``_br`` counter unwound by a small cascade
   after each inner region;
 * Wasm locals become Python locals ``l0..lN``;
-* the operand stack becomes Python locals ``s0..sN``: in validated code the
-  stack depth at every instruction is static.  A function where it cannot
-  be proven (only invalid code) is not translated; its slot gets a target
-  that runs each activation on the flat VM, which is the reference.  The
+* the operand stack becomes Python locals ``s0..sN``: an engine runs only
+  validated code (``ExecutionEngine.instantiate`` validates), and in
+  validated code the stack depth at every instruction is static.  The
   emitter keeps a *symbolic* operand stack, Binaryen's expression-tree
   idea applied at emit time: pure operands (local and global reads,
   constants, the inline integer binops, integer relops and tests, the other
@@ -111,6 +110,7 @@ from .decode import (
 )
 from .engine import ENGINES, ExecutionEngine, FlatVMEngine, _call_host
 from .interpreter import CodeSnapshot, WasmInstance, WasmTrap, WasmValue, _normalize, arity_error
+from .validation import validate_module
 
 _INF = float("inf")
 
@@ -160,11 +160,6 @@ _RELOP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "gt": ">", "le": "<=", "ge"
 # keeps generated expressions far below CPython's limit of 200 nested
 # parentheses.
 _MAX_NEST = 16
-
-
-class _RegisterModeUnsupported(Exception):
-    """Static stack depth could not be proven: the function runs on the
-    flat VM instead (see :func:`_flat_target`)."""
 
 
 class _ConstPool:
@@ -342,8 +337,8 @@ def _lines(pre: list[str], assign: Optional[str]) -> list[str]:
 
 class _FunctionEmitter:
     """One function's emission state: the operand stack as Python locals
-    ``s0..sN`` (static depth proven), with pure operands folded into their
-    consumers (see :class:`_Operand`).
+    ``s0..sN`` (validated code has a static depth), with pure operands
+    folded into their consumers (see :class:`_Operand`).
 
     The stack primitives every leaf translation is written against:
 
@@ -359,8 +354,7 @@ class _FunctionEmitter:
     * ``settle()`` — the lines that leave every operand in its slot at a
       chunk end, and ``drop_pending()`` after an unconditional transfer.
 
-    Any primitive raises :class:`_RegisterModeUnsupported` where the depth
-    it needs is not there.
+    Each primitive asserts the depth it needs: validated code has it.
     """
 
     def __init__(self, index: int, flat: FlatFunction, slots: list, module: WasmModule, pool: _ConstPool):
@@ -376,7 +370,6 @@ class _FunctionEmitter:
         self.labels: list[_Label] = []
         self.stack: list[_Operand] = []
         self._leaves: dict[str, _Operand] = {}  # pushed names and literals
-        self.has_memory = module.memory is not None
         code = flat.code
         self.need_br = any(
             (ins[0] in (OP_BR, OP_BR_IF) and ins[1] > 0)
@@ -393,7 +386,7 @@ class _FunctionEmitter:
             )
             for ins in code
         )
-        self.uses_memory = self.has_memory and any(
+        self.uses_memory = any(
             ins[0] in (OP_LOAD_I, OP_LOAD_F, OP_STORE_I, OP_STORE_F, OP_MEMORY_SIZE, OP_MEMORY_GROW)
             for ins in code
         )
@@ -475,8 +468,7 @@ class _FunctionEmitter:
 
     def _take(self, count: int) -> list[_Operand]:
         stack = self.stack
-        if len(stack) < count:
-            raise _RegisterModeUnsupported("stack underflow")
+        assert len(stack) >= count, "stack underflow"
         if count == 1:
             return [stack.pop()]
         taken = stack[len(stack) - count:]
@@ -534,8 +526,7 @@ class _FunctionEmitter:
 
     def apply(self, count: int, build, *, pure: bool = True, cond=None) -> tuple[list[str], Optional[str]]:
         stack = self.stack
-        if len(stack) < count:
-            raise _RegisterModeUnsupported("stack underflow")
+        assert len(stack) >= count, "stack underflow"
         if count == 2:
             rhs, lhs = stack.pop(), stack.pop()
             terms = (lhs.term, rhs.term)
@@ -557,8 +548,7 @@ class _FunctionEmitter:
         return lines, f"s{position} = {expr}"
 
     def top(self) -> str:
-        if not self.stack:
-            raise _RegisterModeUnsupported("stack underflow")
+        assert self.stack, "stack underflow"
         return self.stack[-1].term
 
     def pop(self, reuse: bool = False) -> tuple[str, list[str]]:
@@ -580,8 +570,7 @@ class _FunctionEmitter:
         return self._spill_readers(key, len(self.stack)) + [f"{target} = {value.expr}"]
 
     def tee(self, name: str) -> list[str]:
-        if not self.stack:
-            raise _RegisterModeUnsupported("stack underflow")
+        assert self.stack, "stack underflow"
         top = self.stack[-1]
         lines = self._spill_readers(name, len(self.stack) - 1)
         lines.append(f"{name} = {top.expr}")
@@ -607,8 +596,7 @@ class _FunctionEmitter:
 
     def make_label(self, kind: str, n_params: int, br_arity: int, end_arity: int, target: int) -> _Label:
         base = self.depth - n_params
-        if base < 0:
-            raise _RegisterModeUnsupported("negative label base")
+        assert base >= 0, "negative label base"
         return _Label(kind, br_arity, end_arity, base, target)
 
     def branch_adjust(self, label: _Label) -> list[str]:
@@ -617,8 +605,7 @@ class _FunctionEmitter:
         # sits at or above its target and reads no slot below itself.
         arity, base = label.br_arity, label.base
         depth = len(self.stack)
-        if depth < base + arity:
-            raise _RegisterModeUnsupported("branch underflow")
+        assert depth >= base + arity, "branch underflow"
         lines = []
         for j in range(arity):
             source = self.stack[depth - arity + j]
@@ -627,22 +614,19 @@ class _FunctionEmitter:
         return lines
 
     def end_adjust(self, label: _Label) -> list[str]:
-        if self.depth != label.base + label.end_arity:
-            raise _RegisterModeUnsupported("fallthrough depth mismatch")
+        assert self.depth == label.base + label.end_arity, "fallthrough depth mismatch"
         return []
 
     def return_lines(self) -> list[str]:
         nres = self.flat.n_results
-        if self.depth < nres:
-            raise _RegisterModeUnsupported("return underflow")
+        assert self.depth >= nres, "return underflow"
         values = ", ".join(operand.expr for operand in self.stack[len(self.stack) - nres:])
         return [f"return (steps, {values})" if nres else "return (steps,)"]
 
     def call_args(self, n_params: int) -> tuple[str, list[str]]:
         # A callee or host may write globals: nothing pending may survive
         # the call (the chunk ends there anyway).
-        if self.depth < n_params:
-            raise _RegisterModeUnsupported("call underflow")
+        assert self.depth >= n_params, "call underflow"
         lines = self.spill_below(n_params)
         return ", ".join(operand.expr for operand in self._take(n_params)), lines
 
@@ -753,13 +737,12 @@ def _emit_construct(em: _FunctionEmitter, node, cond: Optional[str]) -> None:
 
 
 def _branch_lines(em: _FunctionEmitter, depth: int) -> list[str]:
-    """Adjust-stack-and-transfer code for a branch to ``depth``."""
+    """Adjust-stack-and-transfer code for a branch to ``depth``: past the
+    innermost ``len(em.labels)`` labels is the function body's own, whose
+    branch is a return."""
 
-    if depth >= len(em.labels):
-        return [
-            "eng.steps = steps",
-            f'raise _WT("branch escaped function body (depth {depth - len(em.labels)})")',
-        ]
+    if depth == len(em.labels):
+        return em.return_lines()
     label = em.labels[len(em.labels) - 1 - depth]
     lines = em.branch_adjust(label)
     if depth == 0:
@@ -838,10 +821,9 @@ def _emit_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
         return True
     elif op == OP_CALL:
         _emit_call(em, ins[1], expected=None)
-    elif op == OP_CALL_INDIRECT:
+    else:
+        assert op == OP_CALL_INDIRECT, f"unknown opcode {op}"
         _emit_call_indirect(em, ins[1])
-    else:  # pragma: no cover - decoder emits no other leaves
-        raise _RegisterModeUnsupported(f"unknown opcode {op}")
     return False
 
 
@@ -941,9 +923,6 @@ def _oob_trap(address: int, nbytes: int, data) -> WasmTrap:
 
 def _emit_memory_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
     op = ins[0]
-    if not em.has_memory:
-        em.step(["eng.steps = steps", 'raise _WT("module has no memory")'])
-        return True
     if op == OP_MEMORY_SIZE:
         em.step(_lines(*em.apply(0, lambda: f"len(_md) // {PAGE_SIZE}", pure=False)))
         return False
@@ -1051,24 +1030,20 @@ class ModuleTranslation:
     """The per-module translation artifact: source plus one callable per slot.
 
     ``functions[i]`` is the callable of defined slot ``i`` and ``None`` at
-    host slots.  ``modes[i]`` is ``"register"`` where the slot's code was
-    translated and ``"flat"`` where its stack depth could not be proven (only
-    invalid code), so its callable runs each activation on the flat VM
-    (:func:`_flat_target`).  Every function's source is emitted up front, but
-    a ``"register"`` slot's callable is its unit's first-call stub
-    (:class:`_FirstCallStub`): Python's ``compile()`` runs for a function
-    only when it is first called.  The artifact is instance-independent (all
-    instance state flows through the per-instance runtime object), so it is
-    shared across every instance of the module — and, via the module cache's
-    content keyspace, across structurally identical module objects.
+    host slots.  Every function's source is emitted up front, but a slot's
+    callable is its unit's first-call stub (:class:`_FirstCallStub`):
+    Python's ``compile()`` runs for a function only when it is first
+    called.  The artifact is instance-independent (all instance state flows
+    through the per-instance runtime object), so it is shared across every
+    instance of the module — and, via the module cache's content keyspace,
+    across structurally identical module objects.
     """
 
-    __slots__ = ("source", "functions", "modes", "function_count")
+    __slots__ = ("source", "functions", "function_count")
 
-    def __init__(self, source: str, functions: tuple, modes: tuple):
+    def __init__(self, source: str, functions: tuple):
         self.source = source
         self.functions = functions
-        self.modes = modes
         self.function_count = sum(1 for fn in functions if fn is not None)
 
     def targets(self) -> list:
@@ -1101,13 +1076,13 @@ def translate_work() -> tuple[float, float, int]:
     return (_EMIT_SECONDS.value, _PYCOMPILE_SECONDS.value, _SOURCE_CHARS.value)
 
 
-def emit_function_chunk(index: int, slots: list, module: WasmModule) -> Optional[tuple[str, dict[str, object]]]:
+def emit_function_chunk(index: int, slots: list, module: WasmModule) -> tuple[str, dict[str, object]]:
     """Emit one function's translation unit source without exec'ing it.
 
     Returns ``(chunk, pool_values)`` — the generated source and the
     const-pool namespace it must be exec'd against
-    (:func:`build_translation_unit` wraps both in a first-call stub) — or
-    ``None`` when the function's static stack depth cannot be proven.
+    (:func:`build_translation_unit` wraps both in a first-call stub).  The
+    function must be valid: the emitter relies on its static stack depth.
     """
 
     flat = slots[index]
@@ -1132,12 +1107,9 @@ def emit_function_chunk(index: int, slots: list, module: WasmModule) -> Optional
         em.write("_md = rt.memory.data")
     if em.need_br:
         em.write("_br = 0")
-    try:
-        if not _emit_body(em, nodes, tail=True):
-            for line in em.return_lines():
-                em.write(line)
-    except _RegisterModeUnsupported:
-        return None
+    if not _emit_body(em, nodes, tail=True):
+        for line in em.return_lines():
+            em.write(line)
     return "\n".join(em.lines), dict(pool.values)
 
 
@@ -1155,7 +1127,7 @@ def _compile_chunk(index: int, chunk: str, pool_values: dict[str, object], filen
 
 
 class _FirstCallStub:
-    """The callable of a ``"register"`` unit until its function first runs.
+    """The callable of a translate unit until its function first runs.
 
     The first call compiles the emitted chunk and files the generated
     function as ``generated``, on the stub every translation sharing the
@@ -1193,31 +1165,16 @@ class _FirstCallStub:
 
 def build_translation_unit(
     index: int, chunk: str, pool_values: dict[str, object], *, module_name: str | None = None
-) -> tuple[str, str, object]:
+) -> tuple[str, object]:
     """Wrap a chunk from :func:`emit_function_chunk` into a translate unit.
 
-    The returned ``(chunk, mode, callable)`` triple is the exact value
+    The returned ``(chunk, callable)`` pair is the exact value
     ``translate_functions`` caches; the callable is the chunk's first-call
     stub, so nothing is compiled here.
     """
 
     filename = f"<pygen:{module_name or 'module'}:f{index}>"
-    return (chunk, "register", _FirstCallStub(index, chunk, pool_values, filename))
-
-
-def _flat_target(index: int):
-    """The target of a function whose stack depth could not be proven: each
-    activation runs from its first instruction on the engine's flat VM, the
-    tier's reference semantics, and returns the compiled ``(steps,
-    *results)``."""
-
-    def run(rt, steps, boundary, *args):
-        eng = rt.engine
-        eng.steps = steps
-        results = eng._flat._run(rt.instance, rt.decoded, index, list(args))
-        return (eng.steps, *results)
-
-    return run
+    return (chunk, _FirstCallStub(index, chunk, pool_values, filename))
 
 
 def translate_functions(slots: list, module: WasmModule, *, unit_cache=None) -> ModuleTranslation:
@@ -1233,16 +1190,15 @@ def translate_functions(slots: list, module: WasmModule, *, unit_cache=None) -> 
     ``slots`` is the module's own decode (:func:`translate_module`), so
     ``slots[i]`` *is* the flat code of ``module.functions[i]`` and the
     (function digest, signature digest, index) unit key addresses the chunk
-    exactly; a patched instance's table is translated without one.
+    exactly; a patched instance's table is translated without one.  Every
+    slot's code must be valid (the engines validate before they translate).
     """
 
     chunks: list[str] = []
     functions: list = []
-    modes: list = []
     for index, slot in enumerate(slots):
         if not isinstance(slot, FlatFunction):
             functions.append(None)
-            modes.append(None)
             continue
         unit = key = None
         if unit_cache is not None:
@@ -1252,19 +1208,14 @@ def translate_functions(slots: list, module: WasmModule, *, unit_cache=None) -> 
             started = time.perf_counter()
             emitted = emit_function_chunk(index, slots, module)
             _EMIT_SECONDS.inc(time.perf_counter() - started)
-            if emitted is None:
-                unit = ("", "flat", _flat_target(index))
-            else:
-                _SOURCE_CHARS.inc(len(emitted[0]))
-                unit = build_translation_unit(index, *emitted, module_name=module.name)
+            _SOURCE_CHARS.inc(len(emitted[0]))
+            unit = build_translation_unit(index, *emitted, module_name=module.name)
             if unit_cache is not None:
                 unit_cache.put("translate", key, unit)
-        chunk, mode, compiled = unit
-        if chunk:
-            chunks.append(chunk)
+        chunk, compiled = unit
+        chunks.append(chunk)
         functions.append(compiled)
-        modes.append(mode)
-    return ModuleTranslation("\n\n".join(chunks), tuple(functions), tuple(modes))
+    return ModuleTranslation("\n\n".join(chunks), tuple(functions))
 
 
 # Per-module translation memo, keyed like the decode memo: by id() with a
@@ -1288,12 +1239,15 @@ def translate_module(module: WasmModule, *, unit_cache=None) -> ModuleTranslatio
 
     With a ``unit_cache`` (:class:`repro.compilepipe.FunctionUnitCache`),
     translation is assembled from per-function units so a new module version
-    re-translates only the functions whose content actually changed.
+    re-translates only the functions whose content actually changed.  An
+    invalid module raises :class:`~repro.wasm.validation.WasmValidationError`
+    (a module validated before is not checked again).
     """
 
     entry = _MODULE_TRANSLATE_CACHE.get(id(module))
     if entry is not None and entry[0]() is module:
         return entry[1]
+    validate_module(module)
     slots = decode_module(module, unit_cache=unit_cache).flat
     translation = translate_functions(slots, module, unit_cache=unit_cache)
     _remember_translation(module, translation)

@@ -1,7 +1,11 @@
 """Validation of Wasm modules (the standard Wasm 1.0 type-checking algorithm).
 
-Lowered RichWasm modules are validated before execution: the lowering pass is
-type-directed, so validation failures indicate lowering bugs.  The validator
+Every module is validated before it runs: ``ExecutionEngine.instantiate``
+validates the module it is given, so the engines execute valid code only.
+Lowered RichWasm modules are validated by the compile pipeline too (the
+lowering pass is type-directed, so a failure there indicates a lowering
+bug), and each module object is checked once: a successful validation is
+remembered per object, keyed like the decode memo.  The validator
 implements the usual algorithm with a value-type stack per control frame and
 an "unreachable" mode that makes the stack polymorphic after unconditional
 control transfers.
@@ -9,6 +13,7 @@ control transfers.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -126,14 +131,37 @@ def _function_type(module: WasmModule, index: int) -> WasmFuncType:
     return module.functions[index].functype
 
 
+# Module objects known valid, keyed like the decode memo: by id() with a
+# weakref guard, so id reuse after collection cannot alias, and dead entries
+# are evicted by the weakref callback.
+_VALIDATED: dict[int, weakref.ref] = {}
+
+
+def mark_validated(module: WasmModule) -> None:
+    """Record ``module`` as valid without checking it: only for a module
+    whose content was validated before it was filed (a disk-cache entry)."""
+
+    key = id(module)
+
+    def _evict(ref, _key=key):
+        if _VALIDATED.get(_key) is ref:
+            del _VALIDATED[_key]
+
+    _VALIDATED[key] = weakref.ref(module, _evict)
+
+
 def validate_module(module: WasmModule, *, unit_cache=None) -> None:
     """Validate a module; raises :class:`WasmValidationError` on failure.
 
-    ``unit_cache`` (a :class:`repro.compilepipe.FunctionUnitCache`) skips
-    function bodies already validated under the same (body digest, module
-    signature digest) key — only successful validations are recorded.
+    A module object validated before is not checked again.  ``unit_cache``
+    (a :class:`repro.compilepipe.FunctionUnitCache`) skips function bodies
+    already validated under the same (body digest, module signature digest)
+    key — only successful validations are recorded.
     """
 
+    ref = _VALIDATED.get(id(module))
+    if ref is not None and ref() is module:
+        return
     for entry in module.table.entries:
         if entry < 0 or entry >= len(module.functions):
             raise WasmValidationError(f"table entry {entry} does not name a function")
@@ -158,6 +186,7 @@ def validate_module(module: WasmModule, *, unit_cache=None) -> None:
         validate_function(module, function)
         if unit_cache is not None:
             unit_cache.put("validate", key, True)
+    mark_validated(module)
 
 
 def validate_function(module: WasmModule, function: WasmFunction) -> None:

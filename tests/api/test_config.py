@@ -57,7 +57,7 @@ class TestValidation:
         ("max_steps", 1.5),
         ("pool_size", 0),
         ("link_name", ""),
-        ("validate_wasm", 1),
+        ("check_links", 1),
         ("workers", 0),
         ("workers", 1.5),
         ("cache_dir", ""),
@@ -122,7 +122,6 @@ class TestContentKey:
         assert CompileConfig(max_steps=10).content_key() == base
         assert CompileConfig(cache="none").content_key() == base
         assert CompileConfig(pool_size=2).content_key() == base
-        assert CompileConfig(validate_wasm=False).content_key() == base
         assert CompileConfig(check_links=False).content_key() == base
         # Serving topology and cache placement are bookkeeping too: the
         # same artifact is shared across workers and disk directories.

@@ -217,6 +217,57 @@ class TestCompiledProgram:
         )
 
 
+@pytest.fixture()
+def validated_functions(monkeypatch):
+    """Every function body ``validate_module`` checks from here on."""
+
+    import repro.wasm.validation as validation
+
+    checked = []
+    original = validation.validate_function
+
+    def spy(module, function):
+        checked.append(function)
+        return original(module, function)
+
+    monkeypatch.setattr(validation, "validate_function", spy)
+    return checked
+
+
+class TestValidationPaysOnce:
+    """The pipeline validates the module object it returns as
+    ``program.wasm`` and a disk-warm hit adopts its module as valid, so
+    instantiating it (one instance per engine, then a 4-instance pool)
+    validates no function again."""
+
+    CONFIG = CompileConfig(opt_level="O2", engine="compiled")
+
+    @staticmethod
+    def _instantiate(program):
+        for engine in ("tree", "flat", "compiled"):
+            program.instantiate(engine=engine)
+        program.instance_pool(max_size=4).warm(4)
+
+    @pytest.mark.parametrize("policy", ["none", "private"])
+    def test_a_compiled_module_is_not_validated_again(self, policy, validated_functions):
+        program = api.compile(scenario_modules(), self.CONFIG.replace(cache=policy))
+        assert validated_functions, "the compile validated nothing"
+        del validated_functions[:]
+        self._instantiate(program)
+        assert validated_functions == []
+
+    def test_a_disk_warm_hit_is_not_validated_again(self, tmp_path, validated_functions):
+        from repro.cluster import DiskCache
+
+        api.compile(scenario_modules(), self.CONFIG, cache=ModuleCache(disk=DiskCache(str(tmp_path))))
+        del validated_functions[:]
+        # A fresh cache over the warm directory models a new process.
+        warm = api.compile(scenario_modules(), self.CONFIG, cache=ModuleCache(disk=DiskCache(str(tmp_path))))
+        assert warm.diagnostics.cache["program"] == "hit"
+        self._instantiate(warm)
+        assert validated_functions == []
+
+
 class TestFrontendCacheThreading:
     @staticmethod
     def _ml_module():

@@ -528,16 +528,14 @@ class TestFunctionPassSegments:
         wasm = lower_module(synthetic_module(2, functions=6)).wasm
         expected_module, expected_stats = _pass_by_pass(wasm, pipeline_passes(opt_level))
         for unit_cache in (None, FunctionUnitCache()):
-            result = PassManager(
-                pipeline_passes(opt_level), validate=False, unit_cache=unit_cache
-            ).run(wasm)
+            result = PassManager(pipeline_passes(opt_level), unit_cache=unit_cache).run(wasm)
             assert result.module == expected_module
             assert [(s.name, s.runs, s.rewrites) for s in result.stats] == expected_stats
 
     def test_o2_looks_up_one_unit_per_function_per_round(self):
         wasm = lower_module(synthetic_module(2, functions=6)).wasm
         units = FunctionUnitCache()
-        result = PassManager(pipeline_passes("O2"), validate=False, unit_cache=units).run(wasm)
+        result = PassManager(pipeline_passes("O2"), unit_cache=units).run(wasm)
         defined = sum(isinstance(f, WasmFunction) for f in wasm.functions)
         assert units.stats["optimize"].lookups == defined * result.iterations
 

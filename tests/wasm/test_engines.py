@@ -42,6 +42,7 @@ from repro.wasm import (
     WBrTable,
     WCall,
     WCallIndirect,
+    WDrop,
     WIf,
     WLoop,
     WReturn,
@@ -71,11 +72,9 @@ def run_on(engine, module, export="main", args=(), host_imports=None):
 ALL_ENGINES = ("tree", "flat", "compiled")
 
 
-def run_both(module, export="main", args=(), host_imports=None, validate=True):
+def run_both(module, export="main", args=(), host_imports=None):
     """Run on every engine, demand identical results and step counts."""
 
-    if validate:
-        validate_module(module)
     outcomes = {
         engine: run_on(engine, module, export, args, host_imports() if host_imports else None)
         for engine in ALL_ENGINES
@@ -91,11 +90,9 @@ def run_both(module, export="main", args=(), host_imports=None, validate=True):
     return results
 
 
-def trap_both(module, export="main", args=(), validate=True):
+def trap_both(module, export="main", args=()):
     """Every engine must trap, with the same message and step count."""
 
-    if validate:
-        validate_module(module)
     outcomes = []
     for engine in ALL_ENGINES:
         interp = WasmInterpreter(engine=engine)
@@ -105,6 +102,44 @@ def trap_both(module, export="main", args=(), validate=True):
         outcomes.append((str(excinfo.value), interp.steps))
     assert len(set(outcomes)) == 1, f"trap divergence: {dict(zip(ALL_ENGINES, outcomes))}"
     return outcomes[0][0]
+
+
+def _function_label_branches():
+    """``(module, args, results)``: branches to a function's outermost label."""
+
+    br_if = simple([
+        Const(I32, 7), LocalGet(0), WBrIf(0), Const(I32, 1), Binop(I32, "add"),
+    ], params=(I32,))
+    nested_br_if = simple([
+        WBlock(FT((), ()), (Const(I32, 9), LocalGet(0), WBrIf(1), WDrop())),
+        Const(I32, 3),
+    ], params=(I32,))
+    table = simple([
+        WBlock(FT((), (I32,)), (Const(I32, 4), LocalGet(0), WBrTable((0, 1), 0))),
+        Const(I32, 6), Binop(I32, "add"),
+    ], params=(I32,))
+    callee = WasmFunction(FT((I32,), (I32,)), (), (
+        WBlock(FT((), ()), (LocalGet(0), Const(I32, 2), Binop(I32, "mul"), WBr(1))), Const(I32, 0),
+    ))
+    caller = WasmFunction(FT((I32,), (I32,)), (), (
+        LocalGet(0), WCall(0), Const(I32, 1), Binop(I32, "add"),
+    ), exports=("main",))
+    return [
+        (simple([Const(I32, 5), WBr(0)]), (), [5]),
+        (simple([Const(I32, 1), Const(I32, 2), Const(I32, 5), WBr(0)]), (), [5]),
+        (br_if, (1,), [7]),
+        (br_if, (0,), [8]),
+        (nested_br_if, (1,), [9]),
+        (nested_br_if, (0,), [3]),
+        (simple([WBlock(FT((), ()), (Const(I32, 9), WBr(1))), Const(I32, 3)]), (), [9]),
+        (table, (0,), [10]),
+        (table, (1,), [4]),
+        (table, (2,), [10]),
+        (WasmModule(functions=(callee, caller)), (20,), [41]),
+    ]
+
+
+FUNCTION_LABEL_BRANCHES = _function_label_branches()
 
 
 class TestEngineFactory:
@@ -375,6 +410,13 @@ class TestEngineAgreement:
         assert run_both(module, args=(1,)) == [111]
         assert run_both(module, args=(0,)) == [222]
 
+    @pytest.mark.parametrize("case", range(len(FUNCTION_LABEL_BRANCHES)))
+    def test_branch_to_the_function_label_returns(self, case):
+        # A function body is an implicit block whose label is the function's
+        # result type: a branch to it returns the top results.
+        module, args, expected = FUNCTION_LABEL_BRANCHES[case]
+        assert run_both(module, args=args) == expected
+
     def test_return_inside_loop(self):
         module = simple([
             WBlock(FT((), ()), (
@@ -417,7 +459,7 @@ class TestEngineAgreement:
             Const(I32, 0), WCallIndirect(FT((), (I32,))),
         ), exports=("main",))
         module = WasmModule(functions=(f, main), table=WasmTable((0,)))
-        message = trap_both(module, validate=False)
+        message = trap_both(module)
         assert message == "indirect call type mismatch"
 
     def test_host_imports_and_normalization(self):
@@ -493,7 +535,7 @@ class TestEngineAgreement:
             __import__("repro.wasm", fromlist=["GlobalGet"]).GlobalGet(0),
         ), exports=("main",))
         module = WasmModule(functions=(start, main), globals=(counter,), start=0)
-        assert run_both(module, validate=False) == [1]
+        assert run_both(module) == [1]
 
     def test_unreachable_and_division_traps(self):
         assert trap_both(simple([WUnreachable()])) == "unreachable executed"
@@ -561,6 +603,21 @@ class TestMaxStepsParity:
         if kind == "trap":
             assert detail == "step budget exhausted"
             assert steps == budget + 1  # the offending step is counted
+
+    @pytest.mark.parametrize("case", range(len(FUNCTION_LABEL_BRANCHES)))
+    def test_function_label_branches_trap_at_identical_steps(self, case):
+        module, args, _expected = FUNCTION_LABEL_BRANCHES[case]
+        total = run_on("flat", module, args=args)[1]
+        for budget in range(1, total + 1):
+            outcomes = []
+            for engine in ALL_ENGINES:
+                interp = WasmInterpreter(max_steps=budget, engine=engine)
+                inst = interp.instantiate(module)
+                try:
+                    outcomes.append(("ok", interp.invoke(inst, "main", list(args)), interp.steps))
+                except WasmTrap as trap:
+                    outcomes.append(("trap", str(trap), interp.steps))
+            assert len(set(map(repr, outcomes))) == 1, f"budget {budget}: {dict(zip(ALL_ENGINES, outcomes))}"
 
     def test_budget_spans_invocations(self):
         module = simple([Const(I32, 1)])

@@ -3,10 +3,10 @@
 The engine-agreement suites (``test_engines.py``, the property suite, the
 profiler parity tests) already pin the compiled tier's semantics against the
 flat VM and the tree walker; this file covers the translator's own
-machinery — the register stack layout, the flat-VM route for functions
-whose stack depth cannot be proven, the per-module translation memo, the
+machinery — the register stack layout, the per-module translation memo, the
 content-keyed ``translate`` cache stage, and the facade's ``translate``
-diagnostics — plus compiled-engine invalidation on patched function tables.
+diagnostics — plus compiled-engine invalidation on patched function tables
+and the rejection of invalid code before any of it runs.
 """
 
 import re
@@ -50,6 +50,7 @@ from repro.wasm import (
     WCallIndirect,
     WIf,
     WLoop,
+    WasmValidationError,
     translate_module,
     validate_module,
 )
@@ -94,7 +95,6 @@ class TestTranslation:
         assert translate_module(module) is first
         assert isinstance(first, ModuleTranslation)
         assert first.function_count == 2
-        assert first.modes == ("register", "register")
         assert "def _f0" in first.source and "def _f1" in first.source
 
     def test_patched_function_slot_retranslates(self):
@@ -309,18 +309,6 @@ def _reentry_module():
     )
 
 
-def _flat_routed_module():
-    """``main`` is valid; its callee ``leaf`` first leaves a block with a
-    surplus value, so its stack depth cannot be proven and every call runs
-    it on the compiled engine's flat VM."""
-
-    leaf = _leaf()
-    callee = WasmFunction(
-        leaf.functype, leaf.locals, (WBlock(FT((), ()), (Const(I32, 9),)), *leaf.body), name="leaf"
-    )
-    return WasmModule(functions=(callee, _calling_loop([WCall(0)])), globals=(_counter_global(),))
-
-
 def _reentry_hosts(interp, holder):
     def cb(acc, n):
         (value,) = interp.invoke(holder["inst"], "leaf", [acc, n])
@@ -335,17 +323,14 @@ _DEOPT_FIXTURES = {
     "callee deopts under a compiled caller": (_callee_module, 5, None),
     "deopted caller calls compiled functions": (_caller_module, 4, None),
     "host import re-enters the engine": (_reentry_module, 4, _reentry_hosts),
-    "compiled caller calls a flat-routed callee": (_flat_routed_module, 8, None),
 }
-_FLAT_ROUTED = "compiled caller calls a flat-routed callee"  # not valid Wasm
 
 _DEOPT_ENGINES = ("flat", "compiled")
 
 
 def _deopt_module(name):
     module = _DEOPT_FIXTURES[name][0]()
-    if name != _FLAT_ROUTED:
-        validate_module(module)
+    validate_module(module)
     return module
 
 
@@ -387,9 +372,6 @@ class TestDeopt:
     @pytest.mark.parametrize("name", sorted(_DEOPT_FIXTURES))
     def test_every_budget_and_interval_matches_flat(self, name, resumes):
         modules = {engine: _deopt_module(name) for engine in _DEOPT_ENGINES}
-        modes = translate_module(modules["compiled"]).modes
-        assert modes[-1] == "register"  # main
-        assert ("flat" in modes) == (name == _FLAT_ROUTED)
         total = _observe_deopt(name, modules["flat"], "flat")[1]
         runs = [{"budget": budget} for budget in range(1, total + 2)]
         runs += [{"interval": interval} for interval in range(1, 9)]
@@ -431,8 +413,8 @@ class TestDeopt:
         assert in_leaf > 0
 
 
-# Bodies of ``f(x)`` that register mode rejects; none is valid Wasm.
-_UNPROVABLE = {
+# Bodies of ``f(x)`` that are not valid Wasm.
+_INVALID = {
     "block left with a surplus value": (
         WBlock(FT((), ()), (Const(I32, 7),)), LocalGet(0), Const(I32, 5), Binop(I32, "add"),
     ),
@@ -442,56 +424,82 @@ _UNPROVABLE = {
     ),
     "i32.add on one operand": (Const(I32, 1), Binop(I32, "add")),
 }
+_ENGINES = ("tree", "flat", "compiled")
 
 
-def _unprovable_module(case):
-    return WasmModule(functions=(WasmFunction(FT((I32,), (I32,)), (), _UNPROVABLE[case], exports=("f",)),))
+def _invalid_module(case):
+    """``f`` holds the invalid body; a valid ``start`` function would run
+    first if the module were instantiated."""
+
+    start = WasmFunction(FT((), ()), (), (Const(I32, 1), GlobalSet(0)), name="start")
+    f = WasmFunction(FT((I32,), (I32,)), (), _INVALID[case], exports=("f",))
+    return WasmModule(functions=(start, f), globals=(_counter_global(),), start=0)
 
 
-def _observe_unprovable(module, engine, arg, budget):
-    interp = WasmInterpreter(max_steps=budget, engine=engine)
-    inst = interp.instantiate(module)
-    try:
-        outcome = ("ok", interp.invoke(inst, "f", [arg]))
-    except WasmTrap as trap:
-        outcome = ("trap", str(trap))
-    except IndexError:
-        # The operand stack ran dry; the engines word the error differently.
-        outcome = ("underflow",)
-    return outcome, interp.steps
+def _surplus_leaf_module():
+    """A valid ``main`` calling ``leaf``, which first leaves a block with a
+    surplus value."""
+
+    leaf = _leaf()
+    callee = WasmFunction(
+        leaf.functype, leaf.locals, (WBlock(FT((), ()), (Const(I32, 9),)), *leaf.body), name="leaf"
+    )
+    return WasmModule(functions=(callee, _calling_loop([WCall(0)])), globals=(_counter_global(),))
 
 
-class TestFlatRoute:
-    """A function whose stack depth cannot be proven is not translated: the
-    compiled engine runs its activations on the flat VM, so it matches the
-    reference engines step for step."""
+_INVALID_MODULES = {
+    **{case: lambda case=case: _invalid_module(case) for case in _INVALID},
+    "valid caller of an invalid callee": _surplus_leaf_module,
+}
 
-    @pytest.mark.parametrize("case", sorted(_UNPROVABLE))
-    def test_engines_agree(self, case):
-        module = _unprovable_module(case)
-        translation = translate_module(module)
-        assert translation.modes == ("flat",) and translation.source == ""
-        for arg in (0, 1):
-            total = _observe_unprovable(module, "flat", arg, None)[1]
-            assert total > 0
-            for budget in (None, *range(1, total + 2)):
-                observed = {
-                    engine: _observe_unprovable(module, engine, arg, budget)
-                    for engine in ("tree", "flat", "compiled")
-                }
-                assert observed["tree"] == observed["flat"] == observed["compiled"], (case, arg, budget)
 
-    def test_flat_unit_is_reused_by_a_structural_twin(self):
-        cache = ModuleCache()
-        translate_module(_unprovable_module("block left with a surplus value"), unit_cache=cache.units)
-        twin = _unprovable_module("block left with a surplus value")
-        before = cache.units.snapshot()
-        translation = translate_module(twin, unit_cache=cache.units)
-        assert cache.units.delta(before)["translate"] == {"reused": 1, "compiled": 0}
-        assert translation.modes == ("flat",)
-        interp = WasmInterpreter(engine="compiled")
-        assert interp.invoke(interp.instantiate(twin), "f", [1]) == [6]
-        assert interp.steps == 5
+@pytest.fixture
+def invocations(monkeypatch):
+    """Every ``invoke_index`` call any engine receives, as ``(engine, index)``."""
+
+    seen = []
+    for engine_cls in {type(WasmInterpreter(engine=engine).engine) for engine in _ENGINES}:
+        original = engine_cls.invoke_index
+
+        def spy(self, instance, index, args, _original=original):
+            seen.append((self.name, index))
+            return _original(self, instance, index, args)
+
+        monkeypatch.setattr(engine_cls, "invoke_index", spy)
+    return seen
+
+
+class TestInvalidCodeIsRejected:
+    """Validity is every engine's precondition: an invalid module raises one
+    ``WasmValidationError`` from ``instantiate``, before any code (its
+    ``start`` function included) runs, and a patched invalid slot raises at
+    the next invoke."""
+
+    @pytest.mark.parametrize("case", sorted(_INVALID_MODULES))
+    def test_instantiate_rejects_the_module_on_every_engine(self, case, invocations):
+        module = _INVALID_MODULES[case]()
+        messages = set()
+        for engine in _ENGINES:
+            with pytest.raises(WasmValidationError) as excinfo:
+                WasmInterpreter(engine=engine).instantiate(module)
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1, messages
+        assert invocations == []
+        with pytest.raises(WasmValidationError):
+            translate_module(module)
+
+    @pytest.mark.parametrize("engine", ["flat", "compiled"])
+    @pytest.mark.parametrize("case", sorted(_INVALID))
+    def test_a_patched_invalid_slot_raises_at_the_next_invoke(self, case, engine):
+        module = sum_module()
+        interp = WasmInterpreter(engine=engine)
+        inst = interp.instantiate(module)
+        assert interp.invoke(inst, "sum", [3]) == [6]
+        steps = interp.steps
+        inst.funcs[0] = WasmFunction(FT((I32, I32), (I32,)), (), _INVALID[case], name="acc")
+        with pytest.raises(WasmValidationError):
+            interp.invoke(inst, "sum", [3])
+        assert interp.steps == steps
 
 
 def test_inline_conversions_match_flat():

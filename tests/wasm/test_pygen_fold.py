@@ -62,6 +62,7 @@ from repro.wasm import (
     validate_module,
 )
 from repro.wasm.ast import MemoryGrow, MemorySize, WDrop, WSelect
+from repro.wasm.pygen import _FirstCallStub
 from workload_builders import synthetic_module
 
 I32, I64, F32, F64 = ValType.I32, ValType.I64, ValType.F32, ValType.F64
@@ -152,7 +153,6 @@ def _call(interp, instance, name, args):
 
 def test_every_integer_producer_is_non_negative():
     module, cases = _producer_module()
-    assert set(translate_module(module).modes) == {None, "register"}
     compiled = WasmInterpreter(engine="compiled")
     flat = WasmInterpreter(engine="flat")
     compiled_inst = compiled.instantiate(module, _HOSTS)
@@ -224,7 +224,6 @@ _DATA_LOCALS = (0, 1, 2, 3)
 _COUNTER = 4
 _N_LOCALS = 5
 _CALLEE = 0  # writes both globals
-_MAIN = 1
 _CALLEE_TYPE = FT((I32,), (I32,))
 _CONSTS = (0, 1, 2, 3, 7, 0xFF, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0xFFF0)
 _ADDRESS_MASK = 0xFFFC
@@ -391,7 +390,6 @@ class TestFoldingDifferential:
     @settings(max_examples=60, deadline=None)
     def test_engines_agree_on_every_budget_and_phase(self, seed, x, y):
         module = build_fold_module(seed)
-        assert translate_module(module).modes[_MAIN] == "register"
         args = (x, y)
         full = {engine: _observe(module, engine, args, budget=_STEP_CAP) for engine in _ENGINES}
         assert full["flat"][1] < _STEP_CAP
@@ -451,7 +449,6 @@ def test_long_pure_chains_stay_compilable():
     ), name="main", exports=("main",))
     module = WasmModule(functions=(main,), memory=WasmMemory(1, 1))
     validate_module(module)
-    assert translate_module(module).modes == ("register",)
     for args in ((3, 5), (2**32 - 1, 0)):
         observed = {engine: _observe(module, engine, args) for engine in _ENGINES}
         assert observed["compiled"] == observed["flat"] == observed["tree"]
@@ -460,8 +457,8 @@ def test_long_pure_chains_stay_compilable():
 @pytest.mark.parametrize("opt_level", ["O0", "O1", "O2"])
 def test_pipeline_programs_translate_every_function(opt_level):
     # Lowered code is validated, so its stack depth is static at every
-    # instruction: no function of a pipeline program may be left to the
-    # flat VM, which would run it at a fraction of the compiled speed.
+    # instruction: the emitter's depth assertions hold on every function of
+    # a pipeline program, and each gets a first-call stub.
     programs = {
         "synthetic seed 1": synthetic_module(1, functions=40),
         "synthetic seed 3": synthetic_module(3, functions=40),
@@ -471,6 +468,6 @@ def test_pipeline_programs_translate_every_function(opt_level):
     config = CompileConfig(opt_level=opt_level, cache="none")
     for name, program in programs.items():
         wasm = api.compile(program, config).wasm
-        modes = translate_module(wasm).modes
-        defined = [mode for function, mode in zip(wasm.functions, modes) if isinstance(function, WasmFunction)]
-        assert defined and set(defined) == {"register"}, name
+        functions = translate_module(wasm).functions
+        defined = [fn for function, fn in zip(wasm.functions, functions) if isinstance(function, WasmFunction)]
+        assert defined and all(type(fn) is _FirstCallStub for fn in defined), name
