@@ -16,9 +16,9 @@ Three claims, enforced as assertions:
 import pytest
 
 from repro import api
-from repro.api import CompileConfig
+from repro.api import OPT_LEVELS, CompileConfig
 from repro.ffi import counter_program
-from repro.opt import pipeline_names, run_differential, run_engine_cross_check
+from repro.opt import run_differential, run_engine_cross_check
 from repro.runtime import ModuleCache
 
 from workload_builders import COUNTER_TICKS
@@ -36,7 +36,7 @@ def compile_at(level, cache):
 
 def test_levels_shrink_and_agree():
     cache = ModuleCache()
-    compiled = {level: compile_at(level, cache) for level in pipeline_names()}
+    compiled = {level: compile_at(level, cache) for level in OPT_LEVELS}
     sizes = {level: program.wasm.instruction_count() for level, program in compiled.items()}
     print(f"\n  instructions by level: {sizes}")
     assert sizes["O1"] <= sizes["O0"]
@@ -66,7 +66,7 @@ def test_recompile_is_a_program_level_hit():
 def test_service_round_trip_per_level():
     cache = ModuleCache()
     totals = {}
-    for level in pipeline_names():
+    for level in OPT_LEVELS:
         service = api.serve(compile_at(level, cache))
         outcome = service.session(
             [("client_init", (3,))] + [("client_tick", ())] * 4 + [("client_total", ())]

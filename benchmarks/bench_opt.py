@@ -44,12 +44,17 @@ def invoke(module, export, arg):
 
 def test_instruction_count_reduction_report():
     deltas = []
+    results = {}
     for name in WORKLOADS:
         plain, result, export, arg = lowered_pair(name)
         deltas.append(optimization_delta(plain, result.module, name=name))
+        results[name] = result
         assert result.reduction >= 0.20, f"{name}: {result.format_report()}"
     print()
     print(format_optimization_report(deltas))
+    # The per-pass census: each pass's rewrites and seconds per workload.
+    for name, result in results.items():
+        print(f"\n{name}\n{result.format_report()}")
 
 
 def test_optimized_modules_validate_and_agree():

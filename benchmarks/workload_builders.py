@@ -17,6 +17,7 @@ Each entry builds a ``(WasmModule, calls)`` pair where ``calls`` is a list of
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from typing import Callable
@@ -333,12 +334,16 @@ def measure_incremental_compile(*, functions: int = 1000, blocks: int = 1) -> di
     base = synthetic_module(blocks, functions=functions)
     cache = ModuleCache()
 
+    # Collect before each timed compile, so the garbage of what ran before
+    # is not collected (and timed) inside the short edit window.
+    gc.collect()
     start = time.perf_counter()
     api.compile(base, config, cache=cache)
     cold_s = time.perf_counter() - start
 
     edited = edit_one_function(base, functions // 2, blocks=blocks)
     units_before = cache.units.snapshot()
+    gc.collect()
     start = time.perf_counter()
     api.compile(edited, config, cache=cache)
     incremental_s = time.perf_counter() - start

@@ -4,8 +4,8 @@ One configuration object and three functions replace the per-entry-point
 keyword sprawl of the lower layers:
 
 * :class:`CompileConfig` — a frozen, validated description of a compile
-  (named ``O0``/``O1``/``O2`` optimization levels expanding to
-  :mod:`repro.opt.pipelines`, engine preference, memory pages, cache policy,
+  (the ``O0``/``O1``/``O2`` optimization levels of :data:`OPT_LEVELS`,
+  engine preference, memory pages, cache policy,
   step budgets, the link-check toggle).  Its :meth:`~CompileConfig.content_key`
   is the canonical content hash the :class:`repro.runtime.ModuleCache` keys
   on.
@@ -24,7 +24,7 @@ stages the pipeline runs, taking their settings as one ``config=``
 :class:`CompileConfig`.
 """
 
-from .config import CACHE_POLICIES, CompileConfig, ConfigError
+from .config import CACHE_POLICIES, OPT_LEVELS, CompileConfig, ConfigError
 from .diagnostics import CACHE_EVENTS, Diagnostics, StageTiming
 from .facade import compile, lower, serve
 from .frontends import (
@@ -48,6 +48,7 @@ __all__ = [
     "Frontend",
     "L3Frontend",
     "MLFrontend",
+    "OPT_LEVELS",
     "RichWasmFrontend",
     "Service",
     "ServiceStats",

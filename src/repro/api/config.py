@@ -5,8 +5,8 @@
 frozen dataclass, so one validated value describes a compile end to end and
 can be shared, compared and hashed.  Two groups of fields:
 
-* **compile content** — ``opt_level`` (a named :mod:`repro.opt.pipelines`
-  level), ``memory_pages`` and ``link_name``.  These determine the compiled
+* **compile content** — ``opt_level`` (one of the :data:`OPT_LEVELS`),
+  ``memory_pages`` and ``link_name``.  These determine the compiled
   artifact bit for bit and are exactly what :meth:`content_key` hashes; the
   digest is used directly as the :class:`repro.runtime.ModuleCache` key, so
   two configs that compile identically share one cache entry.
@@ -20,7 +20,6 @@ can be shared, compared and hashed.  Two groups of fields:
 from __future__ import annotations
 
 import dataclasses
-import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -38,17 +37,15 @@ class ConfigError(ValueError):
 CACHE_POLICIES = ("shared", "private", "none")
 
 
-#: The pass names of the levels :mod:`repro.opt.pipelines` ships.  No other
-#: level can be registered before that module is imported, so until then
-#: :meth:`CompileConfig.validate` and :meth:`CompileConfig.pass_names` answer
-#: from this table without importing the optimizer (a disk-warm program hit
-#: runs no pass).  ``tests/api/test_config.py`` pins it to the registry.
-_BUILTIN_PASS_NAMES = {
+#: The optimization levels: each level's pass names, in pipeline order.
+#: :func:`repro.opt.pipelines.pipeline_passes` builds the passes from these
+#: names; validating and keying a config reads only this table, so neither
+#: imports a pass module (a disk-warm program hit runs no pass).
+OPT_LEVELS = {
     "O0": (),
     "O1": ("dce", "flatten", "peephole", "deadlocals"),
     "O2": ("dce", "flatten", "coalesce", "copyprop", "constfold", "peephole", "deadlocals", "deadfuncs"),
 }
-_PIPELINES_MODULE = __name__.rsplit(".", 2)[0] + ".opt.pipelines"
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,8 @@ class CompileConfig:
     you).  Instances are immutable; derive variants with :meth:`replace`.
     """
 
-    #: Named optimization level — a :mod:`repro.opt.pipelines` registry name
-    #: (``"O0"``/``"O1"``/``"O2"`` ship; ``1`` and ``"o1"`` normalize).
+    #: Named optimization level — a key of :data:`OPT_LEVELS`
+    #: (``"O0"``/``"O1"``/``"O2"``; ``1`` and ``"o1"`` normalize).
     opt_level: str = "O0"
     #: Execution-engine *name* (``"flat"``/``"tree"``/``"compiled"``);
     #: ``None`` = default.
@@ -122,20 +119,15 @@ class CompileConfig:
     def validate(self) -> "CompileConfig":
         """Check every field, returning ``self`` for chaining.
 
-        Raises :class:`ConfigError` with a message naming the registered
-        alternatives for registry-backed fields (opt levels, engines, cache
-        policies).
+        Raises :class:`ConfigError` with a message naming the alternatives
+        for the named fields (opt levels, engines, cache policies).
         """
 
         from ..wasm.engine import available_engines
 
-        pipelines = sys.modules.get(_PIPELINES_MODULE)
-        if pipelines is None and self.opt_level not in _BUILTIN_PASS_NAMES:
-            from ..opt import pipelines
-        if pipelines is not None and self.opt_level not in pipelines.pipeline_names():
+        if self.opt_level not in OPT_LEVELS:
             raise ConfigError(
-                f"unknown opt level {self.opt_level!r}; registered levels: "
-                f"{', '.join(pipelines.pipeline_names())}"
+                f"unknown opt level {self.opt_level!r}; levels: {', '.join(OPT_LEVELS)}"
             )
         if self.engine is not None and self.engine not in available_engines():
             raise ConfigError(
@@ -194,15 +186,13 @@ class CompileConfig:
     def pass_names(self) -> tuple[str, ...]:
         """The pipeline's pass names, in order (empty for ``O0``)."""
 
-        if _PIPELINES_MODULE not in sys.modules and self.opt_level in _BUILTIN_PASS_NAMES:
-            return _BUILTIN_PASS_NAMES[self.opt_level]
-        return tuple(p.name for p in (self.passes() or ()))
+        return OPT_LEVELS[self.opt_level]
 
     def content_key(self) -> str:
         """The canonical content hash of the compile-relevant fields.
 
-        Covers ``opt_level`` (expanded to its pass names, so a re-registered
-        pipeline changes the key), ``memory_pages`` and ``link_name`` —
+        Covers ``opt_level`` (expanded to its pass names, so a level whose
+        passes change changes the key), ``memory_pages`` and ``link_name`` —
         nothing else.  ``engine``, ``cache``, ``max_steps``, ``pool_size``,
         ``workers``, ``cache_dir``/``disk_cache_bytes`` and ``check_links``
         do not change the compiled artifact and therefore do not

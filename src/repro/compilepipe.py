@@ -21,12 +21,11 @@ new version of a module reuses every unchanged function's work:
 * **lower** — (function digest, signature-environment digest) → the lowered
   :class:`~repro.wasm.ast.WasmFunction` plus the erasure/boxing statistics
   deltas its compilation contributed (:class:`repro.lower.ModuleLowering`);
-* **optimize** — (function-pass segment, Wasm function digest) → the
-  function after the segment's passes plus each pass's rewrite count
-  (:class:`repro.opt.PassManager`; a segment is a maximal run of
-  consecutive :class:`~repro.opt.FunctionPass` runs, sound to run
-  function by function because every function pass is a pure function of
-  the body);
+* **optimize** — (function-pass names, Wasm function digest) → the
+  function at its fixpoint under those passes, each pass's rewrite count
+  and the number of rounds it took (:meth:`repro.opt.PassManager.run_function`;
+  sound to run function by function because every function pass is a pure
+  function of the body);
 * **validate** — (Wasm function digest, Wasm signature digest) → a checked
   marker (:func:`repro.wasm.validate_module`);
 * **decode** — Wasm function digest → the :class:`~repro.wasm.decode.FlatFunction`;
@@ -149,7 +148,7 @@ def _memoized_key(stage: str, obj, before: tuple, after: tuple) -> str:
     memoized in ``obj.__dict__`` under ``(stage, *before, *after)``.
 
     ``before``/``after`` are every key part except ``obj``'s own digest
-    (environment/signature digests, flags, the segment part, the slot
+    (environment/signature digests, flags, the function-pass part, the slot
     index, ...), so a memo hit names exactly the key a fresh build would
     compute.  Only frozen dataclass instances carry memos — the rule
     :func:`~repro.core.syntax.structural_digest` applies to ``_hc_digest``
@@ -211,17 +210,17 @@ def lower_unit_key(function, module) -> str:
     return _memoized_key("lower", function, (), (signature_env_digest(module),))
 
 
-def optimize_unit_key(function: WasmFunction, segment) -> str:
-    """Per-(function-pass segment, function) optimization unit key.
+def optimize_unit_key(function: WasmFunction, passes) -> str:
+    """Per-(function passes, function) optimization unit key.
 
-    ``segment`` is the segment's pass-name tuple or its precomputed
+    ``passes`` is the pipeline's function-pass name tuple or its precomputed
     :func:`~repro.core.syntax.structural_digest` (both give the same key).
     The pass names are the config-relevant ingredient: ``opt_level``
-    expands to an ordered pass list, split into segments at module passes,
-    and each (segment, function-version) round is memoized as one unit.
+    expands to an ordered pass list, and each function's fixpoint under its
+    function passes is memoized as one unit.
     """
 
-    return _memoized_key("optimize", function, (segment,), ())
+    return _memoized_key("optimize", function, (passes,), ())
 
 
 def validate_unit_key(function: WasmFunction, module: WasmModule) -> str:
@@ -401,8 +400,8 @@ class FunctionUnitCache:
     def lower_key(self, function, module) -> str:
         return lower_unit_key(function, module)
 
-    def optimize_key(self, function, segment) -> str:
-        return optimize_unit_key(function, segment)
+    def optimize_key(self, function, passes) -> str:
+        return optimize_unit_key(function, passes)
 
     def validate_key(self, function, module) -> str:
         return validate_unit_key(function, module)

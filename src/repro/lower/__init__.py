@@ -38,15 +38,17 @@ def lower_module(module, *, config=None, unit_cache=None, annotations=None) -> L
     """Type-check-directed lowering of a RichWasm module to Wasm.
 
     ``config`` (a :class:`repro.api.CompileConfig`) selects the memory size,
-    the optimization level (``opt_level`` expanding to a named
-    :mod:`repro.opt.pipelines` pipeline) and the recorded engine preference.
-    When optimization ran, the :class:`LoweredModule`
+    the optimization level (``opt_level``, whose passes
+    :func:`repro.opt.pipelines.pipeline_passes` builds) and the recorded
+    engine preference.  When optimization ran, the :class:`LoweredModule`
     carries the :class:`~repro.opt.OptimizationResult` and its ``wasm``
-    field is the optimized module.
+    field is the optimized module: every function at its own fixpoint under
+    the level's function passes, then the module passes run once.
 
     ``unit_cache`` (a :class:`repro.compilepipe.FunctionUnitCache`) threads
     the per-function unit tables through lowering and optimization so
-    unchanged functions are reused across module versions.
+    unchanged functions are reused across module versions; one optimize
+    unit holds one function's whole fixpoint.
 
     ``annotations`` (an :class:`AnnotationStreams`) carries the typing
     facts the linked check recorded for ``module``; the lowering

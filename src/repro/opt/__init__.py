@@ -4,25 +4,28 @@ The lowering compiler is deliberately naive — uniform ``i64`` local banks,
 conversion-bracketed local accesses, dead shuffles left by erasure.  This
 package cleans its output up:
 
-* :mod:`repro.opt.manager` — :class:`PassManager`: named, ordered,
-  re-runnable passes with per-pass statistics.
+* :mod:`repro.opt.manager` — :class:`PassManager`: takes each function to
+  its own fixpoint under the function passes, then runs the module passes
+  once, with per-pass statistics.
 * :mod:`repro.opt.dce` — unreachable-code removal and dead-local pruning.
 * :mod:`repro.opt.coalesce` — collapses the i64 local banks produced by
   locals-splitting.
 * :mod:`repro.opt.constfold` — constant folding via the shared numeric
   semantics (:mod:`repro.core.semantics.numerics`).
 * :mod:`repro.opt.peephole` — spill/reload and conversion-pair fusion.
-* :mod:`repro.opt.pipelines` — the named ``O0``/``O1``/``O2`` levels
-  consumed by :class:`repro.api.CompileConfig`.
+* :mod:`repro.opt.pipelines` — builds the passes of the fixed
+  ``O0``/``O1``/``O2`` levels (:data:`repro.api.OPT_LEVELS`) that
+  :class:`repro.api.CompileConfig` names.
 * :mod:`repro.opt.verify` — the differential harness executing optimized and
   unoptimized twins side by side and requiring identical behaviour.
 
 Entry points: :func:`optimize_module` for a lowered
-:class:`~repro.wasm.ast.WasmModule`, or pass a ``config=`` whose
-``opt_level`` is ``O1``/``O2`` (:class:`repro.api.CompileConfig`) to
-:func:`repro.api.compile`, :func:`repro.lower.lower_module`,
-:func:`repro.ml.compile_ml_module`, :func:`repro.l3.compile_l3_module`, or
-the FFI ``Program`` execution path.
+:class:`~repro.wasm.ast.WasmModule`, or pass a config whose ``opt_level``
+is ``O1``/``O2`` (:class:`repro.api.CompileConfig`) to :func:`repro.api.compile`,
+:func:`repro.api.lower`, :func:`repro.lower.lower_module` or the FFI
+``Program`` execution path.  :func:`repro.ml.compile_ml_module` and
+:func:`repro.l3.compile_l3_module` return RichWasm and take only a
+``unit_cache``, no config.
 """
 
 import importlib
@@ -41,20 +44,15 @@ _EXPORTS = {
     "reachable_functions": "deadfuncs",
     "BlockFlatteningPass": "flatten",
     "FunctionPass": "manager",
-    "FunctionPassSegment": "manager",
+    "MAX_ROUNDS": "manager",
     "ModulePass": "manager",
     "OptimizationResult": "manager",
     "PassManager": "manager",
     "PassStats": "manager",
     "default_passes": "manager",
     "optimize_module": "manager",
-    "split_segments": "manager",
     "PeepholePass": "peephole",
-    "PIPELINES": "pipelines",
-    "o1_passes": "pipelines",
-    "pipeline_names": "pipelines",
     "pipeline_passes": "pipelines",
-    "register_pipeline": "pipelines",
     "CallOutcome": "verify",
     "DifferentialReport": "verify",
     "Invocation": "verify",

@@ -34,8 +34,8 @@ _STUB_MEMO = ("stub",)
 
 def _callees(function: WasmFunction) -> frozenset[int]:
     """The direct-call targets of ``function``, memoized on the (frozen)
-    function: the pass runs every optimization round, and an unchanged
-    function comes back as the same object."""
+    function: the pass runs on every module version, and an unchanged
+    function comes back from the unit cache as the same object."""
 
     memos = function.__dict__
     callees = memos.get(_CALLEES_MEMO)

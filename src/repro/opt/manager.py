@@ -7,17 +7,17 @@ and boxing spills values through scratch locals.  The passes in this package
 clean the emitted :class:`~repro.wasm.ast.WasmModule` up after the fact.
 
 A :class:`FunctionPass` rewrites one function body at a time and reports how
-many rewrites it performed.  The :class:`PassManager` runs a named, ordered,
-re-runnable pipeline of passes over every defined function of a module until
-a fixpoint (or an iteration budget) is reached, collecting per-pass
-statistics along the way.
+many rewrites it performed; a :class:`ModulePass` rewrites the whole module.
+The :class:`PassManager` takes each defined function through the pipeline's
+function passes, round after round, until a round changes nothing in that
+function (at most :data:`MAX_ROUNDS` rounds), then runs the module passes
+once, collecting per-pass statistics along the way.
 
-Each round runs the pipeline as :class:`FunctionPassSegment` objects — the
-maximal runs of consecutive function passes between module passes — and
-runs each segment function by function.  Function passes are pure
-functions of the body, so this yields exactly the module a pass-by-pass
-sweep would, and one segment run is one optimize unit of the per-function
-unit cache.
+Function passes are pure functions of the body, so one function's fixpoint
+does not depend on any other function, and it is one optimize unit of the
+per-function unit cache.  The one shipped module pass, ``deadfuncs``,
+computes reachability transitively from the final call graph, so a second
+run of it, or another function round after it, would find nothing.
 """
 
 from __future__ import annotations
@@ -30,19 +30,22 @@ from ..core.syntax.intern import structural_digest
 from ..wasm.ast import WasmFunction, WasmModule
 
 
+#: The most rounds one function's fixpoint may take.  Every shipped pipeline
+#: converges in far fewer; the cap only guarantees termination.
+MAX_ROUNDS = 8
+
+
 @dataclass
 class PassStats:
-    """Cumulative statistics for one named pass across a manager run."""
+    """Cumulative statistics for one named pass across a manager run.
+
+    ``runs`` counts the function rounds a function pass took part in,
+    summed over the functions (a module pass runs once)."""
 
     name: str
     runs: int = 0
     rewrites: int = 0
     seconds: float = 0.0
-
-    def merge_run(self, rewrites: int, seconds: float) -> None:
-        self.runs += 1
-        self.rewrites += rewrites
-        self.seconds += seconds
 
 
 class FunctionPass:
@@ -67,78 +70,13 @@ class ModulePass:
         raise NotImplementedError
 
 
-class FunctionPassSegment:
-    """A maximal run of consecutive :class:`FunctionPass` objects.
-
-    :meth:`run` applies the whole run to one function and is the single
-    optimize-unit path the :class:`PassManager` calls.
-    """
-
-    def __init__(self, passes: Sequence[FunctionPass]) -> None:
-        self.passes = tuple(passes)
-        #: The segment's part of every optimize unit key, digested once.
-        self.key_part = structural_digest(tuple(p.name for p in self.passes))
-
-    def unit_key(self, unit_cache, function: WasmFunction) -> str:
-        return unit_cache.optimize_key(function, self.key_part)
-
-    def run(self, function: WasmFunction, module: WasmModule, unit_cache=None,
-            seconds: Optional[list] = None) -> tuple[WasmFunction, tuple[int, ...]]:
-        """``function`` after every pass of the segment, plus each pass's
-        rewrite count, memoized in ``unit_cache`` (when given) as one unit.
-
-        ``seconds`` (one slot per pass) accumulates the time of passes that
-        actually ran; a unit hit runs none.
-        """
-
-        key = None
-        if unit_cache is not None:
-            key = self.unit_key(unit_cache, function)
-            cached = unit_cache.get("optimize", key)
-            if cached is not None:
-                return cached
-        counts = []
-        for position, pass_ in enumerate(self.passes):
-            started = time.perf_counter()
-            rewritten, count = pass_.run(function, module)
-            if seconds is not None:
-                seconds[position] += time.perf_counter() - started
-            if count:
-                function = rewritten
-            counts.append(count)
-        result = (function, tuple(counts))
-        if unit_cache is not None:
-            unit_cache.put("optimize", key, result)
-        return result
-
-
-def split_segments(
-    passes: Sequence[Union[FunctionPass, ModulePass]],
-) -> list[Union[FunctionPassSegment, ModulePass]]:
-    """``passes`` with each maximal run of function passes grouped into one
-    :class:`FunctionPassSegment` (module passes stay as they are)."""
-
-    segments: list[Union[FunctionPassSegment, ModulePass]] = []
-    run: list[FunctionPass] = []
-    for pass_ in passes:
-        if isinstance(pass_, ModulePass):
-            if run:
-                segments.append(FunctionPassSegment(run))
-                run = []
-            segments.append(pass_)
-        else:
-            run.append(pass_)
-    if run:
-        segments.append(FunctionPassSegment(run))
-    return segments
-
-
 @dataclass
 class OptimizationResult:
     """The outcome of running a pass pipeline over a module."""
 
     module: WasmModule
     stats: list[PassStats]
+    #: The most rounds any one function took to reach its fixpoint.
     iterations: int
     instructions_before: int
     instructions_after: int
@@ -158,7 +96,7 @@ class OptimizationResult:
     def format_report(self) -> str:
         lines = [
             f"optimization: {self.instructions_before} -> {self.instructions_after} instructions"
-            f" ({self.reduction:.1%} removed, {self.iterations} iteration(s))",
+            f" ({self.reduction:.1%} removed, at most {self.iterations} round(s) per function)",
             f"{'pass':<20} {'runs':>6} {'rewrites':>9} {'seconds':>9}",
         ]
         for stats in self.stats:
@@ -167,122 +105,117 @@ class OptimizationResult:
 
 
 class PassManager:
-    """Runs an ordered pipeline of function passes to a fixpoint."""
+    """Runs each function's passes to its own fixpoint, then the module
+    passes once, in their order, wherever the pipeline lists them."""
 
     def __init__(
         self,
         passes: Optional[Sequence[Union[FunctionPass, ModulePass]]] = None,
         *,
-        max_iterations: int = 8,
         unit_cache=None,
     ) -> None:
         self.passes: list[Union[FunctionPass, ModulePass]] = (
             list(passes) if passes is not None else default_passes()
         )
-        self.max_iterations = max_iterations
-        # A repro.compilepipe.FunctionUnitCache: memoizes each (segment,
-        # function version) round.  Sound because FunctionPasses are pure
-        # functions of the body — they receive the module but none of the
-        # shipped passes reads it.
-        self.unit_cache = unit_cache
         names = [p.name for p in self.passes]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate pass names in pipeline: {names}")
-        self.segments = split_segments(self.passes)
+        self.function_passes = tuple(p for p in self.passes if not isinstance(p, ModulePass))
+        self.module_passes = tuple(p for p in self.passes if isinstance(p, ModulePass))
+        #: The function passes' part of every optimize unit key, digested once.
+        self.key_part = structural_digest(tuple(p.name for p in self.function_passes))
+        # A repro.compilepipe.FunctionUnitCache: memoizes each function's
+        # fixpoint.  Sound because FunctionPasses are pure functions of the
+        # body — they receive the module but none of the shipped passes
+        # reads it.
+        self.unit_cache = unit_cache
 
     def run(self, module: WasmModule) -> OptimizationResult:
-        stats = {p.name: PassStats(p.name) for p in self.passes}
         before = module.instruction_count()
-        iterations = 0
-        for _ in range(self.max_iterations):
-            iterations += 1
-            module, rewrites = self._run_pipeline_once(module, stats)
-            if rewrites == 0:
-                break
+        counts = [0] * len(self.function_passes)
+        seconds = [0.0] * len(self.function_passes)
+        runs = iterations = 0
+        functions = list(module.functions)
+        for index, function in enumerate(functions):
+            if not isinstance(function, WasmFunction):
+                continue
+            functions[index], function_counts, rounds = self.run_function(function, module, seconds)
+            runs += rounds
+            iterations = max(iterations, rounds)
+            counts = [total + count for total, count in zip(counts, function_counts)]
+        if any(counts):
+            module = replace(module, functions=tuple(functions))
+        stats = {
+            pass_.name: PassStats(pass_.name, runs, rewrites, spent)
+            for pass_, rewrites, spent in zip(self.function_passes, counts, seconds)
+        }
+        for pass_ in self.module_passes:
+            started = time.perf_counter()
+            module, rewrites = pass_.run_module(module)
+            stats[pass_.name] = PassStats(pass_.name, 1, rewrites, time.perf_counter() - started)
         return OptimizationResult(
             module=module,
-            stats=list(stats.values()),
+            stats=[stats[p.name] for p in self.passes],
             iterations=iterations,
             instructions_before=before,
             instructions_after=module.instruction_count(),
         )
 
-    def _run_pipeline_once(self, module: WasmModule, stats: dict[str, PassStats]) -> tuple[WasmModule, int]:
-        total_rewrites = 0
-        for segment in self.segments:
-            if isinstance(segment, ModulePass):
-                started = time.perf_counter()
-                module, rewrites = segment.run_module(module)
-                stats[segment.name].merge_run(rewrites, time.perf_counter() - started)
-                total_rewrites += rewrites
-                continue
-            counts = [0] * len(segment.passes)
-            seconds = [0.0] * len(segment.passes)
-            functions = list(module.functions)
+    def run_function(self, function: WasmFunction, module: WasmModule,
+                     seconds: Optional[list] = None) -> tuple[WasmFunction, tuple[int, ...], int]:
+        """``function`` at its fixpoint under the function passes, each
+        pass's rewrites summed over the rounds, and the number of rounds
+        (the last one changed nothing unless the cap was reached) —
+        memoized in the unit cache, when there is one, as one unit.
+
+        ``seconds`` (one slot per function pass) accumulates the time of
+        passes that actually ran; a unit hit runs none.
+        """
+
+        key = None
+        if self.unit_cache is not None:
+            key = self.unit_cache.optimize_key(function, self.key_part)
+            cached = self.unit_cache.get("optimize", key)
+            if cached is not None:
+                return cached
+        counts = [0] * len(self.function_passes)
+        rounds = 0
+        changed = True
+        while changed and rounds < MAX_ROUNDS:
+            rounds += 1
             changed = False
-            for index, function in enumerate(functions):
-                if not isinstance(function, WasmFunction):
-                    continue
-                rewritten, function_counts = segment.run(
-                    function, module, self.unit_cache, seconds
-                )
-                if any(function_counts):
-                    functions[index] = rewritten
-                    changed = True
-                for position, count in enumerate(function_counts):
+            for position, pass_ in enumerate(self.function_passes):
+                started = time.perf_counter()
+                rewritten, count = pass_.run(function, module)
+                if seconds is not None:
+                    seconds[position] += time.perf_counter() - started
+                if count:
+                    function = rewritten
                     counts[position] += count
-            if changed:
-                module = replace(module, functions=tuple(functions))
-            for pass_, rewrites, spent in zip(segment.passes, counts, seconds):
-                stats[pass_.name].merge_run(rewrites, spent)
-                total_rewrites += rewrites
-        return module, total_rewrites
+                    changed = True
+        result = (function, tuple(counts), rounds)
+        if self.unit_cache is not None:
+            self.unit_cache.put("optimize", key, result)
+        return result
 
 
 def default_passes() -> list[Union[FunctionPass, ModulePass]]:
-    """The default pipeline, in dependency order.
+    """A fresh ``O2`` pipeline (:func:`repro.opt.pipelines.pipeline_passes`)."""
 
-    Unreachable-code removal first (cheap, exposes dead locals), block
-    flattening (merges sequences, exposing matches to everything after it),
-    then local coalescing (rewrites the i64 local banks, removing the
-    per-access conversions locals-splitting inserts), copy propagation (kills
-    the prologue's parameter-to-bank copies once coalescing made them
-    same-typed), constant folding, the peephole pass (which fuses the
-    ``local.set``/``local.get`` round-trips the other passes expose),
-    dead-local pruning to drop the storage the earlier passes orphaned, and
-    finally dead-function stubbing at module scope.
-    """
+    from .pipelines import pipeline_passes
 
-    from .coalesce import LocalCoalescingPass
-    from .constfold import ConstantFoldingPass
-    from .copyprop import CopyPropagationPass
-    from .dce import DeadCodeEliminationPass, UnusedLocalPass
-    from .deadfuncs import DeadFunctionPass
-    from .flatten import BlockFlatteningPass
-    from .peephole import PeepholePass
-
-    return [
-        DeadCodeEliminationPass(),
-        BlockFlatteningPass(),
-        LocalCoalescingPass(),
-        CopyPropagationPass(),
-        ConstantFoldingPass(),
-        PeepholePass(),
-        UnusedLocalPass(),
-        DeadFunctionPass(),
-    ]
+    return pipeline_passes("O2")
 
 
 def optimize_module(
     module: WasmModule,
-    passes: Optional[Sequence[FunctionPass]] = None,
+    passes: Optional[Sequence[Union[FunctionPass, ModulePass]]] = None,
     *,
-    max_iterations: int = 8,
     unit_cache=None,
 ) -> OptimizationResult:
-    """Optimize a lowered module with the default (or a custom) pipeline.
+    """Optimize a lowered module with the ``O2`` (or a custom) pipeline.
 
     The result is not validated here: the compile pipeline validates the
     module it returns, and every engine validates at instantiation."""
 
-    return PassManager(passes, max_iterations=max_iterations, unit_cache=unit_cache).run(module)
+    return PassManager(passes, unit_cache=unit_cache).run(module)

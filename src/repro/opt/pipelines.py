@@ -1,97 +1,73 @@
-"""Named optimization pipelines — the ``O0``/``O1``/``O2`` levels.
+"""The ``O0``/``O1``/``O2`` optimization levels, built into pass objects.
 
-:class:`repro.api.CompileConfig` speaks in *levels*, not pass lists; this
-module is where a level name expands to an ordered pass pipeline:
+:class:`repro.api.CompileConfig` speaks in *levels*, not pass lists.  The
+levels are one fixed table, :data:`repro.api.config.OPT_LEVELS`, of pass
+names; it lives with the config so that validating and keying a config
+imports no pass module (a disk-warm program hit runs no pass).  This module
+builds a level's passes from those names:
 
 * ``O0`` — no optimization (the lowered module runs as emitted);
 * ``O1`` — the cheap structural cleanups: unreachable-code removal, block
   flattening, spill/reload peepholes and dead-local pruning.  No dataflow
   passes, so it is fast enough to run on every compile;
-* ``O2`` — the full default pipeline (:func:`repro.opt.default_passes`),
-  adding i64-bank local coalescing, copy propagation, constant folding and
-  ABI-preserving dead-function stubbing.
+* ``O2`` — the full pipeline, in dependency order: unreachable-code removal
+  (cheap, exposes dead locals), block flattening (merges sequences,
+  exposing matches to everything after it), i64-bank local coalescing
+  (removes the per-access conversions locals-splitting inserts), copy
+  propagation (kills the prologue's parameter-to-bank copies once
+  coalescing made them same-typed), constant folding, the peephole pass
+  (fuses the ``local.set``/``local.get`` round-trips the others expose),
+  dead-local pruning (drops the storage the earlier passes orphaned), and
+  ABI-preserving dead-function stubbing at module scope.
 
-Every pipeline is semantics-preserving by contract: the tier-1 suite runs
-each level through :func:`repro.opt.run_differential` against the
-unoptimized twin on both execution engines and requires bit-identical
-results, traps, memories and globals.
+Every level is semantics-preserving by contract: the tier-1 suite runs each
+level through :func:`repro.opt.run_differential` against the unoptimized
+twin on every engine and requires bit-identical results, traps, memories
+and globals.
 
-The table is a registry: projects may install additional named levels (e.g.
-a size-focused ``Os``) via :func:`register_pipeline`;
-``CompileConfig.validate`` accepts whatever is registered here.
-
-Pass *names* carry semantic weight beyond reporting: the incremental
-pipeline (:mod:`repro.compilepipe`) memoizes each (pass name, function
-version) step, so a registered pass must be a pure function of the function
-body, and two passes sharing a name must perform the same rewrite.  Levels
-built from the same passes (``O1`` ⊂ ``O2``) therefore share per-function
-units for the passes they have in common.
+Pass *names* carry semantic weight beyond reporting: the per-function unit
+cache (:mod:`repro.compilepipe`) keys each function's fixpoint on the
+level's function-pass names, so a pass must be a pure function of the
+function body, and two passes sharing a name must perform the same rewrite.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Union
+from typing import List, Union
 
+from ..api.config import OPT_LEVELS
+from .coalesce import LocalCoalescingPass
+from .constfold import ConstantFoldingPass
+from .copyprop import CopyPropagationPass
 from .dce import DeadCodeEliminationPass, UnusedLocalPass
+from .deadfuncs import DeadFunctionPass
 from .flatten import BlockFlatteningPass
-from .manager import FunctionPass, ModulePass, default_passes
+from .manager import FunctionPass, ModulePass
 from .peephole import PeepholePass
 
 Pipeline = List[Union[FunctionPass, ModulePass]]
 
-
-def o0_passes() -> Pipeline:
-    """``O0``: no optimization."""
-
-    return []
-
-
-def o1_passes() -> Pipeline:
-    """``O1``: cheap structural cleanups only (no dataflow passes)."""
-
-    return [
-        DeadCodeEliminationPass(),
-        BlockFlatteningPass(),
-        PeepholePass(),
-        UnusedLocalPass(),
-    ]
-
-
-PIPELINES: dict[str, Callable[[], Pipeline]] = {
-    "O0": o0_passes,
-    "O1": o1_passes,
-    "O2": default_passes,
+#: Every shipped pass class, by its name.
+_PASSES = {
+    cls.name: cls
+    for cls in (
+        DeadCodeEliminationPass, BlockFlatteningPass, LocalCoalescingPass, CopyPropagationPass,
+        ConstantFoldingPass, PeepholePass, UnusedLocalPass, DeadFunctionPass,
+    )
 }
 
 
-def pipeline_names() -> tuple[str, ...]:
-    """The registered level names, sorted."""
-
-    return tuple(sorted(PIPELINES))
-
-
 def pipeline_passes(level: str) -> Pipeline:
-    """Expand a level name to a fresh pass pipeline.
+    """A fresh pass pipeline for ``level``.
 
-    Raises :class:`ValueError` naming the registered levels for an unknown
-    name — the same contract :meth:`repro.api.CompileConfig.validate` and
-    :func:`repro.wasm.create_engine` follow for their registries.
+    Raises :class:`ValueError` naming the levels for an unknown name — the
+    same contract :meth:`repro.api.CompileConfig.validate` follows.
     """
 
     try:
-        build = PIPELINES[level]
+        names = OPT_LEVELS[level]
     except KeyError:
         raise ValueError(
-            f"unknown optimization level {level!r}; registered levels: {', '.join(pipeline_names())}"
+            f"unknown optimization level {level!r}; levels: {', '.join(OPT_LEVELS)}"
         ) from None
-    return build()
-
-
-def register_pipeline(name: str, build: Callable[[], Pipeline], *, replace: bool = False) -> None:
-    """Install a custom named pipeline (``replace=True`` to override)."""
-
-    if name in PIPELINES and not replace:
-        raise ValueError(
-            f"optimization level {name!r} is already registered; pass replace=True to override"
-        )
-    PIPELINES[name] = build
+    return [_PASSES[name]() for name in names]

@@ -8,19 +8,11 @@ import sys
 import pytest
 
 import repro
-from repro.api import CACHE_POLICIES, CompileConfig, ConfigError
-from repro.api.config import _BUILTIN_PASS_NAMES
+from repro.api import CACHE_POLICIES, OPT_LEVELS, CompileConfig, ConfigError
 from repro.l3 import compile_l3_module
 from repro.lower import lower_module
 from repro.ml import compile_ml_module
-from repro.opt import (
-    PIPELINES,
-    o1_passes,
-    pipeline_names,
-    pipeline_passes,
-    run_differential,
-    run_engine_cross_check,
-)
+from repro.opt import pipeline_passes, run_differential, run_engine_cross_check
 from repro.wasm import TreeWalkingEngine, available_engines, create_engine
 
 from bench_pipelines import l3_workload, ml_workload
@@ -128,14 +120,23 @@ class TestContentKey:
         assert CompileConfig(workers=4).content_key() == base
         assert CompileConfig(cache_dir="/tmp/x", disk_cache_bytes=10).content_key() == base
 
+    def test_level_keys_are_stable(self):
+        """Disk entries filed under these keys stay valid: a level's key
+        changes only when its pass names do."""
+
+        assert {level: CompileConfig(opt_level=level).content_key() for level in OPT_LEVELS} == {
+            "O0": "a320c0a7f0f1a70c7f024c5d013cde7ba727dfa80d068b1a44632cf7f0543a0a",
+            "O1": "ff6ba9a2f65a12ee851647684965fbc74475378b39262347f22efac5d43a6766",
+            "O2": "1894f2e9c660d725d14a0a095fc46b073c9654c7813cc2b9a2f4c3b0a6b27859",
+        }
+
 
 class TestPipelines:
-    def test_registered_levels(self):
-        assert pipeline_names() == ("O0", "O1", "O2")
-        assert pipeline_passes("O0") == []
-        o1 = [p.name for p in pipeline_passes("O1")]
-        o2 = [p.name for p in pipeline_passes("O2")]
-        assert set(o1) < set(o2)  # O1 is a strict subset of the full pipeline
+    def test_levels_build_their_named_passes(self):
+        assert tuple(OPT_LEVELS) == ("O0", "O1", "O2")
+        for level, names in OPT_LEVELS.items():
+            assert tuple(p.name for p in pipeline_passes(level)) == names
+        assert set(OPT_LEVELS["O1"]) < set(OPT_LEVELS["O2"])  # O1 is a strict subset
 
     def test_unknown_level_lists_registered(self):
         with pytest.raises(ValueError, match=r"O0, O1, O2"):
@@ -187,21 +188,7 @@ print(json.dumps({{
 
 
 class TestOptimizerFreeKeys:
-    """Built-in levels validate and key without importing the passes."""
-
-    def test_builtin_pass_names_match_the_registry(self):
-        assert set(_BUILTIN_PASS_NAMES) <= set(pipeline_names())
-        for level, names in _BUILTIN_PASS_NAMES.items():
-            assert names == tuple(p.name for p in pipeline_passes(level))
-
-    def test_registered_levels_validate_and_key(self, monkeypatch):
-        monkeypatch.setitem(PIPELINES, "O3", o1_passes)
-        config = CompileConfig(opt_level="O3").validate()
-        assert config.pass_names() == CompileConfig(opt_level="O1").pass_names()
-        monkeypatch.setitem(PIPELINES, "O1", lambda: o1_passes()[:2])
-        assert CompileConfig(opt_level="O1").pass_names() == ("dce", "flatten")
-        with pytest.raises(ConfigError, match=r"registered levels: O0, O1, O2, O3$"):
-            CompileConfig(opt_level="O9").validate()
+    """Levels validate and key without importing the passes."""
 
     def test_disk_warm_program_hit_imports_no_pass_module(self, tmp_path):
         script = _WARM_CHILD.format(

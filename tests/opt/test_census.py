@@ -9,8 +9,8 @@ types and unreferenced locals, every pass must return the same function and
 the same rewrite count as its scanning twin.
 
 Also pinned: :func:`repro.opt.rewrite.map_sequences` keeps unchanged blocks
-(by identity), and re-running the O2 function segment on an optimized
-function is a no-op returning the same object.
+(by identity), one O2 function fixpoint is final, and re-running it on an
+optimized function is a no-op returning the same object.
 """
 
 import random
@@ -20,14 +20,14 @@ from typing import Optional
 import pytest
 
 from repro.opt import (
+    MAX_ROUNDS,
     CopyPropagationPass,
     LocalCoalescingPass,
+    PassManager,
     PeepholePass,
     UnusedLocalPass,
     default_passes,
-    split_segments,
 )
-from repro.opt.manager import FunctionPassSegment
 from repro.opt.rewrite import local_census, map_sequences
 from repro.wasm import (
     Const,
@@ -481,9 +481,8 @@ class TestCensusAgainstScans:
 # ---------------------------------------------------------------------------
 
 
-def _o2_segment() -> FunctionPassSegment:
-    (segment, _deadfuncs) = split_segments(default_passes())
-    return segment
+def _o2_manager() -> PassManager:
+    return PassManager(default_passes())
 
 
 class TestKeepUnchangedBlocks:
@@ -506,19 +505,15 @@ class TestKeepUnchangedBlocks:
         assert body[1] == WLoop(VOID, (LocalGet(0), WDrop()))
 
     @pytest.mark.parametrize("seed", range(0, 400, 20))
-    def test_segment_rerun_on_optimized_function_is_a_no_op(self, seed):
-        segment = _o2_segment()
-        function = BodyGen(seed).function()
-        for _ in range(8):
-            rewritten, counts = segment.run(function, EMPTY_MODULE)
-            if not any(counts):
-                break
-            function = rewritten
-        again, counts = segment.run(function, EMPTY_MODULE)
+    def test_fixpoint_rerun_on_optimized_function_is_a_no_op(self, seed):
+        manager = _o2_manager()
+        function, _counts, rounds = manager.run_function(BodyGen(seed).function(), EMPTY_MODULE)
+        assert rounds < MAX_ROUNDS
+        again, counts, rounds = manager.run_function(function, EMPTY_MODULE)
         assert again is function
-        assert counts == (0,) * len(segment.passes)
+        assert counts == (0,) * len(manager.function_passes) and rounds == 1
 
-    def test_segment_rerun_on_a_lowered_program_is_a_no_op(self):
+    def test_fixpoint_rerun_on_a_lowered_program_is_a_no_op(self):
         from workload_builders import synthetic_module
 
         from repro import api
@@ -528,9 +523,9 @@ class TestKeepUnchangedBlocks:
 
         config = CompileConfig(opt_level="O2")
         optimized = api.compile(synthetic_module(1, functions=20), config, cache=ModuleCache()).wasm
-        segment = _o2_segment()
+        manager = _o2_manager()
         for function in optimized.functions:
             if isinstance(function, WasmFunction):
-                again, counts = segment.run(function, optimized)
-                assert again is function and not any(counts)
+                again, counts, rounds = manager.run_function(function, optimized)
+                assert again is function and not any(counts) and rounds == 1
         assert optimize_module(optimized).module.functions == optimized.functions

@@ -7,7 +7,7 @@ from repro.api import CompileConfig
 from repro.ffi import Program, counter_program
 from repro.l3 import compile_l3_module
 from repro.lower import LoweredModule, lower_module
-from repro.ml import compile_ml_module
+from repro.ml import BinOp, If, IntLit, MLFunction, TInt, Var, compile_ml_module, ml_module
 from repro.opt import (
     BlockFlatteningPass,
     ConstantFoldingPass,
@@ -99,6 +99,47 @@ class TestPassManager:
         result = optimize_module(module)
         validate_module(result.module)  # also validated internally
         assert run(result.module) == [7]
+
+
+def constant_operands_ml():
+    """An ML function whose comparison has constant operands."""
+
+    return ml_module("consts", functions=[
+        MLFunction("pick", "x", TInt(), TInt(), If(BinOp("<", IntLit(1), IntLit(2)), Var("x"), IntLit(3))),
+    ])
+
+
+#: For each O2 pass, a program on which it rewrites something at O2 (the
+#: pass census; the README's pass table names the same programs).
+CENSUS = {
+    "dce": "counter",
+    "flatten": "counter",
+    "coalesce": "counter",
+    "copyprop": "counter",
+    "constfold": "constant_operands_ml",
+    "peephole": "counter",
+    "deadlocals": "counter",
+    "deadfuncs": "ml_workload",
+}
+CENSUS_PROGRAMS = {
+    "counter": lambda: Program(counter_program().modules()),
+    "constant_operands_ml": constant_operands_ml,
+    "ml_workload": ml_workload,
+}
+
+
+class TestPassCensus:
+    def test_census_covers_the_o2_pipeline(self):
+        assert tuple(CENSUS) == CompileConfig(opt_level="O2").pass_names()
+
+    @pytest.mark.parametrize("pass_name", list(CENSUS))
+    def test_every_o2_pass_rewrites_its_census_program(self, pass_name):
+        program = CENSUS_PROGRAMS[CENSUS[pass_name]]()
+        plain = api.lower(program, {"cache": "none"})
+        optimized = api.lower(program, O2)
+        rewrites = {s.name: s.rewrites for s in optimized.optimization.stats}
+        assert rewrites[pass_name] >= 1, optimized.optimization.format_report()
+        assert optimized.wasm.instruction_count() < plain.wasm.instruction_count()
 
 
 class TestConstantFolding:

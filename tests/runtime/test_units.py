@@ -42,15 +42,15 @@ from repro.ml import (
 from repro.ml.typecheck import check_module as check_ml_module
 from repro.obs.metrics import default_registry
 from repro.core.syntax import Function, Module
-from repro.opt import (
-    FunctionPassSegment, PassManager, deadfuncs, pipeline_passes, split_segments,
-)
-from repro.opt.manager import ModulePass, PassStats
+from repro.ml import compile_ml_module
+from repro.opt import PassManager, deadfuncs, pipeline_passes
+from repro.opt.manager import ModulePass
 from repro.opt.rewrite import iter_sequences
 from repro.runtime import ModuleCache
 from repro.runtime.cache import content_key
 from repro.wasm.ast import WCall, WasmFunction
 
+from bench_pipelines import ml_workload
 from workload_builders import edit_one_function, edit_one_ml_function, mixed_sources, synthetic_module
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -387,8 +387,8 @@ class TestSourceLevelUnits:
         assert units["frontend"] == {"reused": N_SOURCE_FUNCTIONS - 1, "compiled": 1}
         assert units["link"]["compiled"] == 1
         assert units["lower"]["compiled"] == 1
-        # One segment unit per round for the edited function only.
-        assert units["optimize"]["compiled"] <= 3
+        # One optimize unit, the edited function's fixpoint.
+        assert units["optimize"]["compiled"] == 1
         _assert_same_as_fresh(program, edited)
         assert _run(program, [("tail", 4)]) == [13]
 
@@ -481,17 +481,18 @@ class TestSourceLevelUnits:
 
 
 # ---------------------------------------------------------------------------
-# Function-pass segments
+# Per-function fixpoints
 # ---------------------------------------------------------------------------
 
 
-def _pass_by_pass(module, passes, max_iterations=8):
-    """The reference schedule: every pass sweeps every function in turn."""
+def _pass_by_pass(module, passes, rounds=8):
+    """The reference schedule: each pass in turn sweeps every function (a
+    module pass the module), in whole-module rounds until one changes
+    nothing."""
 
     from dataclasses import replace
 
-    stats = {p.name: PassStats(p.name) for p in passes}
-    for _ in range(max_iterations):
+    for _ in range(rounds):
         total = 0
         for pass_ in passes:
             if isinstance(pass_, ModulePass):
@@ -506,38 +507,58 @@ def _pass_by_pass(module, passes, max_iterations=8):
                             functions[index] = rewritten
                             rewrites += count
                 module = replace(module, functions=tuple(functions))
-            stats[pass_.name].merge_run(rewrites, 0.0)
             total += rewrites
         if total == 0:
             break
-    return module, [(s.name, s.runs, s.rewrites) for s in stats.values()]
+    return module
 
 
-class TestFunctionPassSegments:
-    def test_split_groups_runs_between_module_passes(self):
-        passes = pipeline_passes("O2")
-        segments = split_segments(passes)
-        assert [type(s).__name__ for s in segments] == ["FunctionPassSegment", "DeadFunctionPass"]
-        assert segments[0].passes == tuple(passes[:-1])
-        interleaved = split_segments([passes[0], passes[-1], passes[1], passes[2]])
-        assert [len(s.passes) if isinstance(s, FunctionPassSegment) else "module"
-                for s in interleaved] == [1, "module", 2]
+#: Reference inputs: a small synthetic module, the two-language program of
+#: 2x100 linked functions, and an ML module whose ``rw_free`` is dead.
+_REFERENCE_INPUTS = {
+    "synthetic": lambda: synthetic_module(2, functions=6),
+    "mixed": lambda: mixed_sources(100),
+    "ml_dead_free": lambda: compile_ml_module(ml_workload()),
+}
+_LOWERED = {}
 
+
+def _lowered(name):
+    if name not in _LOWERED:
+        _LOWERED[name] = api.lower(_REFERENCE_INPUTS[name](), CompileConfig(cache="none")).wasm
+    return _LOWERED[name]
+
+
+class TestFunctionFixpoints:
+    @pytest.mark.parametrize("name", list(_REFERENCE_INPUTS))
     @pytest.mark.parametrize("opt_level", ["O1", "O2"])
-    def test_segment_schedule_equals_pass_by_pass(self, opt_level):
-        wasm = lower_module(synthetic_module(2, functions=6)).wasm
-        expected_module, expected_stats = _pass_by_pass(wasm, pipeline_passes(opt_level))
+    def test_fixpoint_schedule_equals_pass_by_pass(self, opt_level, name):
+        wasm = _lowered(name)
+        expected = _pass_by_pass(wasm, pipeline_passes(opt_level))
+        assert expected != wasm
         for unit_cache in (None, FunctionUnitCache()):
             result = PassManager(pipeline_passes(opt_level), unit_cache=unit_cache).run(wasm)
-            assert result.module == expected_module
-            assert [(s.name, s.runs, s.rewrites) for s in result.stats] == expected_stats
+            assert result.module == expected
 
-    def test_o2_looks_up_one_unit_per_function_per_round(self):
-        wasm = lower_module(synthetic_module(2, functions=6)).wasm
+    @pytest.mark.parametrize("opt_level", ["O1", "O2"])
+    def test_one_optimize_lookup_per_defined_function(self, opt_level):
+        wasm = _lowered("mixed")
         units = FunctionUnitCache()
-        result = PassManager(pipeline_passes("O2"), unit_cache=units).run(wasm)
+        PassManager(pipeline_passes(opt_level), unit_cache=units).run(wasm)
         defined = sum(isinstance(f, WasmFunction) for f in wasm.functions)
-        assert units.stats["optimize"].lookups == defined * result.iterations
+        assert defined == 202
+        assert units.stats["optimize"].lookups == defined
+
+    def test_unit_hits_report_the_same_result(self):
+        wasm = _lowered("mixed")
+        units = FunctionUnitCache()
+        cold = PassManager(pipeline_passes("O2"), unit_cache=units).run(wasm)
+        warm = PassManager(pipeline_passes("O2"), unit_cache=units).run(wasm)
+        assert units.stats["optimize"].reused == units.stats["optimize"].compiled
+        assert warm.module == cold.module and warm.iterations == cold.iterations > 1
+        assert [(s.name, s.runs, s.rewrites) for s in warm.stats] == [
+            (s.name, s.runs, s.rewrites) for s in cold.stats
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +708,11 @@ class TestMemoizedKeys:
         delta = cache.units.delta(before)
 
         assert delta["lower"] == {"reused": functions - 1, "compiled": 1}
-        # The edited function's lowering, one optimize round per new version
-        # of it, then validation, decode and translation of the final
-        # version: six keys, where every function used to cost about twelve.
+        # The edited function's lowering, one optimize unit for its whole
+        # fixpoint, then validation, decode and translation of the final
+        # version: five keys, where every function used to cost about twelve.
         assert sorted(Counter(keyed).items()) == [
-            ("decode", 1), ("lower", 1), ("optimize", 2), ("translate", 1), ("validate", 1),
+            ("decode", 1), ("lower", 1), ("optimize", 1), ("translate", 1), ("validate", 1),
         ]
         # The dead-function pass scans only the edited function's optimized
         # version; every other callee set is a memo hit.
