@@ -73,6 +73,7 @@ def test_disk_warm_start_at_least_10x():
         f"{result['warm_wall_s']}s ({result['speedup']}x, "
         f"{result['functions']} functions)"
     )
+    print(f"  disk entry bytes per stage: {result['disk_bytes']}")
     assert result["program_cold"] == "miss"
     assert result["program_warm"] == "hit", (
         "warm child recompiled instead of loading from disk"

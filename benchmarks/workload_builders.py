@@ -675,15 +675,22 @@ def measure_disk_warm_start(*, functions: int = 600, warm_repeats: int = 2) -> d
     unpickle + decode adoption).  The warm wall is the best of
     ``warm_repeats`` children; both walls exclude interpreter startup (the
     child times only ``api.compile``).  ``disk_warm`` is the last warm
-    child's ``{disk stage: [hits, misses]}``.
+    child's ``{disk stage: [hits, misses]}``; ``disk_bytes`` is the cache
+    directory's entry bytes per stage (``program``, ``link``, ``key``) after
+    the cold child wrote it.
     """
 
     import shutil
     import tempfile
 
+    from repro.cluster import DiskCache
+
     cache_dir = tempfile.mkdtemp(prefix="repro-warmstart-")
     try:
         cold = _warm_start_child(cache_dir, functions)
+        disk_bytes = dict.fromkeys(("key", "link", "program"), 0)
+        for entry in DiskCache(cache_dir).entries():
+            disk_bytes[entry.stage] = disk_bytes.get(entry.stage, 0) + entry.size
         warm_walls = []
         warm_diag = warm_disk = None
         for _ in range(max(1, warm_repeats)):
@@ -699,6 +706,7 @@ def measure_disk_warm_start(*, functions: int = 600, warm_repeats: int = 2) -> d
             "program_cold": cold["program"],
             "program_warm": warm_diag,
             "disk_warm": warm_disk,
+            "disk_bytes": dict(sorted(disk_bytes.items())),
         }
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)

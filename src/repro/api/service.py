@@ -16,6 +16,7 @@ full name or an unambiguous suffix — an unknown or ambiguous name raises
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -56,14 +57,21 @@ class ExportResolver:
     :class:`Service` and :class:`repro.cluster.ClusterService` each hold
     one.  Successful resolutions are cached; failures are not, so an
     unknown or ambiguous name raises :class:`LinkError` on every call.
+
+    A :class:`Session` found canonical is remembered by identity, so serving
+    the same object again skips the walk over its calls.  The memo maps
+    ``id()`` to a weak reference: a hit needs the entry to be the very same
+    object, and a dead session's entry goes with it.  Nothing is stored on
+    the session itself, so its pickle to a cluster worker is unchanged.
     """
 
-    __slots__ = ("exports", "_canonical", "_resolved")
+    __slots__ = ("exports", "_canonical", "_resolved", "_canonical_sessions")
 
     def __init__(self, exports: Sequence[str]) -> None:
         self.exports = tuple(sorted(exports))
         self._canonical = frozenset(self.exports)  # exact names resolve to themselves
         self._resolved: dict[str, str] = {}
+        self._canonical_sessions: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def resolve(self, name: str) -> str:
         try:
@@ -78,12 +86,16 @@ class ExportResolver:
 
         canonical, resolve = self._canonical, self.resolve
         if isinstance(request, Session):
+            if self._canonical_sessions.get(id(request)) is request:
+                return request
             calls = request.calls
             for export, args in calls:
                 if export not in canonical or type(args) is not tuple:
                     return dataclasses.replace(
                         request, calls=tuple((resolve(export), tuple(args)) for export, args in calls)
                     )
+            if type(calls) is tuple:  # a list of calls could still change
+                self._canonical_sessions[id(request)] = request
             return request
         if request.export in canonical:
             return request

@@ -30,11 +30,11 @@ new version of a module reuses every unchanged function's work:
   marker (:func:`repro.wasm.validate_module`);
 * **decode** — Wasm function digest → the :class:`~repro.wasm.decode.FlatFunction`;
 * **translate** — (Wasm function digest, Wasm signature digest, slot index)
-  → the generated Python source chunk and the callable, which compiles
-  the chunk at its first call and is shared by every translation holding
-  the unit (:mod:`repro.wasm.pygen`; sound because direct calls dispatch
-  through the per-instance runtime, which makes each generated function
-  self-contained).
+  → the function's first-call stub, which holds the generated Python
+  source chunk, compiles it at the function's first call and is shared by
+  every translation holding the unit (:mod:`repro.wasm.pygen`; sound
+  because direct calls dispatch through the per-instance runtime, which
+  makes each generated function self-contained).
 
 Unit keys are built from :func:`repro.core.syntax.structural_digest` parts,
 so — like the PR 5 content keys — they are deterministic across processes
@@ -52,7 +52,10 @@ with each function's callee set.  After a one-function source edit only the
 edited function's new artifacts are keyed, digested and scanned anew — every
 other key is one dictionary lookup.  The memos are never pickled
 (:func:`repro.core.syntax.intern.state_without_memos`), so disk entries and
-worker payloads stay as they were.
+worker payloads stay as they were.  The structural digest itself is
+memoized on the function (:func:`repro.core.syntax.intern.memoize_digest`)
+and not on its instructions: a new function version is walked once, for
+its first key.
 
 The consumers (``ml``, ``l3``, ``ffi``, ``core.typing``, ``lower``, ``opt``,
 ``wasm``) receive the cache as an opaque ``unit_cache`` parameter and call
@@ -139,10 +142,6 @@ def wasm_signature_digest(module: WasmModule) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-#: type -> whether its instances carry memos, decided once per type.
-_MEMO_TYPES: dict[type, bool] = {}
-
-
 def _memoized_key(stage: str, obj, before: tuple, after: tuple) -> str:
     """``unit_key(stage, *before, structural_digest(obj), *after)``,
     memoized in ``obj.__dict__`` under ``(stage, *before, *after)``.
@@ -150,20 +149,13 @@ def _memoized_key(stage: str, obj, before: tuple, after: tuple) -> str:
     ``before``/``after`` are every key part except ``obj``'s own digest
     (environment/signature digests, flags, the function-pass part, the slot
     index, ...), so a memo hit names exactly the key a fresh build would
-    compute.  Only frozen dataclass instances carry memos — the rule
-    :func:`~repro.core.syntax.structural_digest` applies to ``_hc_digest``
-    — and the tuple-keyed entries never pickle
-    (:func:`~repro.core.syntax.intern.state_without_memos`).
+    compute.  ``obj`` is a function or declaration, an instance of a
+    :func:`~repro.core.syntax.intern.memoize_digest` class, whose
+    ``__dict__`` also holds its digest memo; the tuple-keyed entries never
+    pickle (:func:`~repro.core.syntax.intern.state_without_memos`).
     """
 
-    cls = type(obj)
-    memoizes = _MEMO_TYPES.get(cls)
-    if memoizes is None:
-        params = getattr(cls, "__dataclass_params__", None)
-        memoizes = _MEMO_TYPES[cls] = (
-            params is not None and params.frozen and hasattr(obj, "__dict__")
-        )
-    memos, memo = obj.__dict__ if memoizes else {}, (stage, *before, *after)
+    memos, memo = obj.__dict__, (stage, *before, *after)
     key = memos.get(memo)
     if key is None:
         key = memos[memo] = unit_key(stage, *before, structural_digest(obj), *after)

@@ -18,7 +18,11 @@ carries
 * a stable *content digest* (:func:`structural_digest`) — a SHA-256 over the
   structure only (class names, field values, recursion over children), never
   over ``id()`` or ``hash()`` — the building block of the runtime cache's
-  content keys, identical across processes.
+  content keys, identical across processes.  Digests are memoized on
+  interned nodes and on instances of the classes marked with
+  :func:`memoize_digest` (the functions, declarations and modules the
+  caches key, and the non-interned type nodes of their signatures), and
+  nowhere else.
 
 How it plugs in: the syntax dataclasses take :class:`HashConsMeta` as their
 metaclass and the defining module calls :func:`register` after the class
@@ -60,6 +64,7 @@ __all__ = [
     "interning_disabled",
     "interning_enabled",
     "is_interned",
+    "memoize_digest",
     "register",
     "state_without_memos",
     "structural_digest",
@@ -354,9 +359,34 @@ def canonical(node):
 # ---------------------------------------------------------------------------
 
 
-#: The instance-``__dict__`` key under which frozen dataclasses memoize
-#: their :func:`structural_digest`.
+#: The instance-``__dict__`` key under which a memoizing instance keeps its
+#: :func:`structural_digest`.
 _DIGEST_MEMO = "_hc_digest"
+
+#: Classes marked with :func:`memoize_digest`.
+_MEMO_CLASSES: set[type] = set()
+
+
+def memoize_digest(cls: type) -> type:
+    """Class decorator: instances of the frozen dataclass ``cls`` memoize
+    their :func:`structural_digest` under ``_hc_digest``.
+
+    The memo belongs on the objects the caches key (functions, function
+    and global declarations, modules) and on the type nodes their
+    signatures are built from (Wasm function types, ML and L3 types).  A
+    function version is keyed by every compile stage, a module that carries
+    its digest is keyed by a lookup, and the signature and environment
+    digests of each new module version re-read every declaration's types.
+    The instructions and expressions inside a function are walked once per
+    function version, as part of its digest, so a memo on each of them
+    would only hold memory (and grow every pickle that carries them).
+    """
+
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is None or not params.frozen or "__slots__" in cls.__dict__:
+        raise TypeError(f"{cls.__name__} must be a frozen dataclass with a __dict__ to memoize its digest")
+    _MEMO_CLASSES.add(cls)
+    return cls
 
 
 def structural_digest(obj) -> bytes:
@@ -365,8 +395,11 @@ def structural_digest(obj) -> bytes:
     Deterministic across processes: covers class identities (qualified
     names), enum member names and primitive values, recursing over dataclass
     fields and sequences — never ``id()``, ``hash()`` or memory addresses.
-    Digests are cached on interned nodes and on frozen dataclass instances,
-    so re-digesting a large module only walks the parts not seen before.
+    Digests are memoized on interned type nodes and on instances of the
+    :func:`memoize_digest` classes (functions, declarations, modules and
+    the other type nodes), so re-digesting a module only walks the
+    functions not seen before; the instructions and expressions inside a
+    function keep no memo.
 
     Dispatch is one table lookup on the exact type (:func:`_digester_for`
     fills the table the first time a type shows up).  Every composite digest
@@ -383,9 +416,9 @@ def structural_digest(obj) -> bytes:
 
 def has_structural_digest(obj) -> bool:
     """Whether ``obj`` already carries its :func:`structural_digest` memo, so
-    digesting it again is a lookup rather than a walk.  Only frozen
-    dataclass instances with a ``__dict__`` keep one; the memo travels in
-    their pickles."""
+    digesting it again is a lookup rather than a walk.  Only interned nodes
+    and instances of :func:`memoize_digest` classes keep one; on the latter
+    the memo travels in their pickles."""
 
     return _DIGEST_MEMO in getattr(obj, "__dict__", ())
 
@@ -467,7 +500,8 @@ def _enum_digester(cls) -> Callable:
 
 
 def _dataclass_digester(cls) -> Callable:
-    """``sha256(b"D" + qualname + field digests)``, cached on frozen instances."""
+    """``sha256(b"D" + qualname + field digests)``, memoized on instances of
+    interned and :func:`memoize_digest` classes."""
 
     prefix = b"D" + f"{cls.__module__}.{cls.__qualname__}".encode()
     names = tuple(f.name for f in dataclasses.fields(cls))
@@ -485,14 +519,11 @@ def _dataclass_digester(cls) -> Callable:
             prefix + b"".join([(_digester_of(type(v)) or _digester_for(type(v)))(v) for v in fields(obj)])
         ).digest()
 
-    if not cls.__dataclass_params__.frozen:
+    if cls not in _MEMO_CLASSES and cls not in _REGISTERED:
         return compute
 
     def digest(obj) -> bytes:
-        try:
-            memos = obj.__dict__
-        except AttributeError:  # a slotted dataclass has nowhere to cache
-            return compute(obj)
+        memos = obj.__dict__
         out = memos.get(_DIGEST_MEMO)
         if out is None:
             out = memos[_DIGEST_MEMO] = compute(obj)

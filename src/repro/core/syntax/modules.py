@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .instructions import Instr, instruction_count
-from .intern import state_without_memos
+from .intern import memoize_digest, state_without_memos
 from .sizes import Size
 from .types import FunType, Pretype, Type
 
@@ -28,6 +28,7 @@ class Import:
         return f'(import "{self.module}" "{self.name}")'
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class Function:
     """A RichWasm function definition.
@@ -60,6 +61,7 @@ class Function:
         return cached
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class ImportedFunction:
     """A function imported from another module."""
@@ -77,6 +79,7 @@ class ImportedFunction:
 FunctionDecl = Union[Function, ImportedFunction]
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class Global:
     """A global declaration ``glob mut? p i*``.
@@ -99,6 +102,7 @@ class Global:
         return False
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class ImportedGlobal:
     """A global imported from another module."""
@@ -125,6 +129,7 @@ class Table:
     exports: tuple[str, ...] = ()
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class Module:
     """A RichWasm module ``module f* glob* tab``."""

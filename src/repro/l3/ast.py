@@ -23,25 +23,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from ..core.syntax.intern import state_without_memos
+from ..core.syntax.intern import memoize_digest, state_without_memos
 
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class LUnit:
     def __str__(self) -> str:  # pragma: no cover - trivial
         return "unit"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class LInt:
     def __str__(self) -> str:  # pragma: no cover - trivial
         return "int"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class LBang:
     """``!τ`` — an unrestricted (freely duplicable) value."""
@@ -52,6 +55,7 @@ class LBang:
         return f"!{self.inner}"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class LTensor:
     """``τ1 ⊗ τ2`` — a linear pair."""
@@ -63,6 +67,7 @@ class LTensor:
         return f"({self.left} ⊗ {self.right})"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class LOwned:
     """``∃ρ. !Ptr ρ ⊗ Cap ρ τ`` — ownership of a heap cell holding ``τ``."""
@@ -73,6 +78,7 @@ class LOwned:
         return f"(owned {self.content})"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class LMLRef:
     """``Ref τ`` — the ML-like reference added for interop (paper §5)."""
@@ -249,6 +255,7 @@ L3Expr = Union[
 # ---------------------------------------------------------------------------
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class L3Function:
     """A top-level L3 function (one argument, no captured variables)."""
@@ -264,6 +271,7 @@ class L3Function:
     __getstate__ = state_without_memos
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class L3Import:
     """An imported function, typically exported by an ML module."""
@@ -279,6 +287,7 @@ class L3Import:
         return self.local_name if self.local_name is not None else self.name
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class L3Module:
     name: str

@@ -22,31 +22,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from ..core.syntax.intern import state_without_memos
+from ..core.syntax.intern import memoize_digest, state_without_memos
 
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class TUnit:
     def __str__(self) -> str:  # pragma: no cover - trivial
         return "unit"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class TInt:
     def __str__(self) -> str:  # pragma: no cover - trivial
         return "int"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class TBool:
     def __str__(self) -> str:  # pragma: no cover - trivial
         return "bool"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class TPair:
     left: "MLType"
@@ -56,6 +60,7 @@ class TPair:
         return f"({self.left} * {self.right})"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class TSum:
     left: "MLType"
@@ -65,6 +70,7 @@ class TSum:
         return f"({self.left} + {self.right})"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class TRef:
     content: "MLType"
@@ -73,6 +79,7 @@ class TRef:
         return f"(ref {self.content})"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class TFun:
     param: "MLType"
@@ -82,6 +89,7 @@ class TFun:
         return f"({self.param} -> {self.result})"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class LinType:
     """A linking type: a foreign type that RichWasm must treat as linear."""
@@ -92,6 +100,7 @@ class LinType:
         return f"({self.inner})lin"
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class RefToLin:
     """The type of ``ref_to_lin`` cells holding an optional linear value."""
@@ -271,6 +280,7 @@ Expr = Union[
 # ---------------------------------------------------------------------------
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class MLGlobal:
     """A top-level binding ``let name = expr`` (module-local state)."""
@@ -280,6 +290,7 @@ class MLGlobal:
     init: Expr
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class MLFunction:
     """A top-level function definition ``fun name (param : τ) : σ = body``."""
@@ -295,6 +306,7 @@ class MLFunction:
     __getstate__ = state_without_memos
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class MLImport:
     """An imported function ``import other.name : τ -> σ``."""
@@ -310,6 +322,7 @@ class MLImport:
         return self.local_name if self.local_name is not None else self.name
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class MLModule:
     """An ML module: imports, module state, and function definitions."""

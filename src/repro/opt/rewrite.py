@@ -6,7 +6,7 @@ sequences inside ``block``/``loop``/``if``.  Passes express themselves as
 returning a new one.  :func:`map_sequences` applies such a rewriter to every
 sequence in a body, bottom-up, so a rewriter never needs to recurse itself,
 and keeps every sequence and block the rewriter left alone as the same
-object (so their cached digests and memos survive the rewrite).
+object (so a body no rewriter touched stays the same function version).
 
 :func:`local_census` counts a body's local accesses in one walk, memoized on
 the function version, for the passes that reason about locals.

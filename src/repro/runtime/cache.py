@@ -74,10 +74,10 @@ def content_key(*parts: object) -> str:
     The ASTs on every pipeline boundary (surface modules, RichWasm, Wasm)
     are frozen dataclasses built from tuples, enums and primitives;
     :func:`repro.core.syntax.structural_digest` hashes exactly that
-    structure and caches the digest on every frozen node it visits, so equal
-    trees produce equal keys regardless of object identity (and regardless
-    of the producing process), while re-keying an already-digested module is
-    a cache lookup rather than a full-tree ``repr``.
+    structure and memoizes the digest on functions, declarations and
+    modules, so equal trees produce equal keys regardless of object identity
+    (and regardless of the producing process), while re-keying an
+    already-digested module is a lookup rather than a full-tree walk.
     """
 
     hasher = hashlib.sha256()

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
-from ..core.syntax.intern import state_without_memos
+from ..core.syntax.intern import memoize_digest, state_without_memos
 
 
 class ValType(enum.Enum):
@@ -41,6 +41,7 @@ class ValType(enum.Enum):
         return self.bit_width // 8
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class WasmFuncType:
     """A Wasm function type ``[params] -> [results]`` (multi-value allowed)."""
@@ -269,6 +270,7 @@ WInstr = Union[
 # ---------------------------------------------------------------------------
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class WasmFunction:
     """A defined Wasm function."""
@@ -284,6 +286,7 @@ class WasmFunction:
     __getstate__ = state_without_memos
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class WasmImportedFunction:
     """A function imported from another module (or the host)."""
@@ -297,6 +300,7 @@ class WasmImportedFunction:
 WasmFunctionDecl = Union[WasmFunction, WasmImportedFunction]
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class WasmGlobal:
     valtype: ValType
@@ -331,6 +335,7 @@ class WasmData:
     data: bytes
 
 
+@memoize_digest
 @dataclass(frozen=True)
 class WasmModule:
     functions: tuple[WasmFunctionDecl, ...] = ()

@@ -1027,7 +1027,7 @@ def _emit_call_indirect(em: _FunctionEmitter, expected) -> None:
 
 
 class ModuleTranslation:
-    """The per-module translation artifact: source plus one callable per slot.
+    """The per-module translation artifact: one callable per slot.
 
     ``functions[i]`` is the callable of defined slot ``i`` and ``None`` at
     host slots.  Every function's source is emitted up front, but a slot's
@@ -1036,15 +1036,24 @@ class ModuleTranslation:
     called.  The artifact is instance-independent (all instance state flows
     through the per-instance runtime object), so it is shared across every
     instance of the module — and, via the module cache's content keyspace,
-    across structurally identical module objects.
+    across structurally identical module objects.  It holds no source of its
+    own: each stub keeps its chunk, the stubs are shared by every module
+    version that reuses the unit, and :attr:`source` joins the chunks on
+    request.
     """
 
-    __slots__ = ("source", "functions", "function_count")
+    __slots__ = ("functions", "function_count")
 
-    def __init__(self, source: str, functions: tuple):
-        self.source = source
+    def __init__(self, functions: tuple):
         self.functions = functions
         self.function_count = sum(1 for fn in functions if fn is not None)
+
+    @property
+    def source(self) -> str:
+        """The whole module's generated source: every defined slot's chunk,
+        in slot order."""
+
+        return "\n\n".join(fn.chunk for fn in self.functions if fn is not None)
 
     def targets(self) -> list:
         """A new instance's target table: the generated function of every
@@ -1165,16 +1174,16 @@ class _FirstCallStub:
 
 def build_translation_unit(
     index: int, chunk: str, pool_values: dict[str, object], *, module_name: str | None = None
-) -> tuple[str, object]:
+) -> _FirstCallStub:
     """Wrap a chunk from :func:`emit_function_chunk` into a translate unit.
 
-    The returned ``(chunk, callable)`` pair is the exact value
-    ``translate_functions`` caches; the callable is the chunk's first-call
-    stub, so nothing is compiled here.
+    The unit is the chunk's first-call stub, the exact value
+    ``translate_functions`` caches; it keeps the chunk, and nothing is
+    compiled here.
     """
 
     filename = f"<pygen:{module_name or 'module'}:f{index}>"
-    return (chunk, _FirstCallStub(index, chunk, pool_values, filename))
+    return _FirstCallStub(index, chunk, pool_values, filename)
 
 
 def translate_functions(slots: list, module: WasmModule, *, unit_cache=None) -> ModuleTranslation:
@@ -1194,7 +1203,6 @@ def translate_functions(slots: list, module: WasmModule, *, unit_cache=None) -> 
     slot's code must be valid (the engines validate before they translate).
     """
 
-    chunks: list[str] = []
     functions: list = []
     for index, slot in enumerate(slots):
         if not isinstance(slot, FlatFunction):
@@ -1212,10 +1220,8 @@ def translate_functions(slots: list, module: WasmModule, *, unit_cache=None) -> 
             unit = build_translation_unit(index, *emitted, module_name=module.name)
             if unit_cache is not None:
                 unit_cache.put("translate", key, unit)
-        chunk, compiled = unit
-        chunks.append(chunk)
-        functions.append(compiled)
-    return ModuleTranslation("\n\n".join(chunks), tuple(functions))
+        functions.append(unit)
+    return ModuleTranslation(tuple(functions))
 
 
 # Per-module translation memo, keyed like the decode memo: by id() with a

@@ -7,6 +7,8 @@ failures never are, and an already-canonical request passes through as the
 same object.
 """
 
+import gc
+
 import pytest
 
 from repro import api
@@ -73,6 +75,28 @@ class TestSharedResolver:
         outcome = service.run_one(session)
         assert outcome.ok and outcome.values == [[4], [8]]
 
+    def test_a_session_served_twice_is_resolved_once(self, service, monkeypatch):
+        checked = []
+
+        class CountingNames(frozenset):
+            def __contains__(self, name):
+                checked.append(name)
+                return frozenset.__contains__(self, name)
+
+        resolver = service._resolver
+        monkeypatch.setattr(resolver, "_canonical", CountingNames(resolver._canonical))
+        session = Session(calls=(("a.inc", (4,)), ("a.double", (5,))))
+        for _ in range(2):
+            outcome = service.run_one(session)
+            assert outcome.ok and outcome.values == [[5], [10]]
+            assert checked == ["a.inc", "a.double"]
+
+    def test_a_session_with_an_unknown_export_raises_every_time(self, service):
+        session = Session(calls=(("a.inc", (1,)), ("nope", (1,))))
+        for _ in range(2):
+            with pytest.raises(LinkError, match="no export named 'nope'"):
+                service.run_one(session)
+
 
 class TestExportResolver:
     """Suffix resolution on a table without bare aliases (the services
@@ -95,3 +119,20 @@ class TestExportResolver:
         assert resolver.request(session) == Session(
             calls=(("m.f", (1,)), ("m.g", ())), session_id="s"
         )
+
+    def test_a_list_of_calls_is_walked_every_time(self):
+        resolver = ExportResolver(("m.f", "m.g"))
+        calls = [("m.f", (1,))]
+        session = Session(calls=calls)
+        assert resolver.request(session) is session
+        calls.append(("g", (2,)))
+        assert resolver.request(session).calls == (("m.f", (1,)), ("m.g", (2,)))
+
+    def test_a_collected_session_leaves_no_entry(self):
+        resolver = ExportResolver(("m.f",))
+        session = Session(calls=(("m.f", (1,)),))
+        assert resolver.request(session) is session
+        assert len(resolver._canonical_sessions) == 1
+        del session
+        gc.collect()
+        assert not resolver._canonical_sessions
